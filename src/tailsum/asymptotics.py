@@ -15,13 +15,20 @@ extreme-value copula, or raw tail traits), this module evaluates:
   (:func:`var_expansion_independence`, :func:`var_expansion_ev`) and a
   numerical inversion diagnostic (:func:`var_from_tailprob_inversion`).
 
-Everything is a pure function of immutable inputs; quadrature scratch state
-is local to each call, so concurrent use is safe.
+Everything is a pure function of immutable inputs. The extreme-value
+expansions cache, per ``(marginal, dependence function)`` model, only what
+does not depend on the threshold or the level: the case label, the tail
+order, the case coefficient (its corner integrals) and, when the stated
+second order vanishes, the constants of the candidate refinements. The
+cache is a bounded ``functools.lru_cache``, which is thread-safe, and holds
+frozen values, so concurrent use is safe; quadrature scratch state is local
+to each call.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
@@ -203,11 +210,12 @@ def D_delta(traits: TailOrderTraits, marginal: ParetoMarginal, delta: float, t: 
         raise DomainError(f"D_delta requires t above the marginal median {median}, got {t}")
     alpha = marginal.alpha
     tau_v = traits.tau_v
+    sf_pdf = marginal._sf_pdf
 
     def g(y: float) -> float:
         grown = (1.0 - y) ** -alpha
         vv = y**-alpha
-        return (float(tau_v(grown, vv)) - float(tau_v(1.0, vv))) * marginal.density(t * y) * t
+        return (float(tau_v(grown, vv)) - float(tau_v(1.0, vv))) * sf_pdf(t * y)[1] * t
 
     value, _ = integrate.quad(g, delta, 0.5, **_QUAD_KW)
     return value
@@ -235,12 +243,11 @@ def delta_correction(
         )
     a_theta = marginal.alpha * partial_traits.theta_exp
     varphi = partial_traits.varphi
+    sf_pdf = marginal._sf_pdf
 
     def g(y: float) -> float:
-        sf = marginal.survival(t * y)
-        return math.expm1(-a_theta * math.log1p(-y)) * float(varphi(1.0, sf)) * marginal.density(
-            t * y
-        ) * t
+        sf, pdf = sf_pdf(t * y)
+        return math.expm1(-a_theta * math.log1p(-y)) * float(varphi(1.0, sf)) * pdf * t
 
     # the integrand mass concentrates at y ~ scale/t, below quad's default
     # sampling resolution for large t; anchor subdivisions there
@@ -507,23 +514,107 @@ def tailprob_expansion_independence(m: ParetoMarginal, t: float) -> Expansion:
     )
 
 
-def _degenerate_candidates(
-    m: ParetoMarginal, p: PickandsEV, t: float, s: float, kappa: float, mhat: float
-) -> dict:
-    """Alternative refinements when the stated second-order term vanishes."""
+@dataclass(frozen=True)
+class _ModelPlan:
+    """The part of the extreme-value expansions of one model that depends
+    on neither the threshold nor the level.
+
+    ``power_terms`` holds the stated tail terms ``coefficient *
+    sf**exponent`` as ``(coefficient, exponent)`` pairs; it is empty in the
+    complement case, whose term depends on ``t``. ``coefficient`` is the
+    case coefficient of the quantile expansion: ``zeta1`` when all three
+    predicates hold, the middle case's ``c`` (zero when degenerate), None
+    in the complement case. ``degenerate`` marks the middle case whose
+    stated second order vanishes; only then are the last three fields set:
+    the ``power_term`` coefficient, the ``power_term_with_eta`` coefficient
+    (None when its integral diverges) and the log-refined traits (None
+    unless Gumbel with exponent above 1).
+    """
+
+    case: CaseLabel
+    kappa: float
+    coefficient: Optional[float]
+    power_terms: tuple
+    degenerate: bool = False
+    delta2: Optional[float] = None
+    eta_coefficient: Optional[float] = None
+    log_refined: Optional[PartialLimitTraits] = None
+
+
+def _zeta1(alpha: float, mhat: float) -> float:
+    am = alpha * mhat
+    return 2.0 * integral_I(am, am) + 2.0 ** (2.0 * am) - 2.0 ** (am + 1.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _model_plan(m: ParetoMarginal, p: PickandsEV) -> _ModelPlan:
+    """Classify the model and evaluate its threshold-free constants once."""
     alpha = m.alpha
-    traits = tail_order_traits(p)
-    delta2 = power_term_coefficient(traits, alpha)
+    case = classify_case(alpha, p)
+    kappa = float(p.a_fn(1.0, 1.0))
+    mhat = float(p.a1_fn(1.0, 1.0))
+    a20 = case.a20
+    if case.label == LABEL_ALL:
+        zeta1 = _zeta1(alpha, mhat)
+        return _ModelPlan(case, kappa, zeta1, ((zeta1, kappa),))
+    if case.label == LABEL_COMPLEMENT:  # alpha * a20 >= 1
+        return _ModelPlan(case, kappa, None, ())
+
+    c = zeta2 = 2.0 * integral_I(alpha, alpha * a20)
+    terms = []
+    if zeta2 != 0.0:
+        terms.append((zeta2, a20 + 1.0))
+    if case.boundary_indicator:
+        am = alpha * mhat
+        coeff = 2.0 ** (2.0 * am) - 2.0 ** (am + 1.0)
+        terms.append((coeff, kappa))
+        c += coeff
+    if terms:
+        return _ModelPlan(case, kappa, c, tuple(terms))
+
+    # the stated second order vanishes: constants of the candidate refinements
+    slow = None
+    if p.family == "gumbel" and p.param is not None and p.param > 1.0:
+        slow = gumbel_log_refined_traits(p.param)
+    return _ModelPlan(
+        case, kappa, c, (), degenerate=True,
+        delta2=power_term_coefficient(tail_order_traits(p), alpha),
+        eta_coefficient=_zeta1(alpha, mhat) if alpha * mhat < 1.0 else None,
+        log_refined=slow,
+    )
+
+
+def _stated_tail(plan: _ModelPlan, m: ParetoMarginal, t: float) -> tuple:
+    """``(survival(t), stated second-order terms, stated value)`` at ``t``."""
+    s = m.survival(t)
+    if plan.case.label == LABEL_COMPLEMENT:
+        tf = m.powered_tail_truncated_mean(t, plan.case.a20) / t
+        coeff = 2.0 * m.alpha
+        terms = (
+            ExpansionTerm(
+                coefficient=coeff, exponent=1.0,
+                factor_tag="powered_truncated_mean_over_t", t_factor=tf,
+                value=coeff * tf * s,
+            ),
+        )
+    else:
+        terms = tuple(
+            ExpansionTerm(coefficient=c, exponent=e, value=c * s**e) for c, e in plan.power_terms
+        )
+    return s, terms, 2.0 * s + sum(term.value for term in terms)
+
+
+def _degenerate_candidates(plan: _ModelPlan, m: ParetoMarginal, t: float, s: float) -> dict:
+    """Alternative refinements when the stated second-order term vanishes."""
+    kappa, delta2 = plan.kappa, plan.delta2
     candidates = {
         "leading": 2.0 * s,
         "power_term": 2.0 * s + delta2 * s**kappa,
     }
-    am = alpha * mhat
-    if am < 1.0:
-        zeta1 = 2.0 * integral_I(am, am) + 2.0 ** (2.0 * am) - 2.0 ** (am + 1.0)
-        candidates["power_term_with_eta"] = 2.0 * s + zeta1 * s**kappa
-    if p.family == "gumbel" and p.param is not None and p.param > 1.0:
-        slow = gumbel_log_refined_traits(p.param)
+    if plan.eta_coefficient is not None:
+        candidates["power_term_with_eta"] = 2.0 * s + plan.eta_coefficient * s**kappa
+    slow = plan.log_refined
+    if slow is not None:
         dt = delta_correction(slow, m, t)
         h_s = float(slow.h(s))
         candidates["log_refined"] = 2.0 * s + delta2 * s**kappa + 2.0 * dt * s * h_s
@@ -551,65 +642,30 @@ def tailprob_expansion_ev(m: ParetoMarginal, p: PickandsEV, t: float) -> Expansi
     diagnostic and a ``candidates`` mapping of alternative refinements, with
     the primary value staying the stated one.
 
+    The classification and the coefficients are evaluated once per model
+    and cached; only the survival, the complement case's truncated mean and
+    the ``log_refined`` candidate's :func:`delta_correction` are evaluated
+    per threshold.
+
     Raises
     ------
     DomainError
         If ``t`` is not above the marginal median.
     """
     _require_above_median(m, t, "tailprob_expansion_ev")
-    alpha = m.alpha
-    case = classify_case(alpha, p)
-    kappa = float(p.a_fn(1.0, 1.0))
-    mhat = float(p.a1_fn(1.0, 1.0))
-    a20 = case.a20
-    s = m.survival(t)
-    first = 2.0 * s
-    diagnostics = list(case.warnings)
+    plan = _model_plan(m, p)
+    s, terms, value = _stated_tail(plan, m, t)
+    diagnostics = plan.case.warnings
     candidates = None
-
-    if case.label == LABEL_ALL:
-        am = alpha * mhat
-        zeta1 = 2.0 * integral_I(am, am) + 2.0 ** (2.0 * am) - 2.0 ** (am + 1.0)
-        terms = (
-            ExpansionTerm(coefficient=zeta1, exponent=kappa, value=zeta1 * s**kappa),
+    if plan.degenerate:
+        diagnostics += (
+            "second-order term vanishes under the stated case conditions; "
+            "candidate refinements attached",
         )
-    elif case.label == LABEL_PARTIAL:
-        zeta2 = 2.0 * integral_I(alpha, alpha * a20)
-        term_list = []
-        if zeta2 != 0.0:
-            term_list.append(
-                ExpansionTerm(
-                    coefficient=zeta2, exponent=a20 + 1.0, value=zeta2 * s ** (a20 + 1.0)
-                )
-            )
-        if case.boundary_indicator:
-            am = alpha * mhat
-            coeff = 2.0 ** (2.0 * am) - 2.0 ** (am + 1.0)
-            term_list.append(
-                ExpansionTerm(coefficient=coeff, exponent=kappa, value=coeff * s**kappa)
-            )
-        if not term_list:
-            diagnostics.append(
-                "second-order term vanishes under the stated case conditions; "
-                "candidate refinements attached"
-            )
-            candidates = _degenerate_candidates(m, p, t, s, kappa, mhat)
-        terms = tuple(term_list)
-    else:  # complement of the first predicate: a20 > 0 and alpha*a20 >= 1
-        tf = m.powered_tail_truncated_mean(t, a20) / t
-        coeff = 2.0 * alpha
-        terms = (
-            ExpansionTerm(
-                coefficient=coeff, exponent=1.0,
-                factor_tag="powered_truncated_mean_over_t", t_factor=tf,
-                value=coeff * tf * s,
-            ),
-        )
-
-    value = first + sum(term.value for term in terms)
+        candidates = _degenerate_candidates(plan, m, t, s)
     return Expansion(
-        t=t, value=value, first_order=first, terms=terms, case=case,
-        diagnostics=tuple(diagnostics), candidates=candidates,
+        t=t, value=value, first_order=2.0 * s, terms=terms, case=plan.case,
+        diagnostics=diagnostics, candidates=candidates,
     )
 
 
@@ -830,9 +886,8 @@ def var_expansion_ev(m: ParetoMarginal, p: PickandsEV, q: float) -> VarExpansion
             "rho=-1 coincides with the dispatch threshold); perturb alpha "
             "or use Monte Carlo"
         )
-    case = classify_case(alpha, p)
-    kappa = float(p.a_fn(1.0, 1.0))
-    mhat = float(p.a1_fn(1.0, 1.0))
+    plan = _model_plan(m, p)
+    case, kappa = plan.case, plan.kappa
     a20 = case.a20
     x_q = m.quantile(q)
     first = 2.0 ** (1.0 / alpha) * x_q
@@ -856,9 +911,7 @@ def var_expansion_ev(m: ParetoMarginal, p: PickandsEV, q: float) -> VarExpansion
                 "the dispatch is undefined on this boundary"
             )
         if rho < threshold:
-            am = alpha * mhat
-            zeta1 = 2.0 * integral_I(am, am) + 2.0 ** (2.0 * am) - 2.0 ** (am + 1.0)
-            corr = zeta1 * 2.0**-kappa / alpha * (1.0 - q) ** (kappa - 1.0)
+            corr = plan.coefficient * 2.0**-kappa / alpha * (1.0 - q) ** (kappa - 1.0)
             labeled = dataclasses.replace(case, rho_regime="below")
             return VarExpansion(
                 q=q, value=first * (1.0 + corr), first_order=first, case=labeled,
@@ -874,10 +927,7 @@ def var_expansion_ev(m: ParetoMarginal, p: PickandsEV, q: float) -> VarExpansion
                 "the dispatch is undefined on this boundary"
             )
         if rho < threshold:
-            c = 2.0 * integral_I(alpha, alpha * a20)
-            if case.boundary_indicator:
-                am = alpha * mhat
-                c += 2.0 ** (2.0 * am) - 2.0 ** (am + 1.0)
+            c = plan.coefficient
             if c == 0.0:
                 return strip_value(
                     "stated second-order coefficient vanishes; "
@@ -940,8 +990,11 @@ def var_from_tailprob_inversion(
 
         formula = var_expansion_independence(m, q).value
     else:
+        # the stated value only: the candidates never enter it
+        plan = _model_plan(m, p)
+
         def tail_value(t: float) -> float:
-            return tailprob_expansion_ev(m, p, t).value
+            return _stated_tail(plan, m, t)[2]
 
         formula = var_expansion_ev(m, p, q).value
 

@@ -65,6 +65,11 @@ def _const_one(t):
     return float(out) if arr.ndim == 0 else out
 
 
+def _zero_profile(u: float, v: float) -> float:
+    """Limit profile of a degenerate partial derivative, float to float."""
+    return 0.0
+
+
 def _maybe_scalar(out, *inputs):
     if all(np.isscalar(x) or np.ndim(x) == 0 for x in inputs):
         return float(out)
@@ -532,14 +537,19 @@ class PartialLimitTraits:
     ``chat_v(u*t, v) ~ t**theta_exp * h(t) * varphi(u, v)`` as ``t`` shrinks,
     with ``varphi(u, v) = u**theta_exp * varphi(1, v)``.
 
+    ``h`` and ``varphi`` take and return floats, not arrays: the refined
+    tail branch calls ``varphi`` at every quadrature node.
+
     Attributes
     ----------
     theta_exp : float
         Scaling exponent, at least 1.
     h : callable
-        Slowly varying factor of ``t`` (identically 1 for shipped families).
+        Slowly varying factor of ``t`` (identically 1 for the plain power
+        traits of shipped families), float to float.
     varphi : callable
-        The limit profile; identically zero when ``degenerate`` is set.
+        The limit profile, ``(float, float)`` to float; identically zero
+        when ``degenerate`` is set.
     beta : float
         Regular-variation index of ``varphi(1, 1/.)``, nonnegative.
     degenerate : bool
@@ -707,19 +717,14 @@ def partial_limit_traits(descriptor) -> PartialLimitTraits:
     family = _family_of(descriptor)
     if family == "independence":
         def varphi(u, v):
-            out = np.asarray(u, float) * np.ones_like(np.asarray(v, float))
-            return _maybe_scalar(out, u, v)
+            return float(u)
 
         return PartialLimitTraits(
             theta_exp=1.0, h=_const_one, varphi=varphi, beta=0.0, degenerate=False
         )
     if family == "comonotone":
-        def varphi0(u, v):
-            out = np.zeros_like(np.asarray(u, float) + np.asarray(v, float))
-            return _maybe_scalar(out, u, v)
-
         return PartialLimitTraits(
-            theta_exp=1.0, h=_const_one, varphi=varphi0, beta=0.0, degenerate=True
+            theta_exp=1.0, h=_const_one, varphi=_zero_profile, beta=0.0, degenerate=True
         )
     if family == "gumbel":
         p = _pickands_of(descriptor)
@@ -730,20 +735,15 @@ def partial_limit_traits(descriptor) -> PartialLimitTraits:
         a20, _ = estimate_corner_slope(p)
         if a20 > 0.0:
             def varphi(u, v):
-                ua, va = np.asarray(u, float), np.asarray(v, float)
-                return _maybe_scalar(a20 * ua * va ** (a20 - 1.0), u, v)
+                return a20 * u * v ** (a20 - 1.0)
 
             return PartialLimitTraits(
                 theta_exp=1.0, h=_const_one, varphi=varphi,
                 beta=1.0 - a20, degenerate=False,
             )
 
-        def varphi0(u, v):
-            out = np.zeros_like(np.asarray(u, float) + np.asarray(v, float))
-            return _maybe_scalar(out, u, v)
-
         return PartialLimitTraits(
-            theta_exp=1.0, h=_const_one, varphi=varphi0, beta=0.0, degenerate=True
+            theta_exp=1.0, h=_const_one, varphi=_zero_profile, beta=0.0, degenerate=True
         )
     raise UnsupportedFamilyError(
         f"family {family!r} has no power-scaling partial-derivative limit"
@@ -770,16 +770,17 @@ def gumbel_log_refined_traits(phi_g: float) -> PartialLimitTraits:
         )
     phi = float(phi_g)
 
+    # The logarithms stay numpy's: its SIMD log differs from math.log in the
+    # last bit for some arguments in (0, 1), and keeping it keeps every
+    # refined value bit-identical. The rest is scalar arithmetic on
+    # numpy.float64, which calls the same pow as float and keeps IEEE
+    # results (inf, nan) where float arithmetic would raise.
     def h(t):
-        arr = np.asarray(t, float)
         with np.errstate(divide="ignore"):
-            out = (-np.log(arr)) ** (1.0 - phi)
-        return _maybe_scalar(out, t)
+            return float((-np.log(t)) ** (1.0 - phi))
 
     def varphi(u, v):
-        ua, va = np.asarray(u, float), np.asarray(v, float)
-        out = ua * (-np.log(va)) ** (phi - 1.0) / va
-        return _maybe_scalar(out, u, v)
+        return float(u * (-np.log(v)) ** (phi - 1.0) / v)
 
     return PartialLimitTraits(theta_exp=1.0, h=h, varphi=varphi, beta=1.0, degenerate=False)
 

@@ -154,6 +154,17 @@ class ParetoMarginal:
         out = self.alpha * self.scale**self.alpha * (arr + self.scale) ** (-self.alpha - 1.0)
         return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
+    def _sf_pdf(self, x: float) -> tuple:
+        """``(survival(x), density(x))`` at one float ``x >= 0``, unchecked.
+
+        The quadrature integrands call this at every node. It spells out the
+        expressions of :meth:`survival` and :meth:`density` in float
+        arithmetic, whose ``pow`` is the one numpy's scalar power calls, so
+        both spellings return the identical finite floats.
+        """
+        a, s = self.alpha, self.scale
+        return (s / (x + s)) ** a, a * s**a * (x + s) ** (-a - 1.0)
+
     # -- truncated moments --------------------------------------------------
 
     def truncated_mean(self, t: float) -> float:
@@ -182,7 +193,7 @@ class ParetoMarginal:
             raise DomainError(f"truncated_mean requires t > 0, got {t}")
         a, s = self.alpha, self.scale
         if a == 1.0:
-            value, _ = integrate.quad(lambda x: x * self.density(x), 0.0, t, **_QUAD_KW)
+            value, _ = integrate.quad(lambda x: x * self._sf_pdf(x)[1], 0.0, t, **_QUAD_KW)
             return value
         top = t + s
         part_power = (top ** (1.0 - a) - s ** (1.0 - a)) / (1.0 - a)
@@ -222,7 +233,8 @@ class ParetoMarginal:
             return self.truncated_mean(t)
 
         def integrand(x: float) -> float:
-            return x * a * self.survival(x) ** (a - 1.0) * self.density(x)
+            sf, pdf = self._sf_pdf(x)
+            return x * a * sf ** (a - 1.0) * pdf
 
         value, _ = integrate.quad(integrand, 0.0, t, **_QUAD_KW)
         return value

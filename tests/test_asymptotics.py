@@ -9,11 +9,13 @@ at full oracle resolution.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import optimize
 
 import oracles
 from tailsum import (
@@ -43,6 +45,7 @@ from tailsum import (
     var_expansion_independence,
     var_from_tailprob_inversion,
 )
+from tailsum.asymptotics import _model_plan
 
 # frozen oracle constants (midpoint_integral_I at 1e7 panels agrees to <1e-8)
 I_08_08 = 3.075834977047161
@@ -465,6 +468,67 @@ def test_var_inversion_brackets_extreme_quantiles(m08):
     d = var_from_tailprob_inversion(m08, None, 0.9999999)
     assert math.isfinite(d.inverted)
     assert d.discrepancy < 1e-2
+
+
+def _plan_models():
+    pickands = {
+        "gumbel10": gumbel_pickands(10.0), "gumbel5": gumbel_pickands(5.0),
+        "gumbel1": gumbel_pickands(1.0), "independence": independence_pickands(),
+        "comonotone": comonotone_pickands(),
+    }
+    return [
+        (name, ParetoMarginal(alpha, scale), p)
+        for name, p in pickands.items() for alpha in (0.8, 2.0) for scale in (1.0, 2.5)
+    ]
+
+
+def _outcome(fn, *args):
+    """The result, or the type and message of the error raised (the
+    comonotone tail has a first-order "second-order" term and raises)."""
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def test_model_plans_do_not_leak_between_models():
+    # interleave every model's queries in shuffled order with the plan cache
+    # warm, then compare each answer with one computed from an empty cache
+    queries = []
+    for name, m, p in _plan_models():
+        for sf in (1e-2, 1e-5, 1e-9):
+            queries.append((name, m, p, tailprob_expansion_ev, m.quantile(1.0 - sf)))
+        for q in (0.99, 0.9999):
+            queries.append((name, m, p, var_expansion_ev, q))
+    random.Random(20261018).shuffle(queries)
+    warm = [_outcome(fn, m, p, level) for _, m, p, fn, level in queries]
+    for (name, m, p, fn, level), got in zip(queries, warm):
+        _model_plan.cache_clear()
+        assert got == _outcome(fn, m, p, level), (name, m, fn.__name__, level)
+
+
+def test_inversion_equals_brentq_on_the_stated_tail_value():
+    def reference(m, p, q):
+        target = 1.0 - q
+
+        def f(t):
+            return tailprob_expansion_ev(m, p, t).value - target
+
+        lo = m.quantile(q)
+        hi = 4.0 * m.quantile(1.0 - target / 4.0) + 4.0 * m.scale
+        while f(lo) * f(hi) > 0:
+            hi *= 2.0
+        return optimize.brentq(f, lo, hi, xtol=1e-12 * max(1.0, lo), rtol=1e-14)
+
+    for name, m, p in _plan_models():
+        for q in (0.99, 0.9999):
+            d = _outcome(var_from_tailprob_inversion, m, p, q)
+            want = _outcome(reference, m, p, q)
+            if isinstance(d, tuple):
+                assert d == want, (name, m, q)
+            else:
+                assert d.inverted == want, (name, m, q)
+                assert d.formula == var_expansion_ev(m, p, q).value
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,19 @@ def test_gumbel_log_refined_traits_domain():
         gumbel_log_refined_traits(1.0)
 
 
+def test_log_refined_traits_equal_their_array_spelling():
+    # h and varphi take floats; they must give the floats of the 0-d array
+    # evaluation they replaced, including numpy's own logarithm
+    vs = np.geomspace(1e-200, 1.0, 3001)[:-1].tolist() + np.linspace(0.5, 1.0, 1001)[:-1].tolist()
+    for phi in (1.5, 5.0, 10.0):
+        tr = gumbel_log_refined_traits(phi)
+        for v in vs:
+            va = np.asarray(v, float)
+            assert tr.varphi(1.0, v) == float(1.0 * (-np.log(va)) ** (phi - 1.0) / va)
+            assert tr.h(v) == float((-np.log(va)) ** (1.0 - phi))
+        assert tr.h(0.0) == 0.0
+
+
 def test_estimate_corner_slope():
     slope, warning = estimate_corner_slope(independence_pickands())
     assert slope == 1.0
