@@ -49,7 +49,7 @@ from .errors import (
     DivergentIntegralError,
     DomainError,
 )
-from .marginals import ParetoMarginal
+from .marginals import ParetoMarginal, SecondOrderTail
 
 __all__ = [
     "CaseLabel",
@@ -205,7 +205,7 @@ def D_delta(traits: TailOrderTraits, marginal: ParetoMarginal, delta: float, t: 
     """
     if not (0.0 < delta < 0.5):
         raise DomainError(f"D_delta requires 0 < delta < 1/2, got {delta}")
-    median = marginal.quantile(0.5)
+    median = marginal._median
     if not (t > median):
         raise DomainError(f"D_delta requires t above the marginal median {median}, got {t}")
     alpha = marginal.alpha
@@ -236,7 +236,7 @@ def delta_correction(
     DomainError
         If ``t`` is not above the marginal median.
     """
-    median = marginal.quantile(0.5)
+    median = marginal._median
     if not (t > median):
         raise DomainError(
             f"delta_correction requires t above the marginal median {median}, got {t}"
@@ -473,7 +473,7 @@ class InversionDiagnostic:
 
 
 def _require_above_median(m: ParetoMarginal, t: float, op: str) -> None:
-    median = m.quantile(0.5)
+    median = m._median
     if not (t > median):
         raise DomainError(f"{op} requires t above the marginal median {median}, got {t}")
 
@@ -781,13 +781,12 @@ def tailprob_expansion_general(
 # ---------------------------------------------------------------------------
 
 
-def _two_rv_var(m: ParetoMarginal, q: float) -> float:
+def _two_rv_var(so: SecondOrderTail, x_q: float) -> float:
     """Quantile of the sum in the regime driven by second-order regular
     variation of the marginal: ``2**(1/a) * Q(q) * (1 + (B/a) *
-    (2**(-rho/a) - 1) * Q(q)**rho)``."""
-    so = m.second_order_params()
+    (2**(-rho/a) - 1) * Q(q)**rho)``, from the marginal's second-order
+    constants ``so`` and its quantile ``x_q = Q(q)``."""
     alpha, rho, b = so.alpha, so.rho, so.b_coeff
-    x_q = m.quantile(q)
     return 2.0 ** (1.0 / alpha) * x_q * (
         1.0 + b / alpha * (2.0 ** (-rho / alpha) - 1.0) * x_q**rho
     )
@@ -841,7 +840,7 @@ def var_expansion_independence(m: ParetoMarginal, q: float) -> VarExpansion:
             q=q, value=value, first_order=first, case=None,
             diagnostics=("truncated-mean correction regime",),
         )
-    value = _two_rv_var(m, q)
+    value = _two_rv_var(so, x_q)
     return VarExpansion(
         q=q, value=value, first_order=first, case=None,
         diagnostics=("second-order regular-variation strip",),
@@ -899,7 +898,7 @@ def var_expansion_ev(m: ParetoMarginal, p: PickandsEV, q: float) -> VarExpansion
             notes.append(extra_note)
         labeled = dataclasses.replace(case, rho_regime="above")
         return VarExpansion(
-            q=q, value=_two_rv_var(m, q), first_order=first, case=labeled,
+            q=q, value=_two_rv_var(so, x_q), first_order=first, case=labeled,
             diagnostics=tuple(notes),
         )
 

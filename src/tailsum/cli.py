@@ -553,6 +553,8 @@ def _cmd_reproduce_figures(cfg: _Settings) -> int:
                 logx=logx,
                 logy=logy,
             )
+        # release this phi's samples before the next phi draws its own
+        del samples, sample
         print(f"wrote figure{fig_index}-a..d (.csv, .svg) to {out_dir}")
     return 0
 

@@ -12,6 +12,7 @@ across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -130,6 +131,11 @@ class ParetoMarginal:
             raise DomainError(f"quantile requires 0 <= q < 1, got {q!r}")
         out = self.scale * ((1.0 - arr) ** (-1.0 / self.alpha) - 1.0)
         return float(out) if np.isscalar(q) or arr.ndim == 0 else out
+
+    @functools.cached_property
+    def _median(self) -> float:
+        """``quantile(0.5)``, computed once per instance."""
+        return self.quantile(0.5)
 
     def density(self, x):
         """Probability density ``alpha*scale**alpha*(x+scale)**(-alpha-1)``.

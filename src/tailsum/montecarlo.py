@@ -12,6 +12,13 @@ family through a single shared uniform, and independence through two. All
 families map survival-side uniforms through the marginal quantile so the
 joint survival function of the pair is exactly the survival copula applied
 to the marginal survivals.
+
+The estimators read a sample through its sums ``x + y``. Each
+:class:`SamplePairs` computes them at most once, on its first estimator
+call, and sorts them at most once, on its first :func:`empirical_var` call;
+every later estimate on that sample counts or indexes the cached array.
+``x`` and ``y`` must therefore not be mutated after the first estimator
+call.
 """
 
 from __future__ import annotations
@@ -55,7 +62,17 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class SamplePairs:
-    """A simulated sample of risk pairs plus its generating configuration."""
+    """A simulated sample of risk pairs plus its generating configuration.
+
+    The estimators cache the sums ``x + y`` on the instance: the first
+    estimator call computes them, the first :func:`empirical_var` call sorts
+    them, and the unsorted array is dropped once the sorted one exists. The
+    cached array is read-only and never written after it is stored, so
+    threads may share an instance without a lock; racing first calls may
+    each build the array, with identical values. The cache is not a field
+    and takes no part in ``repr`` or ``==``. Do not mutate ``x`` or ``y``
+    after the first estimator call: the cache would not see it.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -63,8 +80,27 @@ class SamplePairs:
 
     @property
     def total(self) -> np.ndarray:
-        """Elementwise sums ``x + y``."""
+        """Elementwise sums ``x + y``, a fresh writable array."""
         return self.x + self.y
+
+    def _sums(self, ordered: bool) -> tuple:
+        """The cached ``(sums, is_sorted)``, sorted when ``ordered``.
+
+        An unsorted request is answered by whichever array is cached.
+        """
+        cache = self.__dict__.get("_sums_cache")
+        if cache is not None and (cache[1] or not ordered):
+            return cache
+        if cache is None:
+            sums = self.x + self.y
+            if ordered:
+                sums.sort()
+        else:
+            sums = np.sort(cache[0])
+        sums.flags.writeable = False
+        cache = (sums, ordered)
+        object.__setattr__(self, "_sums_cache", cache)
+        return cache
 
 
 @dataclass(frozen=True)
@@ -240,7 +276,13 @@ def empirical_tailprob(pairs: SamplePairs, t: float) -> MCEstimate:
     ``sqrt(p*(1-p)/n)``.
     """
     n = pairs.x.size
-    hits = int(np.count_nonzero(pairs.x + pairs.y > t))
+    sums, is_sorted = pairs._sums(ordered=False)
+    if is_sorted:
+        # sort order puts NaN last, and no sum exceeds a NaN threshold
+        end = int(np.searchsorted(sums, np.nan))
+        hits = max(end - int(np.searchsorted(sums, t, side="right")), 0)
+    else:
+        hits = int(np.count_nonzero(sums > t))
     p = hits / n
     stderr = math.sqrt(p * (1.0 - p) / n)
     return MCEstimate(point=p, stderr=stderr, n=n, seed=pairs.config.seed)
@@ -270,11 +312,10 @@ def empirical_var(pairs: SamplePairs, q: float) -> MCEstimate:
     d = int(math.ceil(3.0 * math.sqrt(n * q * (1.0 - q))))
     lo = max(k - d, 1)
     hi = min(k + d, n)
-    ranks = sorted({k - 1, lo - 1, hi - 1})
-    total = np.partition(pairs.x + pairs.y, ranks)
-    point = float(total[k - 1])
-    ci_low = float(total[lo - 1])
-    ci_high = float(total[hi - 1])
+    ordered, _ = pairs._sums(ordered=True)
+    point = float(ordered[k - 1])
+    ci_low = float(ordered[lo - 1])
+    ci_high = float(ordered[hi - 1])
     stderr = (ci_high - ci_low) / 6.0
     return MCEstimate(
         point=point, stderr=stderr, n=n, seed=pairs.config.seed,

@@ -36,6 +36,7 @@ def test_quantile_matches_oracle():
         np.testing.assert_allclose(
             m.quantile(qs), oracles.pareto_quantile(alpha, 1.5, qs), rtol=1e-13
         )
+        assert m._median == m.quantile(0.5)
 
 
 def test_density_matches_oracle():

@@ -1,6 +1,9 @@
 """Unit tests for the seedable Monte Carlo oracle."""
 
 import math
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +13,9 @@ import oracles
 from tailsum import (
     ConfigError,
     DomainError,
+    MCEstimate,
     ParetoMarginal,
+    SamplePairs,
     dump_pairs,
     empirical_tailprob,
     empirical_var,
@@ -113,6 +118,146 @@ def test_empirical_var_mechanics():
     assert est.point == 90.0
     assert est.ci_low <= est.point <= est.ci_high
     assert est.stderr == (est.ci_high - est.ci_low) / 6.0
+
+
+def _reference_tailprob(pairs, t):
+    # the estimator before the sums were cached: a fresh x + y per call
+    n = pairs.x.size
+    p = int(np.count_nonzero(pairs.x + pairs.y > t)) / n
+    return MCEstimate(point=p, stderr=math.sqrt(p * (1.0 - p) / n), n=n,
+                      seed=pairs.config.seed)
+
+
+def _reference_var(pairs, q):
+    # the estimator before the sums were cached: a partition of a fresh x + y
+    n = pairs.x.size
+    k = int(math.floor(n * q))
+    d = int(math.ceil(3.0 * math.sqrt(n * q * (1.0 - q))))
+    lo, hi = max(k - d, 1), min(k + d, n)
+    total = np.partition(pairs.x + pairs.y, sorted({k - 1, lo - 1, hi - 1}))
+    low, high = float(total[lo - 1]), float(total[hi - 1])
+    return MCEstimate(point=float(total[k - 1]), stderr=(high - low) / 6.0, n=n,
+                      seed=pairs.config.seed, ci_low=low, ci_high=high)
+
+
+def _queries(pairs, qs):
+    """Tail queries at sums of the sample, its extremes, +-inf and NaN, and
+    VaR queries at ``qs``, as ``(kind, argument)`` pairs."""
+    sums = pairs.x + pairs.y
+    picks = np.linspace(0, sums.size - 1, 7).astype(int)
+    ts = [float(sums[i]) for i in picks]
+    ts += [float(sums.min()), float(sums.max()), -math.inf, math.inf, math.nan, 3.0]
+    return [("tail", t) for t in ts] + [("var", q) for q in qs]
+
+
+def _answer(pairs, kind, arg, reference=False):
+    if kind == "tail":
+        return (_reference_tailprob if reference else empirical_tailprob)(pairs, arg)
+    return (_reference_var if reference else empirical_var)(pairs, arg)
+
+
+def _orders(queries):
+    """Tail-first, VaR-first and interleaved orders of the same queries."""
+    tails = [qu for qu in queries if qu[0] == "tail"]
+    vars_ = [qu for qu in queries if qu[0] == "var"]
+    mixed = list(queries)
+    random.Random(5).shuffle(mixed)
+    return {"tail-first": tails + vars_, "var-first": vars_ + tails, "interleaved": mixed}
+
+
+def _assert_same(got, want):
+    # repr pins every bit, including the sign of zero and NaN
+    assert repr(got) == repr(want)
+
+
+def test_cached_estimators_equal_the_uncached_reference(m08, m2):
+    qs = (0.6, 0.9, 0.99, 0.999)
+    for m in (m08, m2):
+        for family, phi in (("independence", None), ("gumbel", 10.0),
+                            ("gumbel", 2.0), ("comonotone", None)):
+            for n in (5, 100, 65537):
+                base = sample_pairs(m, family, n, 31, phi=phi)
+                queries = [qu for qu in _queries(base, qs)
+                           if qu[0] == "tail" or math.floor(n * qu[1]) >= 1]
+                want = {qu: _answer(base, *qu, reference=True) for qu in queries}
+                for order, seq in _orders(queries).items():
+                    pairs = sample_pairs(m, family, n, 31, phi=phi)
+                    for qu in seq:
+                        got = _answer(pairs, *qu)
+                        assert got == want[qu], (family, phi, n, order, qu)
+                        _assert_same(got, want[qu])
+
+
+def test_cached_estimators_on_caller_arrays():
+    # caller-built samples with ties, infinities and NaN sums
+    config = sample_pairs(ParetoMarginal(2.0, 1.0), "independence", 1, 1).config
+    x = np.array([3.0, 1.0, 2.0, 2.0, np.inf, 0.0, 5.0, 2.0, 7.0, 1.0, 0.5, 4.0])
+    y = np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0, -5.0, 0.0, 0.0, 1.0, 0.5, 0.0])
+    with_nan = x.copy()
+    with_nan[[2, 8]] = np.nan
+    for xs in (x, with_nan):
+        ref = SamplePairs(x=xs, y=y, config=config)
+        queries = _queries(ref, (0.5, 0.75, 0.9))
+        for order, seq in _orders(queries).items():
+            pairs = SamplePairs(x=xs, y=y, config=config)
+            for qu in seq:
+                _assert_same(_answer(pairs, *qu), _answer(ref, *qu, reference=True))
+
+
+def test_total_is_fresh_and_the_cached_sums_are_read_only(m08):
+    s = sample_pairs(m08, "gumbel", 1000, 3, phi=2.0)
+    empirical_tailprob(s, 10.0)
+    unsorted, is_sorted = s._sums(ordered=False)
+    assert not is_sorted and not unsorted.flags.writeable
+    empirical_var(s, 0.9)
+    ordered, is_sorted = s._sums(ordered=False)
+    assert is_sorted and not ordered.flags.writeable
+    with pytest.raises(ValueError):
+        ordered[0] = 0.0
+    assert np.array_equal(ordered, np.sort(s.x + s.y))
+    total = s.total
+    assert total.flags.writeable
+    assert total is not s.total
+    assert not np.shares_memory(total, ordered)
+    assert np.array_equal(total, s.x + s.y)
+    total[0] = -1.0
+    assert np.array_equal(s.total, s.x + s.y)
+    assert "_sums_cache" not in repr(s)
+
+
+def test_threads_sharing_a_sample_get_the_sequential_answers(m08):
+    base = sample_pairs(m08, "gumbel", 65537, 37, phi=10.0)
+    queries = _queries(base, (0.6, 0.9, 0.99, 0.999))
+    want = {qu: _answer(base, *qu) for qu in queries}
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_no in range(5):
+            # a fresh instance per round, so the threads race to build the cache
+            pairs = SamplePairs(x=base.x, y=base.y, config=base.config)
+            start = threading.Barrier(4)
+            results = [None] * 4
+
+            def work(i, seq):
+                start.wait(timeout=30)
+                results[i] = [(qu, _answer(pairs, *qu)) for qu in seq]
+
+            threads = []
+            for i in range(4):
+                seq = list(queries)
+                random.Random(round_no * 4 + i).shuffle(seq)
+                threads.append(threading.Thread(target=work, args=(i, seq)))
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+                assert not th.is_alive()
+            for got in results:
+                assert got is not None and len(got) == len(queries)
+                for qu, est in got:
+                    _assert_same(est, want[qu])
+    finally:
+        sys.setswitchinterval(old_interval)
 
 
 def test_empirical_var_order_statistic_ci_contains_exact_quantile(m08):
