@@ -14,11 +14,12 @@ joint survival function of the pair is exactly the survival copula applied
 to the marginal survivals.
 
 The estimators read a sample through its sums ``x + y``. Each
-:class:`SamplePairs` computes them at most once, on its first estimator
-call, and sorts them at most once, on its first :func:`empirical_var` call;
-every later estimate on that sample counts or indexes the cached array.
-``x`` and ``y`` must therefore not be mutated after the first estimator
-call.
+:class:`SamplePairs` computes them once, on its first estimator call, and
+sorts them once, on its first :func:`empirical_var` call; every later
+estimate on that sample counts or indexes the cached array. (Calls from
+several threads that race on a sample's first use may each build or sort
+the array.) ``x`` and ``y`` must therefore not be mutated after the first
+estimator call.
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ class SamplePairs:
     them, and the unsorted array is dropped once the sorted one exists. The
     cached array is read-only and never written after it is stored, so
     threads may share an instance without a lock; racing first calls may
-    each build the array, with identical values. The cache is not a field
+    each build or sort the array, with identical values, and a sorted array
+    once stored is not replaced by an unsorted one. The cache is not a field
     and takes no part in ``repr`` or ``==``. Do not mutate ``x`` or ``y``
     after the first estimator call: the cache would not see it.
     """
@@ -83,14 +85,14 @@ class SamplePairs:
         """Elementwise sums ``x + y``, a fresh writable array."""
         return self.x + self.y
 
-    def _sums(self, ordered: bool) -> tuple:
-        """The cached ``(sums, is_sorted)``, sorted when ``ordered``.
+    def _sums(self, ordered: bool) -> np.ndarray:
+        """The cached sums, sorted when ``ordered``.
 
-        An unsorted request is answered by whichever array is cached.
+        An unordered request is answered by whichever array is cached.
         """
         cache = self.__dict__.get("_sums_cache")
         if cache is not None and (cache[1] or not ordered):
-            return cache
+            return cache[0]
         if cache is None:
             sums = self.x + self.y
             if ordered:
@@ -98,9 +100,12 @@ class SamplePairs:
         else:
             sums = np.sort(cache[0])
         sums.flags.writeable = False
-        cache = (sums, ordered)
-        object.__setattr__(self, "_sums_cache", cache)
-        return cache
+        # a racing call may have stored the sorted array meanwhile; keep it
+        cache = self.__dict__.get("_sums_cache")
+        if cache is not None and cache[1]:
+            return cache[0]
+        object.__setattr__(self, "_sums_cache", (sums, ordered))
+        return sums
 
 
 @dataclass(frozen=True)
@@ -276,13 +281,7 @@ def empirical_tailprob(pairs: SamplePairs, t: float) -> MCEstimate:
     ``sqrt(p*(1-p)/n)``.
     """
     n = pairs.x.size
-    sums, is_sorted = pairs._sums(ordered=False)
-    if is_sorted:
-        # sort order puts NaN last, and no sum exceeds a NaN threshold
-        end = int(np.searchsorted(sums, np.nan))
-        hits = max(end - int(np.searchsorted(sums, t, side="right")), 0)
-    else:
-        hits = int(np.count_nonzero(sums > t))
+    hits = int(np.count_nonzero(pairs._sums(ordered=False) > t))
     p = hits / n
     stderr = math.sqrt(p * (1.0 - p) / n)
     return MCEstimate(point=p, stderr=stderr, n=n, seed=pairs.config.seed)
@@ -312,7 +311,7 @@ def empirical_var(pairs: SamplePairs, q: float) -> MCEstimate:
     d = int(math.ceil(3.0 * math.sqrt(n * q * (1.0 - q))))
     lo = max(k - d, 1)
     hi = min(k + d, n)
-    ordered, _ = pairs._sums(ordered=True)
+    ordered = pairs._sums(ordered=True)
     point = float(ordered[k - 1])
     ci_low = float(ordered[lo - 1])
     ci_high = float(ordered[hi - 1])

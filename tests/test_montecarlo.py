@@ -207,11 +207,11 @@ def test_cached_estimators_on_caller_arrays():
 def test_total_is_fresh_and_the_cached_sums_are_read_only(m08):
     s = sample_pairs(m08, "gumbel", 1000, 3, phi=2.0)
     empirical_tailprob(s, 10.0)
-    unsorted, is_sorted = s._sums(ordered=False)
-    assert not is_sorted and not unsorted.flags.writeable
+    unsorted = s._sums(ordered=False)
+    assert not unsorted.flags.writeable
     empirical_var(s, 0.9)
-    ordered, is_sorted = s._sums(ordered=False)
-    assert is_sorted and not ordered.flags.writeable
+    ordered = s._sums(ordered=False)
+    assert ordered is s._sums(ordered=True) and not ordered.flags.writeable
     with pytest.raises(ValueError):
         ordered[0] = 0.0
     assert np.array_equal(ordered, np.sort(s.x + s.y))
@@ -223,6 +223,27 @@ def test_total_is_fresh_and_the_cached_sums_are_read_only(m08):
     total[0] = -1.0
     assert np.array_equal(s.total, s.x + s.y)
     assert "_sums_cache" not in repr(s)
+
+
+def test_a_tail_call_racing_a_var_call_keeps_the_sorted_sums(m08):
+    # replay the race deterministically: while the first tail call builds
+    # x + y, a VaR call on the same instance stores the sorted sums
+    base = sample_pairs(m08, "gumbel", 1000, 3, phi=2.0)
+    stored = []
+
+    class RacingArray(np.ndarray):
+        def __add__(self, other):
+            out = np.asarray(self) + other
+            if not stored:
+                stored.append(None)
+                empirical_var(pairs, 0.9)
+                stored[0] = pairs._sums(ordered=True)
+            return out
+
+    pairs = SamplePairs(x=base.x.view(RacingArray), y=base.y, config=base.config)
+    _assert_same(empirical_tailprob(pairs, 10.0), _reference_tailprob(base, 10.0))
+    assert pairs._sums(ordered=False) is stored[0]
+    assert pairs._sums(ordered=True) is stored[0]
 
 
 def test_threads_sharing_a_sample_get_the_sequential_answers(m08):
