@@ -2,11 +2,11 @@
 
 The package computes first- plus second-order expansions of the exceedance
 probability and the quantile of ``X + Y`` when both risks are Pareto with a
-common tail index and their dependence is independence, a Gumbel
-extreme-value copula, or user-supplied tail traits. A seedable, chunked
-Monte Carlo sampler provides the reference every expansion can be compared
-against, and a hypothesis checker measures how fast a copula approaches the
-scaling behaviour the expansions assume.
+common tail index and their dependence is an extreme-value copula
+(independence and Gumbel among them) or user-supplied tail traits. A
+seedable, chunked Monte Carlo sampler provides the reference every expansion
+can be compared against, and a hypothesis checker measures how fast a copula
+approaches the scaling behaviour the expansions assume.
 """
 
 from .asymptotics import (
@@ -24,9 +24,7 @@ from .asymptotics import (
     power_term_coefficient,
     tailprob_expansion_ev,
     tailprob_expansion_general,
-    tailprob_expansion_independence,
     var_expansion_ev,
-    var_expansion_independence,
     var_from_tailprob_inversion,
 )
 from .copulas import (
@@ -120,10 +118,8 @@ __all__ = [
     "delta_correction",
     "power_term_coefficient",
     "classify_case",
-    "tailprob_expansion_independence",
     "tailprob_expansion_ev",
     "tailprob_expansion_general",
-    "var_expansion_independence",
     "var_expansion_ev",
     "var_from_tailprob_inversion",
     # monte carlo

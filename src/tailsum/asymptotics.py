@@ -1,7 +1,7 @@
 """Asymptotic expansions for the tail and quantile of a sum of two risks.
 
-Given a Pareto marginal and a dependence structure (independence, an
-extreme-value copula, or raw tail traits), this module evaluates:
+Given a Pareto marginal and a dependence structure (an extreme-value
+copula, or raw tail traits), this module evaluates:
 
 * the singular integrals feeding the second-order constants
   (:func:`integral_I`, :func:`eta_delta`, :func:`eta_limit`,
@@ -9,11 +9,14 @@ extreme-value copula, or raw tail traits), this module evaluates:
 * the case classification of the extreme-value regime
   (:func:`classify_case`);
 * first- plus second-order expansions of ``P(X + Y > t)``
-  (:func:`tailprob_expansion_independence`, :func:`tailprob_expansion_ev`,
-  :func:`tailprob_expansion_general`);
+  (:func:`tailprob_expansion_ev`, :func:`tailprob_expansion_general`);
 * first- plus second-order expansions of the ``q``-quantile of ``X + Y``
-  (:func:`var_expansion_independence`, :func:`var_expansion_ev`) and a
-  numerical inversion diagnostic (:func:`var_from_tailprob_inversion`).
+  (:func:`var_expansion_ev`) and a numerical inversion diagnostic
+  (:func:`var_from_tailprob_inversion`).
+
+Independence is the extreme-value copula with dependence function
+``a(x, y) = x + y`` (:func:`~tailsum.copulas.independence_pickands`, tail
+order 2); it runs through the same extreme-value expansions.
 
 Everything is a pure function of immutable inputs. The extreme-value
 expansions cache, per ``(marginal, dependence function)`` model, only what
@@ -64,10 +67,8 @@ __all__ = [
     "delta_correction",
     "power_term_coefficient",
     "classify_case",
-    "tailprob_expansion_independence",
     "tailprob_expansion_ev",
     "tailprob_expansion_general",
-    "var_expansion_independence",
     "var_expansion_ev",
     "var_from_tailprob_inversion",
 ]
@@ -478,42 +479,6 @@ def _require_above_median(m: ParetoMarginal, t: float, op: str) -> None:
         raise DomainError(f"{op} requires t above the marginal median {median}, got {t}")
 
 
-def tailprob_expansion_independence(m: ParetoMarginal, t: float) -> Expansion:
-    """Second-order tail of the sum of two independent Pareto risks.
-
-    For tail index below 1 the correction is a squared-survival term with
-    coefficient ``2*integral_I(alpha, alpha) + 2**(2*alpha) -
-    2**(alpha+1)``; for tail index at least 1 it is
-    ``2*alpha*(truncated_mean(t)/t)*survival(t)``.
-
-    Raises
-    ------
-    DomainError
-        If ``t`` is not above the marginal median.
-    """
-    _require_above_median(m, t, "tailprob_expansion_independence")
-    alpha = m.alpha
-    s = m.survival(t)
-    first = 2.0 * s
-    if alpha < 1.0:
-        coeff = 2.0 * integral_I(alpha, alpha) + 2.0 ** (2.0 * alpha) - 2.0 ** (alpha + 1.0)
-        term = ExpansionTerm(
-            coefficient=coeff, exponent=2.0, factor_tag="", t_factor=None,
-            value=coeff * s * s,
-        )
-    else:
-        tf = m.truncated_mean(t) / t
-        coeff = 2.0 * alpha
-        term = ExpansionTerm(
-            coefficient=coeff, exponent=1.0, factor_tag="truncated_mean_over_t",
-            t_factor=tf, value=coeff * tf * s,
-        )
-    return Expansion(
-        t=t, value=first + term.value, first_order=first, terms=(term,),
-        case=None, diagnostics=(), candidates=None,
-    )
-
-
 @dataclass(frozen=True)
 class _ModelPlan:
     """The part of the extreme-value expansions of one model that depends
@@ -797,56 +762,6 @@ def _check_q(q: float, op: str) -> None:
         raise DomainError(f"{op} requires 0.5 < q < 1, got {q}")
 
 
-def var_expansion_independence(m: ParetoMarginal, q: float) -> VarExpansion:
-    """Second-order quantile of the sum of two independent Pareto risks.
-
-    Case selection follows the stated inequalities on the tail index and the
-    second-order index ``rho``: below 1 with ``rho < -alpha``, the
-    ``(1-q)``-linear correction with coefficient
-    ``(integral_I(a,a) + 2**(2a-1) - 2**a)/(2a)``; at least 1 with
-    ``rho < -1``, the truncated-mean form; otherwise the complementary
-    strip, handled by the second-order regular-variation formula. A tail
-    index of exactly 1 sits on the case boundary (the Pareto second-order
-    index ``rho = -1`` coincides with the threshold) and raises.
-
-    Raises
-    ------
-    DomainError
-        If ``q`` lies outside ``(0.5, 1)``.
-    BoundaryCaseError
-        If the parameters sit exactly on a case boundary (``alpha == 1``
-        for the Pareto marginal).
-    """
-    _check_q(q, "var_expansion_independence")
-    so = m.second_order_params()
-    alpha, rho = so.alpha, so.rho
-    x_q = m.quantile(q)
-    first = 2.0 ** (1.0 / alpha) * x_q
-
-    if rho == -alpha:
-        raise BoundaryCaseError(
-            f"second-order index rho={rho} equals -alpha exactly; the case "
-            "dispatch is undefined on this boundary (perturb alpha or use Monte Carlo)"
-        )
-    if alpha < 1.0 and rho < -alpha:
-        coeff = (integral_I(alpha, alpha) + 2.0 ** (2.0 * alpha - 1.0) - 2.0**alpha) / (
-            2.0 * alpha
-        )
-        value = first * (1.0 + coeff * (1.0 - q))
-        return VarExpansion(q=q, value=value, first_order=first, case=None, diagnostics=())
-    if alpha >= 1.0 and rho < -1.0:
-        value = first + m.truncated_mean(x_q)
-        return VarExpansion(
-            q=q, value=value, first_order=first, case=None,
-            diagnostics=("truncated-mean correction regime",),
-        )
-    value = _two_rv_var(so, x_q)
-    return VarExpansion(
-        q=q, value=value, first_order=first, case=None,
-        diagnostics=("second-order regular-variation strip",),
-    )
-
-
 def var_expansion_ev(m: ParetoMarginal, p: PickandsEV, q: float) -> VarExpansion:
     """Second-order quantile of the sum under an extreme-value copula.
 
@@ -861,9 +776,9 @@ def var_expansion_ev(m: ParetoMarginal, p: PickandsEV, q: float) -> VarExpansion
       tail-probability coefficient including the boundary-indicator term;
       a vanishing ``c`` falls through to the regular-variation strip with a
       diagnostic;
-    * complement case and ``rho < -1``: the powered truncated-mean form;
-      equality ``rho == -1`` closes into the regular-variation strip with a
-      warning (the threshold is exactly the Pareto second-order index);
+    * complement case: its threshold ``-1`` is exactly the Pareto
+      second-order index, so it closes into the regular-variation strip
+      with a warning;
     * otherwise (``rho`` above the threshold): the second-order
       regular-variation formula.
 
@@ -940,24 +855,15 @@ def var_expansion_ev(m: ParetoMarginal, p: PickandsEV, q: float) -> VarExpansion
             )
         return strip_value()
 
-    # complement case: alpha * a20 >= 1
-    if rho < -1.0:
-        value = first + m.powered_tail_truncated_mean(x_q, a20)
-        labeled = dataclasses.replace(case, rho_regime="below")
-        return VarExpansion(
-            q=q, value=value, first_order=first, case=labeled,
-            diagnostics=tuple(diagnostics + ["powered truncated-mean regime"]),
-        )
-    if rho == -1.0:
-        return strip_value(
-            "rho equals the complement-case threshold -1; closed into the "
-            "regular-variation strip"
-        )
-    return strip_value()
+    # complement case: alpha * a20 >= 1, whose threshold -1 is the Pareto rho
+    return strip_value(
+        "rho equals the complement-case threshold -1; closed into the "
+        "regular-variation strip"
+    )
 
 
 def var_from_tailprob_inversion(
-    m: ParetoMarginal, p: Optional[PickandsEV], q: float
+    m: ParetoMarginal, p: PickandsEV, q: float
 ) -> InversionDiagnostic:
     """Invert the tail-probability expansion and compare with the quantile
     formula.
@@ -971,8 +877,9 @@ def var_from_tailprob_inversion(
     Parameters
     ----------
     m : ParetoMarginal
-    p : PickandsEV or None
-        None selects the independence expansions.
+    p : PickandsEV
+        Dependence function; independence is
+        :func:`~tailsum.copulas.independence_pickands`.
     q : float
         Probability level in ``(0.5, 1)``.
 
@@ -983,19 +890,13 @@ def var_from_tailprob_inversion(
     """
     _check_q(q, "var_from_tailprob_inversion")
 
-    if p is None:
-        def tail_value(t: float) -> float:
-            return tailprob_expansion_independence(m, t).value
+    # the stated value only: the candidates never enter it
+    plan = _model_plan(m, p)
 
-        formula = var_expansion_independence(m, q).value
-    else:
-        # the stated value only: the candidates never enter it
-        plan = _model_plan(m, p)
+    def tail_value(t: float) -> float:
+        return _stated_tail(plan, m, t)[2]
 
-        def tail_value(t: float) -> float:
-            return _stated_tail(plan, m, t)[2]
-
-        formula = var_expansion_ev(m, p, q).value
+    formula = var_expansion_ev(m, p, q).value
 
     target = 1.0 - q
     lo = m.quantile(q)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import sys
@@ -43,15 +44,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._svg import render_line_chart
-from .asymptotics import (
-    tailprob_expansion_ev,
-    tailprob_expansion_independence,
-    var_expansion_ev,
-    var_expansion_independence,
-)
+from .asymptotics import tailprob_expansion_ev, var_expansion_ev
 from .copulas import (
     check_assumptions,
     gumbel_pickands,
+    independence_pickands,
     make_survival_copula,
     tail_order_traits,
     trial_tail_order_traits,
@@ -102,7 +99,16 @@ _KNOWN_KEYS = {
 
 _DEFAULT_Q_GRID = (0.99, 0.995, 0.999, 0.9995, 0.9999)
 _DEEP_LOG10_T = (-8200.0, -8400.0, -8600.0, -8800.0, -9000.0)
-_EXPANSION_FAMILIES = ("independence", "gumbel")
+# family name -> its dependence function, given the gumbel exponent
+_EXPANSION_PICKANDS = {
+    "independence": lambda phi: independence_pickands(),
+    "gumbel": gumbel_pickands,
+}
+# panel kind -> (chart title, x label, y label, logarithmic x axis)
+_PANEL_AXES = {
+    "tailprob": ("Tail of the sum", "threshold t", "P(X + Y > t)", True),
+    "var": ("Quantile of the sum", "probability level q", "quantile of X + Y", False),
+}
 _MIN_MC_N = 1000
 
 
@@ -186,10 +192,10 @@ def _resolve_family(cfg: _Settings, *, for_expansion: bool) -> tuple:
                 "the comonotone family sits on the boundary the expansions exclude; "
                 "use the check subcommand or Monte Carlo directly"
             )
-        if family not in _EXPANSION_FAMILIES:
+        if family not in _EXPANSION_PICKANDS:
             raise ConfigError(
                 f"family {family!r} has no tail expansion; "
-                f"expected one of {_EXPANSION_FAMILIES}"
+                f"expected one of {tuple(_EXPANSION_PICKANDS)}"
             )
         if family == "gumbel" and phi is None:
             raise ConfigError("the gumbel family requires copula.phi (flag --phi)")
@@ -250,15 +256,13 @@ def _format(value) -> str:
 
 
 def _write_rows(path: Optional[str], rows: Sequence[Sequence]) -> None:
-    if path is None or path == "-":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows([[_format(v) for v in row] for row in rows])
-        return
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     writer.writerows([[_format(v) for v in row] for row in rows])
+    if path is None or path == "-":
+        sys.stdout.write(buf.getvalue())
+        return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(buf.getvalue())
 
@@ -274,96 +278,70 @@ def _diagnostics_text(expansion) -> str:
     return "; ".join(parts)
 
 
+def _panel_rows(kind: str, m: ParetoMarginal, pickands, grid, sample) -> list:
+    """One CSV row per grid point: the expansion at a threshold
+    (``kind == "tailprob"``) or a probability level (``"var"``) next to the
+    Monte Carlo estimate on ``sample``."""
+    # read the module attributes at call time, not from a table built at
+    # import, so perfbench's tracer sees the calls it patches in
+    if kind == "tailprob":
+        expand, estimate = tailprob_expansion_ev, empirical_tailprob
+    else:
+        expand, estimate = var_expansion_ev, empirical_var
+    rows = []
+    for x in grid:
+        expansion = expand(m, pickands, x)
+        est = estimate(sample, x)
+        rows.append(
+            (x, expansion.first_order, expansion.value, est.point, est.stderr,
+             expansion.case.label, _diagnostics_text(expansion))
+        )
+    return rows
+
+
+def _write_panel(
+    kind: str, rows: list, csv_path: Optional[str], svg_path: Optional[str],
+    model: str, n: int, seed: int,
+) -> None:
+    """Write the rows as CSV and, when ``svg_path`` is set, chart the
+    expansion against Monte Carlo."""
+    _write_rows(csv_path, rows)
+    if not svg_path:
+        return
+    title, xlabel, ylabel, logx = _PANEL_AXES[kind]
+    xs = [row[0] for row in rows]
+    render_line_chart(
+        svg_path,
+        title=f"{title} ({model})",
+        xlabel=xlabel,
+        ylabel=ylabel,
+        series=[
+            ("expansion", xs, [row[2] for row in rows]),
+            (f"monte carlo (n={n}, seed={seed})", xs, [row[3] for row in rows]),
+        ],
+        logx=logx,
+        logy=True,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
-def _cmd_tailprob(cfg: _Settings) -> int:
+def _cmd_panel(cfg: _Settings, kind: str) -> int:
     m = _resolve_marginal(cfg)
     family, phi, _ = _resolve_family(cfg, for_expansion=True)
     n, seed = _resolve_mc(cfg)
-    ts = _resolve_t_grid(cfg, m)
+    grid = _resolve_t_grid(cfg, m) if kind == "tailprob" else _resolve_q_grid(cfg)
 
-    pickands = gumbel_pickands(phi) if family == "gumbel" else None
-    sample = sample_pairs(m, family, n, seed, phi=phi if family == "gumbel" else None)
-
-    rows = []
-    mc_points = []
-    exp_values = []
-    for t in ts:
-        if family == "gumbel":
-            expansion = tailprob_expansion_ev(m, pickands, t)
-        else:
-            expansion = tailprob_expansion_independence(m, t)
-        est = empirical_tailprob(sample, t)
-        label = expansion.case.label if expansion.case is not None else ""
-        rows.append(
-            (t, expansion.first_order, expansion.value, est.point, est.stderr,
-             label, _diagnostics_text(expansion))
-        )
-        exp_values.append(expansion.value)
-        mc_points.append(est.point)
-
-    _write_rows(cfg.get("out.csv", "out_csv"), rows)
-    svg_path = cfg.get("out.svg", "out_svg")
-    if svg_path:
-        render_line_chart(
-            svg_path,
-            title=f"Tail of the sum ({family}, alpha={m.alpha:g})",
-            xlabel="threshold t",
-            ylabel="P(X + Y > t)",
-            series=[
-                ("expansion", ts, exp_values),
-                (f"monte carlo (n={n}, seed={seed})", ts, mc_points),
-            ],
-            logx=True,
-            logy=True,
-        )
-    return 0
-
-
-def _cmd_var(cfg: _Settings) -> int:
-    m = _resolve_marginal(cfg)
-    family, phi, _ = _resolve_family(cfg, for_expansion=True)
-    n, seed = _resolve_mc(cfg)
-    qs = _resolve_q_grid(cfg)
-
-    pickands = gumbel_pickands(phi) if family == "gumbel" else None
-    sample = sample_pairs(m, family, n, seed, phi=phi if family == "gumbel" else None)
-
-    rows = []
-    mc_points = []
-    exp_values = []
-    for q in qs:
-        if family == "gumbel":
-            expansion = var_expansion_ev(m, pickands, q)
-        else:
-            expansion = var_expansion_independence(m, q)
-        est = empirical_var(sample, q)
-        label = expansion.case.label if expansion.case is not None else ""
-        rows.append(
-            (q, expansion.first_order, expansion.value, est.point, est.stderr,
-             label, "; ".join(expansion.diagnostics))
-        )
-        exp_values.append(expansion.value)
-        mc_points.append(est.point)
-
-    _write_rows(cfg.get("out.csv", "out_csv"), rows)
-    svg_path = cfg.get("out.svg", "out_svg")
-    if svg_path:
-        render_line_chart(
-            svg_path,
-            title=f"Quantile of the sum ({family}, alpha={m.alpha:g})",
-            xlabel="probability level q",
-            ylabel="quantile of X + Y",
-            series=[
-                ("expansion", qs, exp_values),
-                (f"monte carlo (n={n}, seed={seed})", qs, mc_points),
-            ],
-            logx=False,
-            logy=True,
-        )
+    pickands = _EXPANSION_PICKANDS[family](phi)
+    sample = sample_pairs(m, family, n, seed, phi=pickands.param)
+    rows = _panel_rows(kind, m, pickands, grid, sample)
+    _write_panel(
+        kind, rows, cfg.get("out.csv", "out_csv"), cfg.get("out.svg", "out_svg"),
+        f"{family}, alpha={m.alpha:g}", n, seed,
+    )
     return 0
 
 
@@ -488,7 +466,6 @@ def _cmd_reproduce_figures(cfg: _Settings) -> int:
     os.makedirs(out_dir, exist_ok=True)
     alphas = (0.8, 2.0)
     sf_grid = np.geomspace(1e-2, 1e-5, 20)
-    q_grid = _DEFAULT_Q_GRID
 
     for phi in phis:
         fig_index = 1 if phi == 1.0 else 2
@@ -505,56 +482,18 @@ def _cmd_reproduce_figures(cfg: _Settings) -> int:
         )
         for letter, alpha, kind in panels:
             m = ParetoMarginal(alpha, 1.0)
-            sample = samples[alpha]
-            base = os.path.join(out_dir, f"figure{fig_index}-{letter}")
-            rows = []
-            xs, exp_values, mc_points = [], [], []
             if kind == "tailprob":
-                for sf in sf_grid:
-                    t = m.quantile(1.0 - float(sf))
-                    expansion = tailprob_expansion_ev(m, pickands, t)
-                    est = empirical_tailprob(sample, t)
-                    label = expansion.case.label if expansion.case is not None else ""
-                    rows.append(
-                        (t, expansion.first_order, expansion.value, est.point,
-                         est.stderr, label, _diagnostics_text(expansion))
-                    )
-                    xs.append(t)
-                    exp_values.append(expansion.value)
-                    mc_points.append(est.point)
-                title = f"Tail of the sum (gumbel phi={phi:g}, alpha={alpha:g})"
-                xlabel, ylabel = "threshold t", "P(X + Y > t)"
-                logx = logy = True
+                grid = [m.quantile(1.0 - float(sf)) for sf in sf_grid]
             else:
-                for q in q_grid:
-                    expansion = var_expansion_ev(m, pickands, q)
-                    est = empirical_var(sample, q)
-                    label = expansion.case.label if expansion.case is not None else ""
-                    rows.append(
-                        (q, expansion.first_order, expansion.value, est.point,
-                         est.stderr, label, "; ".join(expansion.diagnostics))
-                    )
-                    xs.append(q)
-                    exp_values.append(expansion.value)
-                    mc_points.append(est.point)
-                title = f"Quantile of the sum (gumbel phi={phi:g}, alpha={alpha:g})"
-                xlabel, ylabel = "probability level q", "quantile of X + Y"
-                logx, logy = False, True
-            _write_rows(base + ".csv", rows)
-            render_line_chart(
-                base + ".svg",
-                title=title,
-                xlabel=xlabel,
-                ylabel=ylabel,
-                series=[
-                    ("expansion", xs, exp_values),
-                    (f"monte carlo (n={n}, seed={seed})", xs, mc_points),
-                ],
-                logx=logx,
-                logy=logy,
+                grid = _DEFAULT_Q_GRID
+            rows = _panel_rows(kind, m, pickands, grid, samples[alpha])
+            base = os.path.join(out_dir, f"figure{fig_index}-{letter}")
+            _write_panel(
+                kind, rows, base + ".csv", base + ".svg",
+                f"gumbel phi={phi:g}, alpha={alpha:g}", n, seed,
             )
         # release this phi's samples before the next phi draws its own
-        del samples, sample
+        del samples
         print(f"wrote figure{fig_index}-a..d (.csv, .svg) to {out_dir}")
     return 0
 
@@ -646,8 +585,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _DISPATCH = {
-    "tailprob": _cmd_tailprob,
-    "var": _cmd_var,
+    "tailprob": functools.partial(_cmd_panel, kind="tailprob"),
+    "var": functools.partial(_cmd_panel, kind="var"),
     "check": _cmd_check,
     "reproduce-figures": _cmd_reproduce_figures,
 }

@@ -367,7 +367,7 @@ def make_survival_copula(
 
         def log_chat_v(lu, lv):
             la, lb = np.asarray(lu, float), np.asarray(lv, float)
-            out = np.where(lb < la, 0.0, -np.inf)
+            out = np.where(lb < la, 0.0, np.where(lb > la, -np.inf, math.log(0.5)))
             return _maybe_scalar(out, lu, lv)
 
         return SurvivalCopula(

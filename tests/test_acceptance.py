@@ -22,16 +22,15 @@ from tailsum import (
     empirical_var,
     eta_delta,
     gumbel_pickands,
+    independence_pickands,
     integral_I,
     make_survival_copula,
     partial_limit_traits,
     sample_pairs,
     tail_order_traits,
     tailprob_expansion_ev,
-    tailprob_expansion_independence,
     trial_tail_order_traits,
     var_expansion_ev,
-    var_expansion_independence,
 )
 from tailsum.cli import main as cli_main
 
@@ -40,23 +39,25 @@ DEFAULT_Q_GRID = (0.99, 0.995, 0.999, 0.9995, 0.9999)
 
 
 # ---------------------------------------------------------------------------
-# gate 1: the gumbel exponent-1 expansion collapses exactly onto the
-# independence expansion, for both operations, across the default grids
+# gate 1: the gumbel exponent-1 expansion collapses onto the independence
+# expansion (a(x, y) = x + y) to 1e-12, for both operations, across the
+# default grids
 
 
 def test_gumbel_exponent_one_collapses_to_independence():
     start = time.monotonic()
     p1 = gumbel_pickands(1.0)
+    p_ind = independence_pickands()
     for alpha in (0.8, 2.0):
         m = ParetoMarginal(alpha, 1.0)
         for sf in DEFAULT_SF_GRID:
             t = m.quantile(1.0 - sf)
             ev = tailprob_expansion_ev(m, p1, t).value
-            ind = tailprob_expansion_independence(m, t).value
+            ind = tailprob_expansion_ev(m, p_ind, t).value
             assert abs(ev - ind) / ind <= 1e-12
         for q in DEFAULT_Q_GRID:
             ev = var_expansion_ev(m, p1, q).value
-            ind = var_expansion_independence(m, q).value
+            ind = var_expansion_ev(m, p_ind, q).value
             assert abs(ev - ind) / ind <= 1e-12
     assert time.monotonic() - start < 1.0
 

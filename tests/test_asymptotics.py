@@ -39,10 +39,8 @@ from tailsum import (
     tail_order_traits,
     tailprob_expansion_ev,
     tailprob_expansion_general,
-    tailprob_expansion_independence,
     trial_tail_order_traits,
     var_expansion_ev,
-    var_expansion_independence,
     var_from_tailprob_inversion,
 )
 from tailsum.asymptotics import _model_plan
@@ -252,41 +250,43 @@ def test_expansion_term_rejects_nonvanishing_remainder():
 # tail probability expansions
 
 
-def test_independence_tailprob_light_tail_pin(m2):
+def test_independence_tailprob_light_tail_pin(m2, p_ind):
     # alpha=2, t=99: first order 2e-4, second order 4*mu_trunc(t)/t * 1e-4
-    e = tailprob_expansion_independence(m2, 99.0)
+    e = tailprob_expansion_ev(m2, p_ind, 99.0)
     assert abs(e.value - 2.0396e-4) < 1e-12
     assert e.first_order == pytest.approx(2e-4, rel=1e-14)
 
 
-def test_independence_tailprob_heavy_tail_coefficient(m08):
-    e = tailprob_expansion_independence(m08, 1e3)
-    coeff = e.terms[0].coefficient
+def test_independence_tailprob_heavy_tail_coefficient(m08, p_ind):
+    # the middle case carries zeta2 and the boundary-indicator term
+    # separately, both on the squared survival
+    e = tailprob_expansion_ev(m08, p_ind, 1e3)
+    assert [term.exponent for term in e.terms] == [2.0, 2.0]
+    coeff = sum(term.coefficient for term in e.terms)
     assert math.isclose(coeff, 5.700901, rel_tol=1e-6)
     assert math.isclose(coeff, 2.0 * I_08_08 + 2.0**1.6 - 2.0**1.8, rel_tol=1e-9)
-    assert e.terms[0].exponent == 2.0
 
 
-def test_independence_tailprob_matches_exact_truth(m08, m2):
+def test_independence_tailprob_matches_exact_truth(m08, m2, p_ind):
     # the alpha=2 remainder decays like 1/t, so it needs one more decade of
     # depth than alpha=0.8 to clear the same relative tolerance
     for m, alpha in ((m08, 0.8), (m2, 2.0)):
         devs = []
         for sf in (1e-2, 1e-3, 1e-5):
             t = m.quantile(1.0 - sf)
-            e = tailprob_expansion_independence(m, t)
+            e = tailprob_expansion_ev(m, p_ind, t)
             p_exact = oracles.exact_sum_tail(alpha, 1.0, "gumbel", 1.0, t)
             devs.append(abs(e.value - p_exact) / p_exact)
         assert devs[0] > devs[1] > devs[2]
         assert devs[-1] < 1e-3
 
 
-def test_ev_tailprob_reduces_to_independence(m08, m2, p1):
+def test_ev_tailprob_reduces_to_independence(m08, m2, p1, p_ind):
     for m in (m08, m2):
         for sf in np.geomspace(1e-2, 1e-5, 8):
             t = m.quantile(1.0 - sf)
             ev = tailprob_expansion_ev(m, p1, t)
-            ind = tailprob_expansion_independence(m, t)
+            ind = tailprob_expansion_ev(m, p_ind, t)
             assert abs(ev.value - ind.value) / ind.value <= 1e-12
 
 
@@ -337,12 +337,12 @@ def test_tailprob_first_order_dominates_in_depth(m08, m2, p1, p10):
             assert rels[-1] < 1e-2
 
 
-def test_general_tailprob_eta_branch_equals_closed_form(m08, p1):
+def test_general_tailprob_eta_branch_equals_closed_form(m08, p_ind):
     tri = tail_order_traits("independence")
     pl = partial_limit_traits("independence")
     for t in (1e2, 1e3):
         g = tailprob_expansion_general(m08, tri, pl, t)
-        closed = tailprob_expansion_independence(m08, t)
+        closed = tailprob_expansion_ev(m08, p_ind, t)
         assert abs(g.value - closed.value) / closed.value <= 1e-12
         assert any("eta branch" in d for d in g.diagnostics)
 
@@ -389,28 +389,28 @@ def test_general_tailprob_auto_prefers_partial_when_eta_diverges(m2):
 # quantile expansions
 
 
-def test_var_independence_pins(m08, m2):
+def test_var_independence_pins(m08, m2, p_ind):
     assert math.isclose(
-        var_expansion_independence(m08, 0.99).value, 763.0990980067236, rel_tol=1e-12
+        var_expansion_ev(m08, p_ind, 0.99).value, 763.0990980067236, rel_tol=1e-12
     )
     assert math.isclose(
-        var_expansion_independence(m08, 0.999).value, 13396.251086593044, rel_tol=1e-12
+        var_expansion_ev(m08, p_ind, 0.999).value, 13396.251086593044, rel_tol=1e-12
     )
     # alpha >= 1 closes into the regular-variation strip; symbolic value
     for q in (0.99, 0.999):
         xq = m2.quantile(q)
         want = math.sqrt(2.0) * xq * (1.0 - (math.sqrt(2.0) - 1.0) / xq)
-        assert math.isclose(var_expansion_independence(m2, q).value, want, rel_tol=1e-12)
+        assert math.isclose(var_expansion_ev(m2, p_ind, q).value, want, rel_tol=1e-12)
     assert math.isclose(
-        var_expansion_independence(m2, 0.999).value, 42.721359549995775, rel_tol=1e-12
+        var_expansion_ev(m2, p_ind, 0.999).value, 42.721359549995775, rel_tol=1e-12
     )
 
 
-def test_var_ev_reduces_to_independence(m08, m2, p1):
+def test_var_ev_reduces_to_independence(m08, m2, p1, p_ind):
     for m in (m08, m2):
         for q in (0.99, 0.995, 0.999, 0.9995, 0.9999):
             ev = var_expansion_ev(m, p1, q).value
-            ind = var_expansion_independence(m, q).value
+            ind = var_expansion_ev(m, p_ind, q).value
             assert abs(ev - ind) / ind <= 1e-12
 
 
@@ -429,33 +429,33 @@ def test_var_ev_pins(m08, m2, p10):
     assert math.isclose(e2.value, 42.721359549995775, rel_tol=1e-12)
 
 
-def test_var_tracks_exact_truth_in_depth(m08):
+def test_var_tracks_exact_truth_in_depth(m08, p_ind):
     # relative error of the expanded quantile shrinks as q -> 1
     devs = []
     for q in (0.99, 0.999, 0.9999):
-        v = var_expansion_independence(m08, q).value
+        v = var_expansion_ev(m08, p_ind, q).value
         truth = oracles.exact_sum_var(0.8, 1.0, "gumbel", 1.0, q)
         devs.append(abs(v - truth) / truth)
     assert devs[0] > devs[-1]
     assert devs[-1] < 1e-3
 
 
-def test_var_domain_and_boundary(m08, p10):
+def test_var_domain_and_boundary(m08, p10, p_ind):
     m1 = ParetoMarginal(1.0, 1.0)
     with pytest.raises(BoundaryCaseError):
-        var_expansion_independence(m1, 0.99)
+        var_expansion_ev(m1, p_ind, 0.99)
     with pytest.raises(BoundaryCaseError):
         var_expansion_ev(m1, p10, 0.99)
     with pytest.raises(DomainError):
-        var_expansion_independence(m08, 0.5)
+        var_expansion_ev(m08, p_ind, 0.5)
     with pytest.raises(DomainError):
-        var_expansion_independence(m08, 1.0)
+        var_expansion_ev(m08, p_ind, 1.0)
     with pytest.raises(DomainError):
         var_expansion_ev(m08, p10, 0.3)
 
 
-def test_var_inversion_consistency(m08, p10):
-    d = var_from_tailprob_inversion(m08, None, 0.999)
+def test_var_inversion_consistency(m08, p10, p_ind):
+    d = var_from_tailprob_inversion(m08, p_ind, 0.999)
     assert d.discrepancy < 1e-3
     assert math.isclose(d.formula, 13396.251086593044, rel_tol=1e-12)
     assert math.isclose(d.inverted, d.formula, rel_tol=2e-3)
@@ -464,8 +464,8 @@ def test_var_inversion_consistency(m08, p10):
     assert math.isclose(d10.formula, 13369.149245278933, rel_tol=1e-12)
 
 
-def test_var_inversion_brackets_extreme_quantiles(m08):
-    d = var_from_tailprob_inversion(m08, None, 0.9999999)
+def test_var_inversion_brackets_extreme_quantiles(m08, p_ind):
+    d = var_from_tailprob_inversion(m08, p_ind, 0.9999999)
     assert math.isfinite(d.inverted)
     assert d.discrepancy < 1e-2
 

@@ -8,7 +8,13 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from tailsum import ParetoMarginal, gumbel_pickands, var_expansion_ev
+from tailsum import (
+    ParetoMarginal,
+    gumbel_pickands,
+    independence_pickands,
+    tailprob_expansion_ev,
+    var_expansion_ev,
+)
 from tailsum.cli import main
 
 HEADER = "abscissa,first_order,expansion,mc_point,mc_stderr,case_label,diagnostics"
@@ -59,6 +65,29 @@ def test_var_csv_values_match_library(capsys):
         assert float(row[0]) == q
         # 17 significant digits reproduce the double exactly
         assert float(row[2]) == var_expansion_ev(m, p, q).value
+
+
+@pytest.mark.parametrize(
+    "alpha, label", [("0.8", "C1\\(C2∩C3)"), ("2", "C1ᶜ")]
+)
+def test_independence_rows_come_from_the_ev_path(capsys, alpha, label):
+    # independence is the extreme-value copula a(x, y) = x + y: every numeric
+    # expansion cell is the .17g of the EV path, and the case label is filled
+    m = ParetoMarginal(float(alpha), 1.0)
+    p = independence_pickands()
+    for cmd, grid, flag, expand in (
+        ("tailprob", (50.0, 1e3), "--t", tailprob_expansion_ev),
+        ("var", (0.99, 0.999), "--q", var_expansion_ev),
+    ):
+        rc = main([cmd, "--alpha", alpha, "--family", "independence", "--seed", "3",
+                   "--n", "1000", flag, ",".join(map(repr, grid))])
+        assert rc == 0
+        rows = _rows(capsys)[1:]
+        assert len(rows) == len(grid)
+        for row, x in zip(rows, grid):
+            e = expand(m, p, x)
+            assert row[:3] == [format(v, ".17g") for v in (x, e.first_order, e.value)]
+            assert row[5] == label
 
 
 def test_explicit_threshold_grid(capsys):
@@ -148,9 +177,7 @@ def test_config_file_precedence(tmp_path, capsys):
     assert rc == 0
     rows = _rows(capsys)
     m = ParetoMarginal(0.8, 1.0)
-    from tailsum import var_expansion_independence
-
-    assert float(rows[1][2]) == var_expansion_independence(m, 0.999).value
+    assert float(rows[1][2]) == var_expansion_ev(m, independence_pickands(), 0.999).value
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,25 @@ def test_comonotone_chat_is_min():
     assert sc.chat(0.9, 0.2) == 0.2
 
 
+@pytest.mark.parametrize(
+    "family, kwargs",
+    [("independence", {}), ("gumbel", {"phi": 2.0}), ("comonotone", {}),
+     ("log-interaction", {"sigma": 0.5})],
+)
+def test_log_domain_evaluators_match_the_direct_ones(family, kwargs):
+    # the grid includes the diagonal u == v, where the comonotone derivative
+    # is the symmetric subgradient 1/2
+    sc = make_survival_copula(family, **kwargs)
+    grid = (1e-6, 0.01, 0.1, 0.3, 0.5, 0.9)
+    for u in grid:
+        for v in grid:
+            lu, lv = math.log(u), math.log(v)
+            assert math.isclose(math.exp(sc.log_chat(lu, lv)), sc.chat(u, v), rel_tol=1e-12)
+            assert math.isclose(
+                math.exp(sc.log_chat_v(lu, lv)), sc.chat_v(u, v), rel_tol=1e-12
+            ), (u, v)
+
+
 def test_survival_from_copula_validates():
     sc = survival_from_copula(lambda u, v: u * v)
     assert math.isclose(sc.chat(0.3, 0.4), 0.12, rel_tol=1e-12)
