@@ -43,7 +43,6 @@ from .copulas import (
     PickandsEV,
     TailOrderTraits,
     estimate_corner_slope,
-    gumbel_log_refined_traits,
     tail_order_traits,
 )
 from .errors import (
@@ -159,13 +158,13 @@ def eta_delta(traits: TailOrderTraits, alpha: float, delta: float) -> float:
 def eta_limit(traits: TailOrderTraits, alpha: float) -> float:
     """Limit of :func:`eta_delta` as the truncation vanishes.
 
-    For the shipped product-power profiles ``tau(u, v) = (u*v)**m`` the limit
-    is finite exactly when ``alpha * m < 1``, where it equals
-    ``integral_I(alpha*m, alpha*m)`` (independence is the case ``m = 1``).
-    The comonotone profile gives exactly 0. For other traits the limit is
-    probed numerically over truncations ``1e-2, 1e-3, 1e-4``, declaring
-    divergence when the value grows by more than a factor 2 across
-    successive decades.
+    For a product-power profile ``tau(u, v) = (u*v)**m`` (traits with
+    ``power_m`` set) the limit is finite exactly when ``alpha * m < 1``,
+    where it equals ``integral_I(alpha*m, alpha*m)`` (independence is the
+    case ``m = 1``). For other traits the limit is probed numerically over
+    truncations ``1e-2, 1e-3, 1e-4``, declaring divergence when the value
+    grows by more than a factor 2 across successive decades; the probe of
+    the comonotone profile ``min(u, v)`` is exactly 0.
 
     Returns
     -------
@@ -174,13 +173,11 @@ def eta_limit(traits: TailOrderTraits, alpha: float) -> float:
     """
     if not (alpha > 0):
         raise DomainError(f"eta_limit requires alpha > 0, got {alpha}")
-    if traits.power_m is not None and traits.family in ("independence", "gumbel"):
+    if traits.power_m is not None:
         am = alpha * traits.power_m
         if am >= 1.0:
             return math.inf
         return integral_I(am, am)
-    if traits.family == "comonotone":
-        return 0.0
     probes = [eta_delta(traits, alpha, d) for d in (1e-2, 1e-3, 1e-4)]
     tiny = 1e-300
     if abs(probes[2]) > 2.0 * max(abs(probes[1]), tiny) and abs(probes[1]) > 2.0 * max(
@@ -492,8 +489,8 @@ class _ModelPlan:
     in the complement case. ``degenerate`` marks the middle case whose
     stated second order vanishes; only then are the last three fields set:
     the ``power_term`` coefficient, the ``power_term_with_eta`` coefficient
-    (None when its integral diverges) and the log-refined traits (None
-    unless Gumbel with exponent above 1).
+    (None when its integral diverges) and the dependence function's
+    log-refined traits (:attr:`~tailsum.copulas.PickandsEV.log_refined`).
     """
 
     case: CaseLabel
@@ -538,14 +535,11 @@ def _model_plan(m: ParetoMarginal, p: PickandsEV) -> _ModelPlan:
         return _ModelPlan(case, kappa, c, tuple(terms))
 
     # the stated second order vanishes: constants of the candidate refinements
-    slow = None
-    if p.family == "gumbel" and p.param is not None and p.param > 1.0:
-        slow = gumbel_log_refined_traits(p.param)
     return _ModelPlan(
         case, kappa, c, (), degenerate=True,
         delta2=power_term_coefficient(tail_order_traits(p), alpha),
         eta_coefficient=_zeta1(alpha, mhat) if alpha * mhat < 1.0 else None,
-        log_refined=slow,
+        log_refined=p.log_refined,
     )
 
 

@@ -46,9 +46,9 @@ import numpy as np
 from ._svg import render_line_chart
 from .asymptotics import tailprob_expansion_ev, var_expansion_ev
 from .copulas import (
+    _EV_FAMILIES,
     check_assumptions,
     gumbel_pickands,
-    independence_pickands,
     make_survival_copula,
     tail_order_traits,
     trial_tail_order_traits,
@@ -99,11 +99,9 @@ _KNOWN_KEYS = {
 
 _DEFAULT_Q_GRID = (0.99, 0.995, 0.999, 0.9995, 0.9999)
 _DEEP_LOG10_T = (-8200.0, -8400.0, -8600.0, -8800.0, -9000.0)
-# family name -> its dependence function, given the gumbel exponent
-_EXPANSION_PICKANDS = {
-    "independence": lambda phi: independence_pickands(),
-    "gumbel": gumbel_pickands,
-}
+# family name -> its dependence function, given the gumbel exponent; the
+# comonotone family has no expansion (see _resolve_family)
+_EXPANSION_PICKANDS = {k: v for k, v in _EV_FAMILIES.items() if k != "comonotone"}
 # panel kind -> (chart title, x label, y label, logarithmic x axis)
 _PANEL_AXES = {
     "tailprob": ("Tail of the sum", "threshold t", "P(X + Y > t)", True),
@@ -375,10 +373,10 @@ def _cmd_check(cfg: _Settings) -> int:
     log10_raw = cfg.get("check.log10_t", "log10_t")
     if log10_raw is not None:
         log10_t = _float_list(log10_raw) if isinstance(log10_raw, str) else tuple(log10_raw)
-    elif family == "gumbel" and phi is not None and phi > 1.0:
-        # convergence of this family toward its tail scaling is logarithmic,
-        # so the verdict needs extremely deep scales (log-domain evaluators
-        # keep them exact)
+    elif copula.pickands is not None and copula.pickands.log_refined is not None:
+        # a family with only log-refined corner traits converges toward its
+        # tail scaling logarithmically, so the verdict needs extremely deep
+        # scales (log-domain evaluators keep them exact)
         log10_t = _DEEP_LOG10_T
     else:
         log10_t = None

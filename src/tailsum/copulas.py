@@ -11,6 +11,9 @@ This module houses the dependence layer of the package:
 * :class:`TailOrderTraits` and :class:`PartialLimitTraits` capture how the
   survival copula scales near the joint-loss corner; the asymptotic tail
   expansions consume exactly these traits.
+
+An extreme-value family is defined once, by its :class:`PickandsEV`: its
+survival copula, log-domain evaluators and tail traits are derived from it.
 * :func:`check_assumptions` measures, on a grid of scales, how fast a copula
   converges to the scaling behaviour its traits assert, and returns a verdict
   per hypothesis with the full numeric evidence.
@@ -20,6 +23,7 @@ All values are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
@@ -54,8 +58,6 @@ __all__ = [
     "estimate_corner_slope",
     "check_assumptions",
 ]
-
-_SUPPORTED_FAMILIES = ("independence", "gumbel", "comonotone", "log-interaction")
 
 
 def _const_one(t):
@@ -99,6 +101,10 @@ class PickandsEV:
         Family tag (``"independence"``, ``"gumbel"``, ``"comonotone"``).
     param : float or None
         Family parameter (the Gumbel interaction exponent), if any.
+    log_refined : PartialLimitTraits or None
+        Logarithmically refined corner traits where the plain power traits
+        are degenerate (Gumbel with exponent above 1, from
+        :func:`gumbel_log_refined_traits`); None otherwise.
     """
 
     a_fn: Callable
@@ -106,6 +112,7 @@ class PickandsEV:
     a2_fn: Callable
     family: str
     param: Optional[float] = None
+    log_refined: Optional[PartialLimitTraits] = None
 
 
 def independence_pickands() -> PickandsEV:
@@ -186,7 +193,18 @@ def gumbel_pickands(phi_g: float) -> PickandsEV:
     def a2_fn(x, y):
         return a1_fn(y, x)
 
-    return PickandsEV(a_fn=a_fn, a1_fn=a1_fn, a2_fn=a2_fn, family="gumbel", param=phi)
+    return PickandsEV(
+        a_fn=a_fn, a1_fn=a1_fn, a2_fn=a2_fn, family="gumbel", param=phi,
+        log_refined=gumbel_log_refined_traits(phi) if phi > 1.0 else None,
+    )
+
+
+# family name -> its dependence function, given the gumbel exponent
+_EV_FAMILIES = {
+    "independence": lambda phi: independence_pickands(),
+    "gumbel": gumbel_pickands,
+    "comonotone": lambda phi: comonotone_pickands(),
+}
 
 
 def ev_chat(p: PickandsEV, u, v):
@@ -219,7 +237,9 @@ def ev_chat_v(p: PickandsEV, u, v):
     """Partial derivative of :func:`ev_chat` in the second argument.
 
     Equals ``ev_chat(u, v) * a2_fn(-log u, -log v) / v``. The value at
-    ``u == 0`` is the continuity limit 0; ``v == 0`` is outside the domain.
+    ``u == 0`` is the continuity limit 0, and at ``u == 1`` exactly 1, the
+    derivative of the margin ``ev_chat(1, v) = v``; ``v == 0`` is outside
+    the domain.
 
     Raises
     ------
@@ -235,7 +255,7 @@ def ev_chat_v(p: PickandsEV, u, v):
     safe_u = np.where(mask, 0.5, ua)
     wu, wv = -np.log(safe_u), -np.log(va)
     out = np.exp(-np.asarray(p.a_fn(wu, wv), float)) * np.asarray(p.a2_fn(wu, wv), float) / va
-    out = np.where(mask, 0.0, out)
+    out = np.where(mask, 0.0, np.where(ua == 1, 1.0, out))
     return _maybe_scalar(out, u, v)
 
 
@@ -278,10 +298,37 @@ class SurvivalCopula:
     pickands: Optional[PickandsEV] = None
 
 
+def _ev_copula(p: PickandsEV) -> SurvivalCopula:
+    """The survival copula of a dependence function, with its log evaluators."""
+
+    def log_chat(lu, lv):
+        wu, wv = -np.asarray(lu, float), -np.asarray(lv, float)
+        return _maybe_scalar(-np.asarray(p.a_fn(wu, wv), float), lu, lv)
+
+    def log_chat_v(lu, lv):
+        wu, wv = -np.asarray(lu, float), -np.asarray(lv, float)
+        with np.errstate(divide="ignore"):
+            out = (
+                -np.asarray(p.a_fn(wu, wv), float)
+                + np.log(np.asarray(p.a2_fn(wu, wv), float))
+                + wv
+            )
+        return _maybe_scalar(np.where(wu == 0, 0.0, out), lu, lv)
+
+    return SurvivalCopula(
+        chat=functools.partial(ev_chat, p), chat_v=functools.partial(ev_chat_v, p),
+        log_chat=log_chat, log_chat_v=log_chat_v,
+        family=p.family, param=p.param, pickands=p,
+    )
+
+
 def make_survival_copula(
     family: str, *, phi: Optional[float] = None, sigma: Optional[float] = None
 ) -> SurvivalCopula:
     """Build a shipped survival copula by family name.
+
+    The extreme-value families are built from their dependence function by
+    :func:`ev_chat` and :func:`ev_chat_v`.
 
     Parameters
     ----------
@@ -303,77 +350,10 @@ def make_survival_copula(
     DomainError
         If a family parameter is invalid.
     """
-    if family == "independence":
-        def chat(u, v):
-            return _maybe_scalar(np.asarray(u, float) * np.asarray(v, float), u, v)
-
-        def chat_v(u, v):
-            out = np.asarray(u, float) * np.ones_like(np.asarray(v, float))
-            return _maybe_scalar(out, u, v)
-
-        def log_chat(lu, lv):
-            return _maybe_scalar(np.asarray(lu, float) + np.asarray(lv, float), lu, lv)
-
-        def log_chat_v(lu, lv):
-            out = np.asarray(lu, float) + 0.0 * np.asarray(lv, float)
-            return _maybe_scalar(out, lu, lv)
-
-        return SurvivalCopula(
-            chat=chat, chat_v=chat_v, log_chat=log_chat, log_chat_v=log_chat_v,
-            family="independence", pickands=independence_pickands(),
-        )
-
-    if family == "gumbel":
-        if phi is None:
+    if family in _EV_FAMILIES:
+        if family == "gumbel" and phi is None:
             raise DomainError("gumbel family requires the interaction exponent phi")
-        p = gumbel_pickands(phi)
-
-        def chat(u, v):
-            return ev_chat(p, u, v)
-
-        def chat_v(u, v):
-            return ev_chat_v(p, u, v)
-
-        def log_chat(lu, lv):
-            wu, wv = -np.asarray(lu, float), -np.asarray(lv, float)
-            return _maybe_scalar(-np.asarray(p.a_fn(wu, wv), float), lu, lv)
-
-        def log_chat_v(lu, lv):
-            wu, wv = -np.asarray(lu, float), -np.asarray(lv, float)
-            with np.errstate(divide="ignore"):
-                out = (
-                    -np.asarray(p.a_fn(wu, wv), float)
-                    + np.log(np.asarray(p.a2_fn(wu, wv), float))
-                    - np.asarray(lv, float)
-                )
-            return _maybe_scalar(out, lu, lv)
-
-        return SurvivalCopula(
-            chat=chat, chat_v=chat_v, log_chat=log_chat, log_chat_v=log_chat_v,
-            family="gumbel", param=float(phi), pickands=p,
-        )
-
-    if family == "comonotone":
-        def chat(u, v):
-            return _maybe_scalar(np.minimum(np.asarray(u, float), np.asarray(v, float)), u, v)
-
-        def chat_v(u, v):
-            ua, va = np.asarray(u, float), np.asarray(v, float)
-            out = np.where(va < ua, 1.0, np.where(va > ua, 0.0, 0.5))
-            return _maybe_scalar(out, u, v)
-
-        def log_chat(lu, lv):
-            return _maybe_scalar(np.minimum(np.asarray(lu, float), np.asarray(lv, float)), lu, lv)
-
-        def log_chat_v(lu, lv):
-            la, lb = np.asarray(lu, float), np.asarray(lv, float)
-            out = np.where(lb < la, 0.0, np.where(lb > la, -np.inf, math.log(0.5)))
-            return _maybe_scalar(out, lu, lv)
-
-        return SurvivalCopula(
-            chat=chat, chat_v=chat_v, log_chat=log_chat, log_chat_v=log_chat_v,
-            family="comonotone", pickands=comonotone_pickands(),
-        )
+        return _ev_copula(_EV_FAMILIES[family](phi))
 
     if family == "log-interaction":
         sig = 0.5 if sigma is None else float(sigma)
@@ -409,9 +389,8 @@ def make_survival_copula(
             family="log-interaction", param=sig,
         )
 
-    raise UnsupportedFamilyError(
-        f"unknown copula family {family!r}; supported: {', '.join(_SUPPORTED_FAMILIES)}"
-    )
+    supported = ", ".join([*_EV_FAMILIES, "log-interaction"])
+    raise UnsupportedFamilyError(f"unknown copula family {family!r}; supported: {supported}")
 
 
 def survival_from_copula(
@@ -508,7 +487,8 @@ class TailOrderTraits:
         Tail order in ``[1, 2]``; 2 for independence, 1 under full tail
         dependence.
     ell : callable
-        Slowly varying factor of ``t`` (identically 1 for shipped families).
+        Slowly varying factor of ``t`` (identically 1 for extreme-value
+        families).
     tau : callable
         Limit profile, homogeneous of order ``kappa``, with
         ``tau(0, v) = tau(u, 0) = 0``.
@@ -546,7 +526,7 @@ class PartialLimitTraits:
         Scaling exponent, at least 1.
     h : callable
         Slowly varying factor of ``t`` (identically 1 for the plain power
-        traits of shipped families), float to float.
+        traits of extreme-value families), float to float.
     varphi : callable
         The limit profile, ``(float, float)`` to float; identically zero
         when ``degenerate`` is set.
@@ -578,24 +558,28 @@ def _product_power_tau(m: float):
     return tau, tau_v
 
 
-def _pickands_of(descriptor) -> Optional[PickandsEV]:
-    if isinstance(descriptor, PickandsEV):
-        return descriptor
-    if isinstance(descriptor, SurvivalCopula):
-        return descriptor.pickands
-    return None
+def _min_tau(u, v):
+    return _maybe_scalar(np.minimum(np.asarray(u, float), np.asarray(v, float)), u, v)
 
 
-def _family_of(descriptor) -> str:
-    if isinstance(descriptor, str):
-        return descriptor
-    if isinstance(descriptor, PickandsEV):
-        return descriptor.family
-    if isinstance(descriptor, SurvivalCopula):
-        return descriptor.family
-    raise UnsupportedFamilyError(
-        f"cannot interpret {descriptor!r} as a copula descriptor"
-    )
+def _min_tau_v(u, v):
+    ua, va = np.asarray(u, float), np.asarray(v, float)
+    return _maybe_scalar(np.where(va < ua, 1.0, np.where(va > ua, 0.0, 0.5)), u, v)
+
+
+def _pickands_of(descriptor) -> PickandsEV:
+    """The dependence function a trait descriptor names or carries."""
+    if isinstance(descriptor, str) and descriptor in _EV_FAMILIES:
+        descriptor = _EV_FAMILIES[descriptor](None)
+    elif isinstance(descriptor, SurvivalCopula) and descriptor.pickands is not None:
+        descriptor = descriptor.pickands
+    if not isinstance(descriptor, PickandsEV):
+        name = descriptor.family if isinstance(descriptor, SurvivalCopula) else descriptor
+        raise UnsupportedFamilyError(
+            f"family {name!r} has no extreme-value dependence function, hence no "
+            "power tail traits; use trial_tail_order_traits to probe it"
+        )
+    return descriptor
 
 
 def estimate_corner_slope(p: PickandsEV) -> tuple[float, Optional[str]]:
@@ -618,13 +602,19 @@ def estimate_corner_slope(p: PickandsEV) -> tuple[float, Optional[str]]:
 
 
 def tail_order_traits(descriptor) -> TailOrderTraits:
-    """Tail-order traits of a shipped copula family.
+    """Tail-order traits of an extreme-value copula, from its dependence function.
+
+    The tail order is ``kappa = a(1, 1)`` and the limit profile the product
+    power ``tau(u, v) = (u*v)**m`` with ``m = a1(1, 1)``, except that
+    ``kappa == 1`` forces ``a = max`` (by convexity and the bounds
+    ``max(x, y) <= a <= x + y``), whose profile is ``min(u, v)``.
 
     Parameters
     ----------
-    descriptor : str or PickandsEV or SurvivalCopula
-        ``"independence"``, ``"comonotone"``, or an extreme-value descriptor
-        carrying a dependence function.
+    descriptor : PickandsEV or SurvivalCopula or str
+        Any dependence function, a copula carrying one, or the name of a
+        parameter-free extreme-value family (``"independence"``,
+        ``"comonotone"``).
 
     Returns
     -------
@@ -633,45 +623,21 @@ def tail_order_traits(descriptor) -> TailOrderTraits:
     Raises
     ------
     UnsupportedFamilyError
-        For families without a valid power tail order (``"log-interaction"``,
+        For copulas without a dependence function (``"log-interaction"``,
         ``"custom"``); probe such copulas with
         :func:`trial_tail_order_traits` instead.
+    DomainError
+        For ``"gumbel"`` named without its interaction exponent.
     """
-    family = _family_of(descriptor)
-    if family == "independence":
-        tau, tau_v = _product_power_tau(1.0)
-        return TailOrderTraits(
-            kappa=2.0, ell=_const_one, tau=tau, tau_v=tau_v,
-            family="independence", power_m=1.0,
-        )
-    if family == "comonotone":
-        def tau(u, v):
-            return _maybe_scalar(np.minimum(np.asarray(u, float), np.asarray(v, float)), u, v)
-
-        def tau_v(u, v):
-            ua, va = np.asarray(u, float), np.asarray(v, float)
-            return _maybe_scalar(np.where(va < ua, 1.0, np.where(va > ua, 0.0, 0.5)), u, v)
-
-        return TailOrderTraits(
-            kappa=1.0, ell=_const_one, tau=tau, tau_v=tau_v,
-            family="comonotone", power_m=None,
-        )
-    if family == "gumbel":
-        p = _pickands_of(descriptor)
-        if p is None:
-            raise UnsupportedFamilyError(
-                "gumbel traits require a descriptor carrying the dependence function"
-            )
-        kappa = float(p.a_fn(1.0, 1.0))
+    p = _pickands_of(descriptor)
+    kappa = float(p.a_fn(1.0, 1.0))
+    if kappa == 1.0:
+        m, tau, tau_v = None, _min_tau, _min_tau_v
+    else:
         m = float(p.a1_fn(1.0, 1.0))
         tau, tau_v = _product_power_tau(m)
-        return TailOrderTraits(
-            kappa=kappa, ell=_const_one, tau=tau, tau_v=tau_v,
-            family="gumbel", power_m=m,
-        )
-    raise UnsupportedFamilyError(
-        f"family {family!r} has no valid power tail order; "
-        "use trial_tail_order_traits to probe it"
+    return TailOrderTraits(
+        kappa=kappa, ell=_const_one, tau=tau, tau_v=tau_v, family=p.family, power_m=m
     )
 
 
@@ -696,57 +662,36 @@ def trial_tail_order_traits(kappa: float) -> TailOrderTraits:
 
 
 def partial_limit_traits(descriptor) -> PartialLimitTraits:
-    """Corner-limit traits of the partial derivative for a shipped family.
+    """Corner-limit traits of the partial derivative of an extreme-value copula.
+
+    Accepts the descriptors of :func:`tail_order_traits`.
 
     Returns
     -------
     PartialLimitTraits
-        For independence: exponent 1 and profile ``u``. For an
-        extreme-value family with corner slope ``a20 = a2_fn(1, 0) > 0``:
-        profile ``a20 * u * v**(a20 - 1)`` with index ``beta = 1 - a20``.
-        When the corner slope vanishes (Gumbel with exponent above 1, and
-        the comonotone limit) the profile is identically zero and the
-        ``degenerate`` flag is set.
+        With the corner slope ``a20 = a2_fn(1, 0)`` from
+        :func:`estimate_corner_slope`: when ``a20 > 0``, exponent 1, profile
+        ``a20 * u * v**(a20 - 1)`` and index ``beta = 1 - a20`` (independence
+        has ``a20 = 1`` and profile ``u``). When the corner slope vanishes
+        (Gumbel with exponent above 1, and the comonotone limit) the profile
+        is identically zero and the ``degenerate`` flag is set.
 
     Raises
     ------
     UnsupportedFamilyError
-        For families whose partial derivative has no power scaling
-        (``"log-interaction"``, ``"custom"``).
+        For copulas without a dependence function (``"log-interaction"``,
+        ``"custom"``).
     """
-    family = _family_of(descriptor)
-    if family == "independence":
+    a20, _ = estimate_corner_slope(_pickands_of(descriptor))
+    if a20 > 0.0:
         def varphi(u, v):
-            return float(u)
+            return a20 * u * v ** (a20 - 1.0)
 
         return PartialLimitTraits(
-            theta_exp=1.0, h=_const_one, varphi=varphi, beta=0.0, degenerate=False
+            theta_exp=1.0, h=_const_one, varphi=varphi, beta=1.0 - a20, degenerate=False
         )
-    if family == "comonotone":
-        return PartialLimitTraits(
-            theta_exp=1.0, h=_const_one, varphi=_zero_profile, beta=0.0, degenerate=True
-        )
-    if family == "gumbel":
-        p = _pickands_of(descriptor)
-        if p is None:
-            raise UnsupportedFamilyError(
-                "gumbel traits require a descriptor carrying the dependence function"
-            )
-        a20, _ = estimate_corner_slope(p)
-        if a20 > 0.0:
-            def varphi(u, v):
-                return a20 * u * v ** (a20 - 1.0)
-
-            return PartialLimitTraits(
-                theta_exp=1.0, h=_const_one, varphi=varphi,
-                beta=1.0 - a20, degenerate=False,
-            )
-
-        return PartialLimitTraits(
-            theta_exp=1.0, h=_const_one, varphi=_zero_profile, beta=0.0, degenerate=True
-        )
-    raise UnsupportedFamilyError(
-        f"family {family!r} has no power-scaling partial-derivative limit"
+    return PartialLimitTraits(
+        theta_exp=1.0, h=_const_one, varphi=_zero_profile, beta=0.0, degenerate=True
     )
 
 
@@ -1145,11 +1090,12 @@ def check_assumptions(
 
     # taylor_limit: first-order corner behaviour of the partial derivative.
     devs, rows = [], []
-    fam, par = copula.family, copula.param
-    if fam == "independence" or (fam == "gumbel" and par == 1.0):
+    if p is not None:
+        a20, _ = estimate_corner_slope(p)
+
         def corner(v):
-            return 1.0
-    elif fam in ("gumbel", "comonotone", "log-interaction"):
+            return a20 * v ** (a20 - 1.0)
+    elif copula.family == "log-interaction":
         def corner(v):
             return 0.0
     else:

@@ -74,12 +74,35 @@ def gumbel_chat_v(phi: float, u, v):
     return np.exp(-(s ** (1.0 / phi))) * a2 / v
 
 
+def galambos_chat(theta: float, u, v):
+    """Galambos (1975) survival copula ``u * v * exp((wu**-theta + wv**-theta)**(-1/theta))``."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    wu, wv = -np.log(u), -np.log(v)
+    return u * v * np.exp((wu**-theta + wv**-theta) ** (-1.0 / theta))
+
+
+def galambos_chat_v(theta: float, u, v):
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    wu, wv = -np.log(u), -np.log(v)
+    s = wu**-theta + wv**-theta
+    a2 = 1.0 - s ** (-1.0 / theta - 1.0) * wv ** (-theta - 1.0)
+    return galambos_chat(theta, u, v) * a2 / v
+
+
 def chat_funcs(family: str, phi: float = 1.0):
-    """Return (chat, chat_v) callables for a named survival copula."""
+    """Return (chat, chat_v) callables for a named survival copula.
+
+    ``phi`` is the family parameter: the Gumbel exponent, or the Galambos
+    ``theta``.
+    """
     if family == "independence" or (family == "gumbel" and phi == 1.0):
         return (lambda u, v: u * v, lambda u, v: u * np.ones_like(np.asarray(v, dtype=float)))
     if family == "gumbel":
         return (lambda u, v: gumbel_chat(phi, u, v), lambda u, v: gumbel_chat_v(phi, u, v))
+    if family == "galambos":
+        return (lambda u, v: galambos_chat(phi, u, v), lambda u, v: galambos_chat_v(phi, u, v))
     if family == "comonotone":
         return (
             lambda u, v: np.minimum(u, v),

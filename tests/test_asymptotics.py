@@ -8,6 +8,7 @@ reduced panel counts; the acceptance suite repeats the headline comparisons
 at full oracle resolution.
 """
 
+import dataclasses
 import math
 import random
 
@@ -144,9 +145,21 @@ def test_eta_limit_comonotone_is_zero():
 
 
 def test_eta_limit_probes_unknown_profiles():
-    tr = trial_tail_order_traits(1.5)
+    # without power_m the profile counts as unknown and is probed
+    tr = dataclasses.replace(trial_tail_order_traits(1.5), power_m=None)
     assert math.isinf(eta_limit(tr, 2.0))
     assert math.isfinite(eta_limit(tr, 0.8))
+
+
+def test_equal_profiles_give_equal_eta_limits():
+    # trial traits carry the independence profile (u*v)**1, whatever their
+    # tail order and family tag
+    ind = tail_order_traits("independence")
+    for kappa in (1.2, 1.5, 2.0):
+        tr = trial_tail_order_traits(kappa)
+        for alpha in (0.5, 0.8, 2.0):
+            assert eta_limit(tr, alpha) == eta_limit(ind, alpha)
+    assert eta_limit(trial_tail_order_traits(1.5), 0.8) == pytest.approx(I_08_08, abs=1e-12)
 
 
 def test_D_delta_matches_midpoint_oracle(m08):

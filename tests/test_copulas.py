@@ -140,6 +140,21 @@ def test_ev_chat_v_matches_oracle():
             assert math.isclose(ev_chat_v(p, u, v), want, rel_tol=1e-11)
 
 
+def test_chat_v_is_one_on_the_margin_u_equals_one():
+    # chat(1, v) = v, so its derivative is exactly 1 there, also at v = 1
+    # where a2(0, 0) is 0/0 for Gumbel with exponent above 1
+    vs = np.array([1e-6, 0.3, 1.0])
+    for p in (gumbel_pickands(1.0), gumbel_pickands(2.0), gumbel_pickands(10.0),
+              independence_pickands(), comonotone_pickands()):
+        assert ev_chat_v(p, 1.0, 1.0) == 1.0, p.family
+        assert np.array_equal(ev_chat_v(p, np.ones_like(vs), vs), np.ones_like(vs))
+    for family, kwargs in (("gumbel", {"phi": 2.0}), ("comonotone", {})):
+        sc = make_survival_copula(family, **kwargs)
+        assert sc.chat_v(1.0, 1.0) == 1.0
+        assert sc.log_chat_v(0.0, 0.0) == 0.0
+        assert sc.log_chat_v(0.0, math.log(0.3)) == 0.0
+
+
 def test_log_evaluators_match_plain_and_stay_finite_deep():
     sc = make_survival_copula("gumbel", phi=10.0)
     for u, v in ((0.3, 0.4), (1e-4, 2e-4)):
@@ -185,9 +200,9 @@ def test_comonotone_chat_is_min():
 )
 def test_log_domain_evaluators_match_the_direct_ones(family, kwargs):
     # the grid includes the diagonal u == v, where the comonotone derivative
-    # is the symmetric subgradient 1/2
+    # is the symmetric subgradient 1/2, and the margins u == 1 and v == 1
     sc = make_survival_copula(family, **kwargs)
-    grid = (1e-6, 0.01, 0.1, 0.3, 0.5, 0.9)
+    grid = (1e-6, 0.01, 0.1, 0.3, 0.5, 0.9, 1.0)
     for u in grid:
         for v in grid:
             lu, lv = math.log(u), math.log(v)

@@ -1,0 +1,48 @@
+"""Guard: the expansions and the trait builders never test a family name.
+
+An extreme-value family is defined once, by its dependence function, and
+everything the expansions and the traits need is derived from it. A
+comparison against a family name in these places would be a second
+definition that a family defined elsewhere (see ``test_galambos.py``)
+silently misses. The scan reads the source, so it also catches branches no
+other test reaches.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "tailsum"
+NAMES = {"gumbel", "independence", "comonotone"}
+
+
+def _scope(module: str, function):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    if function is None:
+        return tree
+    return next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == function
+    )
+
+
+@pytest.mark.parametrize(
+    "module, function",
+    [
+        ("asymptotics.py", None),
+        ("copulas.py", "tail_order_traits"),
+        ("copulas.py", "partial_limit_traits"),
+        ("cli.py", "_cmd_check"),
+    ],
+)
+def test_no_comparison_against_a_family_name(module, function):
+    hits = [
+        (node.lineno, sub.value)
+        for node in ast.walk(_scope(module, function))
+        if isinstance(node, ast.Compare)
+        for operand in (node.left, *node.comparators)
+        for sub in ast.walk(operand)
+        if isinstance(sub, ast.Constant) and sub.value in NAMES
+    ]
+    assert not hits, f"{module} {function or ''}: family-name comparisons at {hits}"
