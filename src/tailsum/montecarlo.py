@@ -13,13 +13,19 @@ families map survival-side uniforms through the marginal quantile so the
 joint survival function of the pair is exactly the survival copula applied
 to the marginal survivals.
 
-The estimators read a sample through its sums ``x + y``. Each
-:class:`SamplePairs` computes them once, on its first estimator call, and
-sorts them once, on its first :func:`empirical_var` call; every later
-estimate on that sample counts or indexes the cached array. (Calls from
-several threads that race on a sample's first use may each build or sort
-the array.) ``x`` and ``y`` must therefore not be mutated after the first
-estimator call.
+The estimators read a sample through a tail store of its sums ``x + y``:
+a cover value and a sorted array ``top`` of the largest sums, such that
+every sum left out is at most the cover (NaN sums are kept and sort last,
+as in a full sort). The first estimator call on a :class:`SamplePairs`
+builds the store. A tail query at ``t`` builds it in one pass over ``x``
+and ``y`` in blocks of ``_CHUNK`` pairs, keeping the sums above ``t``, so no
+array of all ``n`` sums is made; a VaR query sums all pairs into a
+temporary array, partitions it at the lowest rank it reads and keeps the
+sorted part from that rank up. A later query the store covers (a threshold
+at or above the cover, ranks inside ``top``) reads only ``top``; any other
+query builds a store that covers it. The store holds about ``n * p`` sums
+for the largest survival level ``p`` queried so far. ``x`` and ``y`` must
+not be mutated after the first estimator call.
 """
 
 from __future__ import annotations
@@ -65,15 +71,15 @@ class SimulationConfig:
 class SamplePairs:
     """A simulated sample of risk pairs plus its generating configuration.
 
-    The estimators cache the sums ``x + y`` on the instance: the first
-    estimator call computes them, the first :func:`empirical_var` call sorts
-    them, and the unsorted array is dropped once the sorted one exists. The
-    cached array is read-only and never written after it is stored, so
-    threads may share an instance without a lock; racing first calls may
-    each build or sort the array, with identical values, and a sorted array
-    once stored is not replaced by an unsorted one. The cache is not a field
-    and takes no part in ``repr`` or ``==``. Do not mutate ``x`` or ``y``
-    after the first estimator call: the cache would not see it.
+    The estimators keep a tail store of the sums ``x + y`` on the instance
+    (see the module docstring): a cover and the sorted largest sums, every
+    sum left out being at most the cover. The stored array is read-only and
+    never written after it is published, so threads may share an instance
+    without a lock. A store is published only if it holds more sums than
+    the one already there; racing calls may each build and publish a store,
+    and every store gives identical answers. The store is not a field and
+    takes no part in ``repr`` or ``==``. Do not mutate ``x`` or ``y`` after
+    the first estimator call: the store would not see it.
     """
 
     x: np.ndarray
@@ -85,27 +91,44 @@ class SamplePairs:
         """Elementwise sums ``x + y``, a fresh writable array."""
         return self.x + self.y
 
-    def _sums(self, ordered: bool) -> np.ndarray:
-        """The cached sums, sorted when ``ordered``.
+    def _publish(self, cover, top: np.ndarray) -> np.ndarray:
+        """Make ``top`` read-only and store ``(cover, top)`` unless the sample
+        already holds a larger store; return ``top`` either way."""
+        top.flags.writeable = False
+        # check-then-set without a lock: a racing call may still replace a
+        # larger store with a smaller one, which costs later queries a
+        # rebuild but changes no answer
+        held = self.__dict__.get("_tail_store")
+        if held is None or held[1].size < top.size:
+            object.__setattr__(self, "_tail_store", (cover, top))
+        return top
 
-        An unordered request is answered by whichever array is cached.
-        """
-        cache = self.__dict__.get("_sums_cache")
-        if cache is not None and (cache[1] or not ordered):
-            return cache[0]
-        if cache is None:
-            sums = self.x + self.y
-            if ordered:
-                sums.sort()
-        else:
-            sums = np.sort(cache[0])
-        sums.flags.writeable = False
-        # a racing call may have stored the sorted array meanwhile; keep it
-        cache = self.__dict__.get("_sums_cache")
-        if cache is not None and cache[1]:
-            return cache[0]
-        object.__setattr__(self, "_sums_cache", (sums, ordered))
-        return sums
+    def _store_above(self, t) -> np.ndarray:
+        """The ``top`` of a tail store whose cover is at most ``t`` (not NaN)."""
+        held = self.__dict__.get("_tail_store")
+        if held is not None and t >= held[0]:
+            return held[1]
+        x, y = self.x, self.y
+        block = np.empty(min(x.size, _CHUNK), dtype=np.result_type(x, y))
+        parts = []
+        for lo in range(0, x.size, _CHUNK):
+            hi = min(lo + _CHUNK, x.size)
+            sums = np.add(x[lo:hi], y[lo:hi], out=block[: hi - lo])
+            parts.append(sums[~(sums <= t)])  # keeps NaN sums, unlike sums > t
+        top = np.concatenate(parts)
+        top.sort()
+        return self._publish(t, top)
+
+    def _store_from_rank(self, rank: int) -> np.ndarray:
+        """The ``top`` of a tail store holding the order statistics from the
+        0-based ``rank`` up."""
+        held = self.__dict__.get("_tail_store")
+        if held is not None and rank >= self.x.size - held[1].size:
+            return held[1]
+        sums = self.x + self.y
+        sums.partition(rank)
+        top = np.sort(sums[rank:])
+        return self._publish(top[0], top)
 
 
 @dataclass(frozen=True)
@@ -222,7 +245,7 @@ def sample_pairs(
         independence.
     threads : int, optional
         Worker threads filling chunks; defaults to ``TAILSUM_THREADS`` or
-        a small multiple of the CPU count. Has no effect on the values.
+        the CPU count, at most 8. Has no effect on the values.
 
     Returns
     -------
@@ -281,7 +304,13 @@ def empirical_tailprob(pairs: SamplePairs, t: float) -> MCEstimate:
     ``sqrt(p*(1-p)/n)``.
     """
     n = pairs.x.size
-    hits = int(np.count_nonzero(pairs._sums(ordered=False) > t))
+    if math.isnan(t):
+        hits = 0  # no sum exceeds NaN; a NaN cover would cover nothing
+    else:
+        top = pairs._store_above(t)
+        # NaN sums sort last and exceed no threshold
+        below, finite = np.searchsorted(top, (t, math.inf), side="right")
+        hits = int(finite - below)
     p = hits / n
     stderr = math.sqrt(p * (1.0 - p) / n)
     return MCEstimate(point=p, stderr=stderr, n=n, seed=pairs.config.seed)
@@ -311,10 +340,11 @@ def empirical_var(pairs: SamplePairs, q: float) -> MCEstimate:
     d = int(math.ceil(3.0 * math.sqrt(n * q * (1.0 - q))))
     lo = max(k - d, 1)
     hi = min(k + d, n)
-    ordered = pairs._sums(ordered=True)
-    point = float(ordered[k - 1])
-    ci_low = float(ordered[lo - 1])
-    ci_high = float(ordered[hi - 1])
+    top = pairs._store_from_rank(lo - 1)
+    offset = n - top.size
+    point = float(top[k - 1 - offset])
+    ci_low = float(top[lo - 1 - offset])
+    ci_high = float(top[hi - 1 - offset])
     stderr = (ci_high - ci_low) / 6.0
     return MCEstimate(
         point=point, stderr=stderr, n=n, seed=pairs.config.seed,

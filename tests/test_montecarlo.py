@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,7 +176,7 @@ def test_cached_estimators_equal_the_uncached_reference(m08, m2):
     for m in (m08, m2):
         for family, phi in (("independence", None), ("gumbel", 10.0),
                             ("gumbel", 2.0), ("comonotone", None)):
-            for n in (5, 100, 65537):
+            for n in (5, 100, 65537, N_CHUNKY):
                 base = sample_pairs(m, family, n, 31, phi=phi)
                 queries = [qu for qu in _queries(base, qs)
                            if qu[0] == "tail" or math.floor(n * qu[1]) >= 1]
@@ -204,46 +205,169 @@ def test_cached_estimators_on_caller_arrays():
                 _assert_same(_answer(pairs, *qu), _answer(ref, *qu, reference=True))
 
 
+def _store(pairs):
+    """The sample's tail store ``(cover, top)``, or None before the first build."""
+    return pairs.__dict__.get("_tail_store")
+
+
+def _assert_store_holds_the_top_sums(pairs):
+    cover, top = _store(pairs)
+    assert not top.flags.writeable
+    ordered = np.sort(pairs.x + pairs.y)
+    below = ordered.size - top.size
+    assert np.array_equal(top, ordered[below:], equal_nan=True)
+    assert np.all(ordered[:below] <= cover)
+
+
 def test_total_is_fresh_and_the_cached_sums_are_read_only(m08):
     s = sample_pairs(m08, "gumbel", 1000, 3, phi=2.0)
     empirical_tailprob(s, 10.0)
-    unsorted = s._sums(ordered=False)
-    assert not unsorted.flags.writeable
-    empirical_var(s, 0.9)
-    ordered = s._sums(ordered=False)
-    assert ordered is s._sums(ordered=True) and not ordered.flags.writeable
+    cover, top = _store(s)
+    sums = s.x + s.y
+    assert cover == 10.0 and np.array_equal(top, np.sort(sums[sums > 10.0]))
     with pytest.raises(ValueError):
-        ordered[0] = 0.0
-    assert np.array_equal(ordered, np.sort(s.x + s.y))
+        top[0] = 0.0
+    # the median's ranks lie below the store, so a larger one replaces it
+    empirical_var(s, 0.5)
+    cover, top = _store(s)
+    assert top.size > 500 and cover == top[0]
+    _assert_store_holds_the_top_sums(s)
+    with pytest.raises(ValueError):
+        top[0] = 0.0
     total = s.total
     assert total.flags.writeable
     assert total is not s.total
-    assert not np.shares_memory(total, ordered)
+    assert not np.shares_memory(total, top)
     assert np.array_equal(total, s.x + s.y)
     total[0] = -1.0
     assert np.array_equal(s.total, s.x + s.y)
-    assert "_sums_cache" not in repr(s)
+    assert repr(s) == repr(SamplePairs(x=s.x, y=s.y, config=s.config))
+
+
+def _lowest_var_rank(pairs, q):
+    """0-based lowest rank an ``empirical_var(pairs, q)`` call reads."""
+    n = pairs.x.size
+    k = int(math.floor(n * q))
+    return max(k - int(math.ceil(3.0 * math.sqrt(n * q * (1.0 - q)))), 1) - 1
 
 
 def test_a_tail_call_racing_a_var_call_keeps_the_sorted_sums(m08):
-    # replay the race deterministically: while the first tail call builds
-    # x + y, a VaR call on the same instance stores the sorted sums
+    # replay each race deterministically: the outer call's first sum fires
+    # the hook, which runs the inner call on the same instance to the end
+    # before the outer call builds and publishes its own store
     base = sample_pairs(m08, "gumbel", 1000, 3, phi=2.0)
-    stored = []
+    t, q = 100.0, 0.9
+    tail_size = int(np.count_nonzero(base.x + base.y > t))
+    var_size = 1000 - _lowest_var_rank(base, q)
+    assert tail_size < var_size  # the VaR store covers more
+    calls = {"tail": lambda p: empirical_tailprob(p, t), "var": lambda p: empirical_var(p, q)}
+    want = {"tail": _reference_tailprob(base, t), "var": _reference_var(base, q)}
+    for outer, inner in (("tail", "var"), ("var", "tail")):
+        raced = []
 
-    class RacingArray(np.ndarray):
-        def __add__(self, other):
-            out = np.asarray(self) + other
-            if not stored:
-                stored.append(None)
-                empirical_var(pairs, 0.9)
-                stored[0] = pairs._sums(ordered=True)
-            return out
+        class RacingArray(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if not raced:
+                    raced.append(None)
+                    raced[0] = calls[inner](pairs)
+                plain = [np.asarray(a) for a in inputs]
+                return getattr(ufunc, method)(*plain, **kwargs)
 
-    pairs = SamplePairs(x=base.x.view(RacingArray), y=base.y, config=base.config)
-    _assert_same(empirical_tailprob(pairs, 10.0), _reference_tailprob(base, 10.0))
-    assert pairs._sums(ordered=False) is stored[0]
-    assert pairs._sums(ordered=True) is stored[0]
+        pairs = SamplePairs(x=base.x.view(RacingArray), y=base.y, config=base.config)
+        _assert_same(calls[outer](pairs), want[outer])
+        _assert_same(raced[0], want[inner])
+        assert _store(pairs)[1].size == var_size, (outer, inner)
+        _assert_store_holds_the_top_sums(pairs)
+
+
+def _run_transitions(pairs, steps, label=""):
+    """Run ``(kind, argument, expect)`` steps on ``pairs``, comparing each
+    answer with the reference by ``repr``. ``expect`` is ``"kept"`` (the
+    store is not replaced), ``"grown"`` (a larger store replaces it),
+    ``"none"`` (still no store) or None (not pinned)."""
+    for kind, arg, expect in steps:
+        step = (label, kind, arg)
+        before = _store(pairs)
+        _assert_same(_answer(pairs, kind, arg), _answer(pairs, kind, arg, reference=True))
+        after = _store(pairs)
+        if expect == "none":
+            assert after is None, step
+            continue
+        if expect == "kept":
+            assert before is not None and after is before, step
+        elif expect == "grown":
+            assert after is not before, step
+            assert before is None or after[1].size > before[1].size, step
+        _assert_store_holds_the_top_sums(pairs)
+
+
+def test_the_tail_store_transitions_on_a_ragged_sample(m08):
+    base = sample_pairs(m08, "gumbel", N_CHUNKY, 43, phi=2.0)
+    ordered = np.sort(base.x + base.y)
+    t1, t2, t3 = (float(ordered[int(N_CHUNKY * (1.0 - sf))]) for sf in (1e-1, 1e-2, 1e-3))
+    sequences = {
+        "deeper after shallower": [
+            ("tail", t2, "grown"), ("tail", t3, "kept"), ("var", 0.999, "kept"),
+            ("tail", math.inf, "kept"),
+        ],
+        "shallower after deeper": [
+            ("tail", t3, "grown"), ("tail", t2, "grown"), ("tail", t3, "kept"),
+            ("tail", t1, "grown"),
+        ],
+        "VaR ranks below the store": [
+            ("tail", t3, "grown"), ("var", 0.99, "grown"), ("var", 0.9, "grown"),
+            ("tail", t1, "kept"), ("var", 0.999, "kept"),
+        ],
+        "VaR first, then tail queries": [
+            ("var", 0.99, "grown"), ("tail", t2, "kept"), ("tail", t3, "kept"),
+            ("tail", t1, "grown"), ("var", 0.999, "kept"),
+        ],
+        "NaN threshold first": [
+            ("tail", math.nan, "none"), ("tail", math.nan, "none"), ("tail", t2, "grown"),
+            ("tail", math.nan, "kept"),
+        ],
+        "minus infinity": [
+            ("tail", -math.inf, "grown"), ("var", 0.6, "kept"), ("tail", t1, "kept"),
+            ("tail", -math.inf, "kept"),
+        ],
+    }
+    for name, steps in sequences.items():
+        pairs = SamplePairs(x=base.x, y=base.y, config=base.config)
+        _run_transitions(pairs, steps, name)
+    # no sum is -inf, so the last sequence's store holds every sum
+    assert _store(pairs)[1].size == N_CHUNKY
+
+
+def test_the_tail_store_transitions_on_caller_arrays():
+    # ties, infinities and NaN sums; which steps rebuild is not pinned here
+    config = sample_pairs(ParetoMarginal(2.0, 1.0), "independence", 1, 1).config
+    x = np.array([3.0, 1.0, 2.0, 2.0, np.inf, 0.0, 5.0, 2.0, 7.0, 1.0, 0.5, 4.0])
+    y = np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0, -5.0, 0.0, 0.0, 1.0, 0.5, 0.0])
+    with_nan = x.copy()
+    with_nan[[2, 8]] = np.nan
+    neg_inf = x.copy()
+    neg_inf[5] = -np.inf
+    for xs in (x, with_nan, neg_inf):
+        for steps in (
+            [("tail", 2.0, None), ("tail", 4.0, None), ("var", 0.9, None), ("tail", 0.0, None)],
+            [("tail", 4.0, None), ("tail", 2.0, None), ("var", 0.5, None), ("tail", 1.0, None)],
+            [("var", 0.75, None), ("tail", 3.0, None), ("tail", 1.0, None), ("var", 0.5, None)],
+            [("tail", math.nan, "none"), ("tail", math.inf, None), ("tail", math.nan, None)],
+            [("tail", -math.inf, None), ("var", 0.5, None), ("tail", 2.0, None)],
+        ):
+            _run_transitions(SamplePairs(x=xs, y=y, config=config), steps)
+
+
+def test_the_first_tail_call_makes_no_array_of_all_sums(m2):
+    s = sample_pairs(m2, "independence", 1_000_000, 41)
+    t = float(np.sort(s.x + s.y)[int(0.99 * s.x.size)])
+    tracemalloc.start()
+    try:
+        empirical_tailprob(s, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < s.x.nbytes / 4, peak
 
 
 def test_threads_sharing_a_sample_get_the_sequential_answers(m08):
