@@ -122,6 +122,8 @@ def integral_I(alpha: float, beta: float) -> float:
 
     def g(z: float) -> float:
         y = z**p
+        if y == 0.0:  # z**p underflows for beta near 1: the limit at y -> 0
+            return beta * p * alpha
         return beta * p * math.expm1(-alpha * math.log1p(-y)) / y
 
     value, _ = integrate.quad(g, 0.0, z_top, **_QUAD_KW)
@@ -203,9 +205,7 @@ def D_delta(traits: TailOrderTraits, marginal: ParetoMarginal, delta: float, t: 
     """
     if not (0.0 < delta < 0.5):
         raise DomainError(f"D_delta requires 0 < delta < 1/2, got {delta}")
-    median = marginal._median
-    if not (t > median):
-        raise DomainError(f"D_delta requires t above the marginal median {median}, got {t}")
+    _require_above_median(marginal, t, "D_delta")
     alpha = marginal.alpha
     tau_v = traits.tau_v
     sf_pdf = marginal._sf_pdf
@@ -234,11 +234,7 @@ def delta_correction(
     DomainError
         If ``t`` is not above the marginal median.
     """
-    median = marginal._median
-    if not (t > median):
-        raise DomainError(
-            f"delta_correction requires t above the marginal median {median}, got {t}"
-        )
+    _require_above_median(marginal, t, "delta_correction")
     a_theta = marginal.alpha * partial_traits.theta_exp
     varphi = partial_traits.varphi
     sf_pdf = marginal._sf_pdf
@@ -285,14 +281,18 @@ class CaseLabel:
         The individual predicate values.
     a20 : float
         The corner slope ``a2(1, 0)`` used by the predicates (limit
-        estimate, declared exactly 0 below the 1e-8 threshold).
+        estimate of :func:`~tailsum.copulas.estimate_corner_slope`, exactly
+        0 when the probes fall below 1e-8 or decay like a power).
     boundary_indicator : bool
         Whether ``a(1,1) == a2(1,0) + 1`` within 1e-9; only meaningful for
         extreme-value families.
     rho_regime : str or None
-        Filled by the quantile expansions: ``"below"`` or ``"above"`` the
-        case's threshold exponent (``"above"`` includes a boundary closure,
-        flagged in the warnings). None for tail-probability use.
+        Filled by the quantile expansions: ``"below"`` when the case
+        formula gave the value (the Pareto ``rho`` lies below the case's
+        threshold exponent), ``"above"`` when the second-order
+        regular-variation strip did (a vanishing case coefficient, or the
+        complement case's boundary closure; the diagnostics say which).
+        None for tail-probability use.
     warnings : tuple of str
         Notes attached when a predicate sits within 1e-8 of its boundary or
         the corner-slope probe did not stabilise.
@@ -312,7 +312,8 @@ def classify_case(alpha: float, p: PickandsEV) -> CaseLabel:
     """Classify the extreme-value expansion regime for a tail index.
 
     The corner slope ``a2(1, 0)`` is estimated as the limit of ``a2(1, v)``
-    over ``v`` in ``1e-4 .. 1e-10`` and declared exactly zero below 1e-8.
+    over ``v`` in ``1e-4 .. 1e-10`` by
+    :func:`~tailsum.copulas.estimate_corner_slope`.
     Exactly one label is returned; predicates within 1e-8 of their boundary
     attach a warning but still classify.
 
@@ -486,7 +487,10 @@ class _ModelPlan:
     complement case, whose term depends on ``t``. ``coefficient`` is the
     case coefficient of the quantile expansion: ``zeta1`` when all three
     predicates hold, the middle case's ``c`` (zero when degenerate), None
-    in the complement case. ``degenerate`` marks the middle case whose
+    in the complement case. ``var_exponent`` is the power of ``1 - q`` in
+    the quantile correction: ``a(1,1) - 1`` when all three predicates hold,
+    ``a20`` in the middle case, None in the complement case; the tail
+    exponent is one more. ``degenerate`` marks the middle case whose
     stated second order vanishes; only then are the last three fields set:
     the ``power_term`` coefficient, the ``power_term_with_eta`` coefficient
     (None when its integral diverges) and the dependence function's
@@ -496,6 +500,7 @@ class _ModelPlan:
     case: CaseLabel
     kappa: float
     coefficient: Optional[float]
+    var_exponent: Optional[float]
     power_terms: tuple
     degenerate: bool = False
     delta2: Optional[float] = None
@@ -517,10 +522,11 @@ def _model_plan(m: ParetoMarginal, p: PickandsEV) -> _ModelPlan:
     mhat = float(p.a1_fn(1.0, 1.0))
     a20 = case.a20
     if case.label == LABEL_ALL:
+        # kappa - 1 and its sum with 1 are exact for kappa in [1, 2]
         zeta1 = _zeta1(alpha, mhat)
-        return _ModelPlan(case, kappa, zeta1, ((zeta1, kappa),))
+        return _ModelPlan(case, kappa, zeta1, kappa - 1.0, ((zeta1, kappa),))
     if case.label == LABEL_COMPLEMENT:  # alpha * a20 >= 1
-        return _ModelPlan(case, kappa, None, ())
+        return _ModelPlan(case, kappa, None, None, ())
 
     c = zeta2 = 2.0 * integral_I(alpha, alpha * a20)
     terms = []
@@ -531,12 +537,15 @@ def _model_plan(m: ParetoMarginal, p: PickandsEV) -> _ModelPlan:
         coeff = 2.0 ** (2.0 * am) - 2.0 ** (am + 1.0)
         terms.append((coeff, kappa))
         c += coeff
+    if any(e <= 1.0 for _, e in terms):
+        # the comonotone boundary term, of the same order as the leading one
+        raise DomainError("second-order term must have exponent above 1 or a t-decaying factor")
     if terms:
-        return _ModelPlan(case, kappa, c, tuple(terms))
+        return _ModelPlan(case, kappa, c, a20, tuple(terms))
 
     # the stated second order vanishes: constants of the candidate refinements
     return _ModelPlan(
-        case, kappa, c, (), degenerate=True,
+        case, kappa, c, a20, (), degenerate=True,
         delta2=power_term_coefficient(tail_order_traits(p), alpha),
         eta_coefficient=_zeta1(alpha, mhat) if alpha * mhat < 1.0 else None,
         log_refined=p.log_refined,
@@ -546,7 +555,7 @@ def _model_plan(m: ParetoMarginal, p: PickandsEV) -> _ModelPlan:
 def _stated_tail(plan: _ModelPlan, m: ParetoMarginal, t: float) -> tuple:
     """``(survival(t), stated second-order terms, stated value)`` at ``t``."""
     s = m.survival(t)
-    if plan.case.label == LABEL_COMPLEMENT:
+    if plan.coefficient is None:  # the complement case's truncated-mean term
         tf = m.powered_tail_truncated_mean(t, plan.case.a20) / t
         coeff = 2.0 * m.alpha
         terms = (
@@ -759,35 +768,35 @@ def _check_q(q: float, op: str) -> None:
 def var_expansion_ev(m: ParetoMarginal, p: PickandsEV, q: float) -> VarExpansion:
     """Second-order quantile of the sum under an extreme-value copula.
 
-    Dispatches on :func:`classify_case` and the stated threshold
-    inequalities on the second-order index ``rho``:
+    With the case coefficient ``c`` and exponent ``e`` that the
+    :func:`classify_case` label fixes, the quantile is
+    ``2**(1/alpha) * Q(q) * (1 + c * 2**-(e+1) / alpha * (1-q)**e)``:
 
-    * all three predicates and ``rho < -alpha*(a(1,1)-1)``: correction
-      ``(zeta1 * 2**(-a(1,1)) / alpha) * (1-q)**(a(1,1)-1)`` on the leading
-      order, where ``zeta1`` is the tail-probability coefficient;
-    * middle case and ``rho < -alpha*a20``: correction
-      ``(c * 2**(-(a20+1)) / alpha) * (1-q)**a20`` with ``c`` the
-      tail-probability coefficient including the boundary-indicator term;
-      a vanishing ``c`` falls through to the regular-variation strip with a
-      diagnostic;
-    * complement case: its threshold ``-1`` is exactly the Pareto
-      second-order index, so it closes into the regular-variation strip
-      with a warning;
-    * otherwise (``rho`` above the threshold): the second-order
-      regular-variation formula.
+    * all three predicates hold: ``e = a(1,1) - 1`` and ``c = zeta1``, the
+      tail-probability coefficient;
+    * middle case: ``e = a20`` and ``c`` the tail-probability coefficient
+      including the boundary-indicator term.
+
+    The Pareto second-order index ``rho = -1`` lies below the case
+    threshold ``-alpha*e`` in both, by the case predicates (``rho_regime``
+    is ``"below"``). When ``c`` vanishes, and in the complement case, whose
+    threshold ``-1`` is exactly the Pareto ``rho``, the value is the
+    second-order regular-variation strip (``rho_regime`` is ``"above"``),
+    with a diagnostic saying which.
 
     Raises
     ------
     DomainError
-        If ``q`` lies outside ``(0.5, 1)``.
+        If ``q`` lies outside ``(0.5, 1)``, or the stated second-order term
+        is of the leading order (exponent ``a(1,1) = 1``, the comonotone
+        model), as in :func:`tailprob_expansion_ev`.
     BoundaryCaseError
         If ``alpha == 1`` exactly (every threshold coincides with the
-        Pareto ``rho``), or the parameters sit on a case-(i)/(ii)
-        threshold equality.
+        Pareto ``rho``).
     """
     _check_q(q, "var_expansion_ev")
     so = m.second_order_params()
-    alpha, rho = so.alpha, so.rho
+    alpha = so.alpha
     if alpha == 1.0:
         raise BoundaryCaseError(
             "alpha=1 sits on the case boundary (the second-order index "
@@ -795,64 +804,26 @@ def var_expansion_ev(m: ParetoMarginal, p: PickandsEV, q: float) -> VarExpansion
             "or use Monte Carlo"
         )
     plan = _model_plan(m, p)
-    case, kappa = plan.case, plan.kappa
-    a20 = case.a20
+    c, e = plan.coefficient, plan.var_exponent
     x_q = m.quantile(q)
     first = 2.0 ** (1.0 / alpha) * x_q
-    diagnostics = list(case.warnings)
-
-    def strip_value(extra_note: Optional[str] = None) -> VarExpansion:
-        notes = diagnostics + (["second-order regular-variation strip"])
-        if extra_note:
-            notes.append(extra_note)
-        labeled = dataclasses.replace(case, rho_regime="above")
-        return VarExpansion(
-            q=q, value=_two_rv_var(so, x_q), first_order=first, case=labeled,
-            diagnostics=tuple(notes),
+    diagnostics = plan.case.warnings
+    if c is not None and c != 0.0:
+        value = first * (1.0 + c * 2.0 ** -(e + 1.0) / alpha * (1.0 - q) ** e)
+        regime = "below"
+    else:
+        value = _two_rv_var(so, x_q)
+        regime = "above"
+        why = (
+            "rho equals the complement-case threshold -1; closed into the "
+            "regular-variation strip"
+            if c is None
+            else "stated second-order coefficient vanishes; regular-variation value returned"
         )
-
-    if case.label == LABEL_ALL:
-        threshold = -alpha * (kappa - 1.0)
-        if rho == threshold:
-            raise BoundaryCaseError(
-                f"rho={rho} sits exactly on the case threshold {threshold}; "
-                "the dispatch is undefined on this boundary"
-            )
-        if rho < threshold:
-            corr = plan.coefficient * 2.0**-kappa / alpha * (1.0 - q) ** (kappa - 1.0)
-            labeled = dataclasses.replace(case, rho_regime="below")
-            return VarExpansion(
-                q=q, value=first * (1.0 + corr), first_order=first, case=labeled,
-                diagnostics=tuple(diagnostics),
-            )
-        return strip_value()
-
-    if case.label == LABEL_PARTIAL:
-        threshold = -alpha * a20
-        if rho == threshold:
-            raise BoundaryCaseError(
-                f"rho={rho} sits exactly on the case threshold {threshold}; "
-                "the dispatch is undefined on this boundary"
-            )
-        if rho < threshold:
-            c = plan.coefficient
-            if c == 0.0:
-                return strip_value(
-                    "stated second-order coefficient vanishes; "
-                    "regular-variation value returned"
-                )
-            corr = c * 2.0 ** -(a20 + 1.0) / alpha * (1.0 - q) ** a20
-            labeled = dataclasses.replace(case, rho_regime="below")
-            return VarExpansion(
-                q=q, value=first * (1.0 + corr), first_order=first, case=labeled,
-                diagnostics=tuple(diagnostics),
-            )
-        return strip_value()
-
-    # complement case: alpha * a20 >= 1, whose threshold -1 is the Pareto rho
-    return strip_value(
-        "rho equals the complement-case threshold -1; closed into the "
-        "regular-variation strip"
+        diagnostics += ("second-order regular-variation strip", why)
+    return VarExpansion(
+        q=q, value=value, first_order=first,
+        case=dataclasses.replace(plan.case, rho_regime=regime), diagnostics=diagnostics,
     )
 
 

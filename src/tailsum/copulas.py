@@ -585,14 +585,22 @@ def _pickands_of(descriptor) -> PickandsEV:
 def estimate_corner_slope(p: PickandsEV) -> tuple[float, Optional[str]]:
     """Estimate ``a2_fn(1, v)`` in the limit of vanishing ``v``.
 
-    Probes ``v`` over the decades ``1e-4 .. 1e-10``; a final value below
-    1e-8 is declared an exact zero. Returns the estimate together with a
-    warning string when the probe sequence has not stabilised.
+    Probes ``v`` over the decades ``1e-4 .. 1e-10``. The limit is declared
+    an exact zero when the final value is below 1e-8, or when the probes
+    decay like a power of ``v``: each of the last three decade ratios is
+    below 0.999 and none rises by more than 1e-3 (a positive limit has
+    ratios rising toward 1). Otherwise the final value is returned, together
+    with a warning string when the probe sequence has not stabilised.
     """
     probes = [float(p.a2_fn(1.0, 10.0**-k)) for k in range(4, 11)]
     last, prev = probes[-1], probes[-2]
     if abs(last) < 1e-8:
         return 0.0, None
+    tail = probes[-4:]
+    if min(tail) > 0.0:
+        ratios = [b / a for a, b in zip(tail, tail[1:])]
+        if max(ratios) < 0.999 and all(s - r <= 1e-3 for r, s in zip(ratios, ratios[1:])):
+            return 0.0, None
     warning = None
     if abs(last - prev) > 1e-6 * max(1.0, abs(last)):
         warning = (
@@ -820,7 +828,7 @@ _DEFAULT_GRID = (0.5, 1.0, 2.0, 4.0)
 def _verdict(deviations: Sequence[float], tolerance: float):
     devs = list(deviations)
     if any(not math.isfinite(d) for d in devs):
-        return None, "non-finite deviation in the sequence"
+        return None, "non-finite statistics (underflow or undefined derivative); verdict withheld"
     tail = devs[-3:]
     # jitter at the double-precision noise floor is convergence, not a trend
     floor = 1e-12
@@ -963,102 +971,83 @@ def check_assumptions(
 
     checks: dict[str, CheckResult] = {}
     skipped: list[str] = []
-    deep_note = "scales below 1e-150 need log-domain evaluators; verdict withheld"
 
-    def finish(name, devs, rows, fitted_c=None, extra_note=""):
+    def finish(name, rows, fitted_c=None):
+        worst = dict.fromkeys(l10, 0.0)
+        for x10, _, _, stat, target in rows:
+            worst[x10] = _acc(worst[x10], stat, target)
+        devs = tuple(worst.values())
         if too_deep:
-            checks[name] = CheckResult(
-                name=name, passed=None, deviations=tuple(devs), rows=tuple(rows),
-                fitted_c=fitted_c, note=deep_note,
-            )
-            return
-        if any(not math.isfinite(d) for d in devs):
-            checks[name] = CheckResult(
-                name=name, passed=None, deviations=tuple(devs), rows=tuple(rows),
-                fitted_c=fitted_c,
-                note="non-finite statistics (underflow or undefined derivative); verdict withheld",
-            )
-            return
-        passed, why = _verdict(devs, tolerance)
-        note = "; ".join(x for x in (why, extra_note) if x)
+            passed, note = None, "scales below 1e-150 need log-domain evaluators; verdict withheld"
+        else:
+            passed, note = _verdict(devs, tolerance)
         checks[name] = CheckResult(
-            name=name, passed=passed, deviations=tuple(devs), rows=tuple(rows),
+            name=name, passed=passed, deviations=devs, rows=tuple(rows),
             fitted_c=fitted_c, note=note,
         )
 
-    # A2: diagonal tail-order scaling.
-    devs, rows = [], []
-    kappa = tail_traits.kappa
-    for x10, lt in zip(l10, lts):
-        t = math.exp(lt) if lt > -700 else 0.0
-        lell = math.log(float(tail_traits.ell(t)))
-        worst = 0.0
-        for u in gvals:
-            for v in gvals:
-                expo = float(lchat(math.log(u) + lt, math.log(v) + lt)) - kappa * lt - lell
-                stat = _safe_exp(expo)
-                target = float(tail_traits.tau(u, v))
-                rows.append((x10, u, v, stat, target))
-                worst = _acc(worst, stat, target)
-        devs.append(worst)
-    finish("A2", devs, rows)
+    def scan(us, vs, stat_target):
+        """Rows ``(log10_t, u, v, statistic, target)``, scale by scale."""
+        return [
+            (x10, u, v, *stat_target(lt, u, v))
+            for x10, lt in zip(l10, lts) for u in us for v in vs
+        ]
 
-    # A3: relative-shift stability of the partial derivative.
+    def scale_of(lt):
+        return math.exp(lt) if lt > -700 else 0.0
+
+    # A2: diagonal tail-order scaling.
+    kappa = tail_traits.kappa
+
+    def diagonal(lt, u, v):
+        lell = math.log(float(tail_traits.ell(scale_of(lt))))
+        expo = float(lchat(math.log(u) + lt, math.log(v) + lt)) - kappa * lt - lell
+        return _safe_exp(expo), float(tail_traits.tau(u, v))
+
+    finish("A2", scan(gvals, gvals, diagonal))
+
     if partial_traits is None:
-        skipped.append("A3")
+        skipped += ["A3", "A4"]
     else:
         theta = partial_traits.theta_exp
-        devs, rows = [], []
+
+        # A3: relative-shift stability of the partial derivative.
+        def relative_shift(lt, u, v):
+            lr = float(lchat_v(lt + math.log1p(u), math.log(v))) - float(lchat_v(lt, math.log(v)))
+            stat = math.expm1(lr) if math.isfinite(lr) else math.nan
+            return stat, (1.0 + u) ** theta - 1.0
+
+        rows = scan(gvals, vprob, relative_shift)
+        # least squares on log-ratios, over the deepest scale with usable points
         fitted_c = None
-        for x10, lt in zip(l10, lts):
-            worst, num, den = 0.0, 0.0, 0.0
-            for u in gvals:
-                for v in vprob:
-                    lr = float(lchat_v(lt + math.log1p(u), math.log(v))) - float(
-                        lchat_v(lt, math.log(v))
-                    )
-                    stat = math.expm1(lr) if math.isfinite(lr) else math.nan
-                    target = (1.0 + u) ** theta - 1.0
-                    rows.append((x10, u, v, stat, target))
-                    worst = _acc(worst, stat, target)
-                    if math.isfinite(stat) and stat > -1.0:
-                        num += math.log1p(stat) * math.log1p(u)
-                        den += math.log1p(u) ** 2
-            devs.append(worst)
+        for x10 in l10:
+            num = den = 0.0
+            for x, u, _, stat, _ in rows:
+                if x == x10 and math.isfinite(stat) and stat > -1.0:
+                    num += math.log1p(stat) * math.log1p(u)
+                    den += math.log1p(u) ** 2
             if den > 0:
                 fitted_c = num / den
-        finish("A3", devs, rows, fitted_c=fitted_c)
+        finish("A3", rows, fitted_c=fitted_c)
 
-    # A4: corner limit of the scaled partial derivative.
-    if partial_traits is None:
-        skipped.append("A4")
-    else:
-        theta = partial_traits.theta_exp
-        devs, rows = [], []
-        for x10, lt in zip(l10, lts):
-            t = math.exp(lt) if lt > -700 else 0.0
-            hval = float(partial_traits.h(t))
+        # A4: corner limit of the scaled partial derivative.
+        def corner_limit(lt, u, v):
+            hval = float(partial_traits.h(scale_of(lt)))
             lh = math.log(hval) if hval > 0 else math.nan
-            worst = 0.0
-            for u in gvals:
-                for v in vprob:
-                    expo = float(lchat_v(math.log(u) + lt, math.log(v))) - theta * lt - lh
-                    stat = _safe_exp(expo)
-                    target = float(partial_traits.varphi(u, v))
-                    rows.append((x10, u, v, stat, target))
-                    worst = _acc(worst, stat, target)
-            devs.append(worst)
-        finish("A4", devs, rows)
+            expo = float(lchat_v(math.log(u) + lt, math.log(v))) - theta * lt - lh
+            return _safe_exp(expo), float(partial_traits.varphi(u, v))
 
-    # evcond: stability of the dependence derivative under log perturbations.
+        finish("A4", scan(gvals, vprob, corner_limit))
+
+    # evcond: stability of the dependence derivative under log perturbations;
+    # its power is fitted per grid point, so it keeps its own loop.
     p = copula.pickands
     if p is None:
         skipped.append("evcond")
     else:
-        devs, rows = [], []
+        rows = []
         fitted_c = None
         for x10, lt in zip(l10, lts):
-            worst = 0.0
             for x in gvals:
                 base = float(p.a2_fn(1.0, x))
                 triples = []
@@ -1081,15 +1070,10 @@ def check_assumptions(
                 )
                 if fitted_c is None or abs(c_x) > abs(fitted_c):
                     fitted_c = c_x
-                for u, q in triples:
-                    fit = (1.0 + u) ** c_x
-                    rows.append((x10, u, x, q, fit))
-                    worst = _acc(worst, q, fit)
-            devs.append(worst)
-        finish("evcond", devs, rows, fitted_c=fitted_c)
+                rows += [(x10, u, x, q, (1.0 + u) ** c_x) for u, q in triples]
+        finish("evcond", rows, fitted_c=fitted_c)
 
     # taylor_limit: first-order corner behaviour of the partial derivative.
-    devs, rows = [], []
     if p is not None:
         a20, _ = estimate_corner_slope(p)
 
@@ -1102,17 +1086,10 @@ def check_assumptions(
         def corner(v, _eps: float = 1e-4):
             return float(copula.chat_v(_eps, v)) / _eps
 
-    for x10, lt in zip(l10, lts):
-        worst = 0.0
-        for u in gvals:
-            for v in vprob:
-                expo = float(lchat_v(math.log(u) + lt, math.log(v))) - lt
-                stat = _safe_exp(expo)
-                target = u * corner(v)
-                rows.append((x10, u, v, stat, target))
-                worst = _acc(worst, stat, target)
-        devs.append(worst)
-    finish("taylor_limit", devs, rows)
+    def taylor(lt, u, v):
+        return _safe_exp(float(lchat_v(math.log(u) + lt, math.log(v))) - lt), u * corner(v)
+
+    finish("taylor_limit", scan(gvals, vprob, taylor))
 
     return AssumptionReport(
         checks=checks,

@@ -133,3 +133,68 @@ def test_plain_callable_copula_underflows_to_inconclusive():
     )
     assert not report.any_fail
     assert report.any_inconclusive
+
+
+_DEEP = (-8200.0, -8400.0, -8600.0, -8800.0, -9000.0)
+_PLAIN = (-1.0, -50.0, -100.0, -150.0, -200.0)
+
+# Per-scale worst deviations and fitted constants of three reports, frozen:
+# a changed row moves them even where every verdict holds.
+_EVIDENCE = {
+    "independence": {
+        "A2": ((2.220446049250313e-16, 4.440892098500626e-16, 4.440892098500626e-16,
+                1.887379141862766e-15, 1.887379141862766e-15, 1.9984014443252818e-15,
+                5.329070518200751e-15), None),
+        "A3": ((6.661338147750939e-16, 6.661338147750939e-16, 6.661338147750939e-16,
+                1.9984014443252818e-15, 1.9984014443252818e-15, 1.9984014443252818e-15,
+                3.3306690738754696e-15), 0.9999999999999998),
+        "A4": ((2.220446049250313e-16, 2.220446049250313e-16, 8.881784197001252e-16,
+                2.220446049250313e-16, 2.220446049250313e-16, 2.220446049250313e-16,
+                1.7763568394002505e-15), None),
+        "evcond": ((0.0,) * 7, 0.0),
+        "taylor_limit": ((2.220446049250313e-16, 2.220446049250313e-16, 8.881784197001252e-16,
+                          2.220446049250313e-16, 2.220446049250313e-16, 2.220446049250313e-16,
+                          1.7763568394002505e-15), None),
+    },
+    "gumbel10-deep": {
+        "A2": ((0.00027610063209566643, 0.0002695275794679357, 0.0002632602080245055,
+                0.00025727769053329085, 0.0002515610320886963), None),
+        "A3": ((0.0009593615796106292, 0.0009365101346940907, 0.0009147219782434934,
+                0.0008939245844068466, 0.0008740518783492135), 1.0004343083876222),
+        "A4": ((9.694831335805237e-40, 7.804489873440336e-40, 6.314886064754128e-40,
+                5.134537283578884e-40, 4.194274337497326e-40), None),
+        "evcond": ((1.1478222240557278e-08, 1.0938110069673748e-08, 1.0435243509378298e-08,
+                    9.966273674198835e-09, 9.528221422235744e-09), 0.0004762162078440048),
+        "taylor_limit": ((9.694831335805237e-40, 7.804489873440336e-40, 6.314886064754128e-40,
+                          5.134537283578884e-40, 4.194274337497326e-40), None),
+    },
+    "plain-product-too-deep": {
+        "A2": ((2.375877272697835e-14, 1.0, 1.0, 1.0, 1.0), None),
+        "taylor_limit": ((8.326671962438384e-08, 1.0, 1.0, 1.0, 1.0), None),
+    },
+}
+
+
+def _evidence_report(case):
+    if case == "independence":
+        return check_assumptions(make_survival_copula("independence"))
+    if case == "gumbel10-deep":
+        return check_assumptions(make_survival_copula("gumbel", phi=10.0), log10_t_sequence=_DEEP)
+    return check_assumptions(
+        survival_from_copula(lambda u, v: u * v),
+        tail_traits=trial_tail_order_traits(2.0),
+        log10_t_sequence=_PLAIN,
+    )
+
+
+@pytest.mark.parametrize("case", sorted(_EVIDENCE))
+def test_checker_evidence_is_pinned(case):
+    report = _evidence_report(case)
+    assert set(report.checks) == set(_EVIDENCE[case])
+    for name, (deviations, fitted_c) in _EVIDENCE[case].items():
+        check = report.checks[name]
+        assert check.deviations == pytest.approx(deviations, rel=1e-12, abs=0.0), name
+        if fitted_c is None:
+            assert check.fitted_c is None, name
+        else:
+            assert check.fitted_c == pytest.approx(fitted_c, rel=1e-12, abs=0.0), name

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 import oracles
+from test_galambos import galambos_pickands
 from tailsum import (
     AmbiguousBranchError,
     BoundaryCaseError,
@@ -69,6 +70,14 @@ def test_integral_matches_midpoint_oracle_small_panels():
     for alpha, beta in ((0.8, 0.8), (2.0, 0.5), (1.5, 0.3)):
         want = oracles.midpoint_integral_I(alpha, beta, panels=200_000)
         assert abs(integral_I(alpha, beta) - want) < 1e-6
+
+
+def test_integral_near_the_divergence_matches_midpoint_oracle():
+    # beta near 1 makes z**(1/(1-beta)) underflow to 0 at quadrature nodes
+    # near the origin, where the integrand takes its limit
+    for alpha, beta in ((0.9921875, 0.9921875), (0.5, 0.995)):
+        want = oracles.midpoint_integral_I(alpha, beta, panels=200_000)
+        assert abs(integral_I(alpha, beta) / want - 1.0) < 1e-9
 
 
 def test_integral_zero_exponent_is_zero():
@@ -465,6 +474,46 @@ def test_var_domain_and_boundary(m08, p10, p_ind):
         var_expansion_ev(m08, p_ind, 1.0)
     with pytest.raises(DomainError):
         var_expansion_ev(m08, p10, 0.3)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.8, 1.0, 1.5, 2.0, 3.0])
+def test_comonotone_raises_on_every_path(alpha, p_co):
+    # the boundary term sf**a(1,1) has exponent 1, the leading order itself;
+    # no expansion may turn it into a number
+    m = ParetoMarginal(alpha, 1.0)
+    message = "exponent above 1"
+    with pytest.raises(DomainError, match=message):
+        tailprob_expansion_ev(m, p_co, m.quantile(0.999))
+    with pytest.raises(DomainError, match=message):
+        var_from_tailprob_inversion(m, p_co, 0.99)
+    if alpha == 1.0:
+        with pytest.raises(BoundaryCaseError):
+            var_expansion_ev(m, p_co, 0.99)
+    else:
+        with pytest.raises(DomainError, match=message):
+            var_expansion_ev(m, p_co, 0.99)
+
+
+@given(
+    p=st.one_of(
+        st.floats(1.0, 20.0).map(gumbel_pickands),
+        st.floats(0.2, 3.0).map(galambos_pickands),
+    ),
+    alpha=st.floats(0.3, 3.0).filter(lambda a: a != 1.0),
+)
+def test_var_formula_applies_exactly_when_the_case_coefficient_is_nonzero(p, alpha):
+    # the quantile expansion has one formula and no test on rho: the case
+    # predicates already put the Pareto rho below the case threshold
+    m = ParetoMarginal(alpha, 1.0)
+    rho = m.second_order_params().rho
+    case = classify_case(alpha, p)
+    if case.label == "C1∩C2∩C3":
+        assert rho < -alpha * (float(p.a_fn(1.0, 1.0)) - 1.0)
+    elif case.label == "C1\\(C2∩C3)":
+        assert rho < -alpha * case.a20
+    c = _model_plan(m, p).coefficient
+    regime = var_expansion_ev(m, p, 0.99).case.rho_regime
+    assert (regime == "below") == (c is not None and c != 0.0)
 
 
 def test_var_inversion_consistency(m08, p10, p_ind):

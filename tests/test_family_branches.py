@@ -46,3 +46,25 @@ def test_no_comparison_against_a_family_name(module, function):
         if isinstance(sub, ast.Constant) and sub.value in NAMES
     ]
     assert not hits, f"{module} {function or ''}: family-name comparisons at {hits}"
+
+
+def test_only_the_classifier_and_the_plan_read_case_labels():
+    # every other function works from the plan's coefficients, so a case
+    # label is read in exactly two places
+    def label_reads(tree):
+        return [
+            node for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id.startswith("LABEL_")
+                and isinstance(node.ctx, ast.Load))
+            or (isinstance(node, ast.Attribute) and node.attr == "label")
+        ]
+
+    tree = _scope("asymptotics.py", None)
+    inside = {
+        id(node)
+        for scope in ast.walk(tree)
+        if isinstance(scope, ast.FunctionDef) and scope.name in ("classify_case", "_model_plan")
+        for node in label_reads(scope)
+    }
+    outside = [node.lineno for node in label_reads(tree) if id(node) not in inside]
+    assert inside and not outside, f"asymptotics.py reads case labels at lines {outside}"

@@ -17,6 +17,7 @@ from tailsum import (
     ParetoMarginal,
     PickandsEV,
     classify_case,
+    estimate_corner_slope,
     ev_chat,
     ev_chat_v,
     partial_limit_traits,
@@ -76,6 +77,16 @@ def test_traits_follow_from_the_dependence_function(galambos):
     partial = partial_limit_traits(galambos)
     assert partial.degenerate
     assert partial.varphi(0.5, 0.5) == 0.0
+
+
+@pytest.mark.parametrize("theta", [0.2, 0.5])
+def test_slowly_vanishing_corner_slope_is_exactly_zero(theta):
+    # a2(1, v) ~ v**theta is still far above 1e-8 at the last probe; its
+    # decade ratios, near 10**-theta, show the power decay to 0
+    p = galambos_pickands(theta)
+    assert estimate_corner_slope(p) == (0.0, None)
+    assert partial_limit_traits(p).degenerate
+    assert tailprob_expansion_ev(ParetoMarginal(0.8, 1.0), p, 1e4).candidates is not None
 
 
 def test_case_is_the_middle_one(galambos):
