@@ -3,9 +3,9 @@
 Given a Pareto marginal and a dependence structure (an extreme-value
 copula, or raw tail traits), this module evaluates:
 
-* the singular integrals feeding the second-order constants
-  (:func:`integral_I`, :func:`eta_delta`, :func:`eta_limit`,
-  :func:`D_delta`, :func:`delta_correction`);
+* the singular integrals feeding the second-order constants (the series
+  :func:`integral_I`; :func:`eta_delta`, :func:`eta_limit`, :func:`D_delta`,
+  :func:`delta_correction` by quadrature);
 * the case classification of the extreme-value regime
   (:func:`classify_case`);
 * first- plus second-order expansions of ``P(X + Y > t)``
@@ -88,10 +88,11 @@ def integral_I(alpha: float, beta: float) -> float:
     """The corner integral ``beta * int_0^{1/2} ((1-y)**-alpha - 1) * y**(-beta-1) dy``.
 
     The integrand behaves like ``alpha * beta * y**-beta`` near the origin,
-    so the integral converges exactly when ``beta < 1``. Evaluation
-    substitutes ``y = z**(1/(1-beta))``, which removes the endpoint
-    singularity, and applies adaptive quadrature to the resulting smooth
-    integrand; the absolute accuracy target is 1e-10.
+    so the integral converges exactly when ``beta < 1``. Integrating the
+    binomial series of ``(1-y)**-alpha`` term by term gives
+    ``beta * 2**beta * sum_{k>=1} c_k / (k - beta)`` with
+    ``c_k = (alpha)_k / (k! * 2**k)``: positive terms, so no cancellation,
+    summed until they stop changing the sum (40-60 terms for ``alpha <= 3``).
 
     Parameters
     ----------
@@ -103,30 +104,29 @@ def integral_I(alpha: float, beta: float) -> float:
     Raises
     ------
     DomainError
-        If ``alpha <= 0`` or ``beta < 0``.
+        If ``alpha <= 0``, ``beta < 0`` or the value overflows a float.
     DivergentIntegralError
         If ``beta >= 1``.
     """
     if not (alpha > 0):
         raise DomainError(f"integral_I requires alpha > 0, got {alpha}")
-    if beta < 0:
+    if not (beta >= 0):
         raise DomainError(f"integral_I requires beta >= 0, got {beta}")
     if beta >= 1:
         raise DivergentIntegralError(
             f"integral_I diverges for beta >= 1, got beta={beta}"
         )
-    if beta == 0.0:
-        return 0.0
-    p = 1.0 / (1.0 - beta)
-    z_top = 0.5 ** (1.0 / p)
-
-    def g(z: float) -> float:
-        y = z**p
-        if y == 0.0:  # z**p underflows for beta near 1: the limit at y -> 0
-            return beta * p * alpha
-        return beta * p * math.expm1(-alpha * math.log1p(-y)) / y
-
-    value, _ = integrate.quad(g, 0.0, z_top, **_QUAD_KW)
+    total, c, k = 0.0, 1.0, 0
+    while math.isfinite(total):
+        k += 1
+        c *= (alpha + k - 1.0) / (2.0 * k)
+        grown = total + c / (k - beta)
+        if grown == total and k > alpha:  # terms grow while k < alpha - 1
+            break
+        total = grown
+    value = beta * 2.0**beta * total
+    if not math.isfinite(value):
+        raise DomainError(f"integral_I overflows a float at alpha={alpha}, beta={beta}")
     return value
 
 
@@ -226,8 +226,11 @@ def delta_correction(
 
     Returns ``int_0^{1/2} ((1-y)**(-alpha*theta_exp) - 1)
     * varphi(1, survival(t*y)) * density(t*y) * t dy`` by adaptive
-    quadrature. It decays to zero as ``t`` grows, which is what makes the
-    branch term genuinely higher order.
+    quadrature. For plain power traits it decays to zero as ``t`` grows. For
+    the log-refined Gumbel traits it does not: ``delta * (-log sf)**(1-phi)``
+    grows from 0.85 to 1.51 over ``sf = 1e-2 .. 1e-8`` at phi 2, alpha 1.5
+    (0.054 to 0.24 at phi 10, alpha 0.8), so that candidate term is not of
+    higher order.
 
     Raises
     ------
@@ -295,7 +298,8 @@ class CaseLabel:
         None for tail-probability use.
     warnings : tuple of str
         Notes attached when a predicate sits within 1e-8 of its boundary or
-        the corner-slope probe did not stabilise.
+        the corner-slope probe did not stabilise; a model exactly on the C3
+        boundary (``boundary_indicator``, e.g. independence) gets no C3 note.
     """
 
     label: str
@@ -315,7 +319,7 @@ def classify_case(alpha: float, p: PickandsEV) -> CaseLabel:
     over ``v`` in ``1e-4 .. 1e-10`` by
     :func:`~tailsum.copulas.estimate_corner_slope`.
     Exactly one label is returned; predicates within 1e-8 of their boundary
-    attach a warning but still classify.
+    (C3: but not exactly on it) attach a warning but still classify.
 
     Raises
     ------
@@ -345,7 +349,7 @@ def classify_case(alpha: float, p: PickandsEV) -> CaseLabel:
         warnings.append("within 1e-8 of the C1 boundary alpha*a2(1,0) = 1")
     if abs(alpha * a11 - 1.0) < 1e-8:
         warnings.append("within 1e-8 of the C2 boundary alpha*a1(1,1) = 1")
-    if abs(kap - (a20 + 1.0)) < 1e-8:
+    if 0.0 < abs(kap - (a20 + 1.0)) < 1e-8:
         warnings.append("within 1e-8 of the C3 boundary a(1,1) = a2(1,0) + 1")
 
     return CaseLabel(

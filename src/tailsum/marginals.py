@@ -2,9 +2,9 @@
 
 The package models each risk as a shifted Pareto variable with survival
 function ``(scale/(x+scale))**alpha`` on ``x >= 0``. Besides the usual
-distribution operations, the marginal exposes truncated first moments and
-the constants of its second-order regular-variation expansion, which the
-asymptotic tail formulas consume.
+distribution operations, the marginal exposes closed-form truncated first
+moments and the constants of its second-order regular-variation expansion,
+which the asymptotic tail formulas consume.
 
 All operations are pure functions of immutable values and are safe to share
 across threads.
@@ -17,13 +17,22 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError
 
 __all__ = ["ParetoMarginal", "SecondOrderTail"]
 
-_QUAD_KW = {"epsabs": 1e-14, "epsrel": 1e-12, "limit": 200}
+
+def _truncated_mean(alpha: float, scale: float, t: float) -> float:
+    """``E[X; X <= t]`` for survival ``(scale/(x+scale))**alpha``, any ``alpha``.
+
+    With ``L = log1p(t/scale)`` it is ``scale * (alpha*L*exprel((1-alpha)*L)
+    + expm1(-alpha*L))``, where ``exprel(x) = expm1(x)/x`` and ``exprel(0) = 1``.
+    """
+    log_top = math.log1p(t / scale)
+    x = (1.0 - alpha) * log_top
+    exprel = math.expm1(x) / x if x != 0.0 else 1.0
+    return scale * (alpha * log_top * exprel + math.expm1(-alpha * log_top))
 
 
 @dataclass(frozen=True)
@@ -176,9 +185,9 @@ class ParetoMarginal:
     def truncated_mean(self, t: float) -> float:
         """Truncated first moment ``E[X; X <= t]``.
 
-        Uses the closed-form antiderivative when ``alpha != 1`` and adaptive
-        quadrature at the removable singularity ``alpha == 1``; the two paths
-        agree to 1e-10 relative error where both apply.
+        One closed form through ``log1p``/``expm1`` for every ``alpha``
+        (``alpha == 1`` included): about 1e-15 relative for ``t >= scale/5``;
+        below, cancellation costs about a factor ``scale/t``.
 
         Parameters
         ----------
@@ -197,23 +206,15 @@ class ParetoMarginal:
         """
         if not (t > 0):
             raise DomainError(f"truncated_mean requires t > 0, got {t}")
-        a, s = self.alpha, self.scale
-        if a == 1.0:
-            value, _ = integrate.quad(lambda x: x * self._sf_pdf(x)[1], 0.0, t, **_QUAD_KW)
-            return value
-        top = t + s
-        part_power = (top ** (1.0 - a) - s ** (1.0 - a)) / (1.0 - a)
-        part_tail = s * (top**-a - s**-a) / a
-        return a * s**a * (part_power + part_tail)
+        return _truncated_mean(self.alpha, self.scale, t)
 
     def powered_tail_truncated_mean(self, t: float, a: float) -> float:
         """Truncated mean under the distribution with survival ``survival**a``.
 
         For ``0 < a <= 1`` the function ``1 - survival(x)**a`` is again a
-        distribution function; this returns its truncated first moment on
-        ``[0, t]`` by adaptive quadrature against the density
-        ``a * survival**(a-1) * density``. At ``a == 1`` it short-circuits to
-        :meth:`truncated_mean` so both spellings return the identical float.
+        distribution function, that of a Pareto with tail index ``a*alpha``.
+        This returns its truncated first moment on ``[0, t]`` by the closed
+        form of :meth:`truncated_mean` (identical to it at ``a == 1``).
 
         Parameters
         ----------
@@ -235,15 +236,7 @@ class ParetoMarginal:
             raise DomainError(f"powered_tail_truncated_mean requires t > 0, got {t}")
         if not (0.0 < a <= 1.0):
             raise DomainError(f"powered_tail_truncated_mean requires 0 < a <= 1, got {a}")
-        if a == 1.0:
-            return self.truncated_mean(t)
-
-        def integrand(x: float) -> float:
-            sf, pdf = self._sf_pdf(x)
-            return x * a * sf ** (a - 1.0) * pdf
-
-        value, _ = integrate.quad(integrand, 0.0, t, **_QUAD_KW)
-        return value
+        return _truncated_mean(a * self.alpha, self.scale, t)
 
     # -- tail metadata -------------------------------------------------------
 

@@ -3,8 +3,8 @@
 Each test mirrors one acceptance gate at its stated tolerance and runtime
 budget.  Panels that the second-order theory cannot satisfy are kept red via
 ``xfail(strict=True)`` with the measured shortfall recorded next to the
-test; the analysis behind every frozen seed, grid, and candidate selection
-lives in the decisions ledger kept outside the package.
+test; each frozen seed, grid and candidate selection is explained in the
+comment beside it, and changes to them are recorded in CHANGES.md.
 """
 
 import math
@@ -73,7 +73,7 @@ def test_corner_integral_matches_high_resolution_midpoint_oracle():
         want = oracles.midpoint_integral_I(alpha, beta, panels=10_000_000)
         assert time.monotonic() - t0 < 30.0
         assert abs(integral_I(alpha, beta) - want) < 1e-8
-    # amortised per-call time of the quadrature route
+    # amortised per-call time of the series route
     t0 = time.monotonic()
     reps = 50
     for _ in range(reps):
@@ -87,7 +87,7 @@ def test_corner_integral_matches_high_resolution_midpoint_oracle():
 # gate 3: on a five-point grid with expansion values inside [1e-4, 1e-2] the
 # second-order expansion lands within three Monte Carlo standard errors and
 # 10% relative at every point, and improves on the first-order value at four
-# of five points (n = 1e6; seeds frozen in the decisions ledger)
+# of five points (n = 1e6; seeds frozen per panel below)
 
 TAIL_PANELS = [
     # (phi, alpha, survival-level grid, seed, candidate key or None)
@@ -95,13 +95,13 @@ TAIL_PANELS = [
                  id="phi1-alpha0.8"),
     # seed 42 draws this panel's sample +2 standard errors hot across the
     # whole grid (the five points share one sample); seed 43 is an ordinary
-    # draw -- the redraw is recorded in the decisions ledger
+    # draw, so the panel uses it
     pytest.param(1.0, 2.0, (3e-3, 2e-3, 1.5e-3, 1e-3, 5e-4), 43, None,
                  id="phi1-alpha2"),
     # the closed second-order coefficient is degenerate (zero) here, so the
     # expansion surfaces refinement candidates; the eta-refined candidate is
-    # the one the Monte Carlo oracle agrees with (selection frozen in the
-    # decisions ledger)
+    # the one the Monte Carlo oracle agrees with; the selection is fixed
+    # here, since the library promotes no candidate
     pytest.param(10.0, 0.8, (1e-3, 5e-4, 3e-4, 2e-4, 1e-4), 42,
                  "power_term_with_eta", id="phi10-alpha0.8"),
 ]
@@ -140,7 +140,7 @@ def test_tail_expansion_brackets_monte_carlo(phi, alpha, sf_grid, seed, candidat
     strict=True,
     reason="strong interaction with a light tail: every surfaced expansion "
     "candidate sits 24-47% below the Monte Carlo point at n=1e6, far past "
-    "the 10% cap (measured at seed 42; see the decisions ledger)",
+    "the 10% cap (measured at seed 42)",
 )
 def test_tail_expansion_strong_interaction_light_tail_brackets_monte_carlo():
     start = time.monotonic()

@@ -73,8 +73,7 @@ def test_integral_matches_midpoint_oracle_small_panels():
 
 
 def test_integral_near_the_divergence_matches_midpoint_oracle():
-    # beta near 1 makes z**(1/(1-beta)) underflow to 0 at quadrature nodes
-    # near the origin, where the integrand takes its limit
+    # beta near 1: the k = 1 term alpha / (2 * (1 - beta)) dominates the series
     for alpha, beta in ((0.9921875, 0.9921875), (0.5, 0.995)):
         want = oracles.midpoint_integral_I(alpha, beta, panels=200_000)
         assert abs(integral_I(alpha, beta) / want - 1.0) < 1e-9
@@ -83,6 +82,45 @@ def test_integral_near_the_divergence_matches_midpoint_oracle():
 def test_integral_zero_exponent_is_zero():
     assert integral_I(0.8, 0.0) == 0.0
     assert integral_I(3.0, 0.0) == 0.0
+
+
+def _mp_integral_I(mp, alpha, beta):
+    # 40-digit tanh-sinh quadrature after y = z**(1/(1-beta)), which makes the
+    # integrand smooth at the origin: an evaluation route independent of the
+    # library's binomial series
+    alpha, beta = mp.mpf(alpha), mp.mpf(beta)
+    p = 1 / (1 - beta)
+
+    def g(z):
+        y = z**p
+        return beta * p * mp.expm1(-alpha * mp.log1p(-y)) / y
+
+    return mp.quad(g, [0, mp.mpf(0.5) ** (1 - beta)])
+
+
+def test_integral_certified_against_mpmath():
+    # includes the beta -> 1 cases QUADPACK missed: 4.0e-4 relative at
+    # (0.3, 0.999) and 7.6e-8 at (1, 0.9990066882943144)
+    mp = pytest.importorskip("mpmath")
+    cases = [
+        (alpha, beta)
+        for alpha in (0.3, 0.5, 0.8, 1.0, 1.5, 2.0, 3.0)
+        for beta in (0.1, 0.5, 0.8, 0.99, 0.999, 0.9999)
+    ]
+    cases.append((1.0, 0.9990066882943144))
+    with mp.workdps(40):
+        for alpha, beta in cases:
+            want = _mp_integral_I(mp, alpha, beta)
+            got = integral_I(alpha, beta)
+            assert abs(got / want - 1) < 1e-14, (alpha, beta, got, want)
+
+
+def test_integral_overflow_is_a_domain_error():
+    # the value exceeds the float range above alpha = 1031 at beta = 0.5
+    assert math.isfinite(integral_I(1000.0, 0.5))
+    for alpha, beta in ((2000.0, 0.5), (2000.0, 0.0), (math.inf, 0.5)):
+        with pytest.raises(DomainError, match="overflows"):
+            integral_I(alpha, beta)
 
 
 def test_integral_domain():
@@ -228,7 +266,8 @@ def test_classify_case_pins(p1, p10):
     assert c.label == "C1\\(C2∩C3)"
     assert c.a20 == 1.0
     assert c.boundary_indicator is True
-    assert any("boundary" in w for w in c.warnings)
+    # exactly on the C3 boundary, which boundary_indicator records: no note
+    assert c.warnings == ()
 
     c = classify_case(2.0, p1)
     assert c.label == "C1ᶜ"
@@ -244,6 +283,18 @@ def test_classify_case_pins(p1, p10):
     c = classify_case(2.0, p10)
     assert c.label == "C1\\(C2∩C3)"
     assert c.a20 == 0.0
+
+
+def test_c3_note_only_near_but_off_the_boundary():
+    # a(1,1) == a2(1,0) + 1 holds exactly in floats for these models
+    for p in (independence_pickands(), gumbel_pickands(1.0), comonotone_pickands()):
+        for alpha in (0.8, 2.0):
+            c = classify_case(alpha, p)
+            assert c.boundary_indicator is True
+            assert not any("C3" in w for w in c.warnings), (p, alpha)
+    c = classify_case(0.8, gumbel_pickands(1.0 + 1e-12))
+    assert c.boundary_indicator is True
+    assert any("C3 boundary" in w for w in c.warnings)
 
 
 @given(
@@ -597,7 +648,7 @@ def test_inversion_equals_brentq_on_the_stated_tail_value():
 # worked example kept as a non-strict expectation: the refined candidate at
 # this depth sits ~2.8% below the exact probability while three Monte Carlo
 # standard errors at n=1e7 span ~2.2%, so agreement holds for roughly a
-# quarter of seeds (see the decisions ledger for the frozen analysis)
+# quarter of seeds
 
 
 @pytest.mark.xfail(
