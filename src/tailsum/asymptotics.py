@@ -18,14 +18,18 @@ Independence is the extreme-value copula with dependence function
 ``a(x, y) = x + y`` (:func:`~tailsum.copulas.independence_pickands`, tail
 order 2); it runs through the same extreme-value expansions.
 
+Every second-order term is a threshold-free spec ``(kind, coefficient,
+exponent, arg)``, and one evaluator, :func:`_evaluate`, turns specs into
+numbers at a threshold. The trait theorem's eta and partial branches are
+built once, by :func:`_branch_specs`, for raw traits and for the model's own.
+
 Everything is a pure function of immutable inputs. The extreme-value
 expansions cache, per ``(marginal, dependence function)`` model, only what
-does not depend on the threshold or the level: the case label, the tail
-order, the case coefficient (its corner integrals) and, when the stated
-second order vanishes, the constants of the candidate refinements. The
-cache is a bounded ``functools.lru_cache``, which is thread-safe, and holds
-frozen values, so concurrent use is safe; quadrature scratch state is local
-to each call.
+does not depend on the threshold or the level: the case label, the case
+coefficient (its corner integrals), the stated term specs and, when the
+stated second order vanishes, the candidates' specs. The cache is a bounded
+``functools.lru_cache``, which is thread-safe, and holds frozen values, so
+concurrent use is safe; quadrature scratch state is local to each call.
 """
 
 from __future__ import annotations
@@ -33,8 +37,9 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import types
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from scipy import integrate, optimize
 
@@ -130,6 +135,13 @@ def integral_I(alpha: float, beta: float) -> float:
     return value
 
 
+def _profile_increment(tau_v, alpha: float, y: float) -> float:
+    """``tau_v((1-y)**-alpha, y**-alpha) - tau_v(1, y**-alpha)``, the corner
+    profile increment that :func:`eta_delta` and :func:`D_delta` weight."""
+    vv = y**-alpha
+    return float(tau_v((1.0 - y) ** -alpha, vv)) - float(tau_v(1.0, vv))
+
+
 def eta_delta(traits: TailOrderTraits, alpha: float, delta: float) -> float:
     """Truncated corner functional of the tail profile derivative.
 
@@ -149,9 +161,7 @@ def eta_delta(traits: TailOrderTraits, alpha: float, delta: float) -> float:
     tau_v = traits.tau_v
 
     def g(y: float) -> float:
-        grown = (1.0 - y) ** -alpha
-        vv = y**-alpha
-        return alpha * (float(tau_v(grown, vv)) - float(tau_v(1.0, vv))) * y ** (-alpha - 1.0)
+        return alpha * _profile_increment(tau_v, alpha, y) * y ** (-alpha - 1.0)
 
     value, _ = integrate.quad(g, delta, 0.5, **_QUAD_KW)
     return value
@@ -200,8 +210,8 @@ def D_delta(traits: TailOrderTraits, marginal: ParetoMarginal, delta: float, t: 
     Raises
     ------
     DomainError
-        If ``delta`` lies outside ``(0, 1/2)`` or ``t`` is not above the
-        marginal median.
+        If ``delta`` lies outside ``(0, 1/2)`` or ``t`` is not finite and
+        above the marginal median.
     """
     if not (0.0 < delta < 0.5):
         raise DomainError(f"D_delta requires 0 < delta < 1/2, got {delta}")
@@ -211,9 +221,7 @@ def D_delta(traits: TailOrderTraits, marginal: ParetoMarginal, delta: float, t: 
     sf_pdf = marginal._sf_pdf
 
     def g(y: float) -> float:
-        grown = (1.0 - y) ** -alpha
-        vv = y**-alpha
-        return (float(tau_v(grown, vv)) - float(tau_v(1.0, vv))) * sf_pdf(t * y)[1] * t
+        return _profile_increment(tau_v, alpha, y) * sf_pdf(t * y)[1] * t
 
     value, _ = integrate.quad(g, delta, 0.5, **_QUAD_KW)
     return value
@@ -235,7 +243,7 @@ def delta_correction(
     Raises
     ------
     DomainError
-        If ``t`` is not above the marginal median.
+        If ``t`` is not finite and above the marginal median.
     """
     _require_above_median(marginal, t, "delta_correction")
     a_theta = marginal.alpha * partial_traits.theta_exp
@@ -477,8 +485,67 @@ class InversionDiagnostic:
 
 def _require_above_median(m: ParetoMarginal, t: float, op: str) -> None:
     median = m._median
-    if not (t > median):
-        raise DomainError(f"{op} requires t above the marginal median {median}, got {t}")
+    if not (median < t < math.inf):
+        raise DomainError(f"{op} requires a finite t above the marginal median {median}, got {t}")
+
+
+def _evaluate(specs: tuple, m: ParetoMarginal, t: float, sf: float) -> tuple:
+    """``(terms, 2*sf + their sum)`` for the term specs at ``t``, where the
+    survival is ``sf``. A ``"power"`` spec is ``c * sf**e * arg(sf)`` (``arg``
+    None for 1), ``"truncated_mean"`` is ``c * sf**e *
+    powered_tail_truncated_mean(t, arg) / t`` and ``"delta_correction"`` is
+    ``c * delta_correction(arg, t) * sf**e * arg.h(sf)``."""
+    terms = []
+    for kind, c, e, arg in specs:
+        if kind == "power":
+            sv = 1.0 if arg is None else float(arg(sf))
+            term = ExpansionTerm(coefficient=c, exponent=e, sv_factor=sv, value=c * sf**e * sv)
+        elif kind == "truncated_mean":
+            tf = m.powered_tail_truncated_mean(t, arg) / t
+            term = ExpansionTerm(
+                coefficient=c, exponent=e, factor_tag="powered_truncated_mean_over_t",
+                t_factor=tf, value=c * tf * sf**e,
+            )
+        else:  # "delta_correction"
+            dt = delta_correction(arg, m, t)
+            h = float(arg.h(sf))
+            term = ExpansionTerm(
+                coefficient=c, exponent=e, factor_tag="delta_correction",
+                t_factor=dt, sv_factor=h, value=c * dt * sf**e * h,
+            )
+        terms.append(term)
+    return tuple(terms), 2.0 * sf + sum(term.value for term in terms)
+
+
+def _branch_specs(
+    tail_traits: TailOrderTraits,
+    partial_traits: Optional[PartialLimitTraits],
+    alpha: float,
+    branch: str,
+    ell: Optional[Callable],
+    eta: Optional[float] = None,
+) -> tuple:
+    """Term specs of the ``"eta"`` or ``"partial"`` branch (see
+    :func:`tailprob_expansion_general`), or of the ``"power"`` term the two
+    share, with slowly varying factor ``ell`` (None for 1). The eta branch
+    uses the eta limit ``eta`` when given and raises
+    :class:`DivergentIntegralError` when it is infinite; the partial branch
+    raises :class:`DomainError` without partial traits."""
+    coefficient = power_term_coefficient(tail_traits, alpha)
+    if branch == "eta":
+        if eta is None:
+            eta = eta_limit(tail_traits, alpha)
+        if not math.isfinite(eta):
+            raise DivergentIntegralError(
+                "eta branch requested but the eta limit diverges for these traits"
+            )
+        coefficient = 2.0 * eta + coefficient
+    specs = (("power", coefficient, tail_traits.kappa, ell),)
+    if branch != "partial":
+        return specs
+    if partial_traits is None:
+        raise DomainError("partial branch requires partial-limit traits")
+    return specs + (("delta_correction", 2.0, partial_traits.theta_exp, partial_traits),)
 
 
 @dataclass(frozen=True)
@@ -486,35 +553,24 @@ class _ModelPlan:
     """The part of the extreme-value expansions of one model that depends
     on neither the threshold nor the level.
 
-    ``power_terms`` holds the stated tail terms ``coefficient *
-    sf**exponent`` as ``(coefficient, exponent)`` pairs; it is empty in the
-    complement case, whose term depends on ``t``. ``coefficient`` is the
-    case coefficient of the quantile expansion: ``zeta1`` when all three
-    predicates hold, the middle case's ``c`` (zero when degenerate), None
-    in the complement case. ``var_exponent`` is the power of ``1 - q`` in
-    the quantile correction: ``a(1,1) - 1`` when all three predicates hold,
-    ``a20`` in the middle case, None in the complement case; the tail
-    exponent is one more. ``degenerate`` marks the middle case whose
-    stated second order vanishes; only then are the last three fields set:
-    the ``power_term`` coefficient, the ``power_term_with_eta`` coefficient
-    (None when its integral diverges) and the dependence function's
-    log-refined traits (:attr:`~tailsum.copulas.PickandsEV.log_refined`).
+    ``terms`` holds the stated term specs: the eta branch on the model's
+    traits when all three predicates hold, the case's power terms in the
+    middle case, the truncated-mean term in the complement case.
+    ``coefficient`` is the case coefficient of the quantile expansion:
+    ``zeta1`` when all three predicates hold, the middle case's ``c`` (zero
+    when degenerate), None in the complement case. ``var_exponent`` is the
+    power of ``1 - q`` in the quantile correction: ``a(1,1) - 1`` when all
+    three predicates hold, ``a20`` in the middle case, None in the
+    complement case; the tail exponent is one more. ``candidates`` maps
+    each candidate's name to its specs, only in the middle case whose stated
+    second order vanishes (see :func:`tailprob_expansion_ev`).
     """
 
     case: CaseLabel
-    kappa: float
     coefficient: Optional[float]
     var_exponent: Optional[float]
-    power_terms: tuple
-    degenerate: bool = False
-    delta2: Optional[float] = None
-    eta_coefficient: Optional[float] = None
-    log_refined: Optional[PartialLimitTraits] = None
-
-
-def _zeta1(alpha: float, mhat: float) -> float:
-    am = alpha * mhat
-    return 2.0 * integral_I(am, am) + 2.0 ** (2.0 * am) - 2.0 ** (am + 1.0)
+    terms: tuple
+    candidates: Optional[Mapping[str, tuple]] = None
 
 
 @functools.lru_cache(maxsize=64)
@@ -522,75 +578,40 @@ def _model_plan(m: ParetoMarginal, p: PickandsEV) -> _ModelPlan:
     """Classify the model and evaluate its threshold-free constants once."""
     alpha = m.alpha
     case = classify_case(alpha, p)
-    kappa = float(p.a_fn(1.0, 1.0))
-    mhat = float(p.a1_fn(1.0, 1.0))
+    traits = tail_order_traits(p)
+    kappa = traits.kappa
     a20 = case.a20
+    # extreme-value traits have ell == 1, which a power spec writes as None
     if case.label == LABEL_ALL:
+        terms = _branch_specs(traits, None, alpha, "eta", None)
         # kappa - 1 and its sum with 1 are exact for kappa in [1, 2]
-        zeta1 = _zeta1(alpha, mhat)
-        return _ModelPlan(case, kappa, zeta1, kappa - 1.0, ((zeta1, kappa),))
+        return _ModelPlan(case, terms[0][1], kappa - 1.0, terms)
     if case.label == LABEL_COMPLEMENT:  # alpha * a20 >= 1
-        return _ModelPlan(case, kappa, None, None, ())
+        return _ModelPlan(case, None, None, (("truncated_mean", 2.0 * alpha, 1.0, a20),))
 
     c = zeta2 = 2.0 * integral_I(alpha, alpha * a20)
     terms = []
     if zeta2 != 0.0:
-        terms.append((zeta2, a20 + 1.0))
+        terms.append(("power", zeta2, a20 + 1.0, None))
     if case.boundary_indicator:
-        am = alpha * mhat
+        am = alpha * float(p.a1_fn(1.0, 1.0))
         coeff = 2.0 ** (2.0 * am) - 2.0 ** (am + 1.0)
-        terms.append((coeff, kappa))
+        terms.append(("power", coeff, kappa, None))
         c += coeff
-    if any(e <= 1.0 for _, e in terms):
+    if any(e <= 1.0 for _, _, e, _ in terms):
         # the comonotone boundary term, of the same order as the leading one
         raise DomainError("second-order term must have exponent above 1 or a t-decaying factor")
     if terms:
-        return _ModelPlan(case, kappa, c, a20, tuple(terms))
+        return _ModelPlan(case, c, a20, tuple(terms))
 
-    # the stated second order vanishes: constants of the candidate refinements
-    return _ModelPlan(
-        case, kappa, c, a20, (), degenerate=True,
-        delta2=power_term_coefficient(tail_order_traits(p), alpha),
-        eta_coefficient=_zeta1(alpha, mhat) if alpha * mhat < 1.0 else None,
-        log_refined=p.log_refined,
-    )
-
-
-def _stated_tail(plan: _ModelPlan, m: ParetoMarginal, t: float) -> tuple:
-    """``(survival(t), stated second-order terms, stated value)`` at ``t``."""
-    s = m.survival(t)
-    if plan.coefficient is None:  # the complement case's truncated-mean term
-        tf = m.powered_tail_truncated_mean(t, plan.case.a20) / t
-        coeff = 2.0 * m.alpha
-        terms = (
-            ExpansionTerm(
-                coefficient=coeff, exponent=1.0,
-                factor_tag="powered_truncated_mean_over_t", t_factor=tf,
-                value=coeff * tf * s,
-            ),
-        )
-    else:
-        terms = tuple(
-            ExpansionTerm(coefficient=c, exponent=e, value=c * s**e) for c, e in plan.power_terms
-        )
-    return s, terms, 2.0 * s + sum(term.value for term in terms)
-
-
-def _degenerate_candidates(plan: _ModelPlan, m: ParetoMarginal, t: float, s: float) -> dict:
-    """Alternative refinements when the stated second-order term vanishes."""
-    kappa, delta2 = plan.kappa, plan.delta2
-    candidates = {
-        "leading": 2.0 * s,
-        "power_term": 2.0 * s + delta2 * s**kappa,
-    }
-    if plan.eta_coefficient is not None:
-        candidates["power_term_with_eta"] = 2.0 * s + plan.eta_coefficient * s**kappa
-    slow = plan.log_refined
-    if slow is not None:
-        dt = delta_correction(slow, m, t)
-        h_s = float(slow.h(s))
-        candidates["log_refined"] = 2.0 * s + delta2 * s**kappa + 2.0 * dt * s * h_s
-    return candidates
+    # the stated second order vanishes: the candidates are the trait branches
+    candidates = {"leading": (), "power_term": _branch_specs(traits, None, alpha, "power", None)}
+    eta = eta_limit(traits, alpha)
+    if math.isfinite(eta):
+        candidates["power_term_with_eta"] = _branch_specs(traits, None, alpha, "eta", None, eta)
+    if p.log_refined is not None:
+        candidates["log_refined"] = _branch_specs(traits, p.log_refined, alpha, "partial", None)
+    return _ModelPlan(case, c, a20, (), types.MappingProxyType(candidates))
 
 
 def tailprob_expansion_ev(m: ParetoMarginal, p: PickandsEV, t: float) -> Expansion:
@@ -599,7 +620,8 @@ def tailprob_expansion_ev(m: ParetoMarginal, p: PickandsEV, t: float) -> Expansi
 
     Dispatches on :func:`classify_case`:
 
-    * all three predicates hold: coefficient
+    * all three predicates hold: the trait theorem's eta branch on the
+      model's traits, coefficient
       ``2*integral_I(a*m, a*m) + 2**(2*a*m) - 2**(a*m+1)`` (with
       ``m = a1(1,1)``) on the power ``a(1,1)`` of the survival;
     * first predicate only: coefficient ``2*integral_I(alpha, alpha*a20)``
@@ -612,29 +634,36 @@ def tailprob_expansion_ev(m: ParetoMarginal, p: PickandsEV, t: float) -> Expansi
     When the middle case yields a zero coefficient and a false indicator the
     stated second order vanishes; the expansion then carries an explicit
     diagnostic and a ``candidates`` mapping of alternative refinements, with
-    the primary value staying the stated one.
+    the primary value staying the stated one. The candidates are branches of
+    :func:`tailprob_expansion_general` on the model's own traits: no term
+    (``leading``), the branches' shared power term (``power_term``), the eta
+    branch when its limit is finite (``power_term_with_eta``) and the
+    partial branch on the log-refined traits, if any (``log_refined``).
 
-    The classification and the coefficients are evaluated once per model
-    and cached; only the survival, the complement case's truncated mean and
+    The classification and the term specs are built once per model and
+    cached; only the survival, the complement case's truncated mean and
     the ``log_refined`` candidate's :func:`delta_correction` are evaluated
     per threshold.
 
     Raises
     ------
     DomainError
-        If ``t`` is not above the marginal median.
+        If ``t`` is not finite and above the marginal median.
     """
     _require_above_median(m, t, "tailprob_expansion_ev")
     plan = _model_plan(m, p)
-    s, terms, value = _stated_tail(plan, m, t)
+    s = m.survival(t)
+    terms, value = _evaluate(plan.terms, m, t, s)
     diagnostics = plan.case.warnings
     candidates = None
-    if plan.degenerate:
+    if plan.candidates is not None:
         diagnostics += (
             "second-order term vanishes under the stated case conditions; "
             "candidate refinements attached",
         )
-        candidates = _degenerate_candidates(plan, m, t, s)
+        candidates = {
+            name: _evaluate(specs, m, t, s)[1] for name, specs in plan.candidates.items()
+        }
     return Expansion(
         t=t, value=value, first_order=2.0 * s, terms=terms, case=plan.case,
         diagnostics=diagnostics, candidates=candidates,
@@ -666,8 +695,9 @@ def tailprob_expansion_general(
     Raises
     ------
     DomainError
-        If ``t`` is not above the marginal median, the tail order is not
-        above 1, or an explicit ``"partial"`` request lacks partial traits.
+        If ``t`` is not finite and above the marginal median, the tail order
+        is not above 1, or an explicit ``"partial"`` request lacks partial
+        traits.
     DivergentIntegralError
         If an explicit ``"eta"`` request meets an infinite eta limit.
     AmbiguousBranchError
@@ -682,9 +712,7 @@ def tailprob_expansion_general(
             f"tail order must exceed 1 for a genuinely higher-order correction, got {kappa}"
         )
     alpha = m.alpha
-    s = m.survival(t)
-    first = 2.0 * s
-    diagnostics = []
+    diagnostics = ()
 
     chosen = branch
     eta = None
@@ -694,57 +722,21 @@ def tailprob_expansion_general(
         beta_ok = partial_traits is None or alpha * (1.0 - partial_traits.beta) < 1.0
         if math.isfinite(eta) and abs(d_val) > 1e-14 and beta_ok:
             chosen = "eta"
-            diagnostics.append(
-                f"auto-selected eta branch: eta={eta:.6g}, D(0.1,t)={d_val:.3e}"
-            )
         elif partial_traits is not None:
             chosen = "partial"
-            diagnostics.append(
-                f"auto-selected partial branch: eta={eta:.6g}, D(0.1,t)={d_val:.3e}"
-            )
         else:
             raise AmbiguousBranchError(
                 "automatic branch selection is inconclusive "
                 f"(eta={eta!r}, D(0.1,t)={d_val!r}, no partial traits); "
                 "pass branch='eta' or branch='partial' explicitly"
             )
-
-    ell_s = float(tail_traits.ell(s))
-    base_coeff = power_term_coefficient(tail_traits, alpha)
-
-    if chosen == "eta":
-        if eta is None:
-            eta = eta_limit(tail_traits, alpha)
-        if not math.isfinite(eta):
-            raise DivergentIntegralError(
-                "eta branch requested but the eta limit diverges for these traits"
-            )
-        delta1 = 2.0 * eta + base_coeff
-        term = ExpansionTerm(
-            coefficient=delta1, exponent=kappa, sv_factor=ell_s,
-            value=delta1 * s**kappa * ell_s,
-        )
-        terms = (term,)
-    else:
-        if partial_traits is None:
-            raise DomainError("partial branch requires partial-limit traits")
-        dt = delta_correction(partial_traits, m, t)
-        theta = partial_traits.theta_exp
-        h_s = float(partial_traits.h(s))
-        term_power = ExpansionTerm(
-            coefficient=base_coeff, exponent=kappa, sv_factor=ell_s,
-            value=base_coeff * s**kappa * ell_s,
-        )
-        term_partial = ExpansionTerm(
-            coefficient=2.0, exponent=theta, factor_tag="delta_correction",
-            t_factor=dt, sv_factor=h_s, value=2.0 * dt * s**theta * h_s,
-        )
-        terms = (term_power, term_partial)
-
-    value = first + sum(term.value for term in terms)
+        diagnostics = (f"auto-selected {chosen} branch: eta={eta:.6g}, D(0.1,t)={d_val:.3e}",)
+    specs = _branch_specs(tail_traits, partial_traits, alpha, chosen, tail_traits.ell, eta)
+    s = m.survival(t)
+    terms, value = _evaluate(specs, m, t, s)
     return Expansion(
-        t=t, value=value, first_order=first, terms=terms, case=None,
-        diagnostics=tuple(diagnostics), candidates=None,
+        t=t, value=value, first_order=2.0 * s, terms=terms, case=None,
+        diagnostics=diagnostics, candidates=None,
     )
 
 
@@ -860,10 +852,10 @@ def var_from_tailprob_inversion(
     _check_q(q, "var_from_tailprob_inversion")
 
     # the stated value only: the candidates never enter it
-    plan = _model_plan(m, p)
+    terms = _model_plan(m, p).terms
 
     def tail_value(t: float) -> float:
-        return _stated_tail(plan, m, t)[2]
+        return _evaluate(terms, m, t, m.survival(t))[1]
 
     formula = var_expansion_ev(m, p, q).value
 

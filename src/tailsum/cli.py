@@ -37,6 +37,7 @@ import argparse
 import csv
 import functools
 import io
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -233,6 +234,10 @@ def _resolve_t_grid(cfg: _Settings, m: ParetoMarginal) -> tuple:
         )
     if points < 2:
         raise ConfigError(f"grid.points must be at least 2, got {points}")
+    # 1 - sf_min may round to 1, or its quantile overflow at a tiny alpha
+    with np.errstate(over="ignore"):
+        if 1.0 - sf_min == 1.0 or not math.isfinite(m.quantile(1.0 - sf_min)):
+            raise ConfigError(f"grid.sf_min {sf_min} has no finite threshold at alpha {m.alpha}")
     sfs = np.geomspace(sf_max, sf_min, points)
     return tuple(float(m.quantile(1.0 - sf)) for sf in sfs)
 

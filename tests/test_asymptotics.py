@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import optimize
+from scipy.integrate import IntegrationWarning
 
 import oracles
 from test_galambos import galambos_pickands
@@ -28,6 +29,7 @@ from tailsum import (
     DomainError,
     ExpansionTerm,
     ParetoMarginal,
+    PickandsEV,
     classify_case,
     comonotone_pickands,
     delta_correction,
@@ -456,6 +458,98 @@ def test_general_tailprob_auto_prefers_partial_when_eta_diverges(m2):
     pl = partial_limit_traits("independence")
     g = tailprob_expansion_general(m2, tri, pl, 1e3)
     assert any("partial" in d for d in g.diagnostics)
+
+
+@pytest.mark.parametrize("phi", [2.0, 10.0])
+@pytest.mark.parametrize("alpha", [0.8, 2.0])
+def test_candidates_are_the_trait_theorems_branches(phi, alpha):
+    # the degenerate case's candidates are the general expansion's branches
+    # on the model's own traits, evaluated by the same code
+    m, p = ParetoMarginal(alpha, 1.0), gumbel_pickands(phi)
+    traits = tail_order_traits(p)
+    for sf in np.geomspace(1e-2, 1e-6, 5):
+        t = m.quantile(1.0 - sf)
+        candidates = tailprob_expansion_ev(m, p, t).candidates
+        partial = tailprob_expansion_general(m, traits, p.log_refined, t, branch="partial")
+        assert math.isclose(candidates["log_refined"], partial.value, rel_tol=1e-15)
+        if "power_term_with_eta" in candidates:
+            eta = tailprob_expansion_general(m, traits, p.log_refined, t, branch="eta")
+            assert math.isclose(candidates["power_term_with_eta"], eta.value, rel_tol=1e-15)
+        else:
+            with pytest.raises(DivergentIntegralError):
+                tailprob_expansion_general(m, traits, p.log_refined, t, branch="eta")
+
+
+def test_all_predicates_coefficient_is_zeta1():
+    # A convex dependence function has a(1,1) - 1 >= a2(1,0), so C3 fails
+    # for every valid model; this symmetric, homogeneous but non-convex one
+    # (a(1,1) = 1.4, a1(1,1) = 0.7, a2(1,0) = 1) reaches the all-predicates
+    # case, whose coefficient is 2*I(am, am) + 2**(2am) - 2**(am+1).
+    c = 0.3
+
+    def a_fn(x, y):
+        return x + y - 16 * c * x**2 * y**2 / (x + y) ** 3
+
+    def a2_fn(x, y):
+        s = x + y
+        return 1 - 16 * c * (2 * x**2 * y / s**3 - 3 * x**2 * y**2 / s**4)
+
+    p = PickandsEV(a_fn, lambda x, y: a2_fn(y, x), a2_fn, family="non-convex")
+    m, alpha, kappa, am = ParetoMarginal(0.8, 1.0), 0.8, 1.4, 0.8 * 0.7
+    assert classify_case(alpha, p).label == "C1∩C2∩C3"
+    zeta1 = 2 * integral_I(am, am) + 2 ** (2 * am) - 2 ** (am + 1)
+    for sf in (1e-2, 1e-4, 1e-6):
+        t = m.quantile(1.0 - sf)
+        s = m.survival(t)
+        e = tailprob_expansion_ev(m, p, t)
+        assert math.isclose(e.value, 2 * s + zeta1 * s**kappa, rel_tol=1e-15)
+    q = 0.999
+    first = 2 ** (1 / alpha) * m.quantile(q)
+    v = var_expansion_ev(m, p, q)
+    expected = first * (1 + zeta1 * 2**-kappa / alpha * (1 - q) ** (kappa - 1))
+    assert math.isclose(v.value, expected, rel_tol=1e-15)
+    assert v.case.rho_regime == "below"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=IntegrationWarning,
+    reason="the log_refined candidate's delta_correction quadrature detects roundoff "
+    "at t = 8.7e13; ROADMAP item 4 (re-derive or delete that candidate)",
+)
+def test_log_refined_candidate_quadrature_converges_at_phi2_alpha03():
+    m, p = ParetoMarginal(0.3, 1.0), gumbel_pickands(2.0)
+    t = m.quantile(1.0 - np.geomspace(1e-2, 1e-10, 12)[4])
+    e = tailprob_expansion_ev(m, p, t)
+    assert all(math.isfinite(v) for v in e.candidates.values())
+
+
+def test_threshold_must_be_finite_and_above_the_median(m08, m2, p1, p10):
+    # an infinite threshold once gave NaN (inf / inf in the complement term)
+    tri = tail_order_traits("independence")
+    pl = partial_limit_traits("independence")
+    calls = [
+        lambda t: tailprob_expansion_ev(m2, p1, t),  # complement case
+        lambda t: tailprob_expansion_ev(m08, p10, t),  # degenerate case, candidates
+        lambda t: tailprob_expansion_general(m08, tri, pl, t),
+        lambda t: D_delta(tri, m08, 0.1, t),
+        lambda t: delta_correction(pl, m08, t),
+    ]
+    for call in calls:
+        for t in (math.inf, math.nan, 0.1):
+            with pytest.raises(DomainError, match="finite t above the marginal median"):
+                call(t)
+
+
+def test_inversion_with_an_infinite_bracket_raises_domain_error():
+    # at alpha 0.003 the level's quantiles overflow to inf, so the doubling
+    # bracket starts and stays at an infinite threshold
+    m = ParetoMarginal(0.003, 1.0)
+    with np.errstate(over="ignore"):
+        assert math.isinf(m.quantile(0.99))
+        for p in (gumbel_pickands(1.0), gumbel_pickands(10.0)):
+            with pytest.raises(DomainError, match="could not bracket"):
+                var_from_tailprob_inversion(m, p, 0.99)
 
 
 # ---------------------------------------------------------------------------

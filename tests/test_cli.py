@@ -157,6 +157,27 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_infinite_threshold_exits_2(capsys):
+    # an infinite threshold has no expansion; it once printed a NaN row and exited 0
+    rc = main(["tailprob", "--alpha", "2", "--family", "gumbel", "--phi", "1",
+               "--seed", "1", "--n", "1000", "--t", "100,inf"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "finite t" in captured.err
+    assert "nan" not in captured.out
+
+
+@pytest.mark.parametrize("alpha, sf_min", [("2", "1e-17"), ("0.01", "1e-5")])
+def test_sf_grid_without_a_finite_threshold_exits_2(alpha, sf_min, capsys):
+    # 1 - sf_min rounds to 1, or the quantile overflows at a tiny alpha
+    rc = main(["tailprob", "--alpha", alpha, "--family", "gumbel", "--phi", "1",
+               "--seed", "1", "--n", "1000", "--sf-min", sf_min])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"grid.sf_min {float(sf_min)}" in captured.err
+    assert captured.out == ""
+
+
 def test_argparse_usage_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
