@@ -7,7 +7,7 @@ copula, or raw tail traits), this module evaluates:
   :func:`integral_I`; :func:`eta_delta`, :func:`eta_limit`, :func:`D_delta`,
   :func:`delta_correction` by quadrature);
 * the case classification of the extreme-value regime
-  (:func:`classify_case`);
+  (:func:`classify_case`), which rejects a non-convex dependence function;
 * first- plus second-order expansions of ``P(X + Y > t)``
   (:func:`tailprob_expansion_ev`, :func:`tailprob_expansion_general`);
 * first- plus second-order expansions of the ``q``-quantile of ``X + Y``
@@ -79,7 +79,6 @@ __all__ = [
 
 _QUAD_KW = {"epsabs": 1e-13, "epsrel": 1e-12, "limit": 200}
 
-LABEL_ALL = "C1∩C2∩C3"
 LABEL_PARTIAL = "C1\\(C2∩C3)"
 LABEL_COMPLEMENT = "C1ᶜ"
 
@@ -280,16 +279,18 @@ def power_term_coefficient(traits: TailOrderTraits, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class CaseLabel:
-    """Which regime of the extreme-value expansion applies.
+    """Which of the two cases of the extreme-value expansion applies.
 
     Attributes
     ----------
     label : str
-        Exactly one of ``"C1∩C2∩C3"``, ``"C1\\(C2∩C3)"``, ``"C1ᶜ"``, from
-        the predicates ``C1: alpha*a2(1,0) < 1``, ``C2: alpha*a1(1,1) < 1``,
-        ``C3: a(1,1) < a2(1,0) + 1``.
-    c1, c2, c3 : bool
-        The individual predicate values.
+        ``"C1\\(C2∩C3)"`` when ``C1: alpha*a2(1,0) < 1``, else ``"C1ᶜ"``
+        (the paper's third case, with ``C3: a(1,1) < a2(1,0) + 1``, needs a
+        non-convex dependence function, which :func:`classify_case` rejects).
+    c1, c2 : bool
+        C1 and ``C2: alpha*a1(1,1) < 1``. C2 leaves the label alone: it says
+        whether the eta branch's corner integral converges, so whether a
+        vanishing middle case offers the ``power_term_with_eta`` candidate.
     a20 : float
         The corner slope ``a2(1, 0)`` used by the predicates (limit
         estimate of :func:`~tailsum.copulas.estimate_corner_slope`, exactly
@@ -313,7 +314,6 @@ class CaseLabel:
     label: str
     c1: bool
     c2: bool
-    c3: bool
     a20: float
     boundary_indicator: bool
     rho_regime: Optional[str] = None
@@ -321,34 +321,33 @@ class CaseLabel:
 
 
 def classify_case(alpha: float, p: PickandsEV) -> CaseLabel:
-    """Classify the extreme-value expansion regime for a tail index.
+    """Classify the model into one of the two cases of :class:`CaseLabel`.
 
     The corner slope ``a2(1, 0)`` is estimated as the limit of ``a2(1, v)``
     over ``v`` in ``1e-4 .. 1e-10`` by
-    :func:`~tailsum.copulas.estimate_corner_slope`.
-    Exactly one label is returned; predicates within 1e-8 of their boundary
+    :func:`~tailsum.copulas.estimate_corner_slope`. A dependence function is
+    convex with ``a(1, 0) = 1``, so ``a(1,1) - 1 = int_0^1 a2(1,y) dy >=
+    a2(1,0)`` and C3 never holds. Predicates within 1e-8 of their boundary
     (C3: but not exactly on it) attach a warning but still classify.
 
     Raises
     ------
     DomainError
-        If ``alpha`` is not positive.
+        If ``alpha`` is not positive, or ``a(1,1) < a2(1,0) + 1 - 1e-8``
+        (the dependence function is not convex).
     """
     if not (alpha > 0):
         raise DomainError(f"classify_case requires alpha > 0, got {alpha}")
     a20, probe_warning = estimate_corner_slope(p)
     a11 = float(p.a1_fn(1.0, 1.0))
-    kap = float(p.a_fn(1.0, 1.0))
+    c3_margin = float(p.a_fn(1.0, 1.0)) - (a20 + 1.0)
+    if c3_margin < -1e-8:
+        raise DomainError(
+            f"a(1,1) - a2(1,0) - 1 = {c3_margin!r} < 0: the dependence function is not convex"
+        )
 
     c1 = alpha * a20 < 1.0
     c2 = alpha * a11 < 1.0
-    c3 = kap < a20 + 1.0
-    if c1 and c2 and c3:
-        label = LABEL_ALL
-    elif c1:
-        label = LABEL_PARTIAL
-    else:
-        label = LABEL_COMPLEMENT
 
     warnings = []
     if probe_warning:
@@ -357,16 +356,15 @@ def classify_case(alpha: float, p: PickandsEV) -> CaseLabel:
         warnings.append("within 1e-8 of the C1 boundary alpha*a2(1,0) = 1")
     if abs(alpha * a11 - 1.0) < 1e-8:
         warnings.append("within 1e-8 of the C2 boundary alpha*a1(1,1) = 1")
-    if 0.0 < abs(kap - (a20 + 1.0)) < 1e-8:
+    if 0.0 < abs(c3_margin) < 1e-8:
         warnings.append("within 1e-8 of the C3 boundary a(1,1) = a2(1,0) + 1")
 
     return CaseLabel(
-        label=label,
+        label=LABEL_PARTIAL if c1 else LABEL_COMPLEMENT,
         c1=c1,
         c2=c2,
-        c3=c3,
         a20=a20,
-        boundary_indicator=abs(kap - (a20 + 1.0)) <= 1e-9,
+        boundary_indicator=abs(c3_margin) <= 1e-9,
         rho_regime=None,
         warnings=tuple(warnings),
     )
@@ -553,22 +551,17 @@ class _ModelPlan:
     """The part of the extreme-value expansions of one model that depends
     on neither the threshold nor the level.
 
-    ``terms`` holds the stated term specs: the eta branch on the model's
-    traits when all three predicates hold, the case's power terms in the
+    ``terms`` holds the stated term specs: the case's power terms in the
     middle case, the truncated-mean term in the complement case.
-    ``coefficient`` is the case coefficient of the quantile expansion:
-    ``zeta1`` when all three predicates hold, the middle case's ``c`` (zero
-    when degenerate), None in the complement case. ``var_exponent`` is the
-    power of ``1 - q`` in the quantile correction: ``a(1,1) - 1`` when all
-    three predicates hold, ``a20`` in the middle case, None in the
-    complement case; the tail exponent is one more. ``candidates`` maps
-    each candidate's name to its specs, only in the middle case whose stated
+    ``coefficient`` is the middle case's coefficient of the quantile
+    expansion, on the power ``case.a20`` of ``1 - q`` (zero when
+    degenerate), and None in the complement case. ``candidates`` maps each
+    candidate's name to its specs, only in the middle case whose stated
     second order vanishes (see :func:`tailprob_expansion_ev`).
     """
 
     case: CaseLabel
     coefficient: Optional[float]
-    var_exponent: Optional[float]
     terms: tuple
     candidates: Optional[Mapping[str, tuple]] = None
 
@@ -579,15 +572,10 @@ def _model_plan(m: ParetoMarginal, p: PickandsEV) -> _ModelPlan:
     alpha = m.alpha
     case = classify_case(alpha, p)
     traits = tail_order_traits(p)
-    kappa = traits.kappa
     a20 = case.a20
     # extreme-value traits have ell == 1, which a power spec writes as None
-    if case.label == LABEL_ALL:
-        terms = _branch_specs(traits, None, alpha, "eta", None)
-        # kappa - 1 and its sum with 1 are exact for kappa in [1, 2]
-        return _ModelPlan(case, terms[0][1], kappa - 1.0, terms)
     if case.label == LABEL_COMPLEMENT:  # alpha * a20 >= 1
-        return _ModelPlan(case, None, None, (("truncated_mean", 2.0 * alpha, 1.0, a20),))
+        return _ModelPlan(case, None, (("truncated_mean", 2.0 * alpha, 1.0, a20),))
 
     c = zeta2 = 2.0 * integral_I(alpha, alpha * a20)
     terms = []
@@ -596,13 +584,13 @@ def _model_plan(m: ParetoMarginal, p: PickandsEV) -> _ModelPlan:
     if case.boundary_indicator:
         am = alpha * float(p.a1_fn(1.0, 1.0))
         coeff = 2.0 ** (2.0 * am) - 2.0 ** (am + 1.0)
-        terms.append(("power", coeff, kappa, None))
+        terms.append(("power", coeff, traits.kappa, None))
         c += coeff
     if any(e <= 1.0 for _, _, e, _ in terms):
         # the comonotone boundary term, of the same order as the leading one
         raise DomainError("second-order term must have exponent above 1 or a t-decaying factor")
     if terms:
-        return _ModelPlan(case, c, a20, tuple(terms))
+        return _ModelPlan(case, c, tuple(terms))
 
     # the stated second order vanishes: the candidates are the trait branches
     candidates = {"leading": (), "power_term": _branch_specs(traits, None, alpha, "power", None)}
@@ -611,24 +599,20 @@ def _model_plan(m: ParetoMarginal, p: PickandsEV) -> _ModelPlan:
         candidates["power_term_with_eta"] = _branch_specs(traits, None, alpha, "eta", None, eta)
     if p.log_refined is not None:
         candidates["log_refined"] = _branch_specs(traits, p.log_refined, alpha, "partial", None)
-    return _ModelPlan(case, c, a20, (), types.MappingProxyType(candidates))
+    return _ModelPlan(case, c, (), types.MappingProxyType(candidates))
 
 
 def tailprob_expansion_ev(m: ParetoMarginal, p: PickandsEV, t: float) -> Expansion:
     """Second-order tail of the sum of two Pareto risks under an
     extreme-value copula.
 
-    Dispatches on :func:`classify_case`:
+    Dispatches on the two cases of :func:`classify_case`:
 
-    * all three predicates hold: the trait theorem's eta branch on the
-      model's traits, coefficient
-      ``2*integral_I(a*m, a*m) + 2**(2*a*m) - 2**(a*m+1)`` (with
-      ``m = a1(1,1)``) on the power ``a(1,1)`` of the survival;
-    * first predicate only: coefficient ``2*integral_I(alpha, alpha*a20)``
-      on the power ``a20 + 1``, plus the boundary-indicator term
-      ``(2**(2*a*m) - 2**(a*m+1)) * sf**a(1,1)`` when
-      ``a(1,1) == a20 + 1``;
-    * first predicate fails: the truncated-mean form with the tail-power
+    * ``alpha*a20 < 1``: coefficient ``2*integral_I(alpha, alpha*a20)`` on
+      the power ``a20 + 1`` of the survival, plus the boundary-indicator
+      term ``(2**(2*a*m) - 2**(a*m+1)) * sf**a(1,1)`` (with
+      ``m = a1(1,1)``) when ``a(1,1) == a20 + 1``;
+    * ``alpha*a20 >= 1``: the truncated-mean form with the tail-power
       distribution of exponent ``a20``.
 
     When the middle case yields a zero coefficient and a false indicator the
@@ -648,7 +632,8 @@ def tailprob_expansion_ev(m: ParetoMarginal, p: PickandsEV, t: float) -> Expansi
     Raises
     ------
     DomainError
-        If ``t`` is not finite and above the marginal median.
+        If ``t`` is not finite and above the marginal median, or the
+        dependence function is not convex (see :func:`classify_case`).
     """
     _require_above_median(m, t, "tailprob_expansion_ev")
     plan = _model_plan(m, p)
@@ -686,8 +671,9 @@ def tailprob_expansion_general(
     + 2*delta_correction(t) * sf**theta_exp * h(sf)``.
 
     With ``branch="auto"`` the eta branch is chosen when the eta limit is
-    finite, the finite-level weighting ``D_delta(0.1, t)`` does not vanish,
-    and (when partial traits are supplied) ``alpha*(1 - beta) < 1``;
+    finite, ``D_delta(0.1, t) / survival(t)`` (which tends to ``eta_delta``)
+    does not vanish, and (when partial traits are supplied)
+    ``alpha*(1 - beta) < 1``;
     otherwise the partial branch is chosen when partial traits are
     available. If neither branch qualifies the choice is ambiguous and an
     explicit branch is required.
@@ -716,11 +702,12 @@ def tailprob_expansion_general(
 
     chosen = branch
     eta = None
+    s = m.survival(t)
     if branch == "auto":
         eta = eta_limit(tail_traits, alpha)
         d_val = D_delta(tail_traits, m, 0.1, t)
         beta_ok = partial_traits is None or alpha * (1.0 - partial_traits.beta) < 1.0
-        if math.isfinite(eta) and abs(d_val) > 1e-14 and beta_ok:
+        if math.isfinite(eta) and abs(d_val) > 1e-14 * s and beta_ok:
             chosen = "eta"
         elif partial_traits is not None:
             chosen = "partial"
@@ -730,9 +717,10 @@ def tailprob_expansion_general(
                 f"(eta={eta!r}, D(0.1,t)={d_val!r}, no partial traits); "
                 "pass branch='eta' or branch='partial' explicitly"
             )
-        diagnostics = (f"auto-selected {chosen} branch: eta={eta:.6g}, D(0.1,t)={d_val:.3e}",)
+        diagnostics = (
+            f"auto-selected {chosen} branch: eta={eta:.6g}, D(0.1,t)={d_val:.3e}, sf={s:.3e}",
+        )
     specs = _branch_specs(tail_traits, partial_traits, alpha, chosen, tail_traits.ell, eta)
-    s = m.survival(t)
     terms, value = _evaluate(specs, m, t, s)
     return Expansion(
         t=t, value=value, first_order=2.0 * s, terms=terms, case=None,
@@ -764,26 +752,23 @@ def _check_q(q: float, op: str) -> None:
 def var_expansion_ev(m: ParetoMarginal, p: PickandsEV, q: float) -> VarExpansion:
     """Second-order quantile of the sum under an extreme-value copula.
 
-    With the case coefficient ``c`` and exponent ``e`` that the
-    :func:`classify_case` label fixes, the quantile is
-    ``2**(1/alpha) * Q(q) * (1 + c * 2**-(e+1) / alpha * (1-q)**e)``:
-
-    * all three predicates hold: ``e = a(1,1) - 1`` and ``c = zeta1``, the
-      tail-probability coefficient;
-    * middle case: ``e = a20`` and ``c`` the tail-probability coefficient
-      including the boundary-indicator term.
-
+    In the middle case of :func:`classify_case` (``alpha*a20 < 1``), with
+    the tail-probability coefficient ``c`` (boundary-indicator term
+    included), the quantile is
+    ``2**(1/alpha) * Q(q) * (1 + c * 2**-(a20+1) / alpha * (1-q)**a20)``.
     The Pareto second-order index ``rho = -1`` lies below the case
-    threshold ``-alpha*e`` in both, by the case predicates (``rho_regime``
-    is ``"below"``). When ``c`` vanishes, and in the complement case, whose
-    threshold ``-1`` is exactly the Pareto ``rho``, the value is the
-    second-order regular-variation strip (``rho_regime`` is ``"above"``),
-    with a diagnostic saying which.
+    threshold ``-alpha*a20`` there (``rho_regime`` is ``"below"``). When
+    ``c`` vanishes, and in the complement case, whose threshold ``-1`` is
+    exactly the Pareto ``rho``, the value is the second-order
+    regular-variation strip (``rho_regime`` is ``"above"``), with a
+    diagnostic saying which.
 
     Raises
     ------
     DomainError
-        If ``q`` lies outside ``(0.5, 1)``, or the stated second-order term
+        If ``q`` lies outside ``(0.5, 1)``, the first order
+        ``2**(1/alpha) * Q(q)`` overflows a float (a tiny ``alpha``), the
+        dependence function is not convex, or the stated second-order term
         is of the leading order (exponent ``a(1,1) = 1``, the comonotone
         model), as in :func:`tailprob_expansion_ev`.
     BoundaryCaseError
@@ -800,12 +785,15 @@ def var_expansion_ev(m: ParetoMarginal, p: PickandsEV, q: float) -> VarExpansion
             "or use Monte Carlo"
         )
     plan = _model_plan(m, p)
-    c, e = plan.coefficient, plan.var_exponent
+    c, a20 = plan.coefficient, plan.case.a20
     x_q = m.quantile(q)
-    first = 2.0 ** (1.0 / alpha) * x_q
+    # 2**(1/alpha) <= Q(q)/scale + 1 for q > 1/2, so it overflows only with Q(q)
+    first = 2.0 ** (1.0 / alpha) * x_q if x_q < math.inf else math.inf
+    if first == math.inf:
+        raise DomainError(f"var_expansion_ev: 2**(1/alpha) * Q(q) overflows at alpha={alpha}")
     diagnostics = plan.case.warnings
     if c is not None and c != 0.0:
-        value = first * (1.0 + c * 2.0 ** -(e + 1.0) / alpha * (1.0 - q) ** e)
+        value = first * (1.0 + c * 2.0 ** -(a20 + 1.0) / alpha * (1.0 - q) ** a20)
         regime = "below"
     else:
         value = _two_rv_var(so, x_q)
@@ -847,7 +835,9 @@ def var_from_tailprob_inversion(
     Raises
     ------
     DomainError
-        If no bracket for the root can be established.
+        If no bracket for the root can be established, or the root finder
+        does not converge on it (a tiny ``alpha`` puts the bracket near
+        ``1e200``); otherwise as :func:`var_expansion_ev`.
     """
     _check_q(q, "var_from_tailprob_inversion")
 
@@ -856,8 +846,6 @@ def var_from_tailprob_inversion(
 
     def tail_value(t: float) -> float:
         return _evaluate(terms, m, t, m.survival(t))[1]
-
-    formula = var_expansion_ev(m, p, q).value
 
     target = 1.0 - q
     lo = m.quantile(q)
@@ -874,8 +862,12 @@ def var_from_tailprob_inversion(
             f"could not bracket the tail-expansion root for q={q}; "
             f"expansion may not cross {target}"
         )
-    inverted = optimize.brentq(
-        lambda t: tail_value(t) - target, lo, hi, xtol=1e-12 * max(1.0, lo), rtol=1e-14
+    inverted, root = optimize.brentq(
+        lambda t: tail_value(t) - target, lo, hi, xtol=1e-12 * max(1.0, lo), rtol=1e-14,
+        full_output=True, disp=False,
     )
+    if not root.converged:
+        raise DomainError(f"the tail-expansion root for q={q} did not converge in [{lo}, {hi}]")
+    formula = var_expansion_ev(m, p, q).value
     discrepancy = abs(inverted - formula) / formula
     return InversionDiagnostic(q=q, formula=formula, inverted=inverted, discrepancy=discrepancy)

@@ -161,6 +161,20 @@ def exact_sum_var(alpha: float, scale: float, family: str, phi: float, q: float)
     )
 
 
+def independent_half_sum_var(scale: float, q: float) -> float:
+    """VaR_q(X + Y) for independent Pareto risks with alpha = 1/2, in closed form.
+
+    With ``u = 1 + y/scale``, ``s = 2 + t/scale`` the convolution is
+    ``int (s-u)**-0.5 * u**-1.5 du / 2 = -sqrt(s-u) / (s*sqrt(u))``, so
+    ``P(X + Y > t) = 2*sqrt(1 + t/scale) / (2 + t/scale)``. Solving for
+    ``w = sqrt(1 + t/scale)`` at level ``p = 1 - q`` gives
+    ``w = (1 + sqrt(1 - p**2)) / p``.
+    """
+    p = 1.0 - q
+    w = (1.0 + math.sqrt((1.0 - p) * (1.0 + p))) / p
+    return scale * (w * w - 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Brute-force midpoint oracles
 # ---------------------------------------------------------------------------

@@ -305,10 +305,8 @@ def test_c3_note_only_near_but_off_the_boundary():
 )
 def test_classify_case_flags_consistent_with_label(alpha, phi):
     c = classify_case(alpha, gumbel_pickands(phi))
-    if c.label == "C1∩C2∩C3":
-        assert c.c1 and c.c2 and c.c3
-    elif c.label == "C1\\(C2∩C3)":
-        assert c.c1 and not (c.c2 and c.c3)
+    if c.label == "C1\\(C2∩C3)":
+        assert c.c1
     else:
         assert c.label == "C1ᶜ"
         assert not c.c1
@@ -415,7 +413,9 @@ def test_tailprob_first_order_dominates_in_depth(m08, m2, p1, p10):
 def test_general_tailprob_eta_branch_equals_closed_form(m08, p_ind):
     tri = tail_order_traits("independence")
     pl = partial_limit_traits("independence")
-    for t in (1e2, 1e3):
+    # D(0.1, t) shrinks like sf(t): at sf 1e-15 and 1e-16 the choice once
+    # compared it with an absolute 1e-14 and fell to the partial branch
+    for t in (1e2, 1e3, 1e-15**-1.25 - 1.0, 1e-16**-1.25 - 1.0):
         g = tailprob_expansion_general(m08, tri, pl, t)
         closed = tailprob_expansion_ev(m08, p_ind, t)
         assert abs(g.value - closed.value) / closed.value <= 1e-12
@@ -480,11 +480,11 @@ def test_candidates_are_the_trait_theorems_branches(phi, alpha):
                 tailprob_expansion_general(m, traits, p.log_refined, t, branch="eta")
 
 
-def test_all_predicates_coefficient_is_zeta1():
-    # A convex dependence function has a(1,1) - 1 >= a2(1,0), so C3 fails
-    # for every valid model; this symmetric, homogeneous but non-convex one
-    # (a(1,1) = 1.4, a1(1,1) = 0.7, a2(1,0) = 1) reaches the all-predicates
-    # case, whose coefficient is 2*I(am, am) + 2**(2am) - 2**(am+1).
+def test_non_convex_dependence_function_is_rejected():
+    # A convex dependence function has a(1,1) - 1 = int_0^1 a2(1,y) dy >=
+    # a2(1,0), so the paper's third case (C3: a(1,1) < a2(1,0) + 1) needs a
+    # non-convex one, such as this symmetric, homogeneous a with
+    # a(1,1) = 1.4 and a2(1,0) = 1; no expansion may turn it into a number
     c = 0.3
 
     def a_fn(x, y):
@@ -495,20 +495,30 @@ def test_all_predicates_coefficient_is_zeta1():
         return 1 - 16 * c * (2 * x**2 * y / s**3 - 3 * x**2 * y**2 / s**4)
 
     p = PickandsEV(a_fn, lambda x, y: a2_fn(y, x), a2_fn, family="non-convex")
-    m, alpha, kappa, am = ParetoMarginal(0.8, 1.0), 0.8, 1.4, 0.8 * 0.7
-    assert classify_case(alpha, p).label == "C1∩C2∩C3"
-    zeta1 = 2 * integral_I(am, am) + 2 ** (2 * am) - 2 ** (am + 1)
-    for sf in (1e-2, 1e-4, 1e-6):
-        t = m.quantile(1.0 - sf)
-        s = m.survival(t)
-        e = tailprob_expansion_ev(m, p, t)
-        assert math.isclose(e.value, 2 * s + zeta1 * s**kappa, rel_tol=1e-15)
-    q = 0.999
-    first = 2 ** (1 / alpha) * m.quantile(q)
-    v = var_expansion_ev(m, p, q)
-    expected = first * (1 + zeta1 * 2**-kappa / alpha * (1 - q) ** (kappa - 1))
-    assert math.isclose(v.value, expected, rel_tol=1e-15)
-    assert v.case.rho_regime == "below"
+    m = ParetoMarginal(0.8, 1.0)
+    for run in (
+        lambda: classify_case(0.8, p),
+        lambda: tailprob_expansion_ev(m, p, m.quantile(0.999)),
+        lambda: var_expansion_ev(m, p, 0.999),
+        lambda: var_from_tailprob_inversion(m, p, 0.999),
+    ):
+        with pytest.raises(DomainError, match="not convex"):
+            run()
+
+
+@given(
+    p=st.one_of(
+        st.floats(1.0, 20.0).map(gumbel_pickands),
+        st.floats(0.05, 3.0).map(galambos_pickands),
+        st.sampled_from([independence_pickands(), comonotone_pickands()]),
+    ),
+    alpha=st.floats(0.3, 3.0),
+)
+def test_valid_dependence_functions_pass_the_convexity_check(p, alpha):
+    # the estimated corner slope can only overstate a2(1,0), by far less
+    # than the 1e-8 the rejection allows
+    c = classify_case(alpha, p)
+    assert float(p.a_fn(1.0, 1.0)) - c.a20 - 1.0 >= -1e-10
 
 
 @pytest.mark.xfail(
@@ -552,6 +562,19 @@ def test_inversion_with_an_infinite_bracket_raises_domain_error():
                 var_from_tailprob_inversion(m, p, 0.99)
 
 
+def test_tiny_tail_index_raises_domain_error():
+    # 2**(1/alpha) overflows at alpha 1e-4 (it raised OverflowError), and at
+    # alpha 0.01 the bracket near 1e200..1e261 defeats the root finder (it
+    # raised scipy's RuntimeError)
+    with np.errstate(over="ignore"):
+        for alpha in (1e-4, 0.003):
+            with pytest.raises(DomainError, match="overflows"):
+                var_expansion_ev(ParetoMarginal(alpha, 1.0), gumbel_pickands(1.0), 0.99)
+        for phi in (1.0, 10.0):
+            with pytest.raises(DomainError, match="did not converge"):
+                var_from_tailprob_inversion(ParetoMarginal(0.01, 1.0), gumbel_pickands(phi), 0.99)
+
+
 # ---------------------------------------------------------------------------
 # quantile expansions
 
@@ -571,6 +594,26 @@ def test_var_independence_pins(m08, m2, p_ind):
     assert math.isclose(
         var_expansion_ev(m2, p_ind, 0.999).value, 42.721359549995775, rel_tol=1e-12
     )
+
+
+def test_alpha_half_closed_form_matches_the_exact_oracle():
+    q = 0.99  # deeper levels make the oracle's quadrature detect roundoff
+    exact = oracles.exact_sum_var(0.5, 1.0, "gumbel", 1.0, q)
+    assert math.isclose(oracles.independent_half_sum_var(1.0, q), exact, rel_tol=1e-11)
+
+
+@pytest.mark.parametrize("q, measured", [(0.99, 2.5e-5), (0.999, 2.5e-7), (0.9999, 2.5e-9)])
+def test_var_at_alpha_half_matches_the_exact_reference(q, measured, p1, p_ind):
+    # At alpha 0.5 the case coefficient 2*I(1/2, 1/2) + 2 - 2*sqrt(2) is 0
+    # analytically and -4.4e-16 in floats, so the case formula is taken; the
+    # strip would be off by -3.3e-4, -3.3e-6 and -3.3e-8. The gate is twice
+    # the formula's measured error against the exact VaR.
+    m = ParetoMarginal(0.5, 1.0)
+    exact = oracles.independent_half_sum_var(1.0, q)
+    for p in (p_ind, p1):
+        v = var_expansion_ev(m, p, q)
+        assert v.case.rho_regime == "below"
+        assert abs(v.value - exact) / exact < 2.0 * measured
 
 
 def test_var_ev_reduces_to_independence(m08, m2, p1, p_ind):
@@ -652,9 +695,7 @@ def test_var_formula_applies_exactly_when_the_case_coefficient_is_nonzero(p, alp
     m = ParetoMarginal(alpha, 1.0)
     rho = m.second_order_params().rho
     case = classify_case(alpha, p)
-    if case.label == "C1∩C2∩C3":
-        assert rho < -alpha * (float(p.a_fn(1.0, 1.0)) - 1.0)
-    elif case.label == "C1\\(C2∩C3)":
+    if case.label == "C1\\(C2∩C3)":
         assert rho < -alpha * case.a20
     c = _model_plan(m, p).coefficient
     regime = var_expansion_ev(m, p, 0.99).case.rho_regime

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from tailsum import (
@@ -165,6 +166,19 @@ def test_infinite_threshold_exits_2(capsys):
     captured = capsys.readouterr()
     assert "finite t" in captured.err
     assert "nan" not in captured.out
+
+
+@pytest.mark.parametrize("alpha", ["0.0001", "0.003"])
+def test_tiny_tail_index_var_exits_2(alpha, capsys):
+    # the first order overflows: at 1e-4 this once ended in an OverflowError
+    # traceback (exit 1), at 0.003 in an inf row and exit 0
+    with np.errstate(over="ignore"):
+        rc = main(["var", "--alpha", alpha, "--family", "gumbel", "--phi", "1",
+                   "--seed", "1", "--n", "1000", "--q", "0.99"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "overflows" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("alpha, sf_min", [("2", "1e-17"), ("0.01", "1e-5")])
