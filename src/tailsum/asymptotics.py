@@ -30,6 +30,15 @@ coefficient (its corner integrals), the stated term specs and, when the
 stated second order vanishes, the candidates' specs. The cache is a bounded
 ``functools.lru_cache``, which is thread-safe, and holds frozen values, so
 concurrent use is safe; quadrature scratch state is local to each call.
+
+scipy is imported on first use, by the four functions that run quadrature
+or root finding: :func:`eta_delta`, :func:`D_delta` and
+:func:`delta_correction` load ``scipy.integrate``, and
+:func:`var_from_tailprob_inversion` loads ``scipy.optimize``. Importing
+this module, the closed forms and :func:`var_expansion_ev` load neither.
+:func:`tailprob_expansion_ev` loads ``scipy.integrate`` only for a
+``log_refined`` candidate, and :func:`tailprob_expansion_general` for its
+automatic branch choice or its partial branch.
 """
 
 from __future__ import annotations
@@ -40,8 +49,6 @@ import math
 import types
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
-
-from scipy import integrate, optimize
 
 from .copulas import (
     PartialLimitTraits,
@@ -157,6 +164,8 @@ def eta_delta(traits: TailOrderTraits, alpha: float, delta: float) -> float:
         raise DomainError(f"eta_delta requires alpha > 0, got {alpha}")
     if not (0.0 < delta < 0.5):
         raise DomainError(f"eta_delta requires 0 < delta < 1/2, got {delta}")
+    from scipy import integrate
+
     tau_v = traits.tau_v
 
     def g(y: float) -> float:
@@ -215,6 +224,8 @@ def D_delta(traits: TailOrderTraits, marginal: ParetoMarginal, delta: float, t: 
     if not (0.0 < delta < 0.5):
         raise DomainError(f"D_delta requires 0 < delta < 1/2, got {delta}")
     _require_above_median(marginal, t, "D_delta")
+    from scipy import integrate
+
     alpha = marginal.alpha
     tau_v = traits.tau_v
     sf_pdf = marginal._sf_pdf
@@ -245,6 +256,8 @@ def delta_correction(
         If ``t`` is not finite and above the marginal median.
     """
     _require_above_median(marginal, t, "delta_correction")
+    from scipy import integrate
+
     a_theta = marginal.alpha * partial_traits.theta_exp
     varphi = partial_traits.varphi
     sf_pdf = marginal._sf_pdf
@@ -768,9 +781,11 @@ def var_expansion_ev(m: ParetoMarginal, p: PickandsEV, q: float) -> VarExpansion
     DomainError
         If ``q`` lies outside ``(0.5, 1)``, the first order
         ``2**(1/alpha) * Q(q)`` overflows a float (a tiny ``alpha``), the
-        dependence function is not convex, or the stated second-order term
+        dependence function is not convex, the stated second-order term
         is of the leading order (exponent ``a(1,1) = 1``, the comonotone
-        model), as in :func:`tailprob_expansion_ev`.
+        model), as in :func:`tailprob_expansion_ev`, or the second-order
+        value is not positive (the relative correction falls below ``-1``,
+        as at ``alpha = 0.05``, ``q = 0.6``).
     BoundaryCaseError
         If ``alpha == 1`` exactly (every threshold coincides with the
         Pareto ``rho``).
@@ -805,6 +820,12 @@ def var_expansion_ev(m: ParetoMarginal, p: PickandsEV, q: float) -> VarExpansion
             else "stated second-order coefficient vanishes; regular-variation value returned"
         )
         diagnostics += ("second-order regular-variation strip", why)
+    if not value > 0.0:
+        raise DomainError(
+            f"var_expansion_ev: the second-order VaR {value:.6g} at q={q}, alpha={alpha} is "
+            f"not positive (first order {first:.6g}); the correction outweighs the leading "
+            "term at this level"
+        )
     return VarExpansion(
         q=q, value=value, first_order=first,
         case=dataclasses.replace(plan.case, rho_regime=regime), diagnostics=diagnostics,
@@ -840,6 +861,7 @@ def var_from_tailprob_inversion(
         ``1e200``); otherwise as :func:`var_expansion_ev`.
     """
     _check_q(q, "var_from_tailprob_inversion")
+    from scipy import optimize
 
     # the stated value only: the candidates never enter it
     terms = _model_plan(m, p).terms

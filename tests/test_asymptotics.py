@@ -573,6 +573,13 @@ def test_tiny_tail_index_raises_domain_error():
         for phi in (1.0, 10.0):
             with pytest.raises(DomainError, match="did not converge"):
                 var_from_tailprob_inversion(ParetoMarginal(0.01, 1.0), gumbel_pickands(phi), 0.99)
+    # at a moderate level the case correction c * 2**-(a20+1) / alpha *
+    # (1-q)**a20 falls below -1; these once returned -9.45e13 and -1.36e62
+    for alpha, q in ((0.05, 0.6), (0.01, 0.51)):
+        m = ParetoMarginal(alpha, 1.0)
+        with pytest.raises(DomainError, match=f"q={q}, alpha={alpha} is not positive") as exc:
+            var_expansion_ev(m, gumbel_pickands(1.0), q)
+        assert f"first order {2.0 ** (1.0 / alpha) * m.quantile(q):.6g}" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,16 @@ def test_tiny_tail_index_var_exits_2(alpha, capsys):
     assert captured.out == ""
 
 
+def test_non_positive_var_exits_2(capsys):
+    # the second-order VaR is -9.45e13 here; it once printed that row and exited 0
+    rc = main(["var", "--alpha", "0.05", "--family", "gumbel", "--phi", "1",
+               "--seed", "1", "--n", "1000", "--q", "0.6"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "not positive" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("alpha, sf_min", [("2", "1e-17"), ("0.01", "1e-5")])
 def test_sf_grid_without_a_finite_threshold_exits_2(alpha, sf_min, capsys):
     # 1 - sf_min rounds to 1, or the quantile overflows at a tiny alpha
