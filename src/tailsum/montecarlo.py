@@ -7,11 +7,16 @@ given ``(n, seed)`` regardless of how many worker threads execute the
 chunks, so estimates are reproducible across machines and thread counts.
 
 The Gumbel family is sampled exactly through its positive-stable frailty
-representation (Kanter's method for the stable variate), the comonotone
-family through a single shared uniform, and independence through two. All
-families map survival-side uniforms through the marginal quantile so the
+representation (Marshall and Olkin, with Kanter's method for the stable
+variate), the comonotone family through a single shared uniform, and
+independence through two. Every family yields the log survival-side
+uniforms ``L = -log su`` of the pair directly, and each risk is
+``scale * expm1(L / alpha)``, the Pareto quantile at ``1 - su``, so the
 joint survival function of the pair is exactly the survival copula applied
-to the marginal survivals.
+to the marginal survivals. ``su`` itself is never formed, so a far-tail
+draw keeps its relative precision. Each worker thread draws its chunks'
+uniform rows into one scratch block and writes the pairs straight into
+the output arrays.
 
 The estimators read a sample through a tail store of its sums ``x + y``:
 a cover value and a sorted array ``top`` of the largest sums, such that
@@ -53,6 +58,9 @@ __all__ = [
 
 _CHUNK = 65536
 _FAMILIES = ("independence", "gumbel", "comonotone")
+_TINY = np.finfo(float).tiny
+# -log(tiny): the survival-side uniforms are clamped at tiny
+_MAX_LOG_SURVIVAL = -math.log(_TINY)
 
 
 @dataclass(frozen=True)
@@ -166,55 +174,64 @@ def _resolve_threads(threads: Optional[int]) -> int:
     return min(8, os.cpu_count() or 1)
 
 
-def _stable_from_uniform_exponential(u0: np.ndarray, e0: np.ndarray, gamma: float) -> np.ndarray:
-    """Kanter's sampler for a positive stable variate of exponent ``gamma``.
+def _pairs_from_rows(rows, gamma, alpha, scale, x, y) -> None:
+    """Write the risk pairs of one chunk's uniform rows into ``x`` and ``y``.
 
-    Uses ``S = (a(u0) / e0) ** ((1 - gamma) / gamma)`` with
-    ``a(u) = sin((1-gamma) pi u) * sin(gamma pi u)**(gamma/(1-gamma))
-    / sin(pi u)**(1/(1-gamma))``, valid for ``0 < gamma < 1``.
+    ``rows`` holds one row of uniforms per variate, in draw order:
+    ``(u, r0, r1, r2)`` for the Gumbel frailty with ``gamma = 1 / phi < 1``,
+    and, with ``gamma`` None, ``(u, v)`` for independence or ``(u,)`` for
+    the comonotone family. The rows are overwritten as workspace.
+
+    ``x`` and ``y`` first receive ``L = -log su`` and ``-log sv``, where the
+    survival-side uniforms are clamped at ``tiny``, then the risks
+    ``scale * expm1(L / alpha)``. For the Gumbel family, with exponentials
+    ``Ek = -log1p(-rk)``, the Marshall--Olkin pair ``su = exp(-(E1 / S)**gamma)``
+    over Kanter's stable variate ``S = (a(u) / E0)**((1 - gamma) / gamma)``
+    gives ``-log su = E1**gamma * W``, and ``-log sv = E2**gamma * W``, with
+    ``W = (E0 / a(u))**(1 - gamma)
+    = (E0 / sin((1-gamma) pi u))**(1 - gamma) * sin(pi u) / sin(gamma pi u)**gamma``.
     """
-    pu = np.pi * u0
-    a = (
-        np.sin((1.0 - gamma) * pu)
-        * np.sin(gamma * pu) ** (gamma / (1.0 - gamma))
-        / np.sin(pu) ** (1.0 / (1.0 - gamma))
-    )
-    return (a / e0) ** ((1.0 - gamma) / gamma)
-
-
-def _chunk_survival_uniforms(
-    family: str, phi: Optional[float], seed: int, index: int, size: int
-) -> tuple:
-    """Survival-side uniforms ``(su, sv)`` for one chunk.
-
-    The pair satisfies ``P(su < a, sv < b) = chat(a, b)`` for the requested
-    survival copula. Each chunk consumes exactly one block of uniform rows
-    from its own counter-keyed stream, so the output depends only on
-    ``(seed, index, size)``.
-    """
-    rng = np.random.Generator(np.random.Philox(key=[seed, index]))
-    tiny = np.finfo(float).tiny
-    if family == "gumbel" and phi is not None and phi > 1.0:
-        rows = rng.random((4, size))
-        u0 = np.maximum(rows[0], tiny)
-        e = -np.log1p(-rows[1:4])
-        e = np.maximum(e, tiny)
-        gamma = 1.0 / phi
-        with np.errstate(over="ignore", divide="ignore"):
-            s = _stable_from_uniform_exponential(u0, e[0], gamma)
-            su = np.exp(-((e[1] / s) ** gamma))
-            sv = np.exp(-((e[2] / s) ** gamma))
-    elif family == "comonotone":
-        rows = rng.random((1, size))
-        su = rows[0]
-        sv = su
-    else:  # independence, and gumbel with phi == 1 which coincides with it
-        rows = rng.random((2, size))
-        su = rows[0]
-        sv = rows[1]
-    su = np.maximum(su, tiny)
-    sv = np.maximum(sv, tiny)
-    return su, sv
+    if gamma is None:
+        np.maximum(rows, _TINY, out=rows)
+        for row, out in zip(rows, (x, y)):
+            np.log(row, out=out)
+            np.negative(out, out=out)
+    else:
+        u, e = rows[0], rows[1:]
+        np.maximum(u, _TINY, out=u)
+        np.negative(e, out=e)
+        np.log1p(e, out=e)
+        np.negative(e, out=e)
+        np.maximum(e, _TINY, out=e)
+        e0, e1, e2 = e
+        # W into e0, with x as workspace
+        np.multiply(u, (1.0 - gamma) * math.pi, out=x)
+        np.sin(x, out=x)
+        np.divide(e0, x, out=e0)
+        np.power(e0, 1.0 - gamma, out=e0)
+        # sin(pi u) at min(u, 1 - u): near u = 1, 1 - u is exact while sin(pi * u)
+        # loses the rounding of pi * u to cancellation
+        np.subtract(1.0, u, out=x)
+        np.minimum(x, u, out=x)
+        np.multiply(x, math.pi, out=x)
+        np.sin(x, out=x)
+        np.multiply(e0, x, out=e0)
+        np.multiply(u, gamma * math.pi, out=x)
+        np.sin(x, out=x)
+        np.power(x, gamma, out=x)
+        np.divide(e0, x, out=e0)
+        for row, out in ((e1, x), (e2, y)):
+            np.power(row, gamma, out=out)
+            np.multiply(out, e0, out=out)
+            np.minimum(out, _MAX_LOG_SURVIVAL, out=out)
+    outs = (x,) if len(rows) == 1 else (x, y)
+    with np.errstate(over="ignore"):  # a tiny alpha maps the far tail to inf
+        for out in outs:
+            np.divide(out, alpha, out=out)
+            np.expm1(out, out=out)
+            np.multiply(out, scale, out=out)
+    if len(rows) == 1:
+        np.copyto(y, x)
 
 
 def sample_pairs(
@@ -227,6 +244,10 @@ def sample_pairs(
     threads: Optional[int] = None,
 ) -> SamplePairs:
     """Draw ``n`` dependent risk pairs with the given marginal and copula.
+
+    Each pair is ``scale * expm1(-log(su) / alpha)`` applied to survival-side
+    uniforms ``(su, sv)`` drawn from the survival copula, with ``-log su``
+    computed directly rather than through ``su``.
 
     Parameters
     ----------
@@ -271,24 +292,29 @@ def sample_pairs(
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
 
+    gamma = 1.0 / phi if family == "gumbel" and phi > 1.0 else None
+    n_rows = 4 if gamma is not None else 1 if family == "comonotone" else 2
     x = np.empty(n, dtype=np.float64)
     y = np.empty(n, dtype=np.float64)
     n_chunks = (n + _CHUNK - 1) // _CHUNK
-
-    def fill(index: int) -> None:
-        lo = index * _CHUNK
-        hi = min(lo + _CHUNK, n)
-        su, sv = _chunk_survival_uniforms(family, phi, seed, index, hi - lo)
-        x[lo:hi] = marginal.quantile(1.0 - su)
-        y[lo:hi] = marginal.quantile(1.0 - sv)
-
     workers = min(_resolve_threads(threads), n_chunks)
-    if workers <= 1:
-        for i in range(n_chunks):
-            fill(i)
+
+    def work(first: int) -> None:
+        # worker `first` fills chunks first, first + workers, ... through one
+        # scratch block; chunk i reads only its own stream keyed (seed, i)
+        block = np.empty(n_rows * min(n, _CHUNK), dtype=np.float64)
+        for index in range(first, n_chunks, workers):
+            lo = index * _CHUNK
+            hi = min(lo + _CHUNK, n)
+            rows = block[: n_rows * (hi - lo)].reshape(n_rows, hi - lo)
+            np.random.Generator(np.random.Philox(key=[seed, index])).random(out=rows)
+            _pairs_from_rows(rows, gamma, marginal.alpha, marginal.scale, x[lo:hi], y[lo:hi])
+
+    if workers == 1:
+        work(0)
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(n_chunks)))
+            list(pool.map(work, range(workers)))
 
     config = SimulationConfig(
         n=n, seed=seed, family=family, alpha=marginal.alpha, scale=marginal.scale,

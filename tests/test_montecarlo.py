@@ -22,17 +22,20 @@ from tailsum import (
     empirical_var,
     sample_pairs,
 )
+from tailsum.montecarlo import _CHUNK, _pairs_from_rows
 
 # crosses two 65536-draw chunk boundaries, with a ragged final chunk
 N_CHUNKY = 200_001
 
 
 def test_streams_are_identical_across_thread_counts(m08):
+    # 3 workers split the 4 chunks unevenly, and 8 are capped at one per chunk
     for family, phi in (("independence", None), ("gumbel", 10.0), ("comonotone", None)):
         one = sample_pairs(m08, family, N_CHUNKY, 7, phi=phi, threads=1)
-        four = sample_pairs(m08, family, N_CHUNKY, 7, phi=phi, threads=4)
-        assert np.array_equal(one.x, four.x)
-        assert np.array_equal(one.y, four.y)
+        for threads in (2, 3, 8):
+            other = sample_pairs(m08, family, N_CHUNKY, 7, phi=phi, threads=threads)
+            assert np.array_equal(one.x, other.x), (family, threads)
+            assert np.array_equal(one.y, other.y), (family, threads)
 
 
 def test_same_seed_reproduces_and_seeds_differ(m08):
@@ -55,10 +58,107 @@ def test_comonotone_components_coincide(m2):
     assert np.array_equal(s.x, s.y)
 
 
+def _map_rows(rows, phi, marginal):
+    """The risk pairs the sampler writes for hand-made uniform ``rows``."""
+    rows = np.array(rows, dtype=float)
+    x = np.empty(rows.shape[1])
+    y = np.empty(rows.shape[1])
+    gamma = None if phi is None else 1.0 / phi
+    _pairs_from_rows(rows, gamma, marginal.alpha, marginal.scale, x, y)
+    return x, y
+
+
+def _log_survival(marginal, x):
+    """``L = -log su`` recovered from a risk ``x = scale * expm1(L / alpha)``."""
+    return marginal.alpha * np.log1p(x / marginal.scale)
+
+
+def test_far_tail_rows_map_to_finite_risks():
+    # each of these rows once raised DomainError from quantile(1 - su) with
+    # 1 - su rounded to 1; now x keeps the relative precision of L
+    m = ParetoMarginal(2.0, 3.0)
+    # Gumbel phi = 2 at u = 1/2: W = sqrt(2 * E0), so -log su = sqrt(2 * E0 * E1),
+    # and r = 1 - 2**-51 gives E = 51 log 2, hence -log su = 49.99
+    r = 1.0 - 2.0**-51
+    x, y = _map_rows([[0.5], [r], [r], [0.5]], 2.0, m)
+    e = -math.log1p(-r)
+    want = np.array([math.sqrt(2.0 * e * e), math.sqrt(2.0 * e * math.log(2.0))])
+    assert want[0] == pytest.approx(50.0, abs=0.01)
+    got = np.array([_log_survival(m, x[0]), _log_survival(m, y[0])])
+    assert np.all(np.isfinite([x[0], y[0]]))
+    assert np.allclose(got, want, rtol=1e-15, atol=0.0), got / want - 1.0
+    # independence at u = 1e-300, and u = 0, which is clamped at tiny
+    x, y = _map_rows([[1e-300, 0.0], [0.5, 0.5]], None, m)
+    want = np.array([-math.log(1e-300), -math.log(np.finfo(float).tiny)])
+    assert np.all(np.isfinite(x))
+    assert np.allclose(_log_survival(m, x), want, rtol=1e-15, atol=0.0)
+    assert np.allclose(y, m.scale * math.expm1(math.log(2.0) / m.alpha), rtol=1e-15, atol=0.0)
+
+
+def _exact_risk_pair(mp, row, phi, alpha, scale):
+    """40-digit risks of one column of uniform draws, by Kanter's textbook
+    stable variate ``S = (a(u) / E0)**((1 - g) / g)`` and the Marshall--Olkin
+    ``-log su = (E1 / S)**g``, with the sampler's tiny clamps."""
+    tiny = mp.mpf(np.finfo(float).tiny)
+    u = max(mp.mpf(row[0]), tiny)
+    if phi == 1.0:
+        logs = [-mp.log(max(mp.mpf(v), tiny)) for v in row]
+    else:
+        g = 1 / mp.mpf(phi)
+        e0, e1, e2 = (max(-mp.log1p(-mp.mpf(v)), tiny) for v in row[1:])
+        a = (mp.sin((1 - g) * mp.pi * u) * mp.sin(g * mp.pi * u) ** (g / (1 - g))
+             / mp.sin(mp.pi * u) ** (1 / (1 - g)))
+        stable = (a / e0) ** ((1 - g) / g)
+        logs = [min((e / stable) ** g, -mp.log(tiny)) for e in (e1, e2)]
+    return [float(scale * mp.expm1(lv / mp.mpf(alpha))) for lv in logs]
+
+
+@pytest.mark.parametrize("alpha,phi", [(0.8, 10.0), (2.0, 2.0), (0.8, 1.0)])
+def test_sampler_arithmetic_matches_a_40_digit_reference(alpha, phi):
+    # chunk 0 of two seeds, redrawn from the same Philox rows. The reference
+    # is evaluated at the draws where the float error peaks: the 128 largest
+    # x and y (the error of expm1(L / alpha) grows with L) and the 128
+    # smallest (u near 1, where sin(pi u) cancels), plus every 512th draw.
+    # Measured worst on the whole chunks: 6.9e-15 (1.2e-9 through quantile(1 - su)).
+    mp = pytest.importorskip("mpmath")
+    m = ParetoMarginal(alpha, 1.0)
+    n_rows = 2 if phi == 1.0 else 4
+    worst = 0.0
+    with mp.workdps(40):
+        for seed in (7, 42):
+            s = sample_pairs(m, "gumbel", _CHUNK, seed, phi=phi, threads=1)
+            rows = np.random.Generator(np.random.Philox(key=[seed, 0])).random((n_rows, _CHUNK))
+            order_x, order_y = np.argsort(s.x), np.argsort(s.y)
+            picks = np.unique(np.concatenate([
+                order_x[:128], order_x[-128:], order_y[:128], order_y[-128:],
+                np.arange(0, _CHUNK, 512),
+            ]))
+            for j in picks:
+                want = _exact_risk_pair(mp, rows[:, j], phi, alpha, m.scale)
+                worst = max(worst, abs(s.x[j] / want[0] - 1.0), abs(s.y[j] / want[1] - 1.0))
+    assert worst < 2e-14, worst
+
+
+def test_sampling_reuses_one_scratch_block_per_worker(m08):
+    # at most one block of four uniform rows beyond x and y, plus slack; a
+    # chunk of temporaries (about 6.7 MiB here) does not fit
+    n = 4 * _CHUNK + 1
+    block = 4 * _CHUNK * 8
+    tracemalloc.start()
+    try:
+        s = sample_pairs(m08, "gumbel", n, 5, phi=10.0, threads=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - s.x.nbytes - s.y.nbytes <= block + 2**20, peak
+
+
 def test_marginals_are_uniform_after_probability_transform(m08, m2):
-    # survival(x) must be uniform; mean test at fixed seed, |z| < 4
+    # survival(x) must be uniform; mean test at fixed seed, |z| < 4. Near
+    # phi = 1, sin(pi u)**(1 / (1 - 1/phi)) underflows, which made the
+    # textbook stable variate 0 / 0
     for m in (m08, m2):
-        for family, phi in (("independence", None), ("gumbel", 10.0)):
+        for family, phi in (("independence", None), ("gumbel", 10.0), ("gumbel", 1.01)):
             s = sample_pairs(m, family, 100_000, 13, phi=phi)
             for arr in (s.x, s.y):
                 u = m.survival(arr)
