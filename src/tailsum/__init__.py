@@ -44,7 +44,6 @@ from .copulas import (
     independence_pickands,
     make_survival_copula,
     partial_limit_traits,
-    survival_from_copula,
     tail_order_traits,
     trial_tail_order_traits,
 )
@@ -52,7 +51,6 @@ from .errors import (
     AmbiguousBranchError,
     BoundaryCaseError,
     ConfigError,
-    CopulaConstructionError,
     DivergentIntegralError,
     DomainError,
     TailsumError,
@@ -80,7 +78,6 @@ __all__ = [
     "BoundaryCaseError",
     "DivergentIntegralError",
     "UnsupportedFamilyError",
-    "CopulaConstructionError",
     "AmbiguousBranchError",
     # marginals
     "ParetoMarginal",
@@ -98,7 +95,6 @@ __all__ = [
     "ev_chat",
     "ev_chat_v",
     "make_survival_copula",
-    "survival_from_copula",
     "tail_order_traits",
     "partial_limit_traits",
     "trial_tail_order_traits",

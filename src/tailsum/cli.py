@@ -57,7 +57,6 @@ from .copulas import (
 from .errors import (
     BoundaryCaseError,
     ConfigError,
-    CopulaConstructionError,
     DomainError,
     UnsupportedFamilyError,
 )
@@ -386,11 +385,14 @@ def _cmd_check(cfg: _Settings) -> int:
     else:
         log10_t = None
 
+    # settings the user left unset take check_assumptions' defaults
+    kwargs = {}
     grid_raw = cfg.get("check.grid", "scale_grid")
-    grid = _float_list(grid_raw) if isinstance(grid_raw, str) else (grid_raw or (0.5, 1.0, 2.0, 4.0))
-    tolerance = float(cfg.get("check.tolerance", "tolerance", default=1e-3, cast=float))
-
-    kwargs = {"grid": grid, "tolerance": tolerance}
+    if grid_raw is not None:
+        kwargs["grid"] = _float_list(grid_raw)
+    tolerance = cfg.get("check.tolerance", "tolerance", cast=float)
+    if tolerance is not None:
+        kwargs["tolerance"] = float(tolerance)
     if log10_t is not None:
         kwargs["log10_t_sequence"] = log10_t
 
@@ -605,7 +607,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BoundaryCaseError as exc:
         print(f"boundary case: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, DomainError, UnsupportedFamilyError, CopulaConstructionError) as exc:
+    except (ConfigError, DomainError, UnsupportedFamilyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

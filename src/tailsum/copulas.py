@@ -3,20 +3,20 @@
 This module houses the dependence layer of the package:
 
 * :class:`SurvivalCopula` pairs the joint survival transform ``chat(u, v)``
-  with its partial derivative in the second argument, optionally with
-  log-domain evaluators that stay accurate far below double-precision range.
+  with its partial derivative in the second argument, and with log-domain
+  evaluators of both that stay accurate far below double-precision range.
 * :class:`PickandsEV` represents an extreme-value dependence function together
   with its partial derivatives; :func:`gumbel_pickands` builds the Gumbel
   family (logistic dependence) with overflow-safe closed forms.
 * :class:`TailOrderTraits` and :class:`PartialLimitTraits` capture how the
   survival copula scales near the joint-loss corner; the asymptotic tail
   expansions consume exactly these traits.
+* :func:`check_assumptions` measures, on a grid of scales, how fast a shipped
+  copula converges to the scaling behaviour its traits assert, and returns a
+  verdict per hypothesis with the full numeric evidence.
 
 An extreme-value family is defined once, by its :class:`PickandsEV`: its
 survival copula, log-domain evaluators and tail traits are derived from it.
-* :func:`check_assumptions` measures, on a grid of scales, how fast a copula
-  converges to the scaling behaviour its traits assert, and returns a verdict
-  per hypothesis with the full numeric evidence.
 
 All values are immutable after construction and safe to share across threads.
 """
@@ -30,12 +30,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    CopulaConstructionError,
-    DomainError,
-    UnsupportedFamilyError,
-)
+from .errors import ConfigError, DomainError, UnsupportedFamilyError
 
 __all__ = [
     "PickandsEV",
@@ -50,7 +45,6 @@ __all__ = [
     "ev_chat",
     "ev_chat_v",
     "make_survival_copula",
-    "survival_from_copula",
     "tail_order_traits",
     "partial_limit_traits",
     "trial_tail_order_traits",
@@ -277,12 +271,13 @@ class SurvivalCopula:
         The survival copula on ``[0, 1]^2``.
     chat_v : callable
         Partial derivative of ``chat`` in the second argument, in ``[0, 1]``.
-    log_chat, log_chat_v : callable or None
-        Optional log-domain evaluators taking ``(log u, log v)`` and
-        returning the logarithm of the corresponding value. They allow
-        hypothesis checks at scales far below double-precision underflow.
+    log_chat, log_chat_v : callable
+        Log-domain evaluators of ``chat`` and ``chat_v``, taking
+        ``(log u, log v)`` and returning the logarithm of the corresponding
+        value. The hypothesis checker reads only these, so it can probe
+        scales far below double-precision underflow.
     family : str
-        Family tag; ``"custom"`` for user-built copulas.
+        Family tag, as accepted by :func:`make_survival_copula`.
     param : float or None
         Family parameter, if any.
     pickands : PickandsEV or None
@@ -291,9 +286,9 @@ class SurvivalCopula:
 
     chat: Callable
     chat_v: Callable
-    log_chat: Optional[Callable] = None
-    log_chat_v: Optional[Callable] = None
-    family: str = "custom"
+    log_chat: Callable
+    log_chat_v: Callable
+    family: str
     param: Optional[float] = None
     pickands: Optional[PickandsEV] = None
 
@@ -391,83 +386,6 @@ def make_survival_copula(
 
     supported = ", ".join([*_EV_FAMILIES, "log-interaction"])
     raise UnsupportedFamilyError(f"unknown copula family {family!r}; supported: {supported}")
-
-
-def survival_from_copula(
-    c: Callable, c_v: Optional[Callable] = None, *, validate: bool = True
-) -> SurvivalCopula:
-    """Build a :class:`SurvivalCopula` from an ordinary copula ``C(u, v)``.
-
-    The survival transform is ``chat(u, v) = u + v - 1 + C(1-u, 1-v)``. When
-    the partial derivative of ``C`` in its second argument is supplied, the
-    chain rule gives ``chat_v`` exactly; otherwise a clamped central finite
-    difference with step ``1e-6`` is used.
-
-    Parameters
-    ----------
-    c : callable
-        The copula, a map ``[0, 1]^2 -> [0, 1]``.
-    c_v : callable, optional
-        Partial derivative of ``c`` in the second argument.
-    validate : bool
-        When true (default), check the copula axioms (grounded, uniform
-        margins, rectangle inequality) on a deterministic grid and 400
-        seeded random rectangles before accepting the input.
-
-    Raises
-    ------
-    CopulaConstructionError
-        If validation finds an axiom violation beyond 1e-9.
-    """
-    def chat(u, v):
-        ua, va = np.asarray(u, float), np.asarray(v, float)
-        out = ua + va - 1.0 + np.asarray(c(1.0 - ua, 1.0 - va), float)
-        return _maybe_scalar(out, u, v)
-
-    if c_v is not None:
-        def chat_v(u, v):
-            ua, va = np.asarray(u, float), np.asarray(v, float)
-            out = 1.0 - np.asarray(c_v(1.0 - ua, 1.0 - va), float)
-            return _maybe_scalar(out, u, v)
-    else:
-        def chat_v(u, v, _h: float = 1e-6):
-            ua, va = np.asarray(u, float), np.asarray(v, float)
-            lo = np.maximum(va - _h, 0.0)
-            hi = np.minimum(va + _h, 1.0)
-            out = (np.asarray(chat(ua, hi), float) - np.asarray(chat(ua, lo), float)) / (hi - lo)
-            return _maybe_scalar(out, u, v)
-
-    if validate:
-        pts = np.linspace(0.0, 1.0, 21)
-        zero = np.zeros_like(pts)
-        one = np.ones_like(pts)
-        for got, want, what in (
-            (np.asarray(c(pts, zero), float), zero, "grounding C(u, 0) = 0"),
-            (np.asarray(c(zero, pts), float), zero, "grounding C(0, v) = 0"),
-            (np.asarray(c(pts, one), float), pts, "margin C(u, 1) = u"),
-            (np.asarray(c(one, pts), float), pts, "margin C(1, v) = v"),
-        ):
-            worst = float(np.max(np.abs(got - want)))
-            if not (worst <= 1e-9):
-                raise CopulaConstructionError(
-                    f"copula axiom violated: {what} fails by {worst:.3e}"
-                )
-        rng = np.random.default_rng(20260818)
-        u1, u2 = np.sort(rng.random((2, 400)), axis=0)
-        v1, v2 = np.sort(rng.random((2, 400)), axis=0)
-        mass = (
-            np.asarray(c(u2, v2), float)
-            - np.asarray(c(u1, v2), float)
-            - np.asarray(c(u2, v1), float)
-            + np.asarray(c(u1, v1), float)
-        )
-        worst = float(np.min(mass))
-        if worst < -1e-9:
-            raise CopulaConstructionError(
-                f"copula axiom violated: rectangle mass {worst:.3e} is negative"
-            )
-
-    return SurvivalCopula(chat=chat, chat_v=chat_v, family="custom")
 
 
 # ---------------------------------------------------------------------------
@@ -631,9 +549,8 @@ def tail_order_traits(descriptor) -> TailOrderTraits:
     Raises
     ------
     UnsupportedFamilyError
-        For copulas without a dependence function (``"log-interaction"``,
-        ``"custom"``); probe such copulas with
-        :func:`trial_tail_order_traits` instead.
+        For a copula without a dependence function (``"log-interaction"``);
+        probe it with :func:`trial_tail_order_traits` instead.
     DomainError
         For ``"gumbel"`` named without its interaction exponent.
     """
@@ -687,8 +604,7 @@ def partial_limit_traits(descriptor) -> PartialLimitTraits:
     Raises
     ------
     UnsupportedFamilyError
-        For copulas without a dependence function (``"log-interaction"``,
-        ``"custom"``).
+        For a copula without a dependence function (``"log-interaction"``).
     """
     a20, _ = estimate_corner_slope(_pickands_of(descriptor))
     if a20 > 0.0:
@@ -903,14 +819,14 @@ def check_assumptions(
     magnitude and absolute otherwise. Non-finite statistics make a check
     inconclusive, never a silent pass.
 
-    Copulas with log-domain evaluators are probed in the log domain and may
-    use scales far below double-precision range; plain-callable copulas are
-    limited to ``log10 t >= -150``, and deeper requests come back
-    inconclusive.
+    The copula is probed only through its log-domain evaluators
+    ``log_chat`` and ``log_chat_v``, so the scales may lie far below
+    double-precision range.
 
     Parameters
     ----------
     copula : SurvivalCopula
+        A shipped survival copula, from :func:`make_survival_copula`.
     tail_traits : TailOrderTraits, optional
         Defaults to the traits of the copula's family; required for families
         without a valid tail order (pass :func:`trial_tail_order_traits`).
@@ -955,19 +871,7 @@ def check_assumptions(
 
     ln10 = math.log(10.0)
     lts = [x * ln10 for x in l10]
-    has_log = copula.log_chat is not None and copula.log_chat_v is not None
-    too_deep = (not has_log) and min(l10) < -150.0
-
-    if has_log:
-        lchat, lchat_v = copula.log_chat, copula.log_chat_v
-    else:
-        def lchat(lu, lv):
-            with np.errstate(divide="ignore"):
-                return float(np.log(copula.chat(math.exp(lu), math.exp(lv))))
-
-        def lchat_v(lu, lv):
-            with np.errstate(divide="ignore"):
-                return float(np.log(copula.chat_v(math.exp(lu), math.exp(lv))))
+    lchat, lchat_v = copula.log_chat, copula.log_chat_v
 
     checks: dict[str, CheckResult] = {}
     skipped: list[str] = []
@@ -977,10 +881,7 @@ def check_assumptions(
         for x10, _, _, stat, target in rows:
             worst[x10] = _acc(worst[x10], stat, target)
         devs = tuple(worst.values())
-        if too_deep:
-            passed, note = None, "scales below 1e-150 need log-domain evaluators; verdict withheld"
-        else:
-            passed, note = _verdict(devs, tolerance)
+        passed, note = _verdict(devs, tolerance)
         checks[name] = CheckResult(
             name=name, passed=passed, deviations=devs, rows=tuple(rows),
             fitted_c=fitted_c, note=note,
@@ -1074,20 +975,13 @@ def check_assumptions(
         finish("evcond", rows, fitted_c=fitted_c)
 
     # taylor_limit: first-order corner behaviour of the partial derivative.
-    if p is not None:
-        a20, _ = estimate_corner_slope(p)
-
-        def corner(v):
-            return a20 * v ** (a20 - 1.0)
-    elif copula.family == "log-interaction":
-        def corner(v):
-            return 0.0
-    else:
-        def corner(v, _eps: float = 1e-4):
-            return float(copula.chat_v(_eps, v)) / _eps
+    # The log-interaction family has no dependence function; its corner
+    # derivative is 0.
+    a20 = None if p is None else estimate_corner_slope(p)[0]
 
     def taylor(lt, u, v):
-        return _safe_exp(float(lchat_v(math.log(u) + lt, math.log(v))) - lt), u * corner(v)
+        corner = 0.0 if a20 is None else a20 * v ** (a20 - 1.0)
+        return _safe_exp(float(lchat_v(math.log(u) + lt, math.log(v))) - lt), u * corner
 
     finish("taylor_limit", scan(gvals, vprob, taylor))
 

@@ -15,7 +15,6 @@ __all__ = [
     "BoundaryCaseError",
     "DivergentIntegralError",
     "UnsupportedFamilyError",
-    "CopulaConstructionError",
     "AmbiguousBranchError",
 ]
 
@@ -49,10 +48,6 @@ class DivergentIntegralError(DomainError):
 
 class UnsupportedFamilyError(TailsumError):
     """A copula family name is not recognised by the requested operation."""
-
-
-class CopulaConstructionError(TailsumError):
-    """A user-supplied copula violates the copula axioms on the check grid."""
 
 
 class AmbiguousBranchError(TailsumError):

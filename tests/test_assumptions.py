@@ -1,5 +1,6 @@
 """Unit tests for the numerical assumption checker."""
 
+import dataclasses
 import math
 
 import pytest
@@ -10,7 +11,6 @@ from tailsum import (
     gumbel_pickands,
     make_survival_copula,
     partial_limit_traits,
-    survival_from_copula,
     tail_order_traits,
     trial_tail_order_traits,
 )
@@ -122,21 +122,28 @@ def test_traits_are_derived_from_shipped_families(sc_ind, sc_log):
         check_assumptions(sc_log)
 
 
-def test_plain_callable_copula_underflows_to_inconclusive():
-    # a copula given only as a plain callable has no deep-tail evaluator, so
-    # probing far below the double-precision floor must degrade gracefully
-    sc = survival_from_copula(lambda u, v: u * v)
-    report = check_assumptions(
-        sc,
-        tail_traits=tail_order_traits("independence"),
-        log10_t_sequence=(-200.0, -250.0, -300.0),
-    )
-    assert not report.any_fail
-    assert report.any_inconclusive
+def _raise(*args):
+    raise AssertionError("the checker must read only the log-domain evaluators")
+
+
+@pytest.mark.parametrize(
+    "family, kwargs, traits",
+    [("gumbel", {"phi": 10.0}, None),
+     ("log-interaction", {"sigma": 0.5}, trial_tail_order_traits(1.5))],
+)
+def test_checker_reads_only_the_log_domain_evaluators(family, kwargs, traits):
+    shipped = make_survival_copula(family, **kwargs)
+    log_only = dataclasses.replace(shipped, chat=_raise, chat_v=_raise)
+    want = check_assumptions(shipped, tail_traits=traits)
+    got = check_assumptions(log_only, tail_traits=traits)
+    assert got.skipped == want.skipped
+    assert set(got.checks) == set(want.checks)
+    for name, check in want.checks.items():
+        assert got.checks[name].deviations == check.deviations, name
+        assert got.checks[name].fitted_c == check.fitted_c, name
 
 
 _DEEP = (-8200.0, -8400.0, -8600.0, -8800.0, -9000.0)
-_PLAIN = (-1.0, -50.0, -100.0, -150.0, -200.0)
 
 # Per-scale worst deviations and fitted constants of three reports, frozen:
 # a changed row moves them even where every verdict holds.
@@ -168,9 +175,14 @@ _EVIDENCE = {
         "taylor_limit": ((9.694831335805237e-40, 7.804489873440336e-40, 6.314886064754128e-40,
                           5.134537283578884e-40, 4.194274337497326e-40), None),
     },
-    "plain-product-too-deep": {
-        "A2": ((2.375877272697835e-14, 1.0, 1.0, 1.0, 1.0), None),
-        "taylor_limit": ((8.326671962438384e-08, 1.0, 1.0, 1.0, 1.0), None),
+    # the negative control of `tailsum check --family log-interaction`;
+    # A3, A4 and evcond are skipped
+    "log-interaction": {
+        "A2": ((0.9964417928620298, 0.9999999197940833, 0.999999999999991,
+                1.0, 1.0, 1.0, 1.0), None),
+        "taylor_limit": ((4.245661013139918, 3.4207227144039205, 2.219573447710317,
+                          1.3052211877890867, 0.7253711915982628, 0.3885879126256352,
+                          0.2028689842065432), None),
     },
 }
 
@@ -181,9 +193,8 @@ def _evidence_report(case):
     if case == "gumbel10-deep":
         return check_assumptions(make_survival_copula("gumbel", phi=10.0), log10_t_sequence=_DEEP)
     return check_assumptions(
-        survival_from_copula(lambda u, v: u * v),
-        tail_traits=trial_tail_order_traits(2.0),
-        log10_t_sequence=_PLAIN,
+        make_survival_copula("log-interaction", sigma=0.5),
+        tail_traits=trial_tail_order_traits(1.5),
     )
 
 

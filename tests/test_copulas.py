@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import oracles
 from tailsum import (
-    CopulaConstructionError,
     DomainError,
     UnsupportedFamilyError,
     comonotone_pickands,
@@ -21,7 +20,6 @@ from tailsum import (
     independence_pickands,
     make_survival_copula,
     partial_limit_traits,
-    survival_from_copula,
     tail_order_traits,
     trial_tail_order_traits,
 )
@@ -210,20 +208,6 @@ def test_log_domain_evaluators_match_the_direct_ones(family, kwargs):
             assert math.isclose(
                 math.exp(sc.log_chat_v(lu, lv)), sc.chat_v(u, v), rel_tol=1e-12
             ), (u, v)
-
-
-def test_survival_from_copula_validates():
-    sc = survival_from_copula(lambda u, v: u * v)
-    assert math.isclose(sc.chat(0.3, 0.4), 0.12, rel_tol=1e-12)
-    with pytest.raises(CopulaConstructionError):
-        survival_from_copula(lambda u, v: u * v**2)
-
-
-def test_survival_from_copula_finite_difference_derivative():
-    analytic = survival_from_copula(lambda u, v: u * v, lambda u, v: u)
-    fd = survival_from_copula(lambda u, v: u * v)
-    for u, v in ((0.3, 0.4), (0.7, 0.1)):
-        assert math.isclose(fd.chat_v(u, v), analytic.chat_v(u, v), rel_tol=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Guard: the expansions and the trait builders never test a family name.
+"""Guard: the expansions, the trait builders and the hypothesis checker never
+test a family name.
 
 An extreme-value family is defined once, by its dependence function, and
-everything the expansions and the traits need is derived from it. A
-comparison against a family name in these places would be a second
+everything the expansions, the traits and the checker need is derived from
+it. A comparison against a family name in these places would be a second
 definition that a family defined elsewhere (see ``test_galambos.py``)
 silently misses. The scan reads the source, so it also catches branches no
 other test reaches.
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tailsum"
-NAMES = {"gumbel", "independence", "comonotone"}
+NAMES = {"gumbel", "independence", "comonotone", "log-interaction"}
 
 
 def _scope(module: str, function):
@@ -33,6 +34,7 @@ def _scope(module: str, function):
         ("asymptotics.py", None),
         ("copulas.py", "tail_order_traits"),
         ("copulas.py", "partial_limit_traits"),
+        ("copulas.py", "check_assumptions"),
         ("cli.py", "_cmd_check"),
     ],
 )

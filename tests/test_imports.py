@@ -1,14 +1,18 @@
-"""Import hygiene: scipy loads only where quadrature or root finding runs.
+"""Import hygiene: the package exports exactly its submodules' public names,
+and scipy loads only where quadrature or root finding runs.
 
 pytest's ``filterwarnings`` setting names ``scipy.integrate.IntegrationWarning``
-and so imports ``scipy.integrate`` into the test process; the checks run in a
-fresh interpreter instead.
+and so imports ``scipy.integrate`` into the test process; the scipy checks run
+in a fresh interpreter instead.
 """
 
 import os
 import pathlib
 import subprocess
 import sys
+
+import tailsum
+from tailsum import asymptotics, copulas, errors, marginals, montecarlo
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -47,3 +51,12 @@ def test_import_var_and_check_never_load_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["codes [0, 0]", "loaded []", "finite True True True"]
+
+
+def test_package_exports_are_the_submodule_exports():
+    submodules = (errors, marginals, copulas, asymptotics, montecarlo)
+    assert len(set(tailsum.__all__)) == len(tailsum.__all__)
+    assert set(tailsum.__all__) == {"__version__"}.union(*(m.__all__ for m in submodules))
+    for module in submodules:
+        for name in module.__all__:
+            assert getattr(tailsum, name) is getattr(module, name), name
