@@ -8,7 +8,7 @@ legend. Output is a complete standalone ``.svg`` document.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DomainError
 
@@ -57,7 +57,6 @@ def render_line_chart(
     series: Sequence[tuple],
     logx: bool = False,
     logy: bool = False,
-    caption: Optional[str] = None,
 ) -> None:
     """Write a line chart to ``path`` as a standalone SVG document.
 
@@ -72,8 +71,6 @@ def render_line_chart(
         nonpositive coordinates on a logarithmic axis are dropped.
     logx, logy : bool
         Use a base-10 logarithmic axis.
-    caption : str, optional
-        One extra line under the title.
 
     Raises
     ------
@@ -131,11 +128,6 @@ def render_line_chart(
         f'<text x="{_WIDTH / 2}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="15" font-weight="bold">{title}</text>',
     ]
-    if caption:
-        parts.append(
-            f'<text x="{_WIDTH / 2}" y="40" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11" fill="#555">{caption}</text>'
-        )
 
     plot_bottom = _HEIGHT - _MARGIN_B
     plot_right = _WIDTH - _MARGIN_R

@@ -51,7 +51,6 @@ from .copulas import (
     check_assumptions,
     gumbel_pickands,
     make_survival_copula,
-    tail_order_traits,
     trial_tail_order_traits,
 )
 from .errors import (
@@ -220,7 +219,7 @@ def _resolve_mc(cfg: _Settings) -> tuple:
 def _resolve_t_grid(cfg: _Settings, m: ParetoMarginal) -> tuple:
     explicit = cfg.get("grid.t", "t")
     if explicit is not None:
-        ts = _float_list(explicit) if isinstance(explicit, str) else tuple(explicit)
+        ts = _float_list(explicit)
         if not ts:
             raise ConfigError("grid.t must contain at least one threshold")
         return ts
@@ -245,7 +244,7 @@ def _resolve_q_grid(cfg: _Settings) -> tuple:
     explicit = cfg.get("grid.q", "q")
     if explicit is None:
         return _DEFAULT_Q_GRID
-    qs = _float_list(explicit) if isinstance(explicit, str) else tuple(explicit)
+    qs = _float_list(explicit)
     if not qs:
         raise ConfigError("grid.q must contain at least one probability level")
     return qs
@@ -376,7 +375,7 @@ def _cmd_check(cfg: _Settings) -> int:
 
     log10_raw = cfg.get("check.log10_t", "log10_t")
     if log10_raw is not None:
-        log10_t = _float_list(log10_raw) if isinstance(log10_raw, str) else tuple(log10_raw)
+        log10_t = _float_list(log10_raw)
     elif copula.pickands is not None and copula.pickands.log_refined is not None:
         # a family with only log-refined corner traits converges toward its
         # tail scaling logarithmically, so the verdict needs extremely deep
@@ -397,15 +396,12 @@ def _cmd_check(cfg: _Settings) -> int:
         kwargs["log10_t_sequence"] = log10_t
 
     csv_rows = []
-    try:
-        traits = tail_order_traits(copula)
-        reports = [(None, check_assumptions(copula, traits, **kwargs))]
-    except UnsupportedFamilyError:
+    if copula.pickands is not None:
+        reports = [(None, check_assumptions(copula, **kwargs))]
+    else:
         trial_raw = cfg.get("check.trial_kappa", "trial_kappa")
         if trial_raw is not None:
-            trial_kappas = (
-                _float_list(trial_raw) if isinstance(trial_raw, str) else tuple(trial_raw)
-            )
+            trial_kappas = _float_list(trial_raw)
         else:
             trial_kappas = tuple(round(1.0 + 0.1 * i, 1) for i in range(11))
         print(

@@ -2,9 +2,10 @@
 
 This module houses the dependence layer of the package:
 
-* :class:`SurvivalCopula` pairs the joint survival transform ``chat(u, v)``
-  with its partial derivative in the second argument, and with log-domain
-  evaluators of both that stay accurate far below double-precision range.
+* :class:`SurvivalCopula` carries a copula's log-domain evaluators: the
+  logarithm of the joint survival transform ``chat(u, v)`` and of its
+  partial derivative in the second argument, both taking ``(log u, log v)``
+  so they stay accurate far below double-precision range.
 * :class:`PickandsEV` represents an extreme-value dependence function together
   with its partial derivatives; :func:`gumbel_pickands` builds the Gumbel
   family (logistic dependence) with overflow-safe closed forms.
@@ -16,14 +17,14 @@ This module houses the dependence layer of the package:
   verdict per hypothesis with the full numeric evidence.
 
 An extreme-value family is defined once, by its :class:`PickandsEV`: its
-survival copula, log-domain evaluators and tail traits are derived from it.
+log-domain evaluators, the plain evaluators :func:`ev_chat` and
+:func:`ev_chat_v`, and its tail traits are derived from it.
 
 All values are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
@@ -201,6 +202,28 @@ _EV_FAMILIES = {
 }
 
 
+def _ev_log_chat(p: PickandsEV, lu, lv):
+    """``log chat = -a_fn(-log u, -log v)``, from ``(log u, log v)``."""
+    wu, wv = -np.asarray(lu, float), -np.asarray(lv, float)
+    return _maybe_scalar(-np.asarray(p.a_fn(wu, wv), float), lu, lv)
+
+
+def _ev_log_chat_v(p: PickandsEV, lu, lv):
+    """``log chat_v = log chat + log a2_fn(-log u, -log v) - log v``.
+
+    Exactly 0 at ``log u == 0``, the margin ``chat(1, v) = v``; a vanishing
+    ``a2_fn`` gives ``-inf``.
+    """
+    wu, wv = -np.asarray(lu, float), -np.asarray(lv, float)
+    with np.errstate(divide="ignore"):
+        out = (
+            -np.asarray(p.a_fn(wu, wv), float)
+            + np.log(np.asarray(p.a2_fn(wu, wv), float))
+            + wv
+        )
+    return _maybe_scalar(np.where(wu == 0, 0.0, out), lu, lv)
+
+
 def ev_chat(p: PickandsEV, u, v):
     """Extreme-value survival copula ``exp(-a_fn(-log u, -log v))``.
 
@@ -222,18 +245,18 @@ def ev_chat(p: PickandsEV, u, v):
     mask = (ua == 0) | (va == 0)
     safe_u = np.where(mask, 0.5, ua)
     safe_v = np.where(mask, 0.5, va)
-    out = np.exp(-np.asarray(p.a_fn(-np.log(safe_u), -np.log(safe_v)), float))
-    out = np.where(mask, 0.0, out)
-    return _maybe_scalar(out, u, v)
+    out = np.exp(_ev_log_chat(p, np.log(safe_u), np.log(safe_v)))
+    return _maybe_scalar(np.where(mask, 0.0, out), u, v)
 
 
 def ev_chat_v(p: PickandsEV, u, v):
     """Partial derivative of :func:`ev_chat` in the second argument.
 
-    Equals ``ev_chat(u, v) * a2_fn(-log u, -log v) / v``. The value at
-    ``u == 0`` is the continuity limit 0, and at ``u == 1`` exactly 1, the
-    derivative of the margin ``ev_chat(1, v) = v``; ``v == 0`` is outside
-    the domain.
+    Equals ``ev_chat(u, v) * a2_fn(-log u, -log v) / v``, formed in the log
+    domain so that no intermediate underflows before the division by ``v``.
+    The value at ``u == 0`` is the continuity limit 0, and at ``u == 1``
+    exactly 1, the derivative of the margin ``ev_chat(1, v) = v``; ``v == 0``
+    is outside the domain.
 
     Raises
     ------
@@ -246,11 +269,8 @@ def ev_chat_v(p: PickandsEV, u, v):
             f"partial derivative requires u in [0, 1] and v in (0, 1], got u={u!r}, v={v!r}"
         )
     mask = ua == 0
-    safe_u = np.where(mask, 0.5, ua)
-    wu, wv = -np.log(safe_u), -np.log(va)
-    out = np.exp(-np.asarray(p.a_fn(wu, wv), float)) * np.asarray(p.a2_fn(wu, wv), float) / va
-    out = np.where(mask, 0.0, np.where(ua == 1, 1.0, out))
-    return _maybe_scalar(out, u, v)
+    out = np.exp(_ev_log_chat_v(p, np.log(np.where(mask, 0.5, ua)), np.log(va)))
+    return _maybe_scalar(np.where(mask, 0.0, out), u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -260,22 +280,20 @@ def ev_chat_v(p: PickandsEV, u, v):
 
 @dataclass(frozen=True)
 class SurvivalCopula:
-    """Joint survival transform of a bivariate copula.
+    """Joint survival transform of a bivariate copula, in the log domain.
 
-    ``chat(u, v)`` gives ``P(U' <= u, V' <= v)`` for the survival-side pair,
-    so that the joint tail of two risks is ``chat(sf_x(x), sf_y(y))``.
+    The survival copula ``chat(u, v)`` gives ``P(U' <= u, V' <= v)`` for the
+    survival-side pair, so that the joint tail of two risks is
+    ``chat(sf_x(x), sf_y(y))``; ``chat_v`` is its partial derivative in the
+    second argument.
 
     Attributes
     ----------
-    chat : callable
-        The survival copula on ``[0, 1]^2``.
-    chat_v : callable
-        Partial derivative of ``chat`` in the second argument, in ``[0, 1]``.
     log_chat, log_chat_v : callable
         Log-domain evaluators of ``chat`` and ``chat_v``, taking
         ``(log u, log v)`` and returning the logarithm of the corresponding
-        value. The hypothesis checker reads only these, so it can probe
-        scales far below double-precision underflow.
+        value, so that the hypothesis checker can probe scales far below
+        double-precision underflow.
     family : str
         Family tag, as accepted by :func:`make_survival_copula`.
     param : float or None
@@ -284,8 +302,6 @@ class SurvivalCopula:
         The dependence function when the family is extreme-value.
     """
 
-    chat: Callable
-    chat_v: Callable
     log_chat: Callable
     log_chat_v: Callable
     family: str
@@ -294,27 +310,15 @@ class SurvivalCopula:
 
 
 def _ev_copula(p: PickandsEV) -> SurvivalCopula:
-    """The survival copula of a dependence function, with its log evaluators."""
+    """The survival copula of a dependence function."""
 
     def log_chat(lu, lv):
-        wu, wv = -np.asarray(lu, float), -np.asarray(lv, float)
-        return _maybe_scalar(-np.asarray(p.a_fn(wu, wv), float), lu, lv)
+        return _ev_log_chat(p, lu, lv)
 
     def log_chat_v(lu, lv):
-        wu, wv = -np.asarray(lu, float), -np.asarray(lv, float)
-        with np.errstate(divide="ignore"):
-            out = (
-                -np.asarray(p.a_fn(wu, wv), float)
-                + np.log(np.asarray(p.a2_fn(wu, wv), float))
-                + wv
-            )
-        return _maybe_scalar(np.where(wu == 0, 0.0, out), lu, lv)
+        return _ev_log_chat_v(p, lu, lv)
 
-    return SurvivalCopula(
-        chat=functools.partial(ev_chat, p), chat_v=functools.partial(ev_chat_v, p),
-        log_chat=log_chat, log_chat_v=log_chat_v,
-        family=p.family, param=p.param, pickands=p,
-    )
+    return SurvivalCopula(log_chat, log_chat_v, family=p.family, param=p.param, pickands=p)
 
 
 def make_survival_copula(
@@ -322,8 +326,9 @@ def make_survival_copula(
 ) -> SurvivalCopula:
     """Build a shipped survival copula by family name.
 
-    The extreme-value families are built from their dependence function by
-    :func:`ev_chat` and :func:`ev_chat_v`.
+    The extreme-value families are built from their dependence function;
+    their log-domain evaluators are those of :func:`ev_chat` and
+    :func:`ev_chat_v`.
 
     Parameters
     ----------
@@ -355,21 +360,7 @@ def make_survival_copula(
         if not (0.0 < sig <= 1.0):
             raise DomainError(f"log-interaction strength must lie in (0, 1], got {sigma!r}")
 
-        def chat(u, v):
-            ua, va = np.asarray(u, float), np.asarray(v, float)
-            mask = (ua == 0) | (va == 0)
-            su, sv = np.where(mask, 0.5, ua), np.where(mask, 0.5, va)
-            out = su * sv * np.exp(-sig * np.log(su) * np.log(sv))
-            return _maybe_scalar(np.where(mask, 0.0, out), u, v)
-
-        def chat_v(u, v):
-            ua, va = np.asarray(u, float), np.asarray(v, float)
-            mask = ua == 0
-            su = np.where(mask, 0.5, ua)
-            lu = np.log(su)
-            out = su * np.exp(-sig * lu * np.log(va)) * (1.0 - sig * lu)
-            return _maybe_scalar(np.where(mask, 0.0, out), u, v)
-
+        # chat(u, v) = u * v * exp(-sig * log u * log v)
         def log_chat(lu, lv):
             la, lb = np.asarray(lu, float), np.asarray(lv, float)
             return _maybe_scalar(la + lb - sig * la * lb, lu, lv)
@@ -379,10 +370,7 @@ def make_survival_copula(
             out = la - sig * la * lb + np.log1p(-sig * la)
             return _maybe_scalar(out, lu, lv)
 
-        return SurvivalCopula(
-            chat=chat, chat_v=chat_v, log_chat=log_chat, log_chat_v=log_chat_v,
-            family="log-interaction", param=sig,
-        )
+        return SurvivalCopula(log_chat, log_chat_v, family="log-interaction", param=sig)
 
     supported = ", ".join([*_EV_FAMILIES, "log-interaction"])
     raise UnsupportedFamilyError(f"unknown copula family {family!r}; supported: {supported}")
@@ -485,21 +473,6 @@ def _min_tau_v(u, v):
     return _maybe_scalar(np.where(va < ua, 1.0, np.where(va > ua, 0.0, 0.5)), u, v)
 
 
-def _pickands_of(descriptor) -> PickandsEV:
-    """The dependence function a trait descriptor names or carries."""
-    if isinstance(descriptor, str) and descriptor in _EV_FAMILIES:
-        descriptor = _EV_FAMILIES[descriptor](None)
-    elif isinstance(descriptor, SurvivalCopula) and descriptor.pickands is not None:
-        descriptor = descriptor.pickands
-    if not isinstance(descriptor, PickandsEV):
-        name = descriptor.family if isinstance(descriptor, SurvivalCopula) else descriptor
-        raise UnsupportedFamilyError(
-            f"family {name!r} has no extreme-value dependence function, hence no "
-            "power tail traits; use trial_tail_order_traits to probe it"
-        )
-    return descriptor
-
-
 def estimate_corner_slope(p: PickandsEV) -> tuple[float, Optional[str]]:
     """Estimate ``a2_fn(1, v)`` in the limit of vanishing ``v``.
 
@@ -527,7 +500,7 @@ def estimate_corner_slope(p: PickandsEV) -> tuple[float, Optional[str]]:
     return last, warning
 
 
-def tail_order_traits(descriptor) -> TailOrderTraits:
+def tail_order_traits(p: PickandsEV) -> TailOrderTraits:
     """Tail-order traits of an extreme-value copula, from its dependence function.
 
     The tail order is ``kappa = a(1, 1)`` and the limit profile the product
@@ -535,26 +508,9 @@ def tail_order_traits(descriptor) -> TailOrderTraits:
     ``kappa == 1`` forces ``a = max`` (by convexity and the bounds
     ``max(x, y) <= a <= x + y``), whose profile is ``min(u, v)``.
 
-    Parameters
-    ----------
-    descriptor : PickandsEV or SurvivalCopula or str
-        Any dependence function, a copula carrying one, or the name of a
-        parameter-free extreme-value family (``"independence"``,
-        ``"comonotone"``).
-
-    Returns
-    -------
-    TailOrderTraits
-
-    Raises
-    ------
-    UnsupportedFamilyError
-        For a copula without a dependence function (``"log-interaction"``);
-        probe it with :func:`trial_tail_order_traits` instead.
-    DomainError
-        For ``"gumbel"`` named without its interaction exponent.
+    A copula without a dependence function (``"log-interaction"``) has no
+    such traits; probe it with :func:`trial_tail_order_traits` instead.
     """
-    p = _pickands_of(descriptor)
     kappa = float(p.a_fn(1.0, 1.0))
     if kappa == 1.0:
         m, tau, tau_v = None, _min_tau, _min_tau_v
@@ -586,10 +542,8 @@ def trial_tail_order_traits(kappa: float) -> TailOrderTraits:
     )
 
 
-def partial_limit_traits(descriptor) -> PartialLimitTraits:
+def partial_limit_traits(p: PickandsEV) -> PartialLimitTraits:
     """Corner-limit traits of the partial derivative of an extreme-value copula.
-
-    Accepts the descriptors of :func:`tail_order_traits`.
 
     Returns
     -------
@@ -600,13 +554,8 @@ def partial_limit_traits(descriptor) -> PartialLimitTraits:
         has ``a20 = 1`` and profile ``u``). When the corner slope vanishes
         (Gumbel with exponent above 1, and the comonotone limit) the profile
         is identically zero and the ``degenerate`` flag is set.
-
-    Raises
-    ------
-    UnsupportedFamilyError
-        For a copula without a dependence function (``"log-interaction"``).
     """
-    a20, _ = estimate_corner_slope(_pickands_of(descriptor))
+    a20, _ = estimate_corner_slope(p)
     if a20 > 0.0:
         def varphi(u, v):
             return a20 * u * v ** (a20 - 1.0)
@@ -828,11 +777,11 @@ def check_assumptions(
     copula : SurvivalCopula
         A shipped survival copula, from :func:`make_survival_copula`.
     tail_traits : TailOrderTraits, optional
-        Defaults to the traits of the copula's family; required for families
-        without a valid tail order (pass :func:`trial_tail_order_traits`).
+        Defaults to the traits of the copula's dependence function; required
+        for a copula without one (pass :func:`trial_tail_order_traits`).
     partial_traits : PartialLimitTraits, optional
-        Defaults to the family traits where they exist; when absent, the
-        checks that need them are skipped.
+        Defaults to the traits of the dependence function where there is
+        one; when absent, the checks that need them are skipped.
     grid : sequence of float
         Relative grid (default ``(0.5, 1, 2, 4)``); values below 1 double as
         the probability grid of the derivative checks.
@@ -847,7 +796,8 @@ def check_assumptions(
         If the scale sequence is not strictly decreasing or the grid is
         empty or nonpositive.
     UnsupportedFamilyError
-        If no tail traits are supplied for a family that has none.
+        If no tail traits are supplied for a copula without a dependence
+        function.
     """
     l10 = tuple(float(x) for x in (_DEFAULT_LOG10_T if log10_t_sequence is None else log10_t_sequence))
     if len(l10) < 3:
@@ -861,13 +811,16 @@ def check_assumptions(
         raise ConfigError(f"tolerance must be a positive finite number, got {tolerance!r}")
     vprob = tuple(g for g in gvals if g < 1.0) or (0.5,)
 
+    p = copula.pickands
     if tail_traits is None:
-        tail_traits = tail_order_traits(copula)
-    if partial_traits is None:
-        try:
-            partial_traits = partial_limit_traits(copula)
-        except UnsupportedFamilyError:
-            partial_traits = None
+        if p is None:
+            raise UnsupportedFamilyError(
+                f"family {copula.family!r} has no extreme-value dependence function, hence "
+                "no power tail traits; use trial_tail_order_traits to probe it"
+            )
+        tail_traits = tail_order_traits(p)
+    if partial_traits is None and p is not None:
+        partial_traits = partial_limit_traits(p)
 
     ln10 = math.log(10.0)
     lts = [x * ln10 for x in l10]
@@ -942,7 +895,6 @@ def check_assumptions(
 
     # evcond: stability of the dependence derivative under log perturbations;
     # its power is fitted per grid point, so it keeps its own loop.
-    p = copula.pickands
     if p is None:
         skipped.append("evcond")
     else:
@@ -976,11 +928,12 @@ def check_assumptions(
 
     # taylor_limit: first-order corner behaviour of the partial derivative.
     # The log-interaction family has no dependence function; its corner
-    # derivative is 0.
-    a20 = None if p is None else estimate_corner_slope(p)[0]
+    # derivative is 0, as is that of a vanishing corner slope (whose power
+    # v ** -1 would overflow at a subnormal grid value).
+    a20 = 0.0 if p is None else estimate_corner_slope(p)[0]
 
     def taylor(lt, u, v):
-        corner = 0.0 if a20 is None else a20 * v ** (a20 - 1.0)
+        corner = a20 * v ** (a20 - 1.0) if a20 else 0.0
         return _safe_exp(float(lchat_v(math.log(u) + lt, math.log(v))) - lt), u * corner
 
     finish("taylor_limit", scan(gvals, vprob, taylor))

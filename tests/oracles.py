@@ -91,11 +91,25 @@ def galambos_chat_v(theta: float, u, v):
     return galambos_chat(theta, u, v) * a2 / v
 
 
+def log_interaction_chat(sigma: float, u, v):
+    """Log-interaction survival copula ``u * v * exp(-sigma * log u * log v)``."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    return u * v * np.exp(-sigma * np.log(u) * np.log(v))
+
+
+def log_interaction_chat_v(sigma: float, u, v):
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    lu = np.log(u)
+    return u * np.exp(-sigma * lu * np.log(v)) * (1.0 - sigma * lu)
+
+
 def chat_funcs(family: str, phi: float = 1.0):
     """Return (chat, chat_v) callables for a named survival copula.
 
-    ``phi`` is the family parameter: the Gumbel exponent, or the Galambos
-    ``theta``.
+    ``phi`` is the family parameter: the Gumbel exponent, the Galambos
+    ``theta``, or the log-interaction strength.
     """
     if family == "independence" or (family == "gumbel" and phi == 1.0):
         return (lambda u, v: u * v, lambda u, v: u * np.ones_like(np.asarray(v, dtype=float)))
@@ -103,6 +117,11 @@ def chat_funcs(family: str, phi: float = 1.0):
         return (lambda u, v: gumbel_chat(phi, u, v), lambda u, v: gumbel_chat_v(phi, u, v))
     if family == "galambos":
         return (lambda u, v: galambos_chat(phi, u, v), lambda u, v: galambos_chat_v(phi, u, v))
+    if family == "log-interaction":
+        return (
+            lambda u, v: log_interaction_chat(phi, u, v),
+            lambda u, v: log_interaction_chat_v(phi, u, v),
+        )
     if family == "comonotone":
         return (
             lambda u, v: np.minimum(u, v),

@@ -221,11 +221,11 @@ def test_scaling_checks_pass_for_shipped_families():
     for family, phi, deep in (("independence", None, False), ("gumbel", 10.0, True)):
         kwargs = {} if phi is None else {"phi": phi}
         sc = make_survival_copula(family, **kwargs)
-        descriptor = "independence" if phi is None else gumbel_pickands(phi)
+        p = independence_pickands() if phi is None else gumbel_pickands(phi)
         report = check_assumptions(
             sc,
-            tail_traits=tail_order_traits(descriptor),
-            partial_traits=partial_limit_traits(descriptor),
+            tail_traits=tail_order_traits(p),
+            partial_traits=partial_limit_traits(p),
             log10_t_sequence=(
                 (-8200.0, -8400.0, -8600.0, -8800.0, -9000.0) if deep else None
             ),
@@ -253,7 +253,7 @@ def test_scaling_checks_reject_counterexample_at_every_trial_order():
 def test_truncated_corner_ratio_converges_to_limit():
     start = time.monotonic()
     m = ParetoMarginal(0.8, 1.0)
-    traits = tail_order_traits("independence")
+    traits = tail_order_traits(independence_pickands())
     limit = eta_delta(traits, 0.8, 0.1)
     devs = []
     for t in (1e2, 1e3, 1e4):
@@ -272,9 +272,8 @@ def test_truncated_corner_ratio_converges_to_limit():
 def test_corner_profile_homogeneity_orders():
     start = time.monotonic()
     rng = np.random.default_rng(20260818)
-    descriptors = ["independence", gumbel_pickands(2.0), gumbel_pickands(10.0)]
-    for descriptor in descriptors:
-        traits = tail_order_traits(descriptor)
+    for p in (independence_pickands(), gumbel_pickands(2.0), gumbel_pickands(10.0)):
+        traits = tail_order_traits(p)
         kappa = traits.kappa
         for _ in range(1000):
             s, u, v = 10.0 ** rng.uniform(-2.0, 1.0, size=3)

@@ -1,6 +1,5 @@
 """Unit tests for the numerical assumption checker."""
 
-import dataclasses
 import math
 
 import pytest
@@ -8,7 +7,9 @@ import pytest
 from tailsum import (
     ConfigError,
     check_assumptions,
+    comonotone_pickands,
     gumbel_pickands,
+    independence_pickands,
     make_survival_copula,
     partial_limit_traits,
     tail_order_traits,
@@ -18,16 +19,16 @@ from tailsum import (
 CHECK_NAMES = ("A2", "A3", "A4", "evcond", "taylor_limit")
 
 
-def _full_report(copula, descriptor):
+def _full_report(copula, p):
     return check_assumptions(
         copula,
-        tail_traits=tail_order_traits(descriptor),
-        partial_traits=partial_limit_traits(descriptor),
+        tail_traits=tail_order_traits(p),
+        partial_traits=partial_limit_traits(p),
     )
 
 
 def test_independence_passes_all_checks(sc_ind):
-    report = _full_report(sc_ind, "independence")
+    report = _full_report(sc_ind, independence_pickands())
     assert report.all_pass
     assert not report.any_fail
     for name in CHECK_NAMES:
@@ -62,12 +63,12 @@ def test_gumbel_phi_ten_needs_depth():
 
 
 def test_independence_diagonal_constant_fits_to_one(sc_ind):
-    report = _full_report(sc_ind, "independence")
+    report = _full_report(sc_ind, independence_pickands())
     assert math.isclose(report.checks["A3"].fitted_c, 1.0, rel_tol=1e-6)
 
 
 def test_comonotone_is_inconclusive_not_failing(sc_co):
-    report = check_assumptions(sc_co, tail_traits=tail_order_traits("comonotone"))
+    report = check_assumptions(sc_co, tail_traits=tail_order_traits(comonotone_pickands()))
     assert not report.any_fail
     assert report.any_inconclusive
     assert not report.all_pass
@@ -90,7 +91,7 @@ def test_counterexample_fails_corner_taylor_check(sc_log):
 
 
 def test_deviation_rows_are_recorded(sc_ind):
-    report = _full_report(sc_ind, "independence")
+    report = _full_report(sc_ind, independence_pickands())
     check = report.checks["A2"]
     assert len(check.deviations) == len(report.log10_t_sequence)
     assert check.last_deviation == check.deviations[-1]
@@ -100,7 +101,7 @@ def test_deviation_rows_are_recorded(sc_ind):
 
 
 def test_config_errors(sc_ind):
-    traits = tail_order_traits("independence")
+    traits = tail_order_traits(independence_pickands())
     with pytest.raises(ConfigError):
         check_assumptions(sc_ind, tail_traits=traits, log10_t_sequence=(-1.0, -2.0))
     with pytest.raises(ConfigError):
@@ -120,27 +121,6 @@ def test_traits_are_derived_from_shipped_families(sc_ind, sc_log):
 
     with pytest.raises(UnsupportedFamilyError):
         check_assumptions(sc_log)
-
-
-def _raise(*args):
-    raise AssertionError("the checker must read only the log-domain evaluators")
-
-
-@pytest.mark.parametrize(
-    "family, kwargs, traits",
-    [("gumbel", {"phi": 10.0}, None),
-     ("log-interaction", {"sigma": 0.5}, trial_tail_order_traits(1.5))],
-)
-def test_checker_reads_only_the_log_domain_evaluators(family, kwargs, traits):
-    shipped = make_survival_copula(family, **kwargs)
-    log_only = dataclasses.replace(shipped, chat=_raise, chat_v=_raise)
-    want = check_assumptions(shipped, tail_traits=traits)
-    got = check_assumptions(log_only, tail_traits=traits)
-    assert got.skipped == want.skipped
-    assert set(got.checks) == set(want.checks)
-    for name, check in want.checks.items():
-        assert got.checks[name].deviations == check.deviations, name
-        assert got.checks[name].fitted_c == check.fitted_c, name
 
 
 _DEEP = (-8200.0, -8400.0, -8600.0, -8800.0, -9000.0)

@@ -153,7 +153,7 @@ def test_integral_positive_and_increasing_in_alpha(alpha, bump, beta):
 
 
 def test_eta_delta_matches_midpoint_oracle():
-    tri = tail_order_traits("independence")
+    tri = tail_order_traits(independence_pickands())
     tr10 = tail_order_traits(gumbel_pickands(10.0))
     for traits, alpha in ((tri, 0.8), (tr10, 0.8), (tri, 0.5)):
         want = oracles.midpoint_eta_delta(traits.tau_v, alpha, 0.1, panels=2_000_000)
@@ -161,14 +161,14 @@ def test_eta_delta_matches_midpoint_oracle():
 
 
 def test_eta_delta_frozen_values():
-    tri = tail_order_traits("independence")
+    tri = tail_order_traits(independence_pickands())
     assert abs(eta_delta(tri, 0.8, 0.1) - 1.0248349992915189) < 1e-12
     tr10 = tail_order_traits(gumbel_pickands(10.0))
     assert abs(eta_delta(tr10, 0.8, 0.1) - 0.16624268763612365) < 1e-12
 
 
 def test_eta_delta_domain():
-    tri = tail_order_traits("independence")
+    tri = tail_order_traits(independence_pickands())
     with pytest.raises(DomainError):
         eta_delta(tri, 0.8, 0.0)
     with pytest.raises(DomainError):
@@ -178,7 +178,7 @@ def test_eta_delta_domain():
 
 
 def test_eta_limit_product_power_families():
-    tri = tail_order_traits("independence")
+    tri = tail_order_traits(independence_pickands())
     assert eta_limit(tri, 0.8) == pytest.approx(I_08_08, abs=1e-12)
     assert math.isinf(eta_limit(tri, 2.0))
     assert math.isinf(eta_limit(tri, 1.0))
@@ -190,7 +190,7 @@ def test_eta_limit_product_power_families():
 
 
 def test_eta_limit_comonotone_is_zero():
-    assert eta_limit(tail_order_traits("comonotone"), 0.8) == 0.0
+    assert eta_limit(tail_order_traits(comonotone_pickands()), 0.8) == 0.0
 
 
 def test_eta_limit_probes_unknown_profiles():
@@ -203,7 +203,7 @@ def test_eta_limit_probes_unknown_profiles():
 def test_equal_profiles_give_equal_eta_limits():
     # trial traits carry the independence profile (u*v)**1, whatever their
     # tail order and family tag
-    ind = tail_order_traits("independence")
+    ind = tail_order_traits(independence_pickands())
     for kappa in (1.2, 1.5, 2.0):
         tr = trial_tail_order_traits(kappa)
         for alpha in (0.5, 0.8, 2.0):
@@ -212,13 +212,13 @@ def test_equal_profiles_give_equal_eta_limits():
 
 
 def test_D_delta_matches_midpoint_oracle(m08):
-    tri = tail_order_traits("independence")
+    tri = tail_order_traits(independence_pickands())
     want = oracles.midpoint_D_delta(tri.tau_v, 0.8, 1.0, 0.1, 1e3, panels=2_000_000)
     assert abs(D_delta(tri, m08, 0.1, 1e3) - want) < 1e-10
 
 
 def test_D_delta_ratio_converges_to_eta_delta(m08):
-    tri = tail_order_traits("independence")
+    tri = tail_order_traits(independence_pickands())
     eta = eta_delta(tri, 0.8, 0.1)
     devs = []
     for t in (1e2, 1e3, 1e4):
@@ -229,7 +229,7 @@ def test_D_delta_ratio_converges_to_eta_delta(m08):
 
 
 def test_D_delta_domain(m08):
-    tri = tail_order_traits("independence")
+    tri = tail_order_traits(independence_pickands())
     with pytest.raises(DomainError):
         D_delta(tri, m08, 0.6, 1e3)
     with pytest.raises(DomainError):
@@ -237,7 +237,7 @@ def test_D_delta_domain(m08):
 
 
 def test_delta_correction_approaches_scaled_truncated_mean(m2):
-    pl = partial_limit_traits("independence")
+    pl = partial_limit_traits(independence_pickands())
     ratios = []
     for t in (1e3, 1e5, 1e7):
         ratios.append(delta_correction(pl, m2, t) / (2.0 * m2.truncated_mean(t) / t))
@@ -246,7 +246,7 @@ def test_delta_correction_approaches_scaled_truncated_mean(m2):
 
 
 def test_power_term_coefficient_profiles():
-    tri = tail_order_traits("independence")
+    tri = tail_order_traits(independence_pickands())
     got = power_term_coefficient(tri, 0.8)
     assert math.isclose(got, 2.0**1.6 - 2.0**1.8, rel_tol=1e-12)
     tr10 = tail_order_traits(gumbel_pickands(10.0))
@@ -254,7 +254,7 @@ def test_power_term_coefficient_profiles():
     assert math.isclose(
         power_term_coefficient(tr10, 0.8), 2.0 ** (2 * am) - 2.0 ** (am + 1), rel_tol=1e-12
     )
-    co = tail_order_traits("comonotone")
+    co = tail_order_traits(comonotone_pickands())
     assert math.isclose(power_term_coefficient(co, 2.0), 2.0, rel_tol=1e-14)
     assert math.isclose(power_term_coefficient(co, 0.8), 2.0**0.8 - 2.0, rel_tol=1e-13)
 
@@ -411,8 +411,8 @@ def test_tailprob_first_order_dominates_in_depth(m08, m2, p1, p10):
 
 
 def test_general_tailprob_eta_branch_equals_closed_form(m08, p_ind):
-    tri = tail_order_traits("independence")
-    pl = partial_limit_traits("independence")
+    tri = tail_order_traits(independence_pickands())
+    pl = partial_limit_traits(independence_pickands())
     # D(0.1, t) shrinks like sf(t): at sf 1e-15 and 1e-16 the choice once
     # compared it with an absolute 1e-14 and fell to the partial branch
     for t in (1e2, 1e3, 1e-15**-1.25 - 1.0, 1e-16**-1.25 - 1.0):
@@ -423,8 +423,8 @@ def test_general_tailprob_eta_branch_equals_closed_form(m08, p_ind):
 
 
 def test_general_tailprob_partial_branch_tracks_exact_truth(m2):
-    tri = tail_order_traits("independence")
-    pl = partial_limit_traits("independence")
+    tri = tail_order_traits(independence_pickands())
+    pl = partial_limit_traits(independence_pickands())
     devs = []
     for t in (1e2, 1e3, 1e4):
         g = tailprob_expansion_general(m2, tri, pl, t)
@@ -435,8 +435,8 @@ def test_general_tailprob_partial_branch_tracks_exact_truth(m2):
 
 
 def test_general_tailprob_branch_selection_and_errors(m08, m2):
-    tri = tail_order_traits("independence")
-    pl = partial_limit_traits("independence")
+    tri = tail_order_traits(independence_pickands())
+    pl = partial_limit_traits(independence_pickands())
     # explicit eta branch with a divergent corner integral must refuse
     with pytest.raises(DivergentIntegralError):
         tailprob_expansion_general(m2, tri, pl, 1e3, branch="eta")
@@ -448,14 +448,14 @@ def test_general_tailprob_branch_selection_and_errors(m08, m2):
         tailprob_expansion_general(m2, trial_tail_order_traits(1.5), None, 1e3)
     # diagonal order at or below 1 leaves no expansion scale
     with pytest.raises(DomainError):
-        tailprob_expansion_general(m08, tail_order_traits("comonotone"), None, 1e3)
+        tailprob_expansion_general(m08, tail_order_traits(comonotone_pickands()), None, 1e3)
     with pytest.raises(DomainError):
         tailprob_expansion_general(m08, tri, pl, 1e3, branch="nonsense")
 
 
 def test_general_tailprob_auto_prefers_partial_when_eta_diverges(m2):
-    tri = tail_order_traits("independence")
-    pl = partial_limit_traits("independence")
+    tri = tail_order_traits(independence_pickands())
+    pl = partial_limit_traits(independence_pickands())
     g = tailprob_expansion_general(m2, tri, pl, 1e3)
     assert any("partial" in d for d in g.diagnostics)
 
@@ -536,8 +536,8 @@ def test_log_refined_candidate_quadrature_converges_at_phi2_alpha03():
 
 def test_threshold_must_be_finite_and_above_the_median(m08, m2, p1, p10):
     # an infinite threshold once gave NaN (inf / inf in the complement term)
-    tri = tail_order_traits("independence")
-    pl = partial_limit_traits("independence")
+    tri = tail_order_traits(independence_pickands())
+    pl = partial_limit_traits(independence_pickands())
     calls = [
         lambda t: tailprob_expansion_ev(m2, p1, t),  # complement case
         lambda t: tailprob_expansion_ev(m08, p10, t),  # degenerate case, candidates

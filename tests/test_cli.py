@@ -267,6 +267,16 @@ def test_check_comonotone_inconclusive_warns_but_passes(capsys):
     assert "warning" in out
 
 
+def test_check_subnormal_grid_value_with_zero_corner_slope(capsys):
+    # the corner derivative of a vanishing corner slope is 0; its power
+    # v ** -1 once overflowed at the subnormal grid value
+    rc = main(["check", "--family", "gumbel", "--phi", "10", "--scale-grid", "1e-320,0.5"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "A4: inconclusive" in out
+    assert "taylor_limit: inconclusive" in out
+
+
 def test_check_trial_kappa_flag(capsys):
     rc = main(["check", "--family", "log-interaction", "--sigma", "0.5",
                "--trial-kappa", "1.5"])

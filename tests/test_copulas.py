@@ -138,6 +138,27 @@ def test_ev_chat_v_matches_oracle():
             assert math.isclose(ev_chat_v(p, u, v), want, rel_tol=1e-11)
 
 
+@pytest.mark.parametrize(
+    "phi, u, v, known",
+    [(1.0, 7.322538337604196e-255, 3.792690190732145e-69, 7.322538337604196e-255),
+     (1.0, 8.70662068058444e-25, 1e-300, 8.70662068058444e-25),
+     (10.0, 1e-300, 1e-300, 1.5741069739015414e-22)],
+)
+def test_ev_chat_v_stays_accurate_where_chat_underflows(phi, u, v, known):
+    # chat(u, v) is subnormal or zero at these points while chat_v is not;
+    # the reference is the closed form in 50-digit arithmetic
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        wu, wv = -mp.log(mp.mpf(u)), -mp.log(mp.mpf(v))
+        inv = 1 / mp.mpf(phi)
+        s = wu**phi + wv**phi
+        want = float(mp.exp(-(s**inv)) * wv ** (phi - 1) * s ** (inv - 1) / mp.mpf(v))
+    assert math.isclose(want, known, rel_tol=1e-15)
+    ps = [gumbel_pickands(phi)] + ([independence_pickands()] if phi == 1.0 else [])
+    for p in ps:
+        assert math.isclose(ev_chat_v(p, u, v), want, rel_tol=1e-12), p.family
+
+
 def test_chat_v_is_one_on_the_margin_u_equals_one():
     # chat(1, v) = v, so its derivative is exactly 1 there, also at v = 1
     # where a2(0, 0) is 0/0 for Gumbel with exponent above 1
@@ -148,7 +169,6 @@ def test_chat_v_is_one_on_the_margin_u_equals_one():
         assert np.array_equal(ev_chat_v(p, np.ones_like(vs), vs), np.ones_like(vs))
     for family, kwargs in (("gumbel", {"phi": 2.0}), ("comonotone", {})):
         sc = make_survival_copula(family, **kwargs)
-        assert sc.chat_v(1.0, 1.0) == 1.0
         assert sc.log_chat_v(0.0, 0.0) == 0.0
         assert sc.log_chat_v(0.0, math.log(0.3)) == 0.0
 
@@ -157,10 +177,10 @@ def test_log_evaluators_match_plain_and_stay_finite_deep():
     sc = make_survival_copula("gumbel", phi=10.0)
     for u, v in ((0.3, 0.4), (1e-4, 2e-4)):
         lu, lv = math.log(u), math.log(v)
-        assert math.isclose(sc.log_chat(lu, lv), math.log(sc.chat(u, v)), rel_tol=1e-12)
-        assert math.isclose(
-            sc.log_chat_v(lu, lv), math.log(sc.chat_v(u, v)), rel_tol=1e-10
-        )
+        want = math.log(oracles.gumbel_chat(10.0, u, v))
+        assert math.isclose(sc.log_chat(lu, lv), want, rel_tol=1e-12)
+        want_v = math.log(oracles.gumbel_chat_v(10.0, u, v))
+        assert math.isclose(sc.log_chat_v(lu, lv), want_v, rel_tol=1e-10)
     deep = -9000.0 * math.log(10.0)
     assert math.isfinite(sc.log_chat(deep, deep))
     assert math.isfinite(sc.log_chat_v(deep, deep))
@@ -175,7 +195,7 @@ def test_make_survival_copula_families():
     ):
         sc = make_survival_copula(family, **kwargs)
         assert sc.family == family
-        val = sc.chat(0.3, 0.4)
+        val = math.exp(sc.log_chat(math.log(0.3), math.log(0.4)))
         assert 0.0 < val <= min(0.3, 0.4) + 1e-15
     with pytest.raises(UnsupportedFamilyError):
         make_survival_copula("clayton")
@@ -187,8 +207,8 @@ def test_make_survival_copula_families():
 
 def test_comonotone_chat_is_min():
     sc = make_survival_copula("comonotone")
-    assert sc.chat(0.3, 0.7) == 0.3
-    assert sc.chat(0.9, 0.2) == 0.2
+    assert math.exp(sc.log_chat(math.log(0.3), math.log(0.7))) == 0.3
+    assert math.exp(sc.log_chat(math.log(0.9), math.log(0.2))) == 0.2
 
 
 @pytest.mark.parametrize(
@@ -197,17 +217,24 @@ def test_comonotone_chat_is_min():
      ("log-interaction", {"sigma": 0.5})],
 )
 def test_log_domain_evaluators_match_the_direct_ones(family, kwargs):
-    # the grid includes the diagonal u == v, where the comonotone derivative
-    # is the symmetric subgradient 1/2, and the margins u == 1 and v == 1
+    # against the oracle's closed forms, on a grid with the diagonal u == v
+    # (where the comonotone derivative is the symmetric subgradient 1/2) and
+    # the margins; on u == 1 chat_v is exactly 1, as chat(1, v) = v, while
+    # the oracle's Gumbel form is 0/0 at u == v == 1
     sc = make_survival_copula(family, **kwargs)
+    chat, chat_v = oracles.chat_funcs(family, *kwargs.values())
     grid = (1e-6, 0.01, 0.1, 0.3, 0.5, 0.9, 1.0)
     for u in grid:
         for v in grid:
             lu, lv = math.log(u), math.log(v)
-            assert math.isclose(math.exp(sc.log_chat(lu, lv)), sc.chat(u, v), rel_tol=1e-12)
-            assert math.isclose(
-                math.exp(sc.log_chat_v(lu, lv)), sc.chat_v(u, v), rel_tol=1e-12
-            ), (u, v)
+            if u == 1.0:
+                want_v = 1.0
+            elif family == "comonotone" and u == v:
+                want_v = 0.5
+            else:
+                want_v = float(chat_v(u, v))
+            assert math.isclose(math.exp(sc.log_chat(lu, lv)), float(chat(u, v)), rel_tol=1e-12)
+            assert math.isclose(math.exp(sc.log_chat_v(lu, lv)), want_v, rel_tol=1e-12), (u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +242,7 @@ def test_log_domain_evaluators_match_the_direct_ones(family, kwargs):
 
 
 def test_tail_order_traits_values():
-    ind = tail_order_traits("independence")
+    ind = tail_order_traits(independence_pickands())
     assert ind.kappa == 2.0
     assert ind.power_m == 1.0
     assert math.isclose(ind.tau(0.3, 0.4), 0.12, rel_tol=1e-14)
@@ -224,7 +251,7 @@ def test_tail_order_traits_values():
         assert math.isclose(tr.kappa, 2.0 ** (1.0 / phi), rel_tol=1e-13)
         assert math.isclose(tr.power_m, 2.0 ** (1.0 / phi - 1.0), rel_tol=1e-13)
         assert math.isclose(tr.tau(1.0, 1.0), 1.0, rel_tol=1e-13)
-    co = tail_order_traits("comonotone")
+    co = tail_order_traits(comonotone_pickands())
     assert co.kappa == 1.0
     assert co.tau(0.3, 0.7) == 0.3
 
@@ -237,16 +264,10 @@ def test_tail_order_traits_slowly_varying_part_is_constant_for_gumbel():
 
 def test_tail_order_traits_diagonal_consistency():
     # kappa reproduces the decay of chat(s, s)
-    for family, phi in (("independence", 1.0), ("gumbel", 10.0)):
-        sc = make_survival_copula(family, phi=phi) if family == "gumbel" else make_survival_copula(family)
-        tr = tail_order_traits(family if family == "independence" else gumbel_pickands(phi))
+    for p in (independence_pickands(), gumbel_pickands(10.0)):
+        tr = tail_order_traits(p)
         s = 1e-6
-        assert math.isclose(sc.chat(s, s), s**tr.kappa * tr.ell(s), rel_tol=1e-10)
-
-
-def test_tail_order_traits_rejects_unknown():
-    with pytest.raises(UnsupportedFamilyError):
-        tail_order_traits("log-interaction")
+        assert math.isclose(ev_chat(p, s, s), s**tr.kappa * tr.ell(s), rel_tol=1e-10)
 
 
 def test_trial_tail_order_traits():
@@ -258,15 +279,13 @@ def test_trial_tail_order_traits():
 
 
 def test_partial_limit_traits_fields():
-    ind = partial_limit_traits("independence")
+    ind = partial_limit_traits(independence_pickands())
     assert ind.theta_exp == 1.0
     assert ind.beta == 0.0
     assert not ind.degenerate
     g10 = partial_limit_traits(gumbel_pickands(10.0))
     assert g10.theta_exp == 1.0
     assert g10.degenerate
-    with pytest.raises(UnsupportedFamilyError):
-        partial_limit_traits("log-interaction")
 
 
 def test_gumbel_log_refined_traits_domain():
