@@ -15,10 +15,8 @@ from .asymptotics import (
     ExpansionTerm,
     InversionDiagnostic,
     VarExpansion,
-    D_delta,
     classify_case,
     delta_correction,
-    eta_delta,
     eta_limit,
     integral_I,
     power_term_coefficient,
@@ -108,9 +106,7 @@ __all__ = [
     "VarExpansion",
     "InversionDiagnostic",
     "integral_I",
-    "eta_delta",
     "eta_limit",
-    "D_delta",
     "delta_correction",
     "power_term_coefficient",
     "classify_case",

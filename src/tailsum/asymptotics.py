@@ -4,8 +4,8 @@ Given a Pareto marginal and a dependence structure (an extreme-value
 copula, or raw tail traits), this module evaluates:
 
 * the singular integrals feeding the second-order constants (the series
-  :func:`integral_I`; :func:`eta_delta`, :func:`eta_limit`, :func:`D_delta`,
-  :func:`delta_correction` by quadrature);
+  :func:`integral_I`, the corner functional :func:`eta_limit` in closed
+  form, and :func:`delta_correction` by quadrature);
 * the case classification of the extreme-value regime
   (:func:`classify_case`), which rejects a non-convex dependence function;
 * first- plus second-order expansions of ``P(X + Y > t)``
@@ -31,14 +31,13 @@ stated second order vanishes, the candidates' specs. The cache is a bounded
 ``functools.lru_cache``, which is thread-safe, and holds frozen values, so
 concurrent use is safe; quadrature scratch state is local to each call.
 
-scipy is imported on first use, by the four functions that run quadrature
-or root finding: :func:`eta_delta`, :func:`D_delta` and
-:func:`delta_correction` load ``scipy.integrate``, and
+scipy is imported on first use, by the two functions that run quadrature
+or root finding: :func:`delta_correction` loads ``scipy.integrate``, and
 :func:`var_from_tailprob_inversion` loads ``scipy.optimize``. Importing
 this module, the closed forms and :func:`var_expansion_ev` load neither.
 :func:`tailprob_expansion_ev` loads ``scipy.integrate`` only for a
-``log_refined`` candidate, and :func:`tailprob_expansion_general` for its
-automatic branch choice or its partial branch.
+``log_refined`` candidate, and :func:`tailprob_expansion_general` only on
+its partial branch.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import functools
 import math
 import types
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .copulas import (
     PartialLimitTraits,
@@ -72,9 +71,7 @@ __all__ = [
     "VarExpansion",
     "InversionDiagnostic",
     "integral_I",
-    "eta_delta",
     "eta_limit",
-    "D_delta",
     "delta_correction",
     "power_term_coefficient",
     "classify_case",
@@ -141,50 +138,17 @@ def integral_I(alpha: float, beta: float) -> float:
     return value
 
 
-def _profile_increment(tau_v, alpha: float, y: float) -> float:
-    """``tau_v((1-y)**-alpha, y**-alpha) - tau_v(1, y**-alpha)``, the corner
-    profile increment that :func:`eta_delta` and :func:`D_delta` weight."""
-    vv = y**-alpha
-    return float(tau_v((1.0 - y) ** -alpha, vv)) - float(tau_v(1.0, vv))
-
-
-def eta_delta(traits: TailOrderTraits, alpha: float, delta: float) -> float:
-    """Truncated corner functional of the tail profile derivative.
-
-    Returns ``alpha * int_delta^{1/2} (tau_v((1-y)**-alpha, y**-alpha)
-    - tau_v(1, y**-alpha)) * y**(-alpha-1) dy`` by adaptive quadrature.
-    Nonnegative because ``tau_v`` is nondecreasing in its first argument.
-
-    Raises
-    ------
-    DomainError
-        If ``alpha <= 0`` or ``delta`` lies outside ``(0, 1/2)``.
-    """
-    if not (alpha > 0):
-        raise DomainError(f"eta_delta requires alpha > 0, got {alpha}")
-    if not (0.0 < delta < 0.5):
-        raise DomainError(f"eta_delta requires 0 < delta < 1/2, got {delta}")
-    from scipy import integrate
-
-    tau_v = traits.tau_v
-
-    def g(y: float) -> float:
-        return alpha * _profile_increment(tau_v, alpha, y) * y ** (-alpha - 1.0)
-
-    value, _ = integrate.quad(g, delta, 0.5, **_QUAD_KW)
-    return value
-
-
 def eta_limit(traits: TailOrderTraits, alpha: float) -> float:
-    """Limit of :func:`eta_delta` as the truncation vanishes.
+    """The corner functional of the tail profile, in closed form.
 
-    For a product-power profile ``tau(u, v) = (u*v)**m`` (traits with
-    ``power_m`` set) the limit is finite exactly when ``alpha * m < 1``,
-    where it equals ``integral_I(alpha*m, alpha*m)`` (independence is the
-    case ``m = 1``). For other traits the limit is probed numerically over
-    truncations ``1e-2, 1e-3, 1e-4``, declaring divergence when the value
-    grows by more than a factor 2 across successive decades; the probe of
-    the comonotone profile ``min(u, v)`` is exactly 0.
+    ``eta = alpha * int_0^{1/2} (d2tau((1-y)**-alpha, y**-alpha)
+    - d2tau(1, y**-alpha)) * y**(-alpha-1) dy``, with ``d2tau`` the partial
+    derivative of the profile in its second argument. For the product power
+    ``tau(u, v) = (u*v)**m`` the integrand is ``am * ((1-y)**-am - 1) *
+    y**(-am-1)`` with ``am = alpha*m``, so the limit is finite exactly when
+    ``am < 1``, where it equals ``integral_I(am, am)`` (independence is the
+    case ``m = 1``). For the profile ``min(u, v)`` the increment vanishes on
+    ``(0, 1/2)`` and the limit is 0.
 
     Returns
     -------
@@ -193,48 +157,12 @@ def eta_limit(traits: TailOrderTraits, alpha: float) -> float:
     """
     if not (alpha > 0):
         raise DomainError(f"eta_limit requires alpha > 0, got {alpha}")
-    if traits.power_m is not None:
-        am = alpha * traits.power_m
-        if am >= 1.0:
-            return math.inf
-        return integral_I(am, am)
-    probes = [eta_delta(traits, alpha, d) for d in (1e-2, 1e-3, 1e-4)]
-    tiny = 1e-300
-    if abs(probes[2]) > 2.0 * max(abs(probes[1]), tiny) and abs(probes[1]) > 2.0 * max(
-        abs(probes[0]), tiny
-    ):
+    if traits.power_m is None:
+        return 0.0
+    am = alpha * traits.power_m
+    if am >= 1.0:
         return math.inf
-    return probes[2]
-
-
-def D_delta(traits: TailOrderTraits, marginal: ParetoMarginal, delta: float, t: float) -> float:
-    """Finite-level weighting of the corner profile against the marginal.
-
-    Returns ``int_delta^{1/2} (tau_v((1-y)**-alpha, y**-alpha)
-    - tau_v(1, y**-alpha)) density(t*y) * t dy``. The ratio of this value to
-    ``survival(t)`` approaches :func:`eta_delta` at the same truncation as
-    ``t`` grows.
-
-    Raises
-    ------
-    DomainError
-        If ``delta`` lies outside ``(0, 1/2)`` or ``t`` is not finite and
-        above the marginal median.
-    """
-    if not (0.0 < delta < 0.5):
-        raise DomainError(f"D_delta requires 0 < delta < 1/2, got {delta}")
-    _require_above_median(marginal, t, "D_delta")
-    from scipy import integrate
-
-    alpha = marginal.alpha
-    tau_v = traits.tau_v
-    sf_pdf = marginal._sf_pdf
-
-    def g(y: float) -> float:
-        return _profile_increment(tau_v, alpha, y) * sf_pdf(t * y)[1] * t
-
-    value, _ = integrate.quad(g, delta, 0.5, **_QUAD_KW)
-    return value
+    return integral_I(am, am)
 
 
 def delta_correction(
@@ -502,15 +430,14 @@ def _require_above_median(m: ParetoMarginal, t: float, op: str) -> None:
 
 def _evaluate(specs: tuple, m: ParetoMarginal, t: float, sf: float) -> tuple:
     """``(terms, 2*sf + their sum)`` for the term specs at ``t``, where the
-    survival is ``sf``. A ``"power"`` spec is ``c * sf**e * arg(sf)`` (``arg``
-    None for 1), ``"truncated_mean"`` is ``c * sf**e *
+    survival is ``sf``. A ``"power"`` spec is ``c * sf**e`` (``arg`` None),
+    ``"truncated_mean"`` is ``c * sf**e *
     powered_tail_truncated_mean(t, arg) / t`` and ``"delta_correction"`` is
     ``c * delta_correction(arg, t) * sf**e * arg.h(sf)``."""
     terms = []
     for kind, c, e, arg in specs:
         if kind == "power":
-            sv = 1.0 if arg is None else float(arg(sf))
-            term = ExpansionTerm(coefficient=c, exponent=e, sv_factor=sv, value=c * sf**e * sv)
+            term = ExpansionTerm(coefficient=c, exponent=e, value=c * sf**e)
         elif kind == "truncated_mean":
             tf = m.powered_tail_truncated_mean(t, arg) / t
             term = ExpansionTerm(
@@ -533,13 +460,11 @@ def _branch_specs(
     partial_traits: Optional[PartialLimitTraits],
     alpha: float,
     branch: str,
-    ell: Optional[Callable],
     eta: Optional[float] = None,
 ) -> tuple:
     """Term specs of the ``"eta"`` or ``"partial"`` branch (see
     :func:`tailprob_expansion_general`), or of the ``"power"`` term the two
-    share, with slowly varying factor ``ell`` (None for 1). The eta branch
-    uses the eta limit ``eta`` when given and raises
+    share. The eta branch uses the eta limit ``eta`` when given and raises
     :class:`DivergentIntegralError` when it is infinite; the partial branch
     raises :class:`DomainError` without partial traits."""
     coefficient = power_term_coefficient(tail_traits, alpha)
@@ -551,7 +476,7 @@ def _branch_specs(
                 "eta branch requested but the eta limit diverges for these traits"
             )
         coefficient = 2.0 * eta + coefficient
-    specs = (("power", coefficient, tail_traits.kappa, ell),)
+    specs = (("power", coefficient, tail_traits.kappa, None),)
     if branch != "partial":
         return specs
     if partial_traits is None:
@@ -586,7 +511,6 @@ def _model_plan(m: ParetoMarginal, p: PickandsEV) -> _ModelPlan:
     case = classify_case(alpha, p)
     traits = tail_order_traits(p)
     a20 = case.a20
-    # extreme-value traits have ell == 1, which a power spec writes as None
     if case.label == LABEL_COMPLEMENT:  # alpha * a20 >= 1
         return _ModelPlan(case, None, (("truncated_mean", 2.0 * alpha, 1.0, a20),))
 
@@ -606,12 +530,12 @@ def _model_plan(m: ParetoMarginal, p: PickandsEV) -> _ModelPlan:
         return _ModelPlan(case, c, tuple(terms))
 
     # the stated second order vanishes: the candidates are the trait branches
-    candidates = {"leading": (), "power_term": _branch_specs(traits, None, alpha, "power", None)}
+    candidates = {"leading": (), "power_term": _branch_specs(traits, None, alpha, "power")}
     eta = eta_limit(traits, alpha)
     if math.isfinite(eta):
-        candidates["power_term_with_eta"] = _branch_specs(traits, None, alpha, "eta", None, eta)
+        candidates["power_term_with_eta"] = _branch_specs(traits, None, alpha, "eta", eta)
     if p.log_refined is not None:
-        candidates["log_refined"] = _branch_specs(traits, p.log_refined, alpha, "partial", None)
+        candidates["log_refined"] = _branch_specs(traits, p.log_refined, alpha, "partial")
     return _ModelPlan(case, c, (), types.MappingProxyType(candidates))
 
 
@@ -678,18 +602,17 @@ def tailprob_expansion_general(
     """Second-order tail of the sum from raw tail traits.
 
     Two branches exist. The ``"eta"`` branch uses the corner functional
-    limit: ``2*sf + (2*eta + tau(2**a, 2**a) - 2*tau(1, 2**a)) * sf**kappa *
-    ell(sf)``. The ``"partial"`` branch keeps the finite-level correction:
-    ``2*sf + (tau(2**a, 2**a) - 2*tau(1, 2**a)) * sf**kappa * ell(sf)
+    limit: ``2*sf + (2*eta + tau(2**a, 2**a) - 2*tau(1, 2**a)) * sf**kappa``.
+    The ``"partial"`` branch keeps the finite-level correction:
+    ``2*sf + (tau(2**a, 2**a) - 2*tau(1, 2**a)) * sf**kappa
     + 2*delta_correction(t) * sf**theta_exp * h(sf)``.
 
-    With ``branch="auto"`` the eta branch is chosen when the eta limit is
-    finite, ``D_delta(0.1, t) / survival(t)`` (which tends to ``eta_delta``)
-    does not vanish, and (when partial traits are supplied)
-    ``alpha*(1 - beta) < 1``;
-    otherwise the partial branch is chosen when partial traits are
-    available. If neither branch qualifies the choice is ambiguous and an
-    explicit branch is required.
+    With ``branch="auto"`` the eta branch is chosen when the eta limit
+    (:func:`eta_limit`) is finite and, when partial traits are supplied,
+    ``alpha*(1 - beta) < 1``; otherwise the partial branch is chosen when
+    partial traits are available. If neither branch qualifies the choice is
+    ambiguous and an explicit branch is required. The choice depends on the
+    traits and ``alpha`` only, never on the threshold.
 
     Raises
     ------
@@ -718,22 +641,19 @@ def tailprob_expansion_general(
     s = m.survival(t)
     if branch == "auto":
         eta = eta_limit(tail_traits, alpha)
-        d_val = D_delta(tail_traits, m, 0.1, t)
         beta_ok = partial_traits is None or alpha * (1.0 - partial_traits.beta) < 1.0
-        if math.isfinite(eta) and abs(d_val) > 1e-14 * s and beta_ok:
+        if math.isfinite(eta) and beta_ok:
             chosen = "eta"
         elif partial_traits is not None:
             chosen = "partial"
         else:
             raise AmbiguousBranchError(
                 "automatic branch selection is inconclusive "
-                f"(eta={eta!r}, D(0.1,t)={d_val!r}, no partial traits); "
+                f"(eta={eta!r}, no partial traits); "
                 "pass branch='eta' or branch='partial' explicitly"
             )
-        diagnostics = (
-            f"auto-selected {chosen} branch: eta={eta:.6g}, D(0.1,t)={d_val:.3e}, sf={s:.3e}",
-        )
-    specs = _branch_specs(tail_traits, partial_traits, alpha, chosen, tail_traits.ell, eta)
+        diagnostics = (f"auto-selected {chosen} branch: eta={eta:.6g}, sf={s:.3e}",)
+    specs = _branch_specs(tail_traits, partial_traits, alpha, chosen, eta)
     terms, value = _evaluate(specs, m, t, s)
     return Expansion(
         t=t, value=value, first_order=2.0 * s, terms=terms, case=None,

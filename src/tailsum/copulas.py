@@ -55,11 +55,9 @@ __all__ = [
 ]
 
 
-def _const_one(t):
-    """Slowly varying factor identically equal to 1 (scalar or array safe)."""
-    arr = np.asarray(t, dtype=float)
-    out = np.ones_like(arr)
-    return float(out) if arr.ndim == 0 else out
+def _const_one(t: float) -> float:
+    """Slowly varying factor identically equal to 1, float to float."""
+    return 1.0
 
 
 def _zero_profile(u: float, v: float) -> float:
@@ -385,35 +383,29 @@ def make_survival_copula(
 class TailOrderTraits:
     """How the survival copula scales along the diagonal near the corner.
 
-    ``chat(u*t, v*t) ~ t**kappa * ell(t) * tau(u, v)`` as ``t`` shrinks.
+    ``chat(u*t, v*t) ~ t**kappa * tau(u, v)`` as ``t`` shrinks. An
+    extreme-value copula has no slowly varying factor here, and its limit
+    profile is either the product power ``tau(u, v) = (u*v)**m`` or, under
+    full tail dependence, ``min(u, v)``; the two numbers below fix it.
 
     Attributes
     ----------
     kappa : float
         Tail order in ``[1, 2]``; 2 for independence, 1 under full tail
         dependence.
-    ell : callable
-        Slowly varying factor of ``t`` (identically 1 for extreme-value
-        families).
-    tau : callable
-        Limit profile, homogeneous of order ``kappa``, with
-        ``tau(0, v) = tau(u, 0) = 0``.
-    tau_v : callable
-        Partial derivative of ``tau`` in the second argument, homogeneous of
-        order ``kappa - 1``.
-    family : str
-        Family tag of the copula the traits describe.
     power_m : float or None
-        When ``tau(u, v) = (u*v)**m``, the common exponent ``m``; None when
-        ``tau`` is not of product-power form.
+        The exponent ``m`` of the product-power profile; None for the
+        profile ``min(u, v)``.
     """
 
     kappa: float
-    ell: Callable
-    tau: Callable
-    tau_v: Callable
-    family: str
-    power_m: Optional[float] = None
+    power_m: Optional[float]
+
+    def tau(self, u, v):
+        """The limit profile ``(u*v)**power_m``, or ``min(u, v)``."""
+        ua, va = np.asarray(u, float), np.asarray(v, float)
+        out = np.minimum(ua, va) if self.power_m is None else (ua * va) ** self.power_m
+        return _maybe_scalar(out, u, v)
 
 
 @dataclass(frozen=True)
@@ -448,29 +440,6 @@ class PartialLimitTraits:
     varphi: Callable
     beta: float
     degenerate: bool = False
-
-
-def _product_power_tau(m: float):
-    def tau(u, v):
-        out = (np.asarray(u, float) * np.asarray(v, float)) ** m
-        return _maybe_scalar(out, u, v)
-
-    def tau_v(u, v):
-        ua, va = np.asarray(u, float), np.asarray(v, float)
-        with np.errstate(divide="ignore"):
-            out = m * ua**m * va ** (m - 1.0)
-        return _maybe_scalar(out, u, v)
-
-    return tau, tau_v
-
-
-def _min_tau(u, v):
-    return _maybe_scalar(np.minimum(np.asarray(u, float), np.asarray(v, float)), u, v)
-
-
-def _min_tau_v(u, v):
-    ua, va = np.asarray(u, float), np.asarray(v, float)
-    return _maybe_scalar(np.where(va < ua, 1.0, np.where(va > ua, 0.0, 0.5)), u, v)
 
 
 def estimate_corner_slope(p: PickandsEV) -> tuple[float, Optional[str]]:
@@ -512,14 +481,7 @@ def tail_order_traits(p: PickandsEV) -> TailOrderTraits:
     such traits; probe it with :func:`trial_tail_order_traits` instead.
     """
     kappa = float(p.a_fn(1.0, 1.0))
-    if kappa == 1.0:
-        m, tau, tau_v = None, _min_tau, _min_tau_v
-    else:
-        m = float(p.a1_fn(1.0, 1.0))
-        tau, tau_v = _product_power_tau(m)
-    return TailOrderTraits(
-        kappa=kappa, ell=_const_one, tau=tau, tau_v=tau_v, family=p.family, power_m=m
-    )
+    return TailOrderTraits(kappa, None if kappa == 1.0 else float(p.a1_fn(1.0, 1.0)))
 
 
 def trial_tail_order_traits(kappa: float) -> TailOrderTraits:
@@ -535,11 +497,7 @@ def trial_tail_order_traits(kappa: float) -> TailOrderTraits:
     """
     if not (1.0 <= kappa <= 2.0):
         raise DomainError(f"tail order must lie in [1, 2], got {kappa}")
-    tau, tau_v = _product_power_tau(1.0)
-    return TailOrderTraits(
-        kappa=float(kappa), ell=_const_one, tau=tau, tau_v=tau_v,
-        family="trial", power_m=1.0,
-    )
+    return TailOrderTraits(float(kappa), 1.0)
 
 
 def partial_limit_traits(p: PickandsEV) -> PartialLimitTraits:
@@ -555,7 +513,11 @@ def partial_limit_traits(p: PickandsEV) -> PartialLimitTraits:
         (Gumbel with exponent above 1, and the comonotone limit) the profile
         is identically zero and the ``degenerate`` flag is set.
     """
-    a20, _ = estimate_corner_slope(p)
+    return _partial_traits(estimate_corner_slope(p)[0])
+
+
+def _partial_traits(a20: float) -> PartialLimitTraits:
+    """The plain power corner traits of the corner slope ``a20``."""
     if a20 > 0.0:
         def varphi(u, v):
             return a20 * u * v ** (a20 - 1.0)
@@ -750,7 +712,7 @@ def check_assumptions(
     Five checks run where applicable, each over a shrinking sequence of
     scales ``t`` and a relative grid:
 
-    * ``A2``: ``chat(u*t, v*t) / (t**kappa * ell(t))`` against ``tau(u, v)``.
+    * ``A2``: ``chat(u*t, v*t) / t**kappa`` against ``tau(u, v)``.
     * ``A3``: the relative increment of ``chat_v`` when the first argument
       grows by the factor ``1 + u``, against ``(1 + u)**theta_exp - 1``; the
       stability constant is fitted by least squares on log-ratios.
@@ -783,18 +745,22 @@ def check_assumptions(
         Defaults to the traits of the dependence function where there is
         one; when absent, the checks that need them are skipped.
     grid : sequence of float
-        Relative grid (default ``(0.5, 1, 2, 4)``); values below 1 double as
-        the probability grid of the derivative checks.
+        Relative grid of positive finite values (default ``(0.5, 1, 2, 4)``);
+        values below 1 double as the probability grid of the derivative
+        checks.
     log10_t_sequence : sequence of float, optional
-        Scales as ``log10 t``, strictly decreasing (default ``-1 .. -7``).
+        Scales as ``log10 t``, finite and strictly decreasing (default
+        ``-1 .. -7``).
     tolerance : float
         Verdict threshold on the final-scale deviation (default 1e-3).
 
     Raises
     ------
     ConfigError
-        If the scale sequence is not strictly decreasing or the grid is
-        empty or nonpositive.
+        If the scale sequence has fewer than 3 scales, a non-finite one or
+        is not strictly decreasing, if the grid is empty or has a value that
+        is not positive and finite, or if the tolerance is not positive and
+        finite.
     UnsupportedFamilyError
         If no tail traits are supplied for a copula without a dependence
         function.
@@ -802,11 +768,13 @@ def check_assumptions(
     l10 = tuple(float(x) for x in (_DEFAULT_LOG10_T if log10_t_sequence is None else log10_t_sequence))
     if len(l10) < 3:
         raise ConfigError(f"need at least 3 scales, got {len(l10)}")
-    if any(b >= a for a, b in zip(l10, l10[1:])):
-        raise ConfigError(f"scale sequence must be strictly decreasing in t, got log10 t = {l10}")
+    if not all(map(math.isfinite, l10)) or any(b >= a for a, b in zip(l10, l10[1:])):
+        raise ConfigError(
+            f"scale sequence must be finite and strictly decreasing in t, got log10 t = {l10}"
+        )
     gvals = tuple(float(g) for g in grid)
-    if not gvals or any(g <= 0 for g in gvals):
-        raise ConfigError(f"grid values must be positive, got {grid!r}")
+    if not gvals or not all(0.0 < g < math.inf for g in gvals):
+        raise ConfigError(f"grid values must be positive and finite, got {grid!r}")
     if not (tolerance > 0.0) or not math.isfinite(tolerance):
         raise ConfigError(f"tolerance must be a positive finite number, got {tolerance!r}")
     vprob = tuple(g for g in gvals if g < 1.0) or (0.5,)
@@ -819,8 +787,11 @@ def check_assumptions(
                 "no power tail traits; use trial_tail_order_traits to probe it"
             )
         tail_traits = tail_order_traits(p)
+    # one corner-slope probe feeds the default partial traits and the
+    # taylor_limit corner; a copula without a dependence function has slope 0
+    a20 = 0.0 if p is None else estimate_corner_slope(p)[0]
     if partial_traits is None and p is not None:
-        partial_traits = partial_limit_traits(p)
+        partial_traits = _partial_traits(a20)
 
     ln10 = math.log(10.0)
     lts = [x * ln10 for x in l10]
@@ -854,8 +825,7 @@ def check_assumptions(
     kappa = tail_traits.kappa
 
     def diagonal(lt, u, v):
-        lell = math.log(float(tail_traits.ell(scale_of(lt))))
-        expo = float(lchat(math.log(u) + lt, math.log(v) + lt)) - kappa * lt - lell
+        expo = float(lchat(math.log(u) + lt, math.log(v) + lt)) - kappa * lt
         return _safe_exp(expo), float(tail_traits.tau(u, v))
 
     finish("A2", scan(gvals, gvals, diagonal))
@@ -927,11 +897,8 @@ def check_assumptions(
         finish("evcond", rows, fitted_c=fitted_c)
 
     # taylor_limit: first-order corner behaviour of the partial derivative.
-    # The log-interaction family has no dependence function; its corner
-    # derivative is 0, as is that of a vanishing corner slope (whose power
-    # v ** -1 would overflow at a subnormal grid value).
-    a20 = 0.0 if p is None else estimate_corner_slope(p)[0]
-
+    # A vanishing corner slope has corner derivative 0 (its power v ** -1
+    # would overflow at a subnormal grid value).
     def taylor(lt, u, v):
         corner = a20 * v ** (a20 - 1.0) if a20 else 0.0
         return _safe_exp(float(lchat_v(math.log(u) + lt, math.log(v))) - lt), u * corner

@@ -230,32 +230,3 @@ def series_integral_I_2_half(terms: int = 200) -> float:
     for k in range(1, terms + 1):
         acc += (k + 1) * 0.5 ** (k - beta) / (k - beta)
     return beta * acc
-
-
-def tau_v_product_power(m: float):
-    """tau_v for tau(u,v) = (u*v)**m."""
-
-    def tv(u, v):
-        return m * u**m * v ** (m - 1.0)
-
-    return tv
-
-
-def midpoint_eta_delta(tau_v, alpha: float, delta: float, panels: int = 1_000_000) -> float:
-    width = (0.5 - delta) / panels
-    y = delta + (np.arange(panels, dtype=float) + 0.5) * width
-    vals = (tau_v((1.0 - y) ** (-alpha), y ** (-alpha)) - tau_v(1.0, y ** (-alpha))) * y ** (
-        -alpha - 1.0
-    )
-    return alpha * float(np.sum(vals)) * width
-
-
-def midpoint_D_delta(
-    tau_v, alpha: float, scale: float, delta: float, t: float, panels: int = 1_000_000
-) -> float:
-    width = (0.5 - delta) / panels
-    y = delta + (np.arange(panels, dtype=float) + 0.5) * width
-    vals = (tau_v((1.0 - y) ** (-alpha), y ** (-alpha)) - tau_v(1.0, y ** (-alpha))) * (
-        pareto_density(alpha, scale, t * y) * t
-    )
-    return float(np.sum(vals)) * width

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from tailsum import copulas
 from tailsum import (
     ConfigError,
     check_assumptions,
@@ -110,8 +111,33 @@ def test_config_errors(sc_ind):
         check_assumptions(sc_ind, tail_traits=traits, grid=())
     with pytest.raises(ConfigError):
         check_assumptions(sc_ind, tail_traits=traits, grid=(0.5, -1.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            check_assumptions(sc_ind, tail_traits=traits, grid=(0.5, bad))
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            check_assumptions(sc_ind, tail_traits=traits, log10_t_sequence=(-1.0, -2.0, bad))
     with pytest.raises(ConfigError):
         check_assumptions(sc_ind, tail_traits=traits, tolerance=0.0)
+
+
+@pytest.mark.parametrize(
+    "family,phi", [("independence", None), ("gumbel", 1.5), ("gumbel", 10.0), ("comonotone", None)]
+)
+def test_corner_slope_is_probed_once_per_check(family, phi, monkeypatch):
+    # the default partial traits and the taylor_limit corner share one probe
+    sc = make_survival_copula(family, phi=phi)
+    explicit = check_assumptions(sc, partial_traits=partial_limit_traits(sc.pickands))
+    probe, calls = copulas.estimate_corner_slope, []
+
+    def counted(p):
+        calls.append(p)
+        return probe(p)
+
+    monkeypatch.setattr(copulas, "estimate_corner_slope", counted)
+    report = check_assumptions(sc)
+    assert calls == [sc.pickands]
+    assert repr(report) == repr(explicit)
 
 
 def test_traits_are_derived_from_shipped_families(sc_ind, sc_log):

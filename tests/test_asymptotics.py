@@ -8,7 +8,6 @@ reduced panel counts; the acceptance suite repeats the headline comparisons
 at full oracle resolution.
 """
 
-import dataclasses
 import math
 import random
 
@@ -24,7 +23,6 @@ from test_galambos import galambos_pickands
 from tailsum import (
     AmbiguousBranchError,
     BoundaryCaseError,
-    D_delta,
     DivergentIntegralError,
     DomainError,
     ExpansionTerm,
@@ -33,7 +31,6 @@ from tailsum import (
     classify_case,
     comonotone_pickands,
     delta_correction,
-    eta_delta,
     eta_limit,
     gumbel_pickands,
     independence_pickands,
@@ -149,32 +146,7 @@ def test_integral_positive_and_increasing_in_alpha(alpha, bump, beta):
 
 
 # ---------------------------------------------------------------------------
-# truncated corner functionals
-
-
-def test_eta_delta_matches_midpoint_oracle():
-    tri = tail_order_traits(independence_pickands())
-    tr10 = tail_order_traits(gumbel_pickands(10.0))
-    for traits, alpha in ((tri, 0.8), (tr10, 0.8), (tri, 0.5)):
-        want = oracles.midpoint_eta_delta(traits.tau_v, alpha, 0.1, panels=2_000_000)
-        assert abs(eta_delta(traits, alpha, 0.1) - want) < 1e-8
-
-
-def test_eta_delta_frozen_values():
-    tri = tail_order_traits(independence_pickands())
-    assert abs(eta_delta(tri, 0.8, 0.1) - 1.0248349992915189) < 1e-12
-    tr10 = tail_order_traits(gumbel_pickands(10.0))
-    assert abs(eta_delta(tr10, 0.8, 0.1) - 0.16624268763612365) < 1e-12
-
-
-def test_eta_delta_domain():
-    tri = tail_order_traits(independence_pickands())
-    with pytest.raises(DomainError):
-        eta_delta(tri, 0.8, 0.0)
-    with pytest.raises(DomainError):
-        eta_delta(tri, 0.8, 0.5)
-    with pytest.raises(DomainError):
-        eta_delta(tri, -1.0, 0.1)
+# corner functionals
 
 
 def test_eta_limit_product_power_families():
@@ -193,47 +165,15 @@ def test_eta_limit_comonotone_is_zero():
     assert eta_limit(tail_order_traits(comonotone_pickands()), 0.8) == 0.0
 
 
-def test_eta_limit_probes_unknown_profiles():
-    # without power_m the profile counts as unknown and is probed
-    tr = dataclasses.replace(trial_tail_order_traits(1.5), power_m=None)
-    assert math.isinf(eta_limit(tr, 2.0))
-    assert math.isfinite(eta_limit(tr, 0.8))
-
-
 def test_equal_profiles_give_equal_eta_limits():
     # trial traits carry the independence profile (u*v)**1, whatever their
-    # tail order and family tag
+    # tail order
     ind = tail_order_traits(independence_pickands())
     for kappa in (1.2, 1.5, 2.0):
         tr = trial_tail_order_traits(kappa)
         for alpha in (0.5, 0.8, 2.0):
             assert eta_limit(tr, alpha) == eta_limit(ind, alpha)
     assert eta_limit(trial_tail_order_traits(1.5), 0.8) == pytest.approx(I_08_08, abs=1e-12)
-
-
-def test_D_delta_matches_midpoint_oracle(m08):
-    tri = tail_order_traits(independence_pickands())
-    want = oracles.midpoint_D_delta(tri.tau_v, 0.8, 1.0, 0.1, 1e3, panels=2_000_000)
-    assert abs(D_delta(tri, m08, 0.1, 1e3) - want) < 1e-10
-
-
-def test_D_delta_ratio_converges_to_eta_delta(m08):
-    tri = tail_order_traits(independence_pickands())
-    eta = eta_delta(tri, 0.8, 0.1)
-    devs = []
-    for t in (1e2, 1e3, 1e4):
-        ratio = D_delta(tri, m08, 0.1, t) / m08.survival(t)
-        devs.append(abs(ratio - eta) / eta)
-    assert devs[0] > devs[1] > devs[2]
-    assert devs[-1] < 1e-2
-
-
-def test_D_delta_domain(m08):
-    tri = tail_order_traits(independence_pickands())
-    with pytest.raises(DomainError):
-        D_delta(tri, m08, 0.6, 1e3)
-    with pytest.raises(DomainError):
-        D_delta(tri, m08, 0.1, 0.1)
 
 
 def test_delta_correction_approaches_scaled_truncated_mean(m2):
@@ -413,9 +353,10 @@ def test_tailprob_first_order_dominates_in_depth(m08, m2, p1, p10):
 def test_general_tailprob_eta_branch_equals_closed_form(m08, p_ind):
     tri = tail_order_traits(independence_pickands())
     pl = partial_limit_traits(independence_pickands())
-    # D(0.1, t) shrinks like sf(t): at sf 1e-15 and 1e-16 the choice once
-    # compared it with an absolute 1e-14 and fell to the partial branch
-    for t in (1e2, 1e3, 1e-15**-1.25 - 1.0, 1e-16**-1.25 - 1.0):
+    # the automatic choice once read a quadrature that shrinks like sf(t):
+    # it fell to the partial branch at sf 1e-15 and 1e-16, and again from sf
+    # 1e-150, where the quadrature underflowed to 0.0
+    for t in (1e2, 1e3, *(sf**-1.25 - 1.0 for sf in (1e-15, 1e-16, 1e-150))):
         g = tailprob_expansion_general(m08, tri, pl, t)
         closed = tailprob_expansion_ev(m08, p_ind, t)
         assert abs(g.value - closed.value) / closed.value <= 1e-12
@@ -458,6 +399,53 @@ def test_general_tailprob_auto_prefers_partial_when_eta_diverges(m2):
     pl = partial_limit_traits(independence_pickands())
     g = tailprob_expansion_general(m2, tri, pl, 1e3)
     assert any("partial" in d for d in g.diagnostics)
+
+
+def _auto_rule(tail_traits, partial_traits, alpha):
+    """The documented automatic branch, from the traits and alpha alone
+    (None where the choice is ambiguous)."""
+    beta_ok = partial_traits is None or alpha * (1.0 - partial_traits.beta) < 1.0
+    if math.isfinite(eta_limit(tail_traits, alpha)) and beta_ok:
+        return "eta"
+    return None if partial_traits is None else "partial"
+
+
+def _trait_sets():
+    ind, g2, g10 = independence_pickands(), gumbel_pickands(2.0), gumbel_pickands(10.0)
+    trial = trial_tail_order_traits(1.5)
+    return {
+        "independence": (tail_order_traits(ind), partial_limit_traits(ind)),
+        "independence, no partial": (tail_order_traits(ind), None),
+        "gumbel 2": (tail_order_traits(g2), partial_limit_traits(g2)),
+        "gumbel 2, log-refined": (tail_order_traits(g2), g2.log_refined),
+        "gumbel 10": (tail_order_traits(g10), partial_limit_traits(g10)),
+        "gumbel 10, log-refined": (tail_order_traits(g10), g10.log_refined),
+        "gumbel 10, no partial": (tail_order_traits(g10), None),
+        "trial 1.5, no partial": (trial, None),
+        "trial 1.5, independence partial": (trial, partial_limit_traits(ind)),
+    }
+
+
+def _bits(e):
+    return repr((e.value, e.terms))
+
+
+@pytest.mark.parametrize("name", list(_trait_sets()))
+def test_auto_branch_follows_the_rule_and_equals_the_explicit_branch(name):
+    tail, partial = _trait_sets()[name]
+    for alpha in (0.3, 0.5, 0.8, 1.5, 2.0, 3.0):
+        m = ParetoMarginal(alpha, 1.0)
+        want = _auto_rule(tail, partial, alpha)
+        for k in range(1, 18):
+            t = (10.0**-k) ** (-1.0 / alpha) - 1.0
+            if want is None:
+                with pytest.raises(AmbiguousBranchError):
+                    tailprob_expansion_general(m, tail, partial, t)
+                continue
+            auto = tailprob_expansion_general(m, tail, partial, t)
+            assert auto.diagnostics[0].startswith(f"auto-selected {want} branch"), (alpha, k)
+            explicit = tailprob_expansion_general(m, tail, partial, t, branch=want)
+            assert _bits(auto) == _bits(explicit), (alpha, k)
 
 
 @pytest.mark.parametrize("phi", [2.0, 10.0])
@@ -542,7 +530,6 @@ def test_threshold_must_be_finite_and_above_the_median(m08, m2, p1, p10):
         lambda t: tailprob_expansion_ev(m2, p1, t),  # complement case
         lambda t: tailprob_expansion_ev(m08, p10, t),  # degenerate case, candidates
         lambda t: tailprob_expansion_general(m08, tri, pl, t),
-        lambda t: D_delta(tri, m08, 0.1, t),
         lambda t: delta_correction(pl, m08, t),
     ]
     for call in calls:

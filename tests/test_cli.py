@@ -277,6 +277,17 @@ def test_check_subnormal_grid_value_with_zero_corner_slope(capsys):
     assert "taylor_limit: inconclusive" in out
 
 
+@pytest.mark.parametrize(
+    "flag", ["--scale-grid=0.5,nan", "--scale-grid=inf", "--log10-t=-1,-2,nan", "--log10-t=-1,-2,-inf"]
+)
+def test_check_non_finite_scale_or_grid_value_exits_2(flag, capsys):
+    # these once ran and exited 0 with inconclusive verdicts
+    assert main(["check", "--family", "gumbel", "--phi", "10", flag]) == 2
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
+    assert "verdict" not in captured.out
+
+
 def test_check_trial_kappa_flag(capsys):
     rc = main(["check", "--family", "log-interaction", "--sigma", "0.5",
                "--trial-kappa", "1.5"])

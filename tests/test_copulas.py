@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from tailsum import (
     DomainError,
+    TailOrderTraits,
     UnsupportedFamilyError,
     comonotone_pickands,
     estimate_corner_slope,
@@ -253,13 +254,8 @@ def test_tail_order_traits_values():
         assert math.isclose(tr.tau(1.0, 1.0), 1.0, rel_tol=1e-13)
     co = tail_order_traits(comonotone_pickands())
     assert co.kappa == 1.0
+    assert co.power_m is None
     assert co.tau(0.3, 0.7) == 0.3
-
-
-def test_tail_order_traits_slowly_varying_part_is_constant_for_gumbel():
-    tr = tail_order_traits(gumbel_pickands(10.0))
-    for s in (1e-2, 1e-5, 1e-9):
-        assert math.isclose(tr.ell(s), 1.0, rel_tol=1e-12)
 
 
 def test_tail_order_traits_diagonal_consistency():
@@ -267,13 +263,12 @@ def test_tail_order_traits_diagonal_consistency():
     for p in (independence_pickands(), gumbel_pickands(10.0)):
         tr = tail_order_traits(p)
         s = 1e-6
-        assert math.isclose(ev_chat(p, s, s), s**tr.kappa * tr.ell(s), rel_tol=1e-10)
+        assert math.isclose(ev_chat(p, s, s), s**tr.kappa, rel_tol=1e-10)
 
 
 def test_trial_tail_order_traits():
     tr = trial_tail_order_traits(1.5)
-    assert tr.kappa == 1.5
-    assert tr.family == "trial"
+    assert tr == TailOrderTraits(1.5, 1.0)
     with pytest.raises(DomainError):
         trial_tail_order_traits(0.9)
 

@@ -73,7 +73,6 @@ def test_traits_follow_from_the_dependence_function(galambos):
     tr = tail_order_traits(galambos)
     assert abs(tr.kappa - (2.0 - 2.0 ** (-1.0 / THETA))) < 1e-14
     assert abs(tr.power_m - (1.0 - 2.0 ** (-1.0 / THETA - 1.0))) < 1e-14
-    assert tr.family == "galambos"
     partial = partial_limit_traits(galambos)
     assert partial.degenerate
     assert partial.varphi(0.5, 0.5) == 0.0

@@ -43,14 +43,42 @@ print("finite", math.isfinite(d), math.isfinite(inv.inverted), math.isfinite(inv
 """
 
 
-def test_import_var_and_check_never_load_scipy():
+AUTO_SCRIPT = """
+import sys
+
+from tailsum import (
+    ParetoMarginal, independence_pickands, partial_limit_traits, tail_order_traits,
+    tailprob_expansion_general,
+)
+
+p = independence_pickands()
+e = tailprob_expansion_general(
+    ParetoMarginal(0.8, 1.0), tail_order_traits(p), partial_limit_traits(p), 1e3
+)
+print(e.diagnostics[0].split(":")[0])
+print("scipy.integrate" in sys.modules)
+"""
+
+
+def _run_fresh(script: str) -> list:
+    """stdout lines of ``script`` run in a fresh interpreter on the source tree."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["codes [0, 0]", "loaded []", "finite True True True"]
+    return done.stdout.splitlines()
+
+
+def test_import_var_and_check_never_load_scipy():
+    assert _run_fresh(SCRIPT) == ["codes [0, 0]", "loaded []", "finite True True True"]
+
+
+def test_auto_general_query_with_finite_eta_loads_no_quadrature():
+    # the automatic branch choice is closed form; only the partial branch
+    # integrates
+    assert _run_fresh(AUTO_SCRIPT) == ["auto-selected eta branch", "False"]
 
 
 def test_package_exports_are_the_submodule_exports():
