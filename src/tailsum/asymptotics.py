@@ -170,7 +170,7 @@ def delta_correction(
 ) -> float:
     """Finite-level second-order weight of the refined tail branch.
 
-    Returns ``int_0^{1/2} ((1-y)**(-alpha*theta_exp) - 1)
+    Returns ``int_0^{1/2} ((1-y)**(-alpha) - 1)
     * varphi(1, survival(t*y)) * density(t*y) * t dy`` by adaptive
     quadrature. For plain power traits it decays to zero as ``t`` grows. For
     the log-refined Gumbel traits it does not: ``delta * (-log sf)**(1-phi)``
@@ -186,13 +186,13 @@ def delta_correction(
     _require_above_median(marginal, t, "delta_correction")
     from scipy import integrate
 
-    a_theta = marginal.alpha * partial_traits.theta_exp
+    alpha = marginal.alpha
     varphi = partial_traits.varphi
     sf_pdf = marginal._sf_pdf
 
     def g(y: float) -> float:
         sf, pdf = sf_pdf(t * y)
-        return math.expm1(-a_theta * math.log1p(-y)) * float(varphi(1.0, sf)) * pdf * t
+        return math.expm1(-alpha * math.log1p(-y)) * float(varphi(1.0, sf)) * pdf * t
 
     # the integrand mass concentrates at y ~ scale/t, below quad's default
     # sampling resolution for large t; anchor subdivisions there
@@ -481,7 +481,7 @@ def _branch_specs(
         return specs
     if partial_traits is None:
         raise DomainError("partial branch requires partial-limit traits")
-    return specs + (("delta_correction", 2.0, partial_traits.theta_exp, partial_traits),)
+    return specs + (("delta_correction", 2.0, 1.0, partial_traits),)
 
 
 @dataclass(frozen=True)
@@ -510,6 +510,11 @@ def _model_plan(m: ParetoMarginal, p: PickandsEV) -> _ModelPlan:
     alpha = m.alpha
     case = classify_case(alpha, p)
     traits = tail_order_traits(p)
+    if traits.kappa <= 1.0:
+        raise DomainError(
+            "second-order term must have exponent above 1 or a t-decaying factor: a(1,1) = 1 "
+            "puts the boundary term at the leading order (the comonotone sum is 2X)"
+        )
     a20 = case.a20
     if case.label == LABEL_COMPLEMENT:  # alpha * a20 >= 1
         return _ModelPlan(case, None, (("truncated_mean", 2.0 * alpha, 1.0, a20),))
@@ -519,13 +524,10 @@ def _model_plan(m: ParetoMarginal, p: PickandsEV) -> _ModelPlan:
     if zeta2 != 0.0:
         terms.append(("power", zeta2, a20 + 1.0, None))
     if case.boundary_indicator:
-        am = alpha * float(p.a1_fn(1.0, 1.0))
+        am = alpha * traits.power_m
         coeff = 2.0 ** (2.0 * am) - 2.0 ** (am + 1.0)
         terms.append(("power", coeff, traits.kappa, None))
         c += coeff
-    if any(e <= 1.0 for _, _, e, _ in terms):
-        # the comonotone boundary term, of the same order as the leading one
-        raise DomainError("second-order term must have exponent above 1 or a t-decaying factor")
     if terms:
         return _ModelPlan(case, c, tuple(terms))
 
@@ -605,7 +607,7 @@ def tailprob_expansion_general(
     limit: ``2*sf + (2*eta + tau(2**a, 2**a) - 2*tau(1, 2**a)) * sf**kappa``.
     The ``"partial"`` branch keeps the finite-level correction:
     ``2*sf + (tau(2**a, 2**a) - 2*tau(1, 2**a)) * sf**kappa
-    + 2*delta_correction(t) * sf**theta_exp * h(sf)``.
+    + 2*delta_correction(t) * sf * h(sf)``.
 
     With ``branch="auto"`` the eta branch is chosen when the eta limit
     (:func:`eta_limit`) is finite and, when partial traits are supplied,

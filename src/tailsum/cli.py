@@ -48,6 +48,7 @@ from ._svg import render_line_chart
 from .asymptotics import tailprob_expansion_ev, var_expansion_ev
 from .copulas import (
     _EV_FAMILIES,
+    _FAMILY_PARAMS,
     check_assumptions,
     gumbel_pickands,
     make_survival_copula,
@@ -97,7 +98,6 @@ _KNOWN_KEYS = {
 }
 
 _DEFAULT_Q_GRID = (0.99, 0.995, 0.999, 0.9995, 0.9999)
-_DEEP_LOG10_T = (-8200.0, -8400.0, -8600.0, -8800.0, -9000.0)
 # family name -> its dependence function, given the gumbel exponent; the
 # comonotone family has no expansion (see _resolve_family)
 _EXPANSION_PICKANDS = {k: v for k, v in _EV_FAMILIES.items() if k != "comonotone"}
@@ -196,6 +196,10 @@ def _resolve_family(cfg: _Settings, *, for_expansion: bool) -> tuple:
             )
         if family == "gumbel" and phi is None:
             raise ConfigError("the gumbel family requires copula.phi (flag --phi)")
+    for name, value in (("phi", phi), ("sigma", sigma)):
+        # an unknown family is reported by make_survival_copula
+        if value is not None and _FAMILY_PARAMS.get(family, name) != name:
+            raise ConfigError(f"family {family!r} takes no copula.{name} (flag --{name})")
     return family, phi, sigma
 
 
@@ -358,6 +362,8 @@ def _print_report(report, heading: str) -> None:
     print(heading)
     print(f"  scales (log10 t): {', '.join(f'{x:g}' for x in report.log10_t_sequence)}")
     print(f"  grid: {', '.join(f'{x:g}' for x in report.grid)}; tolerance {report.tolerance:g}")
+    for warning in report.warnings:
+        print(f"  note: {warning}")
     for name, result in report.checks.items():
         fitted = f", fitted c={result.fitted_c:.6g}" if result.fitted_c is not None else ""
         note = f" ({result.note})" if result.note else ""
@@ -373,33 +379,26 @@ def _cmd_check(cfg: _Settings) -> int:
     family, phi, sigma = _resolve_family(cfg, for_expansion=False)
     copula = make_survival_copula(family, phi=phi, sigma=sigma)
 
+    # settings the user left unset take check_assumptions' defaults; the
+    # default scales follow the copula's corner
+    kwargs = {}
     log10_raw = cfg.get("check.log10_t", "log10_t")
     if log10_raw is not None:
-        log10_t = _float_list(log10_raw)
-    elif copula.pickands is not None and copula.pickands.log_refined is not None:
-        # a family with only log-refined corner traits converges toward its
-        # tail scaling logarithmically, so the verdict needs extremely deep
-        # scales (log-domain evaluators keep them exact)
-        log10_t = _DEEP_LOG10_T
-    else:
-        log10_t = None
-
-    # settings the user left unset take check_assumptions' defaults
-    kwargs = {}
+        kwargs["log10_t_sequence"] = _float_list(log10_raw)
     grid_raw = cfg.get("check.grid", "scale_grid")
     if grid_raw is not None:
         kwargs["grid"] = _float_list(grid_raw)
     tolerance = cfg.get("check.tolerance", "tolerance", cast=float)
     if tolerance is not None:
         kwargs["tolerance"] = float(tolerance)
-    if log10_t is not None:
-        kwargs["log10_t_sequence"] = log10_t
 
     csv_rows = []
+    trial_raw = cfg.get("check.trial_kappa", "trial_kappa")
     if copula.pickands is not None:
+        if trial_raw is not None:
+            raise ConfigError(f"family {family!r} has a tail order; drop check.trial_kappa")
         reports = [(None, check_assumptions(copula, **kwargs))]
     else:
-        trial_raw = cfg.get("check.trial_kappa", "trial_kappa")
         if trial_raw is not None:
             trial_kappas = _float_list(trial_raw)
         else:
@@ -559,7 +558,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument(
         "--log10-t", dest="log10_t",
-        help="comma-separated scales as log10 t, strictly decreasing",
+        help="comma-separated scales as log10 t, strictly decreasing (default: by corner slope)",
     )
     p_check.add_argument(
         "--scale-grid", dest="scale_grid", help="comma-separated relative grid (default 0.5,1,2,4)"

@@ -198,6 +198,8 @@ _EV_FAMILIES = {
     "gumbel": gumbel_pickands,
     "comonotone": lambda phi: comonotone_pickands(),
 }
+# family name -> the one parameter it takes, if any
+_FAMILY_PARAMS = {**dict.fromkeys(_EV_FAMILIES), "gumbel": "phi", "log-interaction": "sigma"}
 
 
 def _ev_log_chat(p: PickandsEV, lu, lv):
@@ -346,32 +348,34 @@ def make_survival_copula(
     UnsupportedFamilyError
         If the family name is not recognised.
     DomainError
-        If a family parameter is invalid.
+        If a family parameter is invalid or not taken by the family.
     """
+    if family not in _FAMILY_PARAMS:
+        supported = ", ".join(_FAMILY_PARAMS)
+        raise UnsupportedFamilyError(f"unknown copula family {family!r}; supported: {supported}")
+    for name, value in (("phi", phi), ("sigma", sigma)):
+        if value is not None and _FAMILY_PARAMS[family] != name:
+            raise DomainError(f"family {family!r} takes no parameter {name} (got {value!r})")
     if family in _EV_FAMILIES:
         if family == "gumbel" and phi is None:
             raise DomainError("gumbel family requires the interaction exponent phi")
         return _ev_copula(_EV_FAMILIES[family](phi))
 
-    if family == "log-interaction":
-        sig = 0.5 if sigma is None else float(sigma)
-        if not (0.0 < sig <= 1.0):
-            raise DomainError(f"log-interaction strength must lie in (0, 1], got {sigma!r}")
+    sig = 0.5 if sigma is None else float(sigma)
+    if not (0.0 < sig <= 1.0):
+        raise DomainError(f"log-interaction strength must lie in (0, 1], got {sigma!r}")
 
-        # chat(u, v) = u * v * exp(-sig * log u * log v)
-        def log_chat(lu, lv):
-            la, lb = np.asarray(lu, float), np.asarray(lv, float)
-            return _maybe_scalar(la + lb - sig * la * lb, lu, lv)
+    # log-interaction: chat(u, v) = u * v * exp(-sig * log u * log v)
+    def log_chat(lu, lv):
+        la, lb = np.asarray(lu, float), np.asarray(lv, float)
+        return _maybe_scalar(la + lb - sig * la * lb, lu, lv)
 
-        def log_chat_v(lu, lv):
-            la, lb = np.asarray(lu, float), np.asarray(lv, float)
-            out = la - sig * la * lb + np.log1p(-sig * la)
-            return _maybe_scalar(out, lu, lv)
+    def log_chat_v(lu, lv):
+        la, lb = np.asarray(lu, float), np.asarray(lv, float)
+        out = la - sig * la * lb + np.log1p(-sig * la)
+        return _maybe_scalar(out, lu, lv)
 
-        return SurvivalCopula(log_chat, log_chat_v, family="log-interaction", param=sig)
-
-    supported = ", ".join([*_EV_FAMILIES, "log-interaction"])
-    raise UnsupportedFamilyError(f"unknown copula family {family!r}; supported: {supported}")
+    return SurvivalCopula(log_chat, log_chat_v, family="log-interaction", param=sig)
 
 
 # ---------------------------------------------------------------------------
@@ -412,34 +416,29 @@ class TailOrderTraits:
 class PartialLimitTraits:
     """Corner scaling of the partial derivative of the survival copula.
 
-    ``chat_v(u*t, v) ~ t**theta_exp * h(t) * varphi(u, v)`` as ``t`` shrinks,
-    with ``varphi(u, v) = u**theta_exp * varphi(1, v)``.
+    ``chat_v(u*t, v) ~ t * h(t) * varphi(u, v)`` as ``t`` shrinks, with
+    ``varphi(u, v) = u * varphi(1, v)``: the scaling exponent is 1 for every
+    extreme-value copula.
 
     ``h`` and ``varphi`` take and return floats, not arrays: the refined
     tail branch calls ``varphi`` at every quadrature node.
 
     Attributes
     ----------
-    theta_exp : float
-        Scaling exponent, at least 1.
     h : callable
         Slowly varying factor of ``t`` (identically 1 for the plain power
         traits of extreme-value families), float to float.
     varphi : callable
         The limit profile, ``(float, float)`` to float; identically zero
-        when ``degenerate`` is set.
+        when the corner slope vanishes.
     beta : float
-        Regular-variation index of ``varphi(1, 1/.)``, nonnegative.
-    degenerate : bool
-        True when the limit profile vanishes identically, in which case the
-        second-order refinement it would feed carries no information.
+        Regular-variation index of ``varphi(1, 1/.)``, nonnegative (0 for
+        the zero profile).
     """
 
-    theta_exp: float
     h: Callable
     varphi: Callable
     beta: float
-    degenerate: bool = False
 
 
 def estimate_corner_slope(p: PickandsEV) -> tuple[float, Optional[str]]:
@@ -507,11 +506,11 @@ def partial_limit_traits(p: PickandsEV) -> PartialLimitTraits:
     -------
     PartialLimitTraits
         With the corner slope ``a20 = a2_fn(1, 0)`` from
-        :func:`estimate_corner_slope`: when ``a20 > 0``, exponent 1, profile
+        :func:`estimate_corner_slope`: when ``a20 > 0``, profile
         ``a20 * u * v**(a20 - 1)`` and index ``beta = 1 - a20`` (independence
         has ``a20 = 1`` and profile ``u``). When the corner slope vanishes
         (Gumbel with exponent above 1, and the comonotone limit) the profile
-        is identically zero and the ``degenerate`` flag is set.
+        is identically zero and ``beta`` is 0.
     """
     return _partial_traits(estimate_corner_slope(p)[0])
 
@@ -522,12 +521,8 @@ def _partial_traits(a20: float) -> PartialLimitTraits:
         def varphi(u, v):
             return a20 * u * v ** (a20 - 1.0)
 
-        return PartialLimitTraits(
-            theta_exp=1.0, h=_const_one, varphi=varphi, beta=1.0 - a20, degenerate=False
-        )
-    return PartialLimitTraits(
-        theta_exp=1.0, h=_const_one, varphi=_zero_profile, beta=0.0, degenerate=True
-    )
+        return PartialLimitTraits(h=_const_one, varphi=varphi, beta=1.0 - a20)
+    return PartialLimitTraits(h=_const_one, varphi=_zero_profile, beta=0.0)
 
 
 def gumbel_log_refined_traits(phi_g: float) -> PartialLimitTraits:
@@ -562,7 +557,7 @@ def gumbel_log_refined_traits(phi_g: float) -> PartialLimitTraits:
     def varphi(u, v):
         return float(u * (-np.log(v)) ** (phi - 1.0) / v)
 
-    return PartialLimitTraits(theta_exp=1.0, h=h, varphi=varphi, beta=1.0, degenerate=False)
+    return PartialLimitTraits(h=h, varphi=varphi, beta=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +622,8 @@ class AssumptionReport:
         Scales probed, as ``log10 t``, shallow to deep.
     tolerance : float
         Final-scale deviation threshold used for the verdicts.
+    warnings : tuple of str
+        Notes on the evidence, such as an unstable corner-slope probe.
     """
 
     checks: Mapping[str, CheckResult]
@@ -634,6 +631,7 @@ class AssumptionReport:
     grid: tuple
     log10_t_sequence: tuple
     tolerance: float
+    warnings: tuple = ()
 
     @property
     def all_pass(self) -> bool:
@@ -649,6 +647,8 @@ class AssumptionReport:
 
 
 _DEFAULT_LOG10_T = (-1.0, -2.0, -3.0, -4.0, -5.0, -6.0, -7.0)
+# for the logarithmic convergence of a vanishing corner slope (exact in logs)
+_DEEP_LOG10_T = (-8200.0, -8400.0, -8600.0, -8800.0, -9000.0)
 _DEFAULT_GRID = (0.5, 1.0, 2.0, 4.0)
 
 
@@ -701,7 +701,6 @@ def _acc(worst: float, stat: float, target: float) -> float:
 def check_assumptions(
     copula: SurvivalCopula,
     tail_traits: Optional[TailOrderTraits] = None,
-    partial_traits: Optional[PartialLimitTraits] = None,
     *,
     grid: Sequence[float] = _DEFAULT_GRID,
     log10_t_sequence: Optional[Sequence[float]] = None,
@@ -710,19 +709,19 @@ def check_assumptions(
     """Measure how fast a copula converges to its asserted tail scaling.
 
     Five checks run where applicable, each over a shrinking sequence of
-    scales ``t`` and a relative grid:
+    scales ``t`` and a relative grid, with the corner slope ``a20`` of one
+    :func:`estimate_corner_slope` probe (0 without a dependence function):
 
     * ``A2``: ``chat(u*t, v*t) / t**kappa`` against ``tau(u, v)``.
     * ``A3``: the relative increment of ``chat_v`` when the first argument
-      grows by the factor ``1 + u``, against ``(1 + u)**theta_exp - 1``; the
-      stability constant is fitted by least squares on log-ratios.
-    * ``A4``: ``chat_v(u*t, v) / (t**theta_exp * h(t))`` against
-      ``varphi(u, v)``.
+      grows by the factor ``1 + u``, against ``(1 + u) - 1``; the stability
+      constant is fitted by least squares on log-ratios.
+    * ``A4`` and ``taylor_limit``: one scan of ``chat_v(u*t, v) / t``
+      against ``u * a20 * v**(a20 - 1)`` (0 when ``a20`` is 0); ``A4``
+      needs a dependence function.
     * ``evcond``: the dependence-derivative ratio
       ``a2(1, x / (1 + log(1+u)/log t)) / a2(1, x)`` against a fitted power
       ``(1 + u)**c``.
-    * ``taylor_limit``: ``chat_v(u*t, v) / t`` against ``u`` times the
-      corner derivative of ``chat_v``.
 
     A check passes when its final-scale worst deviation is below the
     tolerance and the deviations are non-increasing over the final three
@@ -740,17 +739,16 @@ def check_assumptions(
         A shipped survival copula, from :func:`make_survival_copula`.
     tail_traits : TailOrderTraits, optional
         Defaults to the traits of the copula's dependence function; required
-        for a copula without one (pass :func:`trial_tail_order_traits`).
-    partial_traits : PartialLimitTraits, optional
-        Defaults to the traits of the dependence function where there is
-        one; when absent, the checks that need them are skipped.
+        for a copula without one (pass :func:`trial_tail_order_traits`),
+        which skips ``A3``, ``A4`` and ``evcond``.
     grid : sequence of float
         Relative grid of positive finite values (default ``(0.5, 1, 2, 4)``);
         values below 1 double as the probability grid of the derivative
         checks.
     log10_t_sequence : sequence of float, optional
-        Scales as ``log10 t``, finite and strictly decreasing (default
-        ``-1 .. -7``).
+        Scales as ``log10 t``, finite and strictly decreasing. Default
+        ``-8200 .. -9000`` (step 200) when ``a20`` is 0 and ``a(1, 1) > 1``
+        (Gumbel with exponent above 1), else ``-1 .. -7``.
     tolerance : float
         Verdict threshold on the final-scale deviation (default 1e-3).
 
@@ -765,7 +763,14 @@ def check_assumptions(
         If no tail traits are supplied for a copula without a dependence
         function.
     """
-    l10 = tuple(float(x) for x in (_DEFAULT_LOG10_T if log10_t_sequence is None else log10_t_sequence))
+    p = copula.pickands
+    # one corner-slope probe sets the default depth and the corner target;
+    # a copula without a dependence function has slope 0
+    a20, probe_warning = (0.0, None) if p is None else estimate_corner_slope(p)
+    if log10_t_sequence is None:
+        deep = p is not None and a20 == 0.0 and float(p.a_fn(1.0, 1.0)) > 1.0
+        log10_t_sequence = _DEEP_LOG10_T if deep else _DEFAULT_LOG10_T
+    l10 = tuple(float(x) for x in log10_t_sequence)
     if len(l10) < 3:
         raise ConfigError(f"need at least 3 scales, got {len(l10)}")
     if not all(map(math.isfinite, l10)) or any(b >= a for a, b in zip(l10, l10[1:])):
@@ -779,7 +784,6 @@ def check_assumptions(
         raise ConfigError(f"tolerance must be a positive finite number, got {tolerance!r}")
     vprob = tuple(g for g in gvals if g < 1.0) or (0.5,)
 
-    p = copula.pickands
     if tail_traits is None:
         if p is None:
             raise UnsupportedFamilyError(
@@ -787,11 +791,6 @@ def check_assumptions(
                 "no power tail traits; use trial_tail_order_traits to probe it"
             )
         tail_traits = tail_order_traits(p)
-    # one corner-slope probe feeds the default partial traits and the
-    # taylor_limit corner; a copula without a dependence function has slope 0
-    a20 = 0.0 if p is None else estimate_corner_slope(p)[0]
-    if partial_traits is None and p is not None:
-        partial_traits = _partial_traits(a20)
 
     ln10 = math.log(10.0)
     lts = [x * ln10 for x in l10]
@@ -818,9 +817,6 @@ def check_assumptions(
             for x10, lt in zip(l10, lts) for u in us for v in vs
         ]
 
-    def scale_of(lt):
-        return math.exp(lt) if lt > -700 else 0.0
-
     # A2: diagonal tail-order scaling.
     kappa = tail_traits.kappa
 
@@ -830,16 +826,22 @@ def check_assumptions(
 
     finish("A2", scan(gvals, gvals, diagonal))
 
-    if partial_traits is None:
+    # the rows of A4 and taylor_limit; a vanishing corner slope has target 0
+    # (its power v ** -1 would overflow at a subnormal grid value)
+    def corner_limit(lt, u, v):
+        target = a20 * u * v ** (a20 - 1.0) if a20 else 0.0
+        return _safe_exp(float(lchat_v(math.log(u) + lt, math.log(v))) - lt), target
+
+    corner_rows = scan(gvals, vprob, corner_limit)
+
+    if p is None:
         skipped += ["A3", "A4"]
     else:
-        theta = partial_traits.theta_exp
-
         # A3: relative-shift stability of the partial derivative.
         def relative_shift(lt, u, v):
             lr = float(lchat_v(lt + math.log1p(u), math.log(v))) - float(lchat_v(lt, math.log(v)))
             stat = math.expm1(lr) if math.isfinite(lr) else math.nan
-            return stat, (1.0 + u) ** theta - 1.0
+            return stat, (1.0 + u) - 1.0
 
         rows = scan(gvals, vprob, relative_shift)
         # least squares on log-ratios, over the deepest scale with usable points
@@ -853,15 +855,7 @@ def check_assumptions(
             if den > 0:
                 fitted_c = num / den
         finish("A3", rows, fitted_c=fitted_c)
-
-        # A4: corner limit of the scaled partial derivative.
-        def corner_limit(lt, u, v):
-            hval = float(partial_traits.h(scale_of(lt)))
-            lh = math.log(hval) if hval > 0 else math.nan
-            expo = float(lchat_v(math.log(u) + lt, math.log(v))) - theta * lt - lh
-            return _safe_exp(expo), float(partial_traits.varphi(u, v))
-
-        finish("A4", scan(gvals, vprob, corner_limit))
+        finish("A4", corner_rows)
 
     # evcond: stability of the dependence derivative under log perturbations;
     # its power is fitted per grid point, so it keeps its own loop.
@@ -896,14 +890,7 @@ def check_assumptions(
                 rows += [(x10, u, x, q, (1.0 + u) ** c_x) for u, q in triples]
         finish("evcond", rows, fitted_c=fitted_c)
 
-    # taylor_limit: first-order corner behaviour of the partial derivative.
-    # A vanishing corner slope has corner derivative 0 (its power v ** -1
-    # would overflow at a subnormal grid value).
-    def taylor(lt, u, v):
-        corner = a20 * v ** (a20 - 1.0) if a20 else 0.0
-        return _safe_exp(float(lchat_v(math.log(u) + lt, math.log(v))) - lt), u * corner
-
-    finish("taylor_limit", scan(gvals, vprob, taylor))
+    finish("taylor_limit", corner_rows)
 
     return AssumptionReport(
         checks=checks,
@@ -911,4 +898,5 @@ def check_assumptions(
         grid=gvals,
         log10_t_sequence=l10,
         tolerance=float(tolerance),
+        warnings=(probe_warning,) if probe_warning else (),
     )

@@ -24,7 +24,6 @@ from tailsum import (
     independence_pickands,
     integral_I,
     make_survival_copula,
-    partial_limit_traits,
     sample_pairs,
     tail_order_traits,
     tailprob_expansion_ev,
@@ -224,7 +223,6 @@ def test_scaling_checks_pass_for_shipped_families():
         report = check_assumptions(
             sc,
             tail_traits=tail_order_traits(p),
-            partial_traits=partial_limit_traits(p),
             log10_t_sequence=(
                 (-8200.0, -8400.0, -8600.0, -8800.0, -9000.0) if deep else None
             ),

@@ -1,5 +1,6 @@
 """Unit tests for the numerical assumption checker."""
 
+import dataclasses
 import math
 
 import pytest
@@ -12,20 +13,17 @@ from tailsum import (
     gumbel_pickands,
     independence_pickands,
     make_survival_copula,
-    partial_limit_traits,
     tail_order_traits,
     trial_tail_order_traits,
 )
 
 CHECK_NAMES = ("A2", "A3", "A4", "evcond", "taylor_limit")
+_SHALLOW = (-1.0, -2.0, -3.0, -4.0, -5.0, -6.0, -7.0)
+_DEEP = (-8200.0, -8400.0, -8600.0, -8800.0, -9000.0)
 
 
-def _full_report(copula, p):
-    return check_assumptions(
-        copula,
-        tail_traits=tail_order_traits(p),
-        partial_traits=partial_limit_traits(p),
-    )
+def _full_report(copula, p, **kwargs):
+    return check_assumptions(copula, tail_traits=tail_order_traits(p), **kwargs)
 
 
 def test_independence_passes_all_checks(sc_ind):
@@ -47,17 +45,12 @@ def test_gumbel_phi_one_passes_at_default_depth():
 def test_gumbel_phi_ten_needs_depth():
     sc = make_survival_copula("gumbel", phi=10.0)
     p = gumbel_pickands(10.0)
-    # at the default depth the slowly-converging diagonal check still fails
-    shallow = _full_report(sc, p)
+    # at the shallow scales the slowly-converging diagonal check still fails
+    shallow = _full_report(sc, p, log10_t_sequence=_SHALLOW)
     assert shallow.checks["A2"].passed is False
     assert shallow.checks["A2"].last_deviation > 0.1
     # far enough into the tail every check clears the tolerance
-    deep = check_assumptions(
-        sc,
-        tail_traits=tail_order_traits(p),
-        partial_traits=partial_limit_traits(p),
-        log10_t_sequence=(-8200.0, -8400.0, -8600.0, -8800.0, -9000.0),
-    )
+    deep = _full_report(sc, p, log10_t_sequence=_DEEP)
     assert deep.all_pass
     for name in CHECK_NAMES:
         assert deep.checks[name].last_deviation < 1e-3
@@ -125,9 +118,9 @@ def test_config_errors(sc_ind):
     "family,phi", [("independence", None), ("gumbel", 1.5), ("gumbel", 10.0), ("comonotone", None)]
 )
 def test_corner_slope_is_probed_once_per_check(family, phi, monkeypatch):
-    # the default partial traits and the taylor_limit corner share one probe
+    # the default depth and the corner target share one probe
     sc = make_survival_copula(family, phi=phi)
-    explicit = check_assumptions(sc, partial_traits=partial_limit_traits(sc.pickands))
+    unpatched = check_assumptions(sc)
     probe, calls = copulas.estimate_corner_slope, []
 
     def counted(p):
@@ -137,7 +130,66 @@ def test_corner_slope_is_probed_once_per_check(family, phi, monkeypatch):
     monkeypatch.setattr(copulas, "estimate_corner_slope", counted)
     report = check_assumptions(sc)
     assert calls == [sc.pickands]
-    assert repr(report) == repr(explicit)
+    assert repr(report) == repr(unpatched)
+
+
+def test_library_default_depth_agrees_with_the_cli():
+    # a vanishing corner slope with a(1,1) > 1 picks the deep scales, as
+    # `tailsum check --family gumbel --phi 10` does
+    g10 = check_assumptions(make_survival_copula("gumbel", phi=10.0))
+    assert g10.log10_t_sequence == _DEEP
+    assert g10.all_pass
+    assert repr(g10) == repr(
+        check_assumptions(make_survival_copula("gumbel", phi=10.0), log10_t_sequence=_DEEP)
+    )
+    # a positive slope, a(1,1) = 1 or no dependence function keeps -1 .. -7
+    cases = [
+        (make_survival_copula("independence"), None),
+        (make_survival_copula("comonotone"), None),
+        (make_survival_copula("log-interaction", sigma=0.5), trial_tail_order_traits(1.5)),
+    ]
+    for sc, traits in cases:
+        default = check_assumptions(sc, traits)
+        assert default.log10_t_sequence == _SHALLOW
+        assert repr(default) == repr(check_assumptions(sc, traits, log10_t_sequence=_SHALLOW))
+    # and the defaults still give the pinned evidence
+    for case in ("independence", "log-interaction"):
+        report = _evidence_report(case)
+        for name, (deviations, _) in _EVIDENCE[case].items():
+            assert report.checks[name].deviations == pytest.approx(deviations, rel=1e-12, abs=0.0)
+
+
+def _counting(sc):
+    calls = []
+
+    def log_chat_v(lu, lv):
+        calls.append((lu, lv))
+        return sc.log_chat_v(lu, lv)
+
+    return dataclasses.replace(sc, log_chat_v=log_chat_v), calls
+
+
+@pytest.mark.parametrize(
+    "family, phi, expected", [("gumbel", 10.0, 60), ("independence", None, 84)]
+)
+def test_corner_is_scanned_once(family, phi, expected):
+    # A3 reads log_chat_v twice per point; A4 and taylor_limit share one
+    # corner scan of one read per point (5 deep or 7 shallow scales x 4 grid
+    # values x the probability grid (0.5,))
+    sc, calls = _counting(make_survival_copula(family, phi=phi))
+    report = check_assumptions(sc)
+    assert len(calls) == expected
+    assert report.checks["A4"].rows == report.checks["taylor_limit"].rows
+
+
+def test_unstable_corner_probe_is_reported():
+    # Gumbel with phi just above 1: a2(1, v) decays like v**(phi - 1), too
+    # slowly for the probe window, which returns about 0.998 with a warning
+    report = check_assumptions(make_survival_copula("gumbel", phi=1.0001))
+    assert len(report.warnings) == 1
+    assert "not stabilised" in report.warnings[0]
+    assert report.log10_t_sequence == _SHALLOW
+    assert check_assumptions(make_survival_copula("gumbel", phi=10.0)).warnings == ()
 
 
 def test_traits_are_derived_from_shipped_families(sc_ind, sc_log):
@@ -149,7 +201,6 @@ def test_traits_are_derived_from_shipped_families(sc_ind, sc_log):
         check_assumptions(sc_log)
 
 
-_DEEP = (-8200.0, -8400.0, -8600.0, -8800.0, -9000.0)
 
 # Per-scale worst deviations and fitted constants of three reports, frozen:
 # a changed row moves them even where every verdict holds.

@@ -676,6 +676,22 @@ def test_comonotone_raises_on_every_path(alpha, p_co):
             var_expansion_ev(m, p_co, 0.99)
 
 
+def test_comonotone_plan_raises_before_building_a_term(p_co, monkeypatch):
+    # the tail order a(1,1) = 1 alone decides it: no corner integral is
+    # evaluated, and the message says why
+    from tailsum import asymptotics
+
+    def no_terms(*args):
+        raise AssertionError("integral_I evaluated for a tail order of 1")
+
+    monkeypatch.setattr(asymptotics, "integral_I", no_terms)
+    m = ParetoMarginal(0.8, 1.0)
+    with pytest.raises(DomainError, match=r"a\(1,1\) = 1 puts the boundary term at the leading"):
+        _model_plan(m, p_co)
+    with pytest.raises(DomainError, match="sum is 2X"):
+        tailprob_expansion_ev(m, p_co, m.quantile(0.999))
+
+
 @given(
     p=st.one_of(
         st.floats(1.0, 20.0).map(gumbel_pickands),

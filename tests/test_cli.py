@@ -288,6 +288,47 @@ def test_check_non_finite_scale_or_grid_value_exits_2(flag, capsys):
     assert "verdict" not in captured.out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["var", "--alpha", "2", "--family", "independence", "--phi", "3"],
+        ["tailprob", "--alpha", "2", "--family", "gumbel", "--phi", "2", "--sigma", "0.2"],
+        ["check", "--family", "independence", "--phi", "3"],
+        ["check", "--family", "comonotone", "--sigma", "0.2"],
+        ["check", "--family", "log-interaction", "--phi", "2"],
+        ["check", "--family", "gumbel", "--phi", "2", "--trial-kappa", "1.5"],
+    ],
+)
+def test_parameters_the_family_does_not_take_exit_2(argv, capsys):
+    # each was once dropped silently, with exit 0 and the rows of the bare
+    # family (or its declared tail order instead of the trial orders)
+    if argv[0] != "check":
+        argv = [*argv, "--seed", "1", "--n", "1000"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+def test_config_parameter_the_family_does_not_take_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "stray.cfg"
+    cfg.write_text("copula.family = independence\ncopula.phi = 3\n")
+    assert main(["check", "--config", str(cfg)]) == 2
+    assert "copula.phi" in capsys.readouterr().err
+
+
+def test_check_notes_an_unstable_corner_probe(capsys):
+    # phi just above 1: the corner-slope probe has not stabilised, and the
+    # report says so under the grid line
+    rc = main(["check", "--family", "gumbel", "--phi", "1.0001"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    notes = [line for line in lines if line.startswith("  note: ")]
+    assert len(notes) == 1
+    assert "corner slope probe has not stabilised" in notes[0]
+    assert lines.index(notes[0]) == 3
+
+
 def test_check_trial_kappa_flag(capsys):
     rc = main(["check", "--family", "log-interaction", "--sigma", "0.5",
                "--trial-kappa", "1.5"])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from tailsum import (
     DomainError,
+    PartialLimitTraits,
     TailOrderTraits,
     UnsupportedFamilyError,
     comonotone_pickands,
@@ -206,6 +207,22 @@ def test_make_survival_copula_families():
         make_survival_copula("log-interaction", sigma=-1.0)
 
 
+@pytest.mark.parametrize(
+    "family, kwargs",
+    [
+        ("independence", {"phi": 3.0, "sigma": 0.2}),
+        ("independence", {"phi": 3.0}),
+        ("comonotone", {"sigma": 0.2}),
+        ("gumbel", {"phi": 2.0, "sigma": 0.2}),
+        ("log-interaction", {"phi": 2.0}),
+    ],
+)
+def test_make_survival_copula_rejects_parameters_the_family_does_not_take(family, kwargs):
+    # these were once dropped silently, so independence came back for phi=3
+    with pytest.raises(DomainError, match="takes no parameter"):
+        make_survival_copula(family, **kwargs)
+
+
 def test_comonotone_chat_is_min():
     sc = make_survival_copula("comonotone")
     assert math.exp(sc.log_chat(math.log(0.3), math.log(0.7))) == 0.3
@@ -274,18 +291,21 @@ def test_trial_tail_order_traits():
 
 
 def test_partial_limit_traits_fields():
+    # independence: corner slope 1, profile u; Gumbel 10: slope 0, zero profile
     ind = partial_limit_traits(independence_pickands())
-    assert ind.theta_exp == 1.0
     assert ind.beta == 0.0
-    assert not ind.degenerate
+    assert ind.h(1e-3) == 1.0
+    assert ind.varphi(0.5, 0.25) == 0.5
     g10 = partial_limit_traits(gumbel_pickands(10.0))
-    assert g10.theta_exp == 1.0
-    assert g10.degenerate
+    assert g10.beta == 0.0
+    assert g10.h(1e-3) == 1.0
+    assert g10.varphi(0.5, 0.25) == 0.0
+    assert set(PartialLimitTraits.__dataclass_fields__) == {"h", "varphi", "beta"}
 
 
 def test_gumbel_log_refined_traits_domain():
     tr = gumbel_log_refined_traits(10.0)
-    assert tr.theta_exp == 1.0
+    assert tr.beta == 1.0
     with pytest.raises(DomainError):
         gumbel_log_refined_traits(1.0)
 

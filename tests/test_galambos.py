@@ -74,7 +74,7 @@ def test_traits_follow_from_the_dependence_function(galambos):
     assert abs(tr.kappa - (2.0 - 2.0 ** (-1.0 / THETA))) < 1e-14
     assert abs(tr.power_m - (1.0 - 2.0 ** (-1.0 / THETA - 1.0))) < 1e-14
     partial = partial_limit_traits(galambos)
-    assert partial.degenerate
+    assert partial.beta == 0.0
     assert partial.varphi(0.5, 0.5) == 0.0
 
 
@@ -84,7 +84,9 @@ def test_slowly_vanishing_corner_slope_is_exactly_zero(theta):
     # decade ratios, near 10**-theta, show the power decay to 0
     p = galambos_pickands(theta)
     assert estimate_corner_slope(p) == (0.0, None)
-    assert partial_limit_traits(p).degenerate
+    partial = partial_limit_traits(p)
+    assert partial.varphi(0.5, 0.5) == 0.0
+    assert partial.beta == 0.0
     assert tailprob_expansion_ev(ParetoMarginal(0.8, 1.0), p, 1e4).candidates is not None
 
 
