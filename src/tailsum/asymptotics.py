@@ -5,7 +5,7 @@ copula, or raw tail traits), this module evaluates:
 
 * the singular integrals feeding the second-order constants (the series
   :func:`integral_I`, the corner functional :func:`eta_limit` in closed
-  form, and :func:`delta_correction` by quadrature);
+  form, and :func:`delta_correction` by a fixed quadrature rule);
 * the case classification of the extreme-value regime
   (:func:`classify_case`), which rejects a non-convex dependence function;
 * first- plus second-order expansions of ``P(X + Y > t)``
@@ -29,15 +29,13 @@ does not depend on the threshold or the level: the case label, the case
 coefficient (its corner integrals), the stated term specs and, when the
 stated second order vanishes, the candidates' specs. The cache is a bounded
 ``functools.lru_cache``, which is thread-safe, and holds frozen values, so
-concurrent use is safe; quadrature scratch state is local to each call.
+concurrent use is safe; the quadrature rule is read-only arrays built
+once, and its scratch state is local to each call.
 
-scipy is imported on first use, by the two functions that run quadrature
-or root finding: :func:`delta_correction` loads ``scipy.integrate``, and
-:func:`var_from_tailprob_inversion` loads ``scipy.optimize``. Importing
-this module, the closed forms and :func:`var_expansion_ev` load neither.
-:func:`tailprob_expansion_ev` loads ``scipy.integrate`` only for a
-``log_refined`` candidate, and :func:`tailprob_expansion_general` only on
-its partial branch.
+scipy is imported on first use, and only by the root finding of
+:func:`var_from_tailprob_inversion` (``scipy.optimize``). The one
+quadrature, :func:`delta_correction`, is a fixed Gauss-Legendre rule in
+numpy, so importing this module and every other function load no scipy.
 """
 
 from __future__ import annotations
@@ -48,6 +46,8 @@ import math
 import types
 from dataclasses import dataclass
 from typing import Mapping, Optional
+
+import numpy as np
 
 from .copulas import (
     PartialLimitTraits,
@@ -80,8 +80,6 @@ __all__ = [
     "var_expansion_ev",
     "var_from_tailprob_inversion",
 ]
-
-_QUAD_KW = {"epsabs": 1e-13, "epsrel": 1e-12, "limit": 200}
 
 LABEL_PARTIAL = "C1\\(C2∩C3)"
 LABEL_COMPLEMENT = "C1ᶜ"
@@ -171,12 +169,27 @@ def delta_correction(
     """Finite-level second-order weight of the refined tail branch.
 
     Returns ``int_0^{1/2} ((1-y)**(-alpha) - 1)
-    * varphi(1, survival(t*y)) * density(t*y) * t dy`` by adaptive
-    quadrature. For plain power traits it decays to zero as ``t`` grows. For
-    the log-refined Gumbel traits it does not: ``delta * (-log sf)**(1-phi)``
-    grows from 0.85 to 1.51 over ``sf = 1e-2 .. 1e-8`` at phi 2, alpha 1.5
-    (0.054 to 0.24 at phi 10, alpha 0.8), so that candidate term is not of
-    higher order.
+    * varphi(1, survival(t*y)) * density(t*y) * t dy``. For plain power
+    traits it decays to zero as ``t`` grows. For the log-refined Gumbel
+    traits it does not: ``delta * (-log sf)**(1-phi)`` grows from 0.85 to
+    1.51 over ``sf = 1e-2 .. 1e-8`` at phi 2, alpha 1.5 (0.054 to 0.24 at
+    phi 10, alpha 0.8), so that candidate term is not of higher order.
+
+    The integral is taken in the log-survival variable
+    ``w = log1p(t*y/scale)``: the Lomax survival is ``sf = exp(-alpha*w)``
+    and ``density(t*y) * t * dy = alpha * sf * dw`` exactly, so with the
+    linearity ``varphi(u, v) = u * varphi(1, v)`` it is
+    ``alpha * int_0^W expm1(-alpha*log1p(-y)) * varphi(sf, sf) dw`` with
+    ``W = log1p(t/(2*scale))``. That form stays finite where
+    ``varphi(1, sf)`` alone overflows, so ``varphi`` is called once, on the
+    array of nodes. The rule is 24-node Gauss-Legendre on panels graded
+    geometrically away from both ends: edges ``2**-20, 2**-19, ...`` from
+    ``w = 0`` and ``W - 1/8, W - 1/4, ...`` from ``w = W``, meeting at
+    ``W/2``. Against 40-digit mpmath it is within 1e-13 relative (1e-14
+    measured) for log-refined phi in {1.05, 2, 10} and plain power corner
+    slopes {1, 0.5}, alpha in {0.3, 0.8, 2, 3} and ``sf = 1e-2 .. 1e-12``.
+    Nodes where ``sf`` underflows to 0 contribute 0; they exist only where
+    ``survival(t)`` itself underflows.
 
     Raises
     ------
@@ -184,22 +197,34 @@ def delta_correction(
         If ``t`` is not finite and above the marginal median.
     """
     _require_above_median(marginal, t, "delta_correction")
-    from scipy import integrate
+    alpha, scale = marginal.alpha, marginal.scale
+    top = math.log1p(t / (2.0 * scale))
+    half = 0.5 * top
+    x, wx, grade = _delta_rule()
+    grade = grade[grade < half]
+    edges = np.concatenate(([0.0], grade, [half], top - grade[grade >= 0.125][::-1], [top]))
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    radius = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    w = (mid + radius * x).ravel()
+    weights = (radius * wx).ravel()
+    sf = np.exp(-alpha * w)
+    live = sf > 0.0
+    w, weights, sf = w[live], weights[live], sf[live]
+    y = scale * np.expm1(w) / t
+    f = np.expm1(-alpha * np.log1p(-y)) * partial_traits.varphi(sf, sf)
+    return alpha * float(np.sum(weights * f))
 
-    alpha = marginal.alpha
-    varphi = partial_traits.varphi
-    sf_pdf = marginal._sf_pdf
 
-    def g(y: float) -> float:
-        sf, pdf = sf_pdf(t * y)
-        return math.expm1(-alpha * math.log1p(-y)) * float(varphi(1.0, sf)) * pdf * t
-
-    # the integrand mass concentrates at y ~ scale/t, below quad's default
-    # sampling resolution for large t; anchor subdivisions there
-    y0 = marginal.scale / t
-    breaks = sorted({min(0.499, y0 * 10.0**k) for k in range(6)})
-    value, _ = integrate.quad(g, 0.0, 0.5, points=breaks, **_QUAD_KW)
-    return value
+@functools.cache
+def _delta_rule() -> tuple:
+    """The 24-node Gauss-Legendre rule on ``[-1, 1]`` and the panel
+    grading ``2**-20 .. 2**9`` of :func:`delta_correction` (``W/2`` stays
+    below ``2**9`` for every float ``t``), read-only."""
+    x, wx = np.polynomial.legendre.leggauss(24)
+    grade = 2.0 ** np.arange(-20, 10)
+    for a in (x, wx, grade):
+        a.flags.writeable = False
+    return x, wx, grade
 
 
 def power_term_coefficient(traits: TailOrderTraits, alpha: float) -> float:

@@ -61,7 +61,8 @@ def _const_one(t: float) -> float:
 
 
 def _zero_profile(u: float, v: float) -> float:
-    """Limit profile of a degenerate partial derivative, float to float."""
+    """Limit profile of a degenerate partial derivative: the float 0.0,
+    which broadcasts against array arguments."""
     return 0.0
 
 
@@ -420,8 +421,8 @@ class PartialLimitTraits:
     ``varphi(u, v) = u * varphi(1, v)``: the scaling exponent is 1 for every
     extreme-value copula.
 
-    ``h`` and ``varphi`` take and return floats, not arrays: the refined
-    tail branch calls ``varphi`` at every quadrature node.
+    ``h`` takes and returns a float. ``varphi`` takes arrays as well: the
+    refined tail branch calls it once, on all its quadrature nodes.
 
     Attributes
     ----------
@@ -429,8 +430,8 @@ class PartialLimitTraits:
         Slowly varying factor of ``t`` (identically 1 for the plain power
         traits of extreme-value families), float to float.
     varphi : callable
-        The limit profile, ``(float, float)`` to float; identically zero
-        when the corner slope vanishes.
+        The limit profile, elementwise on floats or arrays; identically
+        zero when the corner slope vanishes.
     beta : float
         Regular-variation index of ``varphi(1, 1/.)``, nonnegative (0 for
         the zero profile).
@@ -545,17 +546,18 @@ def gumbel_log_refined_traits(phi_g: float) -> PartialLimitTraits:
         )
     phi = float(phi_g)
 
-    # The logarithms stay numpy's: its SIMD log differs from math.log in the
-    # last bit for some arguments in (0, 1), and keeping it keeps every
-    # refined value bit-identical. The rest is scalar arithmetic on
-    # numpy.float64, which calls the same pow as float and keeps IEEE
-    # results (inf, nan) where float arithmetic would raise.
+    # ``varphi`` runs on the array of quadrature nodes. ``h`` keeps numpy's
+    # logarithm too: its SIMD log differs from math.log in the last bit for
+    # some arguments in (0, 1), and keeping it keeps every refined value
+    # bit-identical. It is scalar arithmetic on numpy.float64, which calls
+    # the same pow as float and keeps IEEE results (inf, nan) where float
+    # arithmetic would raise.
     def h(t):
         with np.errstate(divide="ignore"):
             return float((-np.log(t)) ** (1.0 - phi))
 
     def varphi(u, v):
-        return float(u * (-np.log(v)) ** (phi - 1.0) / v)
+        return u * (-np.log(v)) ** (phi - 1.0) / v
 
     return PartialLimitTraits(h=h, varphi=varphi, beta=1.0)
 

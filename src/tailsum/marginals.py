@@ -169,17 +169,6 @@ class ParetoMarginal:
         out = self.alpha * self.scale**self.alpha * (arr + self.scale) ** (-self.alpha - 1.0)
         return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
-    def _sf_pdf(self, x: float) -> tuple:
-        """``(survival(x), density(x))`` at one float ``x >= 0``, unchecked.
-
-        The quadrature integrands call this at every node. It spells out the
-        expressions of :meth:`survival` and :meth:`density` in float
-        arithmetic, whose ``pow`` is the one numpy's scalar power calls, so
-        both spellings return the identical finite floats.
-        """
-        a, s = self.alpha, self.scale
-        return (s / (x + s)) ** a, a * s**a * (x + s) ** (-a - 1.0)
-
     # -- truncated moments --------------------------------------------------
 
     def truncated_mean(self, t: float) -> float:

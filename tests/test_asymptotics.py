@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import optimize
-from scipy.integrate import IntegrationWarning
 
 import oracles
 from test_galambos import galambos_pickands
@@ -32,6 +31,7 @@ from tailsum import (
     comonotone_pickands,
     delta_correction,
     eta_limit,
+    gumbel_log_refined_traits,
     gumbel_pickands,
     independence_pickands,
     integral_I,
@@ -45,6 +45,7 @@ from tailsum import (
     var_from_tailprob_inversion,
 )
 from tailsum.asymptotics import _model_plan
+from tailsum.copulas import _partial_traits
 
 # frozen oracle constants (midpoint_integral_I at 1e7 panels agrees to <1e-8)
 I_08_08 = 3.075834977047161
@@ -183,6 +184,91 @@ def test_delta_correction_approaches_scaled_truncated_mean(m2):
         ratios.append(delta_correction(pl, m2, t) / (2.0 * m2.truncated_mean(t) / t))
     assert abs(ratios[-1] - 1.0) < 1e-4
     assert abs(ratios[0] - 1.0) > abs(ratios[-1] - 1.0)
+
+
+def _mp_delta(mp, alpha, t, profile):
+    # delta_correction of a unit-scale Lomax in w = log1p(t*y), where
+    # sf = exp(-alpha*w) and profile(-log sf) = varphi(sf, sf); the
+    # integrand grows like exp(w - W) up to W = log1p(t/2), so panels end
+    # at W - 36, W - 12, W - 4 and W - 1
+    a, tt = mp.mpf(alpha), mp.mpf(t)
+    top = mp.log1p(tt / 2)
+
+    def g(w):
+        return mp.expm1(-a * mp.log1p(-mp.expm1(w) / tt)) * profile(a * w)
+
+    return a * mp.quad(g, [0, *(top - d for d in (36, 12, 4, 1) if top > d), top])
+
+
+def _mp_delta_y(mp, alpha, t):
+    # the independence profile varphi(1, v) = 1 in the original variable y,
+    # with panels at the decades of 1/t, where the density's mass sits: a
+    # route that shares no substitution with the library
+    a, tt = mp.mpf(alpha), mp.mpf(t)
+
+    def g(y):
+        return mp.expm1(-a * mp.log1p(-y)) * a * (1 + tt * y) ** (-a - 1) * tt
+
+    edges = [1 / tt * 10**k for k in range(int(mp.log10(tt / 2)) + 1)]
+    return mp.quad(g, [0, *edges, mp.mpf(0.5)])
+
+
+@pytest.mark.parametrize(
+    "kind, k", [("log-refined", 1.05), ("log-refined", 2.0), ("log-refined", 10.0),
+                ("power", 1.0), ("power", 0.5)]
+)
+def test_delta_correction_certified_against_mpmath(kind, k):
+    # log-refined Gumbel with phi = k, varphi(sf, sf) = x**(phi - 1), and
+    # the plain power corner slope a20 = k, varphi(sf, sf) = a20 *
+    # exp(-a20*x), with x = -log sf
+    mp = pytest.importorskip("mpmath")
+    if kind == "log-refined":
+        traits, profile = gumbel_log_refined_traits(k), lambda x: x ** (k - 1.0)
+    else:
+        traits, profile = _partial_traits(k), lambda x: k * mp.exp(-k * x)
+    for alpha in (0.3, 0.8, 2.0, 3.0):
+        m = ParetoMarginal(alpha, 1.0)
+        for sf in (1e-2, 1e-7, 1e-12):
+            t = sf ** (-1.0 / alpha) - 1.0
+            with mp.workdps(40):
+                want = _mp_delta(mp, alpha, t, profile)
+            got = delta_correction(traits, m, t)
+            assert abs(got / want - 1) < 1e-13, (alpha, sf, got, want)
+
+
+def test_independence_partial_branch_certified_where_quadpack_missed():
+    # QUADPACK's delta_correction, with no warning, was +3.3% off at
+    # alpha 0.8, sf 1e-10, +1.0% at alpha 0.8, sf 1e-12 and -2.0e-3 at
+    # alpha 0.3, sf 1e-12
+    mp = pytest.importorskip("mpmath")
+    ind = independence_pickands()
+    tri, pl = tail_order_traits(ind), partial_limit_traits(ind)
+    for alpha, sf in ((0.8, 1e-10), (0.8, 1e-12), (0.3, 1e-12)):
+        m = ParetoMarginal(alpha, 1.0)
+        t = sf ** (-1.0 / alpha) - 1.0
+        with mp.workdps(40):
+            want = _mp_delta_y(mp, alpha, t)
+        got = delta_correction(pl, m, t)
+        assert abs(got / want - 1) < 1e-13, (alpha, sf, got, want)
+        e = tailprob_expansion_general(m, tri, pl, t, branch="partial")
+        assert e.terms[-1].t_factor == got
+
+
+def test_far_tail_values_are_finite():
+    # varphi(1, sf) overflows once sf is near 1e-300; the quadrature on it
+    # returned NaN or inf in 104 of these 528 cells (e.g. the log_refined
+    # candidate at phi 10, alpha 2, t = 1e148)
+    ind = independence_pickands()
+    tri, pl = tail_order_traits(ind), partial_limit_traits(ind)
+    for alpha in (0.3, 0.8, 2.0, 3.0):
+        m = ParetoMarginal(alpha, 1.0)
+        for t in 10.0 ** np.arange(1, 303, 7):
+            for phi in (10.0, 2.0):
+                p = gumbel_pickands(phi)
+                assert math.isfinite(delta_correction(p.log_refined, m, t)), (alpha, phi, t)
+                assert math.isfinite(tailprob_expansion_ev(m, p, t).candidates["log_refined"])
+            assert math.isfinite(delta_correction(pl, m, t)), (alpha, t)
+            assert math.isfinite(tailprob_expansion_general(m, tri, pl, t, branch="partial").value)
 
 
 def test_power_term_coefficient_profiles():
@@ -509,17 +595,20 @@ def test_valid_dependence_functions_pass_the_convexity_check(p, alpha):
     assert float(p.a_fn(1.0, 1.0)) - c.a20 - 1.0 >= -1e-10
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=IntegrationWarning,
-    reason="the log_refined candidate's delta_correction quadrature detects roundoff "
-    "at t = 8.7e13; ROADMAP item 4 (re-derive or delete that candidate)",
-)
 def test_log_refined_candidate_quadrature_converges_at_phi2_alpha03():
+    # QUADPACK raised IntegrationWarning (roundoff in the extrapolation
+    # table) at these two thresholds, t = 8.7e13 and 2.3e16, and its value
+    # was -3.8e-10 relative off at the first
+    mp = pytest.importorskip("mpmath")
     m, p = ParetoMarginal(0.3, 1.0), gumbel_pickands(2.0)
-    t = m.quantile(1.0 - np.geomspace(1e-2, 1e-10, 12)[4])
-    e = tailprob_expansion_ev(m, p, t)
-    assert all(math.isfinite(v) for v in e.candidates.values())
+    for sf in np.geomspace(1e-2, 1e-10, 12)[3:5]:
+        t = m.quantile(1.0 - sf)
+        e = tailprob_expansion_ev(m, p, t)
+        assert all(math.isfinite(v) for v in e.candidates.values())
+        with mp.workdps(40):
+            want = _mp_delta(mp, 0.3, t, lambda x: x)
+        got = delta_correction(p.log_refined, m, t)
+        assert abs(got / want - 1) < 1e-13, (t, got, want)
 
 
 def test_threshold_must_be_finite_and_above_the_median(m08, m2, p1, p10):

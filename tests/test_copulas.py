@@ -311,8 +311,9 @@ def test_gumbel_log_refined_traits_domain():
 
 
 def test_log_refined_traits_equal_their_array_spelling():
-    # h and varphi take floats; they must give the floats of the 0-d array
-    # evaluation they replaced, including numpy's own logarithm
+    # at a float h and varphi must give the floats of the 0-d array
+    # evaluation, including numpy's own logarithm (varphi on the array of
+    # quadrature nodes is certified through delta_correction)
     vs = np.geomspace(1e-200, 1.0, 3001)[:-1].tolist() + np.linspace(0.5, 1.0, 1001)[:-1].tolist()
     for phi in (1.5, 5.0, 10.0):
         tr = gumbel_log_refined_traits(phi)

@@ -1,5 +1,5 @@
 """Import hygiene: the package exports exactly its submodules' public names,
-and scipy loads only where quadrature or root finding runs.
+and scipy loads only where root finding runs.
 
 pytest's ``filterwarnings`` setting names ``scipy.integrate.IntegrationWarning``
 and so imports ``scipy.integrate`` into the test process; the scipy checks run
@@ -17,27 +17,30 @@ from tailsum import asymptotics, copulas, errors, marginals, montecarlo
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 SCRIPT = """
-import contextlib, io, math, sys
+import contextlib, io, math, sys, tempfile
 
 import tailsum.cli
-
-heavy = ("scipy.integrate", "scipy.optimize", "scipy.special")
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [
-        tailsum.cli.main(["check", "--family", "gumbel", "--phi", "10"]),
-        tailsum.cli.main(["var", "--alpha", "2", "--family", "gumbel", "--phi", "1",
-                          "--n", "20000", "--seed", "1"]),
-    ]
-print("codes", codes)
-print("loaded", [name for name in heavy if name in sys.modules])
-
 from tailsum import (
     ParetoMarginal, delta_correction, gumbel_log_refined_traits, gumbel_pickands,
     var_from_tailprob_inversion,
 )
 
+heavy = ("scipy.integrate", "scipy.optimize", "scipy.special")
+with contextlib.redirect_stdout(io.StringIO()), tempfile.TemporaryDirectory() as out:
+    codes = [
+        tailsum.cli.main(["check", "--family", "gumbel", "--phi", "10"]),
+        tailsum.cli.main(["var", "--alpha", "2", "--family", "gumbel", "--phi", "1",
+                          "--n", "20000", "--seed", "1"]),
+        tailsum.cli.main(["tailprob", "--alpha", "0.8", "--family", "gumbel", "--phi", "10",
+                          "--n", "2000", "--seed", "1"]),
+        tailsum.cli.main(["reproduce-figures", "--n", "2000", "--seed", "1",
+                          "--out-dir", out]),
+    ]
 m = ParetoMarginal(0.8, 1.0)
 d = delta_correction(gumbel_log_refined_traits(10.0), m, m.quantile(0.999))
+print("codes", codes)
+print("loaded", [name for name in heavy if name in sys.modules])
+
 inv = var_from_tailprob_inversion(m, gumbel_pickands(10.0), 0.999)
 print("finite", math.isfinite(d), math.isfinite(inv.inverted), math.isfinite(inv.formula))
 """
@@ -72,7 +75,7 @@ def _run_fresh(script: str) -> list:
 
 
 def test_import_var_and_check_never_load_scipy():
-    assert _run_fresh(SCRIPT) == ["codes [0, 0]", "loaded []", "finite True True True"]
+    assert _run_fresh(SCRIPT) == ["codes [0, 0, 0, 0]", "loaded []", "finite True True True"]
 
 
 def test_auto_general_query_with_finite_eta_loads_no_quadrature():

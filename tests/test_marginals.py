@@ -88,17 +88,6 @@ def test_vectorized_matches_scalar():
         assert scalar == v
 
 
-def test_scalar_kernel_equals_survival_and_density():
-    # the quadrature integrands use the scalar kernel in place of the public
-    # methods, so it must return the identical floats, not close ones
-    xs = np.geomspace(1e-6, 1e13, 2000).tolist()
-    for alpha in (0.5, 0.8, 1.0, 2.0, 3.7):
-        for scale in (1.0, 2.5):
-            m = ParetoMarginal(alpha, scale)
-            for x in xs:
-                assert m._sf_pdf(x) == (m.survival(x), m.density(x)), (alpha, scale, x)
-
-
 def test_domain_errors():
     with pytest.raises(DomainError):
         ParetoMarginal(0.0, 1.0)
