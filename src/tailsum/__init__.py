@@ -59,7 +59,6 @@ from .montecarlo import (
     MCEstimate,
     SamplePairs,
     SimulationConfig,
-    dump_pairs,
     empirical_tailprob,
     empirical_var,
     sample_pairs,
@@ -121,5 +120,4 @@ __all__ = [
     "sample_pairs",
     "empirical_tailprob",
     "empirical_var",
-    "dump_pairs",
 ]

@@ -32,10 +32,9 @@ stated second order vanishes, the candidates' specs. The cache is a bounded
 concurrent use is safe; the quadrature rule is read-only arrays built
 once, and its scratch state is local to each call.
 
-scipy is imported on first use, and only by the root finding of
-:func:`var_from_tailprob_inversion` (``scipy.optimize``). The one
-quadrature, :func:`delta_correction`, is a fixed Gauss-Legendre rule in
-numpy, so importing this module and every other function load no scipy.
+The module needs numpy only. The one quadrature, :func:`delta_correction`,
+is a fixed Gauss-Legendre rule, and the one root finding, in
+:func:`var_from_tailprob_inversion`, is Brent's method (:func:`_brent`).
 """
 
 from __future__ import annotations
@@ -182,14 +181,18 @@ def delta_correction(
     ``alpha * int_0^W expm1(-alpha*log1p(-y)) * varphi(sf, sf) dw`` with
     ``W = log1p(t/(2*scale))``. That form stays finite where
     ``varphi(1, sf)`` alone overflows, so ``varphi`` is called once, on the
-    array of nodes. The rule is 24-node Gauss-Legendre on panels graded
-    geometrically away from both ends: edges ``2**-20, 2**-19, ...`` from
-    ``w = 0`` and ``W - 1/8, W - 1/4, ...`` from ``w = W``, meeting at
-    ``W/2``. Against 40-digit mpmath it is within 1e-13 relative (1e-14
-    measured) for log-refined phi in {1.05, 2, 10} and plain power corner
-    slopes {1, 0.5}, alpha in {0.3, 0.8, 2, 3} and ``sf = 1e-2 .. 1e-12``.
-    Nodes where ``sf`` underflows to 0 contribute 0; they exist only where
-    ``survival(t)`` itself underflows.
+    array of nodes. ``W`` is taken as ``log(t/2) - log(scale) +
+    log1p(2*scale/t)`` and ``y`` as ``(exp(w-W) - exp(-W)) / (2*(1-exp(-W)))``,
+    so neither overflows where ``t/(2*scale)`` does (``scale < 1``). The
+    rule is 24-node Gauss-Legendre on panels graded geometrically away
+    from both ends: edges ``2**-20, 2**-19, ...`` from ``w = 0`` and
+    ``W - 1/8, W - 1/4, ...`` from ``w = W``, meeting at ``W/2``. Against
+    40-digit mpmath it is within 1e-13 relative (1e-14 measured) for
+    log-refined phi in {1.05, 2, 10} and plain power corner slopes
+    {1, 0.5}, alpha in {0.3, 0.8, 2, 3} and ``sf = 1e-2 .. 1e-12``, and
+    for log-refined phi at alpha 0.3, ``scale = 1e-5``, ``t = 1e300`` and
+    ``1e305``. Nodes where ``sf`` underflows to 0 contribute 0; they exist
+    only where ``survival(t)`` itself underflows.
 
     Raises
     ------
@@ -198,7 +201,7 @@ def delta_correction(
     """
     _require_above_median(marginal, t, "delta_correction")
     alpha, scale = marginal.alpha, marginal.scale
-    top = math.log1p(t / (2.0 * scale))
+    top = math.log(t / 2.0) - math.log(scale) + math.log1p(2.0 * scale / t)
     half = 0.5 * top
     x, wx, grade = _delta_rule()
     grade = grade[grade < half]
@@ -210,7 +213,7 @@ def delta_correction(
     sf = np.exp(-alpha * w)
     live = sf > 0.0
     w, weights, sf = w[live], weights[live], sf[live]
-    y = scale * np.expm1(w) / t
+    y = (np.exp(w - top) - math.exp(-top)) * (0.5 / -math.expm1(-top))
     f = np.expm1(-alpha * np.log1p(-y)) * partial_traits.varphi(sf, sf)
     return alpha * float(np.sum(weights * f))
 
@@ -219,7 +222,8 @@ def delta_correction(
 def _delta_rule() -> tuple:
     """The 24-node Gauss-Legendre rule on ``[-1, 1]`` and the panel
     grading ``2**-20 .. 2**9`` of :func:`delta_correction` (``W/2`` stays
-    below ``2**9`` for every float ``t``), read-only."""
+    below ``2**9`` for every float ``t`` while ``scale > 1e-136``),
+    read-only."""
     x, wx = np.polynomial.legendre.leggauss(24)
     grade = 2.0 ** np.arange(-20, 10)
     for a in (x, wx, grade):
@@ -779,6 +783,64 @@ def var_expansion_ev(m: ParetoMarginal, p: PickandsEV, q: float) -> VarExpansion
     )
 
 
+def _brent(f, a: float, b: float, xtol: float, rtol: float) -> Optional[float]:
+    """A root of ``f`` in the bracket ``[a, b]`` by Brent's method (Brent
+    1973, *Algorithms for Minimization without Derivatives*, ch. 4), or
+    None if 100 iterations do not converge or ``f`` returns NaN.
+
+    A line-for-line port of the C routine ``brentq.c`` behind the usual
+    Python ``brentq``: evaluated in the same order, it takes the same
+    iterates bit for bit. Where C divides by zero it gets inf or NaN, the
+    step test fails and the step bisects; a ``ZeroDivisionError`` is mapped
+    to that bisection."""
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if math.isnan(fpre) or math.isnan(fcur):
+        return None
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        return None
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless interpolation gives a good short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            return None
+    return None
+
+
 def var_from_tailprob_inversion(
     m: ParetoMarginal, p: PickandsEV, q: float
 ) -> InversionDiagnostic:
@@ -786,10 +848,11 @@ def var_from_tailprob_inversion(
     formula.
 
     Finds the threshold where the evaluated tail expansion equals ``1 - q``
-    by bracketed root finding, evaluates the direct quantile expansion at
-    the same level, and reports their relative discrepancy. A small
-    discrepancy says the two deliverables are mutually consistent; it does
-    not by itself certify either against the true quantile.
+    by Brent's bracketed root finding (:func:`_brent`), evaluates the
+    direct quantile expansion at the same level, and reports their relative
+    discrepancy. A small discrepancy says the two deliverables are mutually
+    consistent; it does not by itself certify either against the true
+    quantile.
 
     Parameters
     ----------
@@ -805,10 +868,10 @@ def var_from_tailprob_inversion(
     DomainError
         If no bracket for the root can be established, or the root finder
         does not converge on it (a tiny ``alpha`` puts the bracket near
-        ``1e200``); otherwise as :func:`var_expansion_ev`.
+        ``1e200``, where the expansion may be NaN); otherwise as
+        :func:`var_expansion_ev`.
     """
     _check_q(q, "var_from_tailprob_inversion")
-    from scipy import optimize
 
     # the stated value only: the candidates never enter it
     terms = _model_plan(m, p).terms
@@ -831,11 +894,8 @@ def var_from_tailprob_inversion(
             f"could not bracket the tail-expansion root for q={q}; "
             f"expansion may not cross {target}"
         )
-    inverted, root = optimize.brentq(
-        lambda t: tail_value(t) - target, lo, hi, xtol=1e-12 * max(1.0, lo), rtol=1e-14,
-        full_output=True, disp=False,
-    )
-    if not root.converged:
+    inverted = _brent(lambda t: tail_value(t) - target, lo, hi, 1e-12 * max(1.0, lo), 1e-14)
+    if inverted is None:
         raise DomainError(f"the tail-expansion root for q={q} did not converge in [{lo}, {hi}]")
     formula = var_expansion_ev(m, p, q).value
     discrepancy = abs(inverted - formula) / formula

@@ -643,10 +643,6 @@ class AssumptionReport:
     def any_fail(self) -> bool:
         return any(c.passed is False for c in self.checks.values())
 
-    @property
-    def any_inconclusive(self) -> bool:
-        return any(c.passed is None for c in self.checks.values())
-
 
 _DEFAULT_LOG10_T = (-1.0, -2.0, -3.0, -4.0, -5.0, -6.0, -7.0)
 # for the logarithmic convergence of a vanishing corner slope (exact in logs)

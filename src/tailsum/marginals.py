@@ -245,9 +245,3 @@ class ParetoMarginal:
             c_scale=self.scale**self.alpha,
             b_coeff=-self.alpha * self.scale,
         )
-
-    def mean(self) -> float:
-        """Full first moment; ``scale/(alpha-1)`` for ``alpha > 1``, else inf."""
-        if self.alpha > 1.0:
-            return self.scale / (self.alpha - 1.0)
-        return math.inf

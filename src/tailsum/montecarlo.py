@@ -53,7 +53,6 @@ __all__ = [
     "sample_pairs",
     "empirical_tailprob",
     "empirical_var",
-    "dump_pairs",
 ]
 
 _CHUNK = 65536
@@ -93,11 +92,6 @@ class SamplePairs:
     x: np.ndarray
     y: np.ndarray
     config: SimulationConfig
-
-    @property
-    def total(self) -> np.ndarray:
-        """Elementwise sums ``x + y``, a fresh writable array."""
-        return self.x + self.y
 
     def _publish(self, cover, top: np.ndarray) -> np.ndarray:
         """Make ``top`` read-only and store ``(cover, top)`` unless the sample
@@ -376,11 +370,3 @@ def empirical_var(pairs: SamplePairs, q: float) -> MCEstimate:
         point=point, stderr=stderr, n=n, seed=pairs.config.seed,
         ci_low=ci_low, ci_high=ci_high,
     )
-
-
-def dump_pairs(pairs: SamplePairs, path: str) -> None:
-    """Write the sample to ``path`` as CSV with header ``x,y``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y\n")
-        for xv, yv in zip(pairs.x, pairs.y):
-            fh.write(f"{format(xv, '.17g')},{format(yv, '.17g')}\n")

@@ -64,7 +64,7 @@ def test_independence_diagonal_constant_fits_to_one(sc_ind):
 def test_comonotone_is_inconclusive_not_failing(sc_co):
     report = check_assumptions(sc_co, tail_traits=tail_order_traits(comonotone_pickands()))
     assert not report.any_fail
-    assert report.any_inconclusive
+    assert any(c.passed is None for c in report.checks.values())
     assert not report.all_pass
     assert report.checks["A2"].passed is True
 

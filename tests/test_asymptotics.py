@@ -186,16 +186,16 @@ def test_delta_correction_approaches_scaled_truncated_mean(m2):
     assert abs(ratios[0] - 1.0) > abs(ratios[-1] - 1.0)
 
 
-def _mp_delta(mp, alpha, t, profile):
-    # delta_correction of a unit-scale Lomax in w = log1p(t*y), where
+def _mp_delta(mp, alpha, t, profile, scale=1.0):
+    # delta_correction of a Lomax in w = log1p(t*y/scale), where
     # sf = exp(-alpha*w) and profile(-log sf) = varphi(sf, sf); the
-    # integrand grows like exp(w - W) up to W = log1p(t/2), so panels end
-    # at W - 36, W - 12, W - 4 and W - 1
-    a, tt = mp.mpf(alpha), mp.mpf(t)
-    top = mp.log1p(tt / 2)
+    # integrand grows like exp(w - W) up to W = log1p(t/(2*scale)), so
+    # panels end at W - 36, W - 12, W - 4 and W - 1
+    a, tt, s = mp.mpf(alpha), mp.mpf(t), mp.mpf(scale)
+    top = mp.log1p(tt / (2 * s))
 
     def g(w):
-        return mp.expm1(-a * mp.log1p(-mp.expm1(w) / tt)) * profile(a * w)
+        return mp.expm1(-a * mp.log1p(-s * mp.expm1(w) / tt)) * profile(a * w)
 
     return a * mp.quad(g, [0, *(top - d for d in (36, 12, 4, 1) if top > d), top])
 
@@ -226,14 +226,16 @@ def test_delta_correction_certified_against_mpmath(kind, k):
         traits, profile = gumbel_log_refined_traits(k), lambda x: x ** (k - 1.0)
     else:
         traits, profile = _partial_traits(k), lambda x: k * mp.exp(-k * x)
-    for alpha in (0.3, 0.8, 2.0, 3.0):
-        m = ParetoMarginal(alpha, 1.0)
-        for sf in (1e-2, 1e-7, 1e-12):
-            t = sf ** (-1.0 / alpha) - 1.0
-            with mp.workdps(40):
-                want = _mp_delta(mp, alpha, t, profile)
-            got = delta_correction(traits, m, t)
-            assert abs(got / want - 1) < 1e-13, (alpha, sf, got, want)
+    cells = [(alpha, 1.0, sf ** (-1.0 / alpha) - 1.0)
+             for alpha in (0.3, 0.8, 2.0, 3.0) for sf in (1e-2, 1e-7, 1e-12)]
+    if kind == "log-refined":
+        # far thresholds where t/(2*scale) overflows a float
+        cells += [(0.3, 1e-5, 1e300), (0.3, 1e-5, 1e305)]
+    for alpha, scale, t in cells:
+        with mp.workdps(40):
+            want = _mp_delta(mp, alpha, t, profile, scale)
+        got = delta_correction(traits, ParetoMarginal(alpha, scale), t)
+        assert abs(got / want - 1) < 1e-13, (alpha, scale, t, got, want)
 
 
 def test_independence_partial_branch_certified_where_quadpack_missed():
@@ -639,16 +641,18 @@ def test_inversion_with_an_infinite_bracket_raises_domain_error():
 
 
 def test_tiny_tail_index_raises_domain_error():
-    # 2**(1/alpha) overflows at alpha 1e-4 (it raised OverflowError), and at
+    # 2**(1/alpha) overflows at alpha 1e-4 (it raised OverflowError); at
     # alpha 0.01 the bracket near 1e200..1e261 defeats the root finder (it
-    # raised scipy's RuntimeError)
+    # raised scipy's RuntimeError), and at alpha 0.005 the bracket's top is
+    # inf, where the expansion is NaN
     with np.errstate(over="ignore"):
         for alpha in (1e-4, 0.003):
             with pytest.raises(DomainError, match="overflows"):
                 var_expansion_ev(ParetoMarginal(alpha, 1.0), gumbel_pickands(1.0), 0.99)
-        for phi in (1.0, 10.0):
+        for alpha, phi, q in ((0.01, 1.0, 0.99), (0.01, 10.0, 0.99),
+                              (0.005, 1.5, 0.9), (0.005, 10.0, 0.9)):
             with pytest.raises(DomainError, match="did not converge"):
-                var_from_tailprob_inversion(ParetoMarginal(0.01, 1.0), gumbel_pickands(phi), 0.99)
+                var_from_tailprob_inversion(ParetoMarginal(alpha, 1.0), gumbel_pickands(phi), q)
     # at a moderate level the case correction c * 2**-(a20+1) / alpha *
     # (1-q)**a20 falls below -1; these once returned -9.45e13 and -1.36e62
     for alpha, q in ((0.05, 0.6), (0.01, 0.51)):
@@ -817,7 +821,7 @@ def test_var_inversion_brackets_extreme_quantiles(m08, p_ind):
     assert d.discrepancy < 1e-2
 
 
-def _plan_models():
+def _plan_models(alphas=(0.8, 2.0)):
     pickands = {
         "gumbel10": gumbel_pickands(10.0), "gumbel5": gumbel_pickands(5.0),
         "gumbel1": gumbel_pickands(1.0), "independence": independence_pickands(),
@@ -825,7 +829,7 @@ def _plan_models():
     }
     return [
         (name, ParetoMarginal(alpha, scale), p)
-        for name, p in pickands.items() for alpha in (0.8, 2.0) for scale in (1.0, 2.5)
+        for name, p in pickands.items() for alpha in alphas for scale in (1.0, 2.5)
     ]
 
 
@@ -867,8 +871,8 @@ def test_inversion_equals_brentq_on_the_stated_tail_value():
             hi *= 2.0
         return optimize.brentq(f, lo, hi, xtol=1e-12 * max(1.0, lo), rtol=1e-14)
 
-    for name, m, p in _plan_models():
-        for q in (0.99, 0.9999):
+    for name, m, p in _plan_models(alphas=(0.3, 0.8, 2.0, 3.0)):
+        for q in (0.9, 0.99, 0.9999, 0.999999):
             d = _outcome(var_from_tailprob_inversion, m, p, q)
             want = _outcome(reference, m, p, q)
             if isinstance(d, tuple):

@@ -1,19 +1,20 @@
-"""Guard: the expansions integrate numerically in one place, without scipy.
+"""Guard: the library needs numpy only, and integrates in one place.
 
-``asymptotics.py`` imports no ``scipy.integrate`` and calls no ``quad``:
-the corner integrals and the corner functional are closed forms, and the
-partial branch's finite-level correction, ``delta_correction``, is a fixed
-Gauss-Legendre rule in numpy. The rule is built in ``_delta_rule`` and read
-only by ``delta_correction``. A second quadrature site would be a numerical
-stand-in for a quantity the library already has exactly, and an adaptive
-scipy one would bring the ``scipy.integrate`` import back onto the CLI's
-paths. The scan reads the source, so it also catches code no test reaches.
+No module under ``src/tailsum`` imports scipy. The corner integrals and
+the corner functional are closed forms; the partial branch's finite-level
+correction, ``delta_correction``, is a fixed Gauss-Legendre rule in numpy,
+built in ``_delta_rule`` and read only by ``delta_correction``; the VaR
+inversion's root finding is a port of Brent's method. A second quadrature
+site would be a numerical stand-in for a quantity the library already has
+exactly. The scans read the source, so they also catch code no test
+reaches.
 """
 
 import ast
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "tailsum" / "asymptotics.py"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tailsum"
+SOURCE = PACKAGE / "asymptotics.py"
 
 
 def _called_name(node):
@@ -23,15 +24,14 @@ def _called_name(node):
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
-def _is_scipy_integrate(node) -> bool:
+def _imports_scipy(node) -> bool:
     if isinstance(node, ast.Import):
-        return any(alias.name.startswith("scipy.integrate") for alias in node.names)
-    if isinstance(node, ast.ImportFrom):
-        module = node.module or ""
-        return module.startswith("scipy.integrate") or (
-            module == "scipy" and any(alias.name == "integrate" for alias in node.names)
-        )
-    return _called_name(node) == "quad"
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    else:
+        return False
+    return any(name == "scipy" or name.startswith("scipy.") for name in names)
 
 
 def _sites(node, match, function=None):
@@ -50,9 +50,14 @@ def _functions(tree, match) -> set:
 
 
 def test_no_scipy_quadrature_in_the_expansions():
-    tree = ast.parse(SOURCE.read_text(encoding="utf-8"))
-    sites = list(_sites(tree, _is_scipy_integrate))
-    assert not sites, f"asymptotics.py imports scipy.integrate or calls quad at {sites}"
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert SOURCE in modules
+    sites = [
+        (path.name, site)
+        for path in modules
+        for site in _sites(ast.parse(path.read_text(encoding="utf-8")), _imports_scipy)
+    ]
+    assert not sites, f"tailsum imports scipy at {sites}"
 
 
 def test_quadrature_runs_only_in_delta_correction():

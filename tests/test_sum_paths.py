@@ -1,8 +1,7 @@
 """Guard: the Monte Carlo estimators read a sample's sums one way.
 
-``montecarlo.py`` forms the sums ``x + y`` only in ``SamplePairs.total``
-(the public fresh array) and in the two builders of the tail store that
-every estimator reads. A sum formed anywhere else would be a second
+``montecarlo.py`` forms the sums ``x + y`` only in the two builders of the
+tail store that every estimator reads. A sum formed anywhere else would be a second
 estimator path that could disagree with the store, or a full pass over the
 sample that the store exists to avoid. The scan reads the source, so it
 also catches code no test reaches.
@@ -12,7 +11,7 @@ import ast
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "tailsum" / "montecarlo.py"
-ALLOWED = {"total", "_store_above", "_store_from_rank"}
+ALLOWED = {"_store_above", "_store_from_rank"}
 
 
 def _operand(node):
@@ -48,7 +47,7 @@ def _sum_sites(node, function=None):
         yield from _sum_sites(child, function)
 
 
-def test_sums_are_formed_only_by_total_and_the_store_builders():
+def test_sums_are_formed_only_by_the_store_builders():
     sites = list(_sum_sites(ast.parse(SOURCE.read_text(encoding="utf-8"))))
     stray = [(function, line) for function, line in sites if function not in ALLOWED]
     assert not stray, f"montecarlo.py forms x + y outside {sorted(ALLOWED)} at {stray}"
