@@ -866,10 +866,11 @@ def var_from_tailprob_inversion(
     Raises
     ------
     DomainError
-        If no bracket for the root can be established, or the root finder
-        does not converge on it (a tiny ``alpha`` puts the bracket near
-        ``1e200``, where the expansion may be NaN); otherwise as
-        :func:`var_expansion_ev`.
+        If no bracket for the root can be established (among others when
+        a tiny ``alpha`` makes the bracket's top overflow a float), or the
+        root finder does not converge on it (a tiny ``alpha`` puts the
+        bracket near ``1e200``, where the expansion may be NaN); otherwise
+        as :func:`var_expansion_ev`.
     """
     _check_q(q, "var_from_tailprob_inversion")
 
@@ -879,14 +880,24 @@ def var_from_tailprob_inversion(
     def tail_value(t: float) -> float:
         return _evaluate(terms, m, t, m.survival(t))[1]
 
+    def require_finite_top(hi: float) -> None:
+        if not math.isfinite(hi):
+            raise DomainError(
+                f"could not bracket the tail-expansion root for q={q}: "
+                f"the bracket's top overflows a float (alpha={m.alpha})"
+            )
+
     target = 1.0 - q
-    lo = m.quantile(q)
-    hi = 4.0 * m.quantile(1.0 - target / 4.0) + 4.0 * m.scale
+    with np.errstate(over="ignore"):  # a tiny alpha maps these levels to inf
+        lo = m.quantile(q)
+        hi = 4.0 * m.quantile(1.0 - target / 4.0) + 4.0 * m.scale
+    require_finite_top(hi)
     f_lo = tail_value(lo) - target
     f_hi = tail_value(hi) - target
     tries = 0
     while f_lo * f_hi > 0 and tries < 60:
         hi *= 2.0
+        require_finite_top(hi)
         f_hi = tail_value(hi) - target
         tries += 1
     if f_lo * f_hi > 0:

@@ -14,9 +14,9 @@ uniforms ``L = -log su`` of the pair directly, and each risk is
 ``scale * expm1(L / alpha)``, the Pareto quantile at ``1 - su``, so the
 joint survival function of the pair is exactly the survival copula applied
 to the marginal survivals. ``su`` itself is never formed, so a far-tail
-draw keeps its relative precision. Each worker thread draws its chunks'
-uniform rows into one scratch block and writes the pairs straight into
-the output arrays.
+draw keeps its relative precision. One chunk driver splits the chunks over
+the worker threads; each worker draws its chunks' uniform rows into one
+scratch block and writes the pairs straight into the output arrays.
 
 The estimators read a sample through a tail store of its sums ``x + y``:
 a cover value and a sorted array ``top`` of the largest sums, such that
@@ -24,7 +24,10 @@ every sum left out is at most the cover (NaN sums are kept and sort last,
 as in a full sort). The first estimator call on a :class:`SamplePairs`
 builds the store. A tail query at ``t`` builds it in one pass over ``x``
 and ``y`` in blocks of ``_CHUNK`` pairs, keeping the sums above ``t``, so no
-array of all ``n`` sums is made; a VaR query sums all pairs into a
+array of all ``n`` sums is made. The pass runs on the same chunk driver and
+worker threads as the sampler (``TAILSUM_THREADS`` or the default), and the
+kept sums are joined in chunk order before the sort, so the store is the
+same at every thread count. A VaR query sums all pairs into a
 temporary array, partitions it at the lowest rank it reads and keeps the
 sorted part from that rank up. A later query the store covers (a threshold
 at or above the cover, ranks inside ``top``) reads only ``top``; any other
@@ -80,11 +83,13 @@ class SamplePairs:
 
     The estimators keep a tail store of the sums ``x + y`` on the instance
     (see the module docstring): a cover and the sorted largest sums, every
-    sum left out being at most the cover. The stored array is read-only and
-    never written after it is published, so threads may share an instance
-    without a lock. A store is published only if it holds more sums than
-    the one already there; racing calls may each build and publish a store,
-    and every store gives identical answers. The store is not a field and
+    sum left out being at most the cover. A tail query that builds the
+    store scans the sums on ``TAILSUM_THREADS`` worker threads (or the
+    default count), and the store does not depend on that count. The stored
+    array is read-only and never written after it is published, so threads
+    may share an instance without a lock. A store is published only if it
+    holds more sums than the one already there; racing calls may each build
+    and publish a store, and every store gives identical answers. The store is not a field and
     takes no part in ``repr`` or ``==``. Do not mutate ``x`` or ``y`` after
     the first estimator call: the store would not see it.
     """
@@ -111,12 +116,17 @@ class SamplePairs:
         if held is not None and t >= held[0]:
             return held[1]
         x, y = self.x, self.y
-        block = np.empty(min(x.size, _CHUNK), dtype=np.result_type(x, y))
-        parts = []
-        for lo in range(0, x.size, _CHUNK):
-            hi = min(lo + _CHUNK, x.size)
-            sums = np.add(x[lo:hi], y[lo:hi], out=block[: hi - lo])
-            parts.append(sums[~(sums <= t)])  # keeps NaN sums, unlike sums > t
+
+        def above(sums):
+            return sums[~(sums <= t)]  # keeps NaN sums, unlike sums > t
+
+        # the sum is formed in this body, not in a nested def, so that the
+        # source scan of tests/test_sum_paths.py credits it to this builder
+        parts = _over_chunks(
+            x.size, None,
+            lambda lo, hi, block: above(np.add(x[lo:hi], y[lo:hi], out=block[: hi - lo])),
+            dtype=np.result_type(x, y),
+        )
         top = np.concatenate(parts)
         top.sort()
         return self._publish(t, top)
@@ -165,7 +175,41 @@ def _resolve_threads(threads: Optional[int]) -> int:
         if val < 1:
             raise ConfigError(f"TAILSUM_THREADS must be positive, got {val}")
         return val
-    return min(8, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))  # the CPUs this process may run on
+    else:
+        cpus = os.cpu_count() or 1
+    return min(8, cpus)
+
+
+def _over_chunks(
+    size: int, threads: Optional[int], work, rows: int = 1, dtype=np.float64
+) -> list:
+    """Run ``work(lo, hi, block)`` on every ``_CHUNK`` slice ``[lo, hi)`` of
+    ``range(size)`` and return the results in chunk order.
+
+    The chunks are split over ``min(_resolve_threads(threads), n_chunks)``
+    worker threads, worker ``w`` taking chunks ``w``, ``w + workers``, ...
+    Each worker hands every one of its chunks the same scratch block of
+    ``rows * min(size, _CHUNK)`` values of ``dtype``, so ``work`` must leave
+    nothing in it that outlives the call.
+    """
+    n_chunks = (size + _CHUNK - 1) // _CHUNK
+    workers = min(_resolve_threads(threads), n_chunks)
+    results = [None] * n_chunks
+
+    def run(first: int) -> None:
+        block = np.empty(rows * min(size, _CHUNK), dtype=dtype)
+        for index in range(first, n_chunks, workers):
+            lo = index * _CHUNK
+            results[index] = work(lo, min(lo + _CHUNK, size), block)
+
+    if workers == 1:
+        run(0)
+    else:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, range(workers)))
+    return results
 
 
 def _pairs_from_rows(rows, gamma, alpha, scale, x, y) -> None:
@@ -260,7 +304,9 @@ def sample_pairs(
         independence.
     threads : int, optional
         Worker threads filling chunks; defaults to ``TAILSUM_THREADS`` or
-        the CPU count, at most 8. Has no effect on the values.
+        the number of CPUs the process may run on, at most 8. Has no effect
+        on the values. The estimators' first tail scan takes the same
+        default but not this argument.
 
     Returns
     -------
@@ -290,25 +336,14 @@ def sample_pairs(
     n_rows = 4 if gamma is not None else 1 if family == "comonotone" else 2
     x = np.empty(n, dtype=np.float64)
     y = np.empty(n, dtype=np.float64)
-    n_chunks = (n + _CHUNK - 1) // _CHUNK
-    workers = min(_resolve_threads(threads), n_chunks)
 
-    def work(first: int) -> None:
-        # worker `first` fills chunks first, first + workers, ... through one
-        # scratch block; chunk i reads only its own stream keyed (seed, i)
-        block = np.empty(n_rows * min(n, _CHUNK), dtype=np.float64)
-        for index in range(first, n_chunks, workers):
-            lo = index * _CHUNK
-            hi = min(lo + _CHUNK, n)
-            rows = block[: n_rows * (hi - lo)].reshape(n_rows, hi - lo)
-            np.random.Generator(np.random.Philox(key=[seed, index])).random(out=rows)
-            _pairs_from_rows(rows, gamma, marginal.alpha, marginal.scale, x[lo:hi], y[lo:hi])
+    def fill(lo: int, hi: int, block: np.ndarray) -> None:
+        # chunk lo // _CHUNK reads only its own stream, keyed (seed, chunk)
+        rows = block[: n_rows * (hi - lo)].reshape(n_rows, hi - lo)
+        np.random.Generator(np.random.Philox(key=[seed, lo // _CHUNK])).random(out=rows)
+        _pairs_from_rows(rows, gamma, marginal.alpha, marginal.scale, x[lo:hi], y[lo:hi])
 
-    if workers == 1:
-        work(0)
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, range(workers)))
+    _over_chunks(n, threads, fill, rows=n_rows)
 
     config = SimulationConfig(
         n=n, seed=seed, family=family, alpha=marginal.alpha, scale=marginal.scale,

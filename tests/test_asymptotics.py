@@ -640,19 +640,43 @@ def test_inversion_with_an_infinite_bracket_raises_domain_error():
                 var_from_tailprob_inversion(m, p, 0.99)
 
 
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_bracket_raises_without_a_warning():
+    # the bracket's top 4 * quantile(0.975) is 4 * 0.025**-200 = inf
+    for phi in (1.0005, 2.0, 10.0):
+        with pytest.raises(DomainError, match="could not bracket.*overflows a float"):
+            var_from_tailprob_inversion(ParetoMarginal(0.005, 1.0), gumbel_pickands(phi), 0.9)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_bracket_doubled_past_the_largest_float_raises(monkeypatch):
+    # a stated value that never crosses 1 - q makes the bracket double from
+    # about 4e291 at alpha 0.0055, past the largest float within 60 steps
+    import tailsum.asymptotics as asymptotics
+
+    monkeypatch.setattr(asymptotics, "_evaluate", lambda terms, m, t, sf: ((), 1.0))
+    m = ParetoMarginal(0.0055, 1.0)
+    assert math.isfinite(4.0 * m.quantile(0.975))
+    with pytest.raises(DomainError, match="could not bracket.*overflows a float"):
+        var_from_tailprob_inversion(m, gumbel_pickands(2.0), 0.9)
+
+
 def test_tiny_tail_index_raises_domain_error():
     # 2**(1/alpha) overflows at alpha 1e-4 (it raised OverflowError); at
     # alpha 0.01 the bracket near 1e200..1e261 defeats the root finder (it
     # raised scipy's RuntimeError), and at alpha 0.005 the bracket's top is
-    # inf, where the expansion is NaN
+    # inf, which is named as the overflow it is (it was reported as a
+    # root search that did not converge at the NaN expansion there)
     with np.errstate(over="ignore"):
         for alpha in (1e-4, 0.003):
             with pytest.raises(DomainError, match="overflows"):
                 var_expansion_ev(ParetoMarginal(alpha, 1.0), gumbel_pickands(1.0), 0.99)
-        for alpha, phi, q in ((0.01, 1.0, 0.99), (0.01, 10.0, 0.99),
-                              (0.005, 1.5, 0.9), (0.005, 10.0, 0.9)):
+        for alpha, phi, q in ((0.01, 1.0, 0.99), (0.01, 10.0, 0.99)):
             with pytest.raises(DomainError, match="did not converge"):
                 var_from_tailprob_inversion(ParetoMarginal(alpha, 1.0), gumbel_pickands(phi), q)
+        for phi in (1.5, 10.0):
+            with pytest.raises(DomainError, match="could not bracket.*overflows"):
+                var_from_tailprob_inversion(ParetoMarginal(0.005, 1.0), gumbel_pickands(phi), 0.9)
     # at a moderate level the case correction c * 2**-(a20+1) / alpha *
     # (1-q)**a20 falls below -1; these once returned -9.45e13 and -1.36e62
     for alpha, q in ((0.05, 0.6), (0.01, 0.51)):

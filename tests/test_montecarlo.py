@@ -1,6 +1,7 @@
 """Unit tests for the seedable Monte Carlo oracle."""
 
 import math
+import os
 import random
 import sys
 import threading
@@ -21,7 +22,7 @@ from tailsum import (
     empirical_var,
     sample_pairs,
 )
-from tailsum.montecarlo import _CHUNK, _pairs_from_rows
+from tailsum.montecarlo import _CHUNK, _pairs_from_rows, _resolve_threads
 
 # crosses two 65536-draw chunk boundaries, with a ragged final chunk
 N_CHUNKY = 200_001
@@ -450,16 +451,84 @@ def test_the_tail_store_transitions_on_caller_arrays():
             _run_transitions(SamplePairs(x=xs, y=y, config=config), steps)
 
 
-def test_the_first_tail_call_makes_no_array_of_all_sums(m2):
+def test_the_first_tail_call_makes_no_array_of_all_sums(m2, monkeypatch):
+    # each scan worker holds one chunk of sums, so the thread counts are
+    # pinned rather than taken from the machine's CPUs
     s = sample_pairs(m2, "independence", 1_000_000, 41)
     t = float(np.sort(s.x + s.y)[int(0.99 * s.x.size)])
-    tracemalloc.start()
+    for threads in ("1", "2"):
+        monkeypatch.setenv("TAILSUM_THREADS", threads)
+        pairs = SamplePairs(x=s.x, y=s.y, config=s.config)
+        tracemalloc.start()
+        try:
+            empirical_tailprob(pairs, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < s.x.nbytes / 4, (threads, peak)
+
+
+def _store_and_answers(pairs, queries):
+    """The tail store's ``top`` bytes after a first tail query, then the
+    ``repr`` of every answer."""
+    empirical_tailprob(pairs, queries[0][1])
+    top = _store(pairs)[1].tobytes()
+    return top, [repr(_answer(pairs, *qu)) for qu in queries]
+
+
+def test_the_store_scan_is_identical_at_every_thread_count(m08, monkeypatch):
+    # a ragged final chunk, an exact multiple of the chunk and a single
+    # short chunk; 3 workers split the chunks unevenly and 8 are capped,
+    # switching often so that the workers interleave
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        empirical_tailprob(s, t)
-        _, peak = tracemalloc.get_traced_memory()
+        for n in (N_CHUNKY, 2 * _CHUNK, 1000):
+            base = sample_pairs(m08, "gumbel", n, 13, phi=2.0)
+            ordered = np.sort(base.x + base.y)
+            queries = [("tail", float(ordered[int(n * (1.0 - sf))])) for sf in (1e-2, 1e-1)]
+            queries += [("tail", math.inf), ("var", 0.99), ("var", 0.9), ("tail", 0.0)]
+            monkeypatch.setenv("TAILSUM_THREADS", "1")
+            want = _store_and_answers(SamplePairs(x=base.x, y=base.y, config=base.config),
+                                      queries)
+            assert [repr(_answer(base, *qu, reference=True)) for qu in queries] == want[1]
+            for threads in ("2", "3", "8"):
+                monkeypatch.setenv("TAILSUM_THREADS", threads)
+                pairs = SamplePairs(x=base.x, y=base.y, config=base.config)
+                assert _store_and_answers(pairs, queries) == want, (n, threads)
     finally:
-        tracemalloc.stop()
-    assert peak < s.x.nbytes / 4, peak
+        sys.setswitchinterval(old_interval)
+
+
+def test_the_store_scan_keeps_nan_and_infinite_sums_at_every_thread_count(monkeypatch):
+    # NaN sums from NaN risks and from inf + -inf, in every chunk
+    config = sample_pairs(ParetoMarginal(2.0, 1.0), "independence", 1, 1).config
+    rng = np.random.default_rng(3)
+    n = 3 * _CHUNK + 77
+    x = rng.pareto(2.0, n)
+    y = rng.pareto(2.0, n)
+    x[rng.integers(0, n, 40)] = np.nan
+    x[rng.integers(0, n, 40)] = np.inf
+    y[rng.integers(0, n, 40)] = -np.inf
+    s = x + y
+    assert np.isnan(s).any() and np.isinf(s).any()
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("TAILSUM_THREADS", threads)
+        for t in (-math.inf, 0.5, 20.0, math.inf):
+            pairs = SamplePairs(x=x, y=y, config=config)
+            empirical_tailprob(pairs, t)
+            top = _store(pairs)[1]
+            assert top.tobytes() == np.sort(s[~(s <= t)]).tobytes(), (threads, t)
+
+
+def test_no_worker_thread_outlives_an_estimator_call(m08, monkeypatch):
+    monkeypatch.setenv("TAILSUM_THREADS", "3")
+    s = sample_pairs(m08, "gumbel", N_CHUNKY, 17, phi=10.0)
+    baseline = threading.active_count()
+    empirical_tailprob(s, 10.0)
+    assert threading.active_count() == baseline
+    empirical_var(SamplePairs(x=s.x, y=s.y, config=s.config), 0.99)
+    assert threading.active_count() == baseline
 
 
 def test_threads_sharing_a_sample_get_the_sequential_answers(m08):
@@ -540,6 +609,16 @@ def test_thread_env_override(m08, monkeypatch):
     monkeypatch.setenv("TAILSUM_THREADS", "0")
     with pytest.raises(ConfigError):
         sample_pairs(m08, "independence", 1000, 7)
+
+
+def test_default_threads_count_the_cpus_this_process_may_use(monkeypatch):
+    # a process pinned to one CPU (as by taskset) gets one worker
+    monkeypatch.delenv("TAILSUM_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _resolve_threads(None) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert _resolve_threads(None) == 8
+    assert _resolve_threads(3) == 3
 
 
 def test_sample_metadata(m08):
