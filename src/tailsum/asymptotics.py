@@ -26,8 +26,10 @@ built once, by :func:`_branch_specs`, for raw traits and for the model's own.
 Everything is a pure function of immutable inputs. The extreme-value
 expansions cache, per ``(marginal, dependence function)`` model, only what
 does not depend on the threshold or the level: the case label, the case
-coefficient (its corner integrals), the stated term specs and, when the
-stated second order vanishes, the candidates' specs. The cache is a bounded
+coefficient (its corner integrals), the stated term specs, when the stated
+second order vanishes the candidates' specs, and what a quantile query
+reuses (the label with its ``rho_regime``, the quantile diagnostics and the
+marginal's second-order constants). The cache is a bounded
 ``functools.lru_cache``, which is thread-safe, and holds frozen values, so
 concurrent use is safe; the quadrature rule is read-only arrays built
 once, and its scratch state is local to each call.
@@ -525,17 +527,50 @@ class _ModelPlan:
     degenerate), and None in the complement case. ``candidates`` maps each
     candidate's name to its specs, only in the middle case whose stated
     second order vanishes (see :func:`tailprob_expansion_ev`).
+
+    The rest serves :func:`var_expansion_ev`, whose regime depends only on
+    ``coefficient``: ``var_case`` is ``case`` with ``rho_regime`` set,
+    ``var_diagnostics`` holds the quantile's notes and ``second_order`` the
+    marginal's second-order constants.
     """
 
     case: CaseLabel
     coefficient: Optional[float]
     terms: tuple
-    candidates: Optional[Mapping[str, tuple]] = None
+    candidates: Optional[Mapping[str, tuple]]
+    var_case: CaseLabel
+    var_diagnostics: tuple
+    second_order: SecondOrderTail
+
+
+def _plan(
+    m: ParetoMarginal, case: CaseLabel, c: Optional[float], terms: tuple,
+    candidates: Optional[Mapping[str, tuple]] = None,
+) -> _ModelPlan:
+    """The :class:`_ModelPlan` of the classified model with case coefficient
+    ``c``, its quantile fields filled."""
+    diagnostics = case.warnings
+    if c is not None and c != 0.0:
+        regime = "below"
+    else:
+        regime = "above"
+        why = (
+            "rho equals the complement-case threshold -1; closed into the "
+            "regular-variation strip"
+            if c is None
+            else "stated second-order coefficient vanishes; regular-variation value returned"
+        )
+        diagnostics += ("second-order regular-variation strip", why)
+    return _ModelPlan(
+        case, c, terms, candidates, dataclasses.replace(case, rho_regime=regime),
+        diagnostics, m.second_order_params(),
+    )
 
 
 @functools.lru_cache(maxsize=64)
 def _model_plan(m: ParetoMarginal, p: PickandsEV) -> _ModelPlan:
-    """Classify the model and evaluate its threshold-free constants once."""
+    """Classify the model and evaluate its threshold- and level-free
+    constants once."""
     alpha = m.alpha
     case = classify_case(alpha, p)
     traits = tail_order_traits(p)
@@ -546,7 +581,7 @@ def _model_plan(m: ParetoMarginal, p: PickandsEV) -> _ModelPlan:
         )
     a20 = case.a20
     if case.label == LABEL_COMPLEMENT:  # alpha * a20 >= 1
-        return _ModelPlan(case, None, (("truncated_mean", 2.0 * alpha, 1.0, a20),))
+        return _plan(m, case, None, (("truncated_mean", 2.0 * alpha, 1.0, a20),))
 
     c = zeta2 = 2.0 * integral_I(alpha, alpha * a20)
     terms = []
@@ -558,7 +593,7 @@ def _model_plan(m: ParetoMarginal, p: PickandsEV) -> _ModelPlan:
         terms.append(("power", coeff, traits.kappa, None))
         c += coeff
     if terms:
-        return _ModelPlan(case, c, tuple(terms))
+        return _plan(m, case, c, tuple(terms))
 
     # the stated second order vanishes: the candidates are the trait branches
     candidates = {"leading": (), "power_term": _branch_specs(traits, None, alpha, "power")}
@@ -567,7 +602,7 @@ def _model_plan(m: ParetoMarginal, p: PickandsEV) -> _ModelPlan:
         candidates["power_term_with_eta"] = _branch_specs(traits, None, alpha, "eta", eta)
     if p.log_refined is not None:
         candidates["log_refined"] = _branch_specs(traits, p.log_refined, alpha, "partial")
-    return _ModelPlan(case, c, (), types.MappingProxyType(candidates))
+    return _plan(m, case, c, (), types.MappingProxyType(candidates))
 
 
 def tailprob_expansion_ev(m: ParetoMarginal, p: PickandsEV, t: float) -> Expansion:
@@ -742,8 +777,7 @@ def var_expansion_ev(m: ParetoMarginal, p: PickandsEV, q: float) -> VarExpansion
         Pareto ``rho``).
     """
     _check_q(q, "var_expansion_ev")
-    so = m.second_order_params()
-    alpha = so.alpha
+    alpha = m.alpha
     if alpha == 1.0:
         raise BoundaryCaseError(
             "alpha=1 sits on the case boundary (the second-order index "
@@ -751,26 +785,16 @@ def var_expansion_ev(m: ParetoMarginal, p: PickandsEV, q: float) -> VarExpansion
             "or use Monte Carlo"
         )
     plan = _model_plan(m, p)
-    c, a20 = plan.coefficient, plan.case.a20
     x_q = m.quantile(q)
     # 2**(1/alpha) <= Q(q)/scale + 1 for q > 1/2, so it overflows only with Q(q)
     first = 2.0 ** (1.0 / alpha) * x_q if x_q < math.inf else math.inf
     if first == math.inf:
         raise DomainError(f"var_expansion_ev: 2**(1/alpha) * Q(q) overflows at alpha={alpha}")
-    diagnostics = plan.case.warnings
-    if c is not None and c != 0.0:
+    if plan.var_case.rho_regime == "below":
+        c, a20 = plan.coefficient, plan.case.a20
         value = first * (1.0 + c * 2.0 ** -(a20 + 1.0) / alpha * (1.0 - q) ** a20)
-        regime = "below"
     else:
-        value = _two_rv_var(so, x_q)
-        regime = "above"
-        why = (
-            "rho equals the complement-case threshold -1; closed into the "
-            "regular-variation strip"
-            if c is None
-            else "stated second-order coefficient vanishes; regular-variation value returned"
-        )
-        diagnostics += ("second-order regular-variation strip", why)
+        value = _two_rv_var(plan.second_order, x_q)
     if not value > 0.0:
         raise DomainError(
             f"var_expansion_ev: the second-order VaR {value:.6g} at q={q}, alpha={alpha} is "
@@ -778,8 +802,8 @@ def var_expansion_ev(m: ParetoMarginal, p: PickandsEV, q: float) -> VarExpansion
             "term at this level"
         )
     return VarExpansion(
-        q=q, value=value, first_order=first,
-        case=dataclasses.replace(plan.case, rho_regime=regime), diagnostics=diagnostics,
+        q=q, value=value, first_order=first, case=plan.var_case,
+        diagnostics=plan.var_diagnostics,
     )
 
 

@@ -352,13 +352,26 @@ def sample_pairs(
     return SamplePairs(x=x, y=y, config=config)
 
 
+def _require_pairs(pairs: SamplePairs, op: str) -> int:
+    """The sample size ``n``; raises :class:`DomainError` when it is 0."""
+    n = pairs.x.size
+    if n == 0:
+        raise DomainError(f"{op} requires a nonempty sample, got n = 0")
+    return n
+
+
 def empirical_tailprob(pairs: SamplePairs, t: float) -> MCEstimate:
     """Empirical exceedance probability of the sum with binomial error.
 
     Returns the fraction of pairs with ``x + y > t`` and the standard error
     ``sqrt(p*(1-p)/n)``.
+
+    Raises
+    ------
+    DomainError
+        If the sample is empty.
     """
-    n = pairs.x.size
+    n = _require_pairs(pairs, "empirical_tailprob")
     if math.isnan(t):
         hits = 0  # no sum exceeds NaN; a NaN cover would cover nothing
     else:
@@ -383,10 +396,10 @@ def empirical_var(pairs: SamplePairs, q: float) -> MCEstimate:
     Raises
     ------
     DomainError
-        If ``q`` lies outside ``(0, 1)`` or the sample is too small for the
-        rank ``floor(n*q)`` to exist.
+        If the sample is empty, ``q`` lies outside ``(0, 1)`` or the sample
+        is too small for the rank ``floor(n*q)`` to exist.
     """
-    n = pairs.x.size
+    n = _require_pairs(pairs, "empirical_var")
     if not (0.0 < q < 1.0):
         raise DomainError(f"empirical_var requires 0 < q < 1, got {q}")
     k = int(math.floor(n * q))

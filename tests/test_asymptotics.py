@@ -882,6 +882,28 @@ def test_model_plans_do_not_leak_between_models():
         assert got == _outcome(fn, m, p, level), (name, m, fn.__name__, level)
 
 
+def test_a_warm_var_query_builds_no_array_and_no_label(monkeypatch):
+    # once the plan is built, a quantile query does only the work that
+    # depends on q: no numpy array dispatch and no relabelled case
+    import dataclasses
+
+    models = [(name, m, p) for name, m, p in _plan_models() if name != "comonotone"]
+    levels = (0.9, 0.99, np.float64(0.999), np.float64(0.9999))
+    want = {}
+    for name, m, p in models:
+        for q in levels:
+            want[name, m, q] = var_expansion_ev(m, p, q)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called on a warm quantile query")
+
+    monkeypatch.setattr(np, "asarray", forbidden)
+    monkeypatch.setattr(dataclasses, "replace", forbidden)
+    for name, m, p in models:
+        for q in levels:
+            assert var_expansion_ev(m, p, q) == want[name, m, q], (name, m, q)
+
+
 def test_inversion_equals_brentq_on_the_stated_tail_value():
     def reference(m, p, q):
         target = 1.0 - q

@@ -1,6 +1,7 @@
 """Unit tests for the shifted-Pareto marginal primitives."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,47 @@ def test_density_matches_oracle():
         np.testing.assert_allclose(
             m.density(xs), oracles.pareto_density(alpha, 1.0, xs), rtol=1e-13
         )
+
+
+def _quantile_0d(m, q):
+    """``quantile`` through a 0-d array: the arithmetic of an array level."""
+    return float(m.scale * ((1.0 - np.asarray(q, dtype=float)) ** (-1.0 / m.alpha) - 1.0))
+
+
+def test_scalar_quantile_is_the_0d_array_arithmetic():
+    # a float level skips the array machinery but not a bit of the value
+    rng = np.random.default_rng(20261019)
+    qs = np.concatenate((
+        np.linspace(0.5, 1.0 - 1e-12, 101),
+        1.0 - np.geomspace(0.5, 1e-12, 101),
+        rng.uniform(0.5, 1.0, 300),
+    ))
+    for alpha in (0.3, 0.5, 0.8, 1.0, 2.0, 3.0):
+        for scale in (1.0, 2.5):
+            m = ParetoMarginal(alpha, scale)
+            for q in qs:
+                for level in (float(q), np.float64(q)):
+                    got = m.quantile(level)
+                    assert type(got) is float
+                    assert got == _quantile_0d(m, level), (alpha, scale, level)
+            assert m.quantile(0.0) == 0.0
+            assert math.isnan(m.quantile(math.nan))
+            assert math.isnan(m.quantile(np.float64(math.nan)))
+            for bad in (-1e-300, -0.5, 1.0, 1.5, math.inf, -math.inf):
+                for level in (bad, np.float64(bad)):
+                    with pytest.raises(DomainError, match="0 <= q < 1"):
+                        m.quantile(level)
+
+
+def test_scalar_quantile_overflow_warns_as_before():
+    m = ParetoMarginal(0.005, 1.0)
+    for level in (0.99, np.float64(0.99)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                assert m.quantile(level) == math.inf
+        with pytest.warns(RuntimeWarning, match="overflow encountered in scalar power"):
+            assert m.quantile(level) == math.inf
 
 
 @given(

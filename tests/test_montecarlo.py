@@ -583,6 +583,15 @@ def test_empirical_var_domain(m08):
         empirical_var(s, 1.0)
 
 
+def test_estimators_reject_an_empty_sample(m08):
+    config = sample_pairs(m08, "independence", 1, 1).config
+    empty = SamplePairs(x=np.empty(0), y=np.empty(0), config=config)
+    for call, arg in ((empirical_tailprob, 1.0), (empirical_tailprob, math.nan),
+                      (empirical_var, 0.5)):
+        with pytest.raises(DomainError, match="nonempty sample"):
+            call(empty, arg)
+
+
 def test_sample_pairs_config_errors(m08):
     with pytest.raises(ConfigError):
         sample_pairs(m08, "clayton", 100, 1)
