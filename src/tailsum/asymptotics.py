@@ -630,7 +630,8 @@ def tailprob_expansion_ev(m: ParetoMarginal, p: PickandsEV, t: float) -> Expansi
     The classification and the term specs are built once per model and
     cached; only the survival, the complement case's truncated mean and
     the ``log_refined`` candidate's :func:`delta_correction` are evaluated
-    per threshold.
+    per threshold. A numpy scalar ``t`` is taken as its ``float``, so every
+    value of the result is a Python ``float`` whatever the threshold's type.
 
     Raises
     ------
@@ -639,6 +640,7 @@ def tailprob_expansion_ev(m: ParetoMarginal, p: PickandsEV, t: float) -> Expansi
         dependence function is not convex (see :func:`classify_case`).
     """
     _require_above_median(m, t, "tailprob_expansion_ev")
+    t = float(t)
     plan = _model_plan(m, p)
     s = m.survival(t)
     terms, value = _evaluate(plan.terms, m, t, s)
@@ -760,7 +762,8 @@ def var_expansion_ev(m: ParetoMarginal, p: PickandsEV, q: float) -> VarExpansion
     ``c`` vanishes, and in the complement case, whose threshold ``-1`` is
     exactly the Pareto ``rho``, the value is the second-order
     regular-variation strip (``rho_regime`` is ``"above"``), with a
-    diagnostic saying which.
+    diagnostic saying which. A numpy scalar ``q`` is taken as its
+    ``float``, so every value of the result is a Python ``float``.
 
     Raises
     ------
@@ -777,6 +780,7 @@ def var_expansion_ev(m: ParetoMarginal, p: PickandsEV, q: float) -> VarExpansion
         Pareto ``rho``).
     """
     _check_q(q, "var_expansion_ev")
+    q = float(q)
     alpha = m.alpha
     if alpha == 1.0:
         raise BoundaryCaseError(

@@ -23,12 +23,10 @@ undefined on a parameter boundary), 4 hypothesis-check failure, 5 I/O error.
 Configuration
 -------------
 ``--config FILE`` reads flat ``key = value`` lines (``#`` comments allowed);
-explicit command line flags override file values. Keys mirror the flags:
-``marginal.alpha``, ``marginal.scale``, ``copula.family``, ``copula.phi``,
-``copula.sigma``, ``mc.n``, ``mc.seed``, ``grid.t``, ``grid.q``,
-``grid.sf_min``, ``grid.sf_max``, ``grid.points``, ``out.csv``, ``out.svg``,
-``out.dir``, ``check.log10_t``, ``check.grid``, ``check.tolerance``,
-``check.trial_kappa``.
+explicit command line flags override file values. The keys are the flags'
+config names, which ``--help`` shows as each flag's metavar
+(``--alpha MARGINAL.ALPHA`` reads ``marginal.alpha``); a file may hold the
+key of any subcommand's flag.
 """
 
 from __future__ import annotations
@@ -47,11 +45,11 @@ import numpy as np
 from ._svg import render_line_chart
 from .asymptotics import tailprob_expansion_ev, var_expansion_ev
 from .copulas import (
-    _EV_FAMILIES,
-    _FAMILY_PARAMS,
+    SurvivalCopula,
     check_assumptions,
     gumbel_pickands,
     make_survival_copula,
+    tail_order_traits,
     trial_tail_order_traits,
 )
 from .errors import (
@@ -74,33 +72,11 @@ CSV_HEADER = (
     "case_label",
     "diagnostics",
 )
-
-_KNOWN_KEYS = {
-    "marginal.alpha",
-    "marginal.scale",
-    "copula.family",
-    "copula.phi",
-    "copula.sigma",
-    "mc.n",
-    "mc.seed",
-    "grid.t",
-    "grid.q",
-    "grid.sf_min",
-    "grid.sf_max",
-    "grid.points",
-    "out.csv",
-    "out.svg",
-    "out.dir",
-    "check.log10_t",
-    "check.grid",
-    "check.tolerance",
-    "check.trial_kappa",
-}
+_CHECK_HEADER = ("trial_kappa", "check", "verdict", "final_deviation", "fitted_c", "note")
 
 _DEFAULT_Q_GRID = (0.99, 0.995, 0.999, 0.9995, 0.9999)
-# family name -> its dependence function, given the gumbel exponent; the
-# comonotone family has no expansion (see _resolve_family)
-_EXPANSION_PICKANDS = {k: v for k, v in _EV_FAMILIES.items() if k != "comonotone"}
+# survival-level threshold grid: smallest level, largest level, points
+_SF_GRID = (1e-5, 1e-2, 20)
 # panel kind -> (chart title, x label, y label, logarithmic x axis)
 _PANEL_AXES = {
     "tailprob": ("Tail of the sum", "threshold t", "P(X + Y > t)", True),
@@ -114,7 +90,7 @@ _MIN_MC_N = 1000
 # ---------------------------------------------------------------------------
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, known_keys) -> dict:
     values: dict = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -128,7 +104,7 @@ def _load_config_file(path: str) -> dict:
                     )
                 key, _, value = line.partition("=")
                 key, value = key.strip(), value.strip()
-                if key not in _KNOWN_KEYS:
+                if key not in known_keys:
                     raise ConfigError(f"{path}:{lineno}: unknown configuration key {key!r}")
                 values[key] = value
     except OSError as exc:
@@ -137,32 +113,37 @@ def _load_config_file(path: str) -> dict:
 
 
 class _Settings:
-    """Resolved configuration: defaults, then file values, then flags."""
+    """Resolved configuration: defaults, then file values, then flags.
 
-    def __init__(self, file_values: dict, args: argparse.Namespace) -> None:
+    ``flags`` maps each config key of the running subcommand to its flag's
+    action, whose ``dest`` is the key. A file value is cast with the flag's
+    ``type`` only when the command reads the key.
+    """
+
+    def __init__(self, file_values: dict, args: argparse.Namespace, flags: dict) -> None:
         self._file = file_values
         self._args = args
+        self._flags = flags
 
-    def _flag(self, attr: str):
-        return getattr(self._args, attr, None)
-
-    def get(self, key: str, attr: str, default=None, cast=None):
-        value = self._flag(attr)
-        if value is None and key in self._file:
-            value = self._file[key]
-        if value is None:
+    def get(self, key: str, default=None):
+        value = getattr(self._args, key)
+        if value is not None:
+            return value
+        if key not in self._file:
             return default
-        if cast is not None and isinstance(value, str):
-            try:
-                return cast(value)
-            except ValueError as exc:
-                raise ConfigError(f"invalid value for {key}: {value!r}") from exc
-        return value
+        text, cast = self._file[key], self._flags[key].type
+        if cast is None:
+            return text
+        try:
+            return cast(text)
+        except ValueError as exc:
+            raise ConfigError(f"invalid value for {key}: {text!r}") from exc
 
-    def require(self, key: str, attr: str, cast=None):
-        value = self.get(key, attr, default=None, cast=cast)
+    def require(self, key: str):
+        value = self.get(key)
         if value is None:
-            raise ConfigError(f"missing required setting {key} (flag --{attr.replace('_', '-')})")
+            flag = self._flags[key].option_strings[0]
+            raise ConfigError(f"missing required setting {key} (flag {flag})")
         return value
 
 
@@ -174,62 +155,35 @@ def _float_list(text: str) -> tuple:
 
 
 def _resolve_marginal(cfg: _Settings) -> ParetoMarginal:
-    alpha = cfg.require("marginal.alpha", "alpha", cast=float)
-    scale = cfg.get("marginal.scale", "scale", default=1.0, cast=float)
-    return ParetoMarginal(alpha=float(alpha), scale=float(scale))
+    return ParetoMarginal(cfg.require("marginal.alpha"), cfg.get("marginal.scale", 1.0))
 
 
-def _resolve_family(cfg: _Settings, *, for_expansion: bool) -> tuple:
-    family = cfg.require("copula.family", "family")
-    phi = cfg.get("copula.phi", "phi", cast=float)
-    sigma = cfg.get("copula.sigma", "sigma", cast=float)
-    if for_expansion:
-        if family == "comonotone":
-            raise ConfigError(
-                "the comonotone family sits on the boundary the expansions exclude; "
-                "use the check subcommand or Monte Carlo directly"
-            )
-        if family not in _EXPANSION_PICKANDS:
-            raise ConfigError(
-                f"family {family!r} has no tail expansion; "
-                f"expected one of {tuple(_EXPANSION_PICKANDS)}"
-            )
-        if family == "gumbel" and phi is None:
-            raise ConfigError("the gumbel family requires copula.phi (flag --phi)")
-    for name, value in (("phi", phi), ("sigma", sigma)):
-        # an unknown family is reported by make_survival_copula
-        if value is not None and _FAMILY_PARAMS.get(family, name) != name:
-            raise ConfigError(f"family {family!r} takes no copula.{name} (flag --{name})")
-    return family, phi, sigma
+def _resolve_family(cfg: _Settings) -> SurvivalCopula:
+    """The configured survival copula: ``make_survival_copula`` owns the
+    family rules, and its errors gain the settings they were given."""
+    family = cfg.require("copula.family")
+    phi, sigma = cfg.get("copula.phi"), cfg.get("copula.sigma")
+    try:
+        return make_survival_copula(family, phi=phi, sigma=sigma)
+    except (DomainError, UnsupportedFamilyError) as exc:
+        given = {"copula.family": family, "copula.phi": phi, "copula.sigma": sigma}
+        settings = ", ".join(f"{k} = {v}" for k, v in given.items() if v is not None)
+        raise ConfigError(f"{exc} ({settings})") from exc
 
 
 def _resolve_mc(cfg: _Settings) -> tuple:
-    n = cfg.get("mc.n", "n", default=100000, cast=int)
-    n = int(n)
+    n = cfg.get("mc.n", 100000)
     if n < _MIN_MC_N:
         raise ConfigError(f"mc.n must be at least {_MIN_MC_N}, got {n}")
-    seed = cfg.get("mc.seed", "seed", cast=int)
-    if seed is None:
-        raise ConfigError(
-            "mc.seed is required for Monte Carlo comparisons (flag --seed); "
-            "runs must be reproducible"
-        )
-    seed = int(seed)
+    seed = cfg.require("mc.seed")
     if seed < 0:
         raise ConfigError(f"mc.seed must be nonnegative, got {seed}")
     return n, seed
 
 
-def _resolve_t_grid(cfg: _Settings, m: ParetoMarginal) -> tuple:
-    explicit = cfg.get("grid.t", "t")
-    if explicit is not None:
-        ts = _float_list(explicit)
-        if not ts:
-            raise ConfigError("grid.t must contain at least one threshold")
-        return ts
-    sf_min = float(cfg.get("grid.sf_min", "sf_min", default=1e-5, cast=float))
-    sf_max = float(cfg.get("grid.sf_max", "sf_max", default=1e-2, cast=float))
-    points = int(cfg.get("grid.points", "points", default=20, cast=int))
+def _sf_grid(m: ParetoMarginal, sf_min: float, sf_max: float, points: int) -> tuple:
+    """Thresholds whose marginal survival levels run log-spaced from
+    ``sf_max`` down to ``sf_min``."""
     if not (0.0 < sf_min < sf_max < 1.0):
         raise ConfigError(
             f"survival grid needs 0 < sf_min < sf_max < 1, got {sf_min}, {sf_max}"
@@ -244,8 +198,22 @@ def _resolve_t_grid(cfg: _Settings, m: ParetoMarginal) -> tuple:
     return tuple(float(m.quantile(1.0 - sf)) for sf in sfs)
 
 
+def _resolve_t_grid(cfg: _Settings, m: ParetoMarginal) -> tuple:
+    explicit = cfg.get("grid.t")
+    if explicit is not None:
+        ts = _float_list(explicit)
+        if not ts:
+            raise ConfigError("grid.t must contain at least one threshold")
+        return ts
+    sf_min, sf_max, points = _SF_GRID
+    return _sf_grid(
+        m, cfg.get("grid.sf_min", sf_min), cfg.get("grid.sf_max", sf_max),
+        cfg.get("grid.points", points),
+    )
+
+
 def _resolve_q_grid(cfg: _Settings) -> tuple:
-    explicit = cfg.get("grid.q", "q")
+    explicit = cfg.get("grid.q")
     if explicit is None:
         return _DEFAULT_Q_GRID
     qs = _float_list(explicit)
@@ -260,10 +228,10 @@ def _format(value) -> str:
     return str(value)
 
 
-def _write_rows(path: Optional[str], rows: Sequence[Sequence]) -> None:
+def _write_rows(path: Optional[str], rows: Sequence[Sequence], header=CSV_HEADER) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    writer.writerow(header)
     writer.writerows([[_format(v) for v in row] for row in rows])
     if path is None or path == "-":
         sys.stdout.write(buf.getvalue())
@@ -336,16 +304,22 @@ def _write_panel(
 
 def _cmd_panel(cfg: _Settings, kind: str) -> int:
     m = _resolve_marginal(cfg)
-    family, phi, _ = _resolve_family(cfg, for_expansion=True)
+    copula = _resolve_family(cfg)
+    pickands = copula.pickands
+    if pickands is None or tail_order_traits(pickands).kappa <= 1.0:
+        raise ConfigError(
+            f"family {copula.family!r} has no tail expansion: the expansions need a "
+            "dependence function with tail order a(1, 1) > 1; use the check subcommand "
+            "or Monte Carlo directly"
+        )
     n, seed = _resolve_mc(cfg)
     grid = _resolve_t_grid(cfg, m) if kind == "tailprob" else _resolve_q_grid(cfg)
 
-    pickands = _EXPANSION_PICKANDS[family](phi)
-    sample = sample_pairs(m, family, n, seed, phi=pickands.param)
+    sample = sample_pairs(m, copula.family, n, seed, phi=copula.param)
     rows = _panel_rows(kind, m, pickands, grid, sample)
     _write_panel(
-        kind, rows, cfg.get("out.csv", "out_csv"), cfg.get("out.svg", "out_svg"),
-        f"{family}, alpha={m.alpha:g}", n, seed,
+        kind, rows, cfg.get("out.csv"), cfg.get("out.svg"),
+        f"{copula.family}, alpha={m.alpha:g}", n, seed,
     )
     return 0
 
@@ -376,24 +350,24 @@ def _print_report(report, heading: str) -> None:
 
 
 def _cmd_check(cfg: _Settings) -> int:
-    family, phi, sigma = _resolve_family(cfg, for_expansion=False)
-    copula = make_survival_copula(family, phi=phi, sigma=sigma)
+    copula = _resolve_family(cfg)
+    family = copula.family
 
     # settings the user left unset take check_assumptions' defaults; the
     # default scales follow the copula's corner
     kwargs = {}
-    log10_raw = cfg.get("check.log10_t", "log10_t")
+    log10_raw = cfg.get("check.log10_t")
     if log10_raw is not None:
         kwargs["log10_t_sequence"] = _float_list(log10_raw)
-    grid_raw = cfg.get("check.grid", "scale_grid")
+    grid_raw = cfg.get("check.grid")
     if grid_raw is not None:
         kwargs["grid"] = _float_list(grid_raw)
-    tolerance = cfg.get("check.tolerance", "tolerance", cast=float)
+    tolerance = cfg.get("check.tolerance")
     if tolerance is not None:
-        kwargs["tolerance"] = float(tolerance)
+        kwargs["tolerance"] = tolerance
 
     csv_rows = []
-    trial_raw = cfg.get("check.trial_kappa", "trial_kappa")
+    trial_raw = cfg.get("check.trial_kappa")
     if copula.pickands is not None:
         if trial_raw is not None:
             raise ConfigError(f"family {family!r} has a tail order; drop check.trial_kappa")
@@ -421,24 +395,14 @@ def _cmd_check(cfg: _Settings) -> int:
         _print_report(report, heading)
         for name, result in report.checks.items():
             csv_rows.append(
-                (
-                    "" if kappa is None else format(float(kappa), ".17g"),
-                    name,
-                    _check_verdict_word(result.passed),
-                    format(result.last_deviation, ".17g"),
-                    "" if result.fitted_c is None else format(result.fitted_c, ".17g"),
-                    result.note,
-                )
+                ("" if kappa is None else kappa, name, _check_verdict_word(result.passed),
+                 result.last_deviation, "" if result.fitted_c is None else result.fitted_c,
+                 result.note)
             )
 
-    out_csv = cfg.get("out.csv", "out_csv")
+    out_csv = cfg.get("out.csv")
     if out_csv and out_csv != "-":
-        with open(out_csv, "w", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ("trial_kappa", "check", "verdict", "final_deviation", "fitted_c", "note")
-            )
-            writer.writerows(csv_rows)
+        _write_rows(out_csv, csv_rows, _CHECK_HEADER)
 
     if any(report.all_pass for _, report in reports):
         if len(reports) > 1:
@@ -459,13 +423,12 @@ def _cmd_check(cfg: _Settings) -> int:
 
 def _cmd_reproduce_figures(cfg: _Settings) -> int:
     n, seed = _resolve_mc(cfg)
-    out_dir = cfg.get("out.dir", "out_dir", default="figures")
-    phi_setting = cfg.get("copula.phi", "phi", cast=float)
-    phis = (float(phi_setting),) if phi_setting is not None else (1.0, 10.0)
+    out_dir = cfg.get("out.dir", "figures")
+    phi_setting = cfg.get("copula.phi")
+    phis = (phi_setting,) if phi_setting is not None else (1.0, 10.0)
 
     os.makedirs(out_dir, exist_ok=True)
     alphas = (0.8, 2.0)
-    sf_grid = np.geomspace(1e-2, 1e-5, 20)
 
     for phi in phis:
         fig_index = 1 if phi == 1.0 else 2
@@ -482,10 +445,7 @@ def _cmd_reproduce_figures(cfg: _Settings) -> int:
         )
         for letter, alpha, kind in panels:
             m = ParetoMarginal(alpha, 1.0)
-            if kind == "tailprob":
-                grid = [m.quantile(1.0 - float(sf)) for sf in sf_grid]
-            else:
-                grid = _DEFAULT_Q_GRID
+            grid = _sf_grid(m, *_SF_GRID) if kind == "tailprob" else _DEFAULT_Q_GRID
             rows = _panel_rows(kind, m, pickands, grid, samples[alpha])
             base = os.path.join(out_dir, f"figure{fig_index}-{letter}")
             _write_panel(
@@ -503,7 +463,10 @@ def _cmd_reproduce_figures(cfg: _Settings) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple:
+    """The argument parser, and per subcommand its settings flags by config
+    key. A settings flag's ``dest`` is its dotted config key, so the key,
+    the flag and the type of each setting are written once, here."""
     parser = argparse.ArgumentParser(
         prog="tailsum",
         description=(
@@ -517,39 +480,56 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="flat key = value configuration file")
 
     model = argparse.ArgumentParser(add_help=False)
-    model.add_argument("--alpha", type=float, help="marginal tail index (positive)")
-    model.add_argument("--scale", type=float, help="marginal scale (default 1)")
     model.add_argument(
-        "--family",
+        "--alpha", dest="marginal.alpha", type=float, help="marginal tail index (positive)"
+    )
+    model.add_argument(
+        "--scale", dest="marginal.scale", type=float, help="marginal scale (default 1)"
+    )
+    model.add_argument(
+        "--family", dest="copula.family",
         help="copula family: independence, gumbel, comonotone, log-interaction",
     )
-    model.add_argument("--phi", type=float, help="gumbel interaction exponent (>= 1)")
-    model.add_argument("--sigma", type=float, help="log-interaction strength in (0, 1]")
+    model.add_argument(
+        "--phi", dest="copula.phi", type=float, help="gumbel interaction exponent (>= 1)"
+    )
+    model.add_argument(
+        "--sigma", dest="copula.sigma", type=float, help="log-interaction strength in (0, 1]"
+    )
 
     mc = argparse.ArgumentParser(add_help=False)
-    mc.add_argument("--n", type=int, help=f"Monte Carlo sample size (default 100000, min {_MIN_MC_N})")
-    mc.add_argument("--seed", type=int, help="Monte Carlo seed (required)")
+    mc.add_argument(
+        "--n", dest="mc.n", type=int,
+        help=f"Monte Carlo sample size (default 100000, min {_MIN_MC_N})",
+    )
+    mc.add_argument("--seed", dest="mc.seed", type=int, help="Monte Carlo seed (required)")
 
     out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out-csv", help="CSV output path ('-' or omitted: stdout)")
-    out.add_argument("--out-svg", help="optional SVG chart path")
+    out.add_argument("--out-csv", dest="out.csv", help="CSV output path ('-' or omitted: stdout)")
+    out.add_argument("--out-svg", dest="out.svg", help="optional SVG chart path")
 
     p_tail = sub.add_parser(
         "tailprob",
         parents=[common, model, mc, out],
         help="tail expansion of the sum over a threshold grid, next to Monte Carlo",
     )
-    p_tail.add_argument("--t", help="explicit comma-separated threshold grid")
-    p_tail.add_argument("--sf-min", type=float, help="smallest survival level (default 1e-5)")
-    p_tail.add_argument("--sf-max", type=float, help="largest survival level (default 1e-2)")
-    p_tail.add_argument("--points", type=int, help="log-spaced grid size (default 20)")
+    p_tail.add_argument("--t", dest="grid.t", help="explicit comma-separated threshold grid")
+    p_tail.add_argument(
+        "--sf-min", dest="grid.sf_min", type=float, help="smallest survival level (default 1e-5)"
+    )
+    p_tail.add_argument(
+        "--sf-max", dest="grid.sf_max", type=float, help="largest survival level (default 1e-2)"
+    )
+    p_tail.add_argument(
+        "--points", dest="grid.points", type=int, help="log-spaced grid size (default 20)"
+    )
 
     p_var = sub.add_parser(
         "var",
         parents=[common, model, mc, out],
         help="quantile expansion of the sum over a probability grid, next to Monte Carlo",
     )
-    p_var.add_argument("--q", help="comma-separated probability levels in (0.5, 1)")
+    p_var.add_argument("--q", dest="grid.q", help="comma-separated probability levels in (0.5, 1)")
 
     p_check = sub.add_parser(
         "check",
@@ -557,18 +537,20 @@ def _build_parser() -> argparse.ArgumentParser:
         help="scaling hypothesis checks for a copula family",
     )
     p_check.add_argument(
-        "--log10-t", dest="log10_t",
+        "--log10-t", dest="check.log10_t",
         help="comma-separated scales as log10 t, strictly decreasing (default: by corner slope)",
     )
     p_check.add_argument(
-        "--scale-grid", dest="scale_grid", help="comma-separated relative grid (default 0.5,1,2,4)"
+        "--scale-grid", dest="check.grid", help="comma-separated relative grid (default 0.5,1,2,4)"
     )
-    p_check.add_argument("--tolerance", type=float, help="verdict tolerance (default 1e-3)")
     p_check.add_argument(
-        "--trial-kappa", dest="trial_kappa",
+        "--tolerance", dest="check.tolerance", type=float, help="verdict tolerance (default 1e-3)"
+    )
+    p_check.add_argument(
+        "--trial-kappa", dest="check.trial_kappa",
         help="comma-separated trial tail orders for families without declared traits",
     )
-    p_check.add_argument("--out-csv", help="optional CSV evidence path")
+    p_check.add_argument("--out-csv", dest="out.csv", help="optional CSV evidence path")
 
     p_fig = sub.add_parser(
         "reproduce-figures",
@@ -576,12 +558,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="regenerate the standard comparison figures",
     )
     p_fig.add_argument(
-        "--phi", type=float,
+        "--phi", dest="copula.phi", type=float,
         help="only the figure for this gumbel exponent (default: both 1 and 10)",
     )
-    p_fig.add_argument("--out-dir", help="output directory (default figures)")
+    p_fig.add_argument("--out-dir", dest="out.dir", help="output directory (default figures)")
 
-    return parser
+    flags = {
+        name: {action.dest: action for action in p._actions if "." in action.dest}
+        for name, p in sub.choices.items()
+    }
+    return parser, flags
 
 
 _DISPATCH = {
@@ -593,11 +579,13 @@ _DISPATCH = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    parser, flags = _build_parser()
     args = parser.parse_args(argv)
     try:
-        file_values = _load_config_file(args.config) if args.config else {}
-        cfg = _Settings(file_values, args)
+        # a file may hold the key of any subcommand's flag
+        known_keys = set().union(*flags.values())
+        file_values = _load_config_file(args.config, known_keys) if args.config else {}
+        cfg = _Settings(file_values, args, flags[args.command])
         return _DISPATCH[args.command](cfg)
     except BoundaryCaseError as exc:
         print(f"boundary case: {exc}", file=sys.stderr)

@@ -904,6 +904,30 @@ def test_a_warm_var_query_builds_no_array_and_no_label(monkeypatch):
             assert var_expansion_ev(m, p, q) == want[name, m, q], (name, m, q)
 
 
+@pytest.mark.parametrize(
+    "alpha, pickands",
+    [(0.8, independence_pickands()), (2.0, independence_pickands()), (0.8, gumbel_pickands(2.0))],
+    ids=["independence-case-formula", "independence-complement", "gumbel2-candidates"],
+)
+def test_numpy_scalar_levels_give_python_floats(alpha, pickands):
+    # a numpy.float64 level once gave a numpy.float64 VaR on the case formula
+    # (independence, alpha 0.8) and a numpy.float64 tail in the complement
+    # case (independence, alpha 2); the values themselves never differed
+    m = ParetoMarginal(alpha, 1.0)
+
+    def numbers(result):
+        out = [result.value, result.first_order]
+        out += [term.value for term in getattr(result, "terms", ())]
+        out += list((getattr(result, "candidates", None) or {}).values())
+        return out
+
+    for expand, level in ((tailprob_expansion_ev, 50.0), (var_expansion_ev, 0.99)):
+        want = numbers(expand(m, pickands, level))
+        got = numbers(expand(m, pickands, np.float64(level)))
+        assert [type(x) for x in got] == [float] * len(got), (expand.__name__, got)
+        assert got == want, expand.__name__
+
+
 def test_inversion_equals_brentq_on_the_stated_tail_value():
     def reference(m, p, q):
         target = 1.0 - q

@@ -225,6 +225,31 @@ def test_config_file_precedence(tmp_path, capsys):
     assert float(rows[1][2]) == var_expansion_ev(m, independence_pickands(), 0.999).value
 
 
+def test_a_file_value_is_cast_only_when_the_command_reads_it(tmp_path):
+    # var reads neither check.tolerance nor grid.t, so neither is cast
+    base = ("marginal.alpha = 2\ncopula.family = independence\n"
+            "mc.n = 1000\nmc.seed = 5\ngrid.q = 0.99\n")
+    plain, extra = tmp_path / "plain.cfg", tmp_path / "extra.cfg"
+    plain.write_text(base)
+    extra.write_text(base + "check.tolerance = abc\ngrid.t = 1,2\n")
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["var", "--config", str(plain), "--out-csv", str(a)]) == 0
+    assert main(["var", "--config", str(extra), "--out-csv", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_an_invalid_file_value_exits_2_naming_its_key(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("marginal.alpha = 2\ncopula.family = independence\nmc.n = x1\nmc.seed = 5\n")
+    assert main(["var", "--config", str(cfg)]) == 2
+    assert "invalid value for mc.n: 'x1'" in capsys.readouterr().err
+
+
+def test_a_missing_setting_names_its_flag(capsys):
+    assert main(["var", "--family", "independence", "--seed", "1", "--n", "1000"]) == 2
+    assert "missing required setting marginal.alpha (flag --alpha)" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # check
 

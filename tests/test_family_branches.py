@@ -1,5 +1,5 @@
-"""Guard: the expansions, the trait builders and the hypothesis checker never
-test a family name.
+"""Guard: the expansions, the trait builders, the hypothesis checker and the
+command line's family handling never test a family name.
 
 An extreme-value family is defined once, by its dependence function, and
 everything the expansions, the traits and the checker need is derived from
@@ -36,6 +36,8 @@ def _scope(module: str, function):
         ("copulas.py", "partial_limit_traits"),
         ("copulas.py", "_partial_traits"),
         ("copulas.py", "check_assumptions"),
+        ("cli.py", "_resolve_family"),
+        ("cli.py", "_cmd_panel"),
         ("cli.py", "_cmd_check"),
     ],
 )
