@@ -59,6 +59,7 @@ from .montecarlo import (
     MCEstimate,
     SamplePairs,
     SimulationConfig,
+    empirical_grid,
     empirical_tailprob,
     empirical_var,
     sample_pairs,
@@ -120,4 +121,5 @@ __all__ = [
     "sample_pairs",
     "empirical_tailprob",
     "empirical_var",
+    "empirical_grid",
 ]

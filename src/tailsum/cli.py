@@ -59,7 +59,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .marginals import ParetoMarginal
-from .montecarlo import empirical_tailprob, empirical_var, sample_pairs
+from .montecarlo import empirical_grid
 
 __all__ = ["main"]
 
@@ -251,25 +251,25 @@ def _diagnostics_text(expansion) -> str:
     return "; ".join(parts)
 
 
-def _panel_rows(kind: str, m: ParetoMarginal, pickands, grid, sample) -> list:
-    """One CSV row per grid point: the expansion at a threshold
-    (``kind == "tailprob"``) or a probability level (``"var"``) next to the
-    Monte Carlo estimate on ``sample``."""
+def _expansions(kind: str, m: ParetoMarginal, pickands, grid) -> list:
+    """The expansion at each threshold (``kind == "tailprob"``) or
+    probability level (``"var"``) of ``grid``. Called before sampling, so an
+    invalid grid point is reported by the expansion."""
     # read the module attributes at call time, not from a table built at
-    # import, so perfbench's tracer sees the calls it patches in
-    if kind == "tailprob":
-        expand, estimate = tailprob_expansion_ev, empirical_tailprob
-    else:
-        expand, estimate = var_expansion_ev, empirical_var
-    rows = []
-    for x in grid:
-        expansion = expand(m, pickands, x)
-        est = estimate(sample, x)
-        rows.append(
-            (x, expansion.first_order, expansion.value, est.point, est.stderr,
-             expansion.case.label, _diagnostics_text(expansion))
-        )
-    return rows
+    # import, so perfbench's tracer sees the calls it patches in; the Monte
+    # Carlo estimates come from empirical_grid, which it does not patch, so
+    # their time counts as the command's own
+    expand = tailprob_expansion_ev if kind == "tailprob" else var_expansion_ev
+    return [expand(m, pickands, x) for x in grid]
+
+
+def _panel_rows(grid, expansions: list, estimates: list) -> list:
+    """One CSV row per grid point: the expansion next to the Monte Carlo
+    estimate."""
+    return [
+        (x, e.first_order, e.value, est.point, est.stderr, e.case.label, _diagnostics_text(e))
+        for x, e, est in zip(grid, expansions, estimates)
+    ]
 
 
 def _write_panel(
@@ -313,10 +313,15 @@ def _cmd_panel(cfg: _Settings, kind: str) -> int:
             "or Monte Carlo directly"
         )
     n, seed = _resolve_mc(cfg)
-    grid = _resolve_t_grid(cfg, m) if kind == "tailprob" else _resolve_q_grid(cfg)
+    tailprob = kind == "tailprob"
+    grid = _resolve_t_grid(cfg, m) if tailprob else _resolve_q_grid(cfg)
 
-    sample = sample_pairs(m, copula.family, n, seed, phi=copula.param)
-    rows = _panel_rows(kind, m, pickands, grid, sample)
+    expansions = _expansions(kind, m, pickands, grid)
+    tails, quantiles = empirical_grid(
+        m, copula.family, n, seed, phi=copula.param,
+        thresholds=grid if tailprob else (), levels=() if tailprob else grid,
+    )
+    rows = _panel_rows(grid, expansions, tails if tailprob else quantiles)
     _write_panel(
         kind, rows, cfg.get("out.csv"), cfg.get("out.svg"),
         f"{copula.family}, alpha={m.alpha:g}", n, seed,
@@ -428,33 +433,31 @@ def _cmd_reproduce_figures(cfg: _Settings) -> int:
     phis = (phi_setting,) if phi_setting is not None else (1.0, 10.0)
 
     os.makedirs(out_dir, exist_ok=True)
-    alphas = (0.8, 2.0)
+    # alpha -> (tail panel, quantile panel)
+    panel_letters = {0.8: ("a", "c"), 2.0: ("b", "d")}
 
     for phi in phis:
-        fig_index = 1 if phi == 1.0 else 2
+        name = {1.0: "figure1", 10.0: "figure2"}.get(phi, f"figure-phi{phi:g}")
         pickands = gumbel_pickands(phi)
-        samples = {
-            alpha: sample_pairs(ParetoMarginal(alpha, 1.0), "gumbel", n, seed, phi=phi)
-            for alpha in alphas
-        }
-        panels = (
-            ("a", alphas[0], "tailprob"),
-            ("b", alphas[1], "tailprob"),
-            ("c", alphas[0], "var"),
-            ("d", alphas[1], "var"),
-        )
-        for letter, alpha, kind in panels:
+        for alpha, (tail_letter, var_letter) in panel_letters.items():
             m = ParetoMarginal(alpha, 1.0)
-            grid = _sf_grid(m, *_SF_GRID) if kind == "tailprob" else _DEFAULT_Q_GRID
-            rows = _panel_rows(kind, m, pickands, grid, samples[alpha])
-            base = os.path.join(out_dir, f"figure{fig_index}-{letter}")
-            _write_panel(
-                kind, rows, base + ".csv", base + ".svg",
-                f"gumbel phi={phi:g}, alpha={alpha:g}", n, seed,
+            ts, qs = _sf_grid(m, *_SF_GRID), _DEFAULT_Q_GRID
+            tail_expansions = _expansions("tailprob", m, pickands, ts)
+            var_expansions = _expansions("var", m, pickands, qs)
+            # one streamed sample per (phi, alpha) serves both panels
+            tails, quantiles = empirical_grid(
+                m, "gumbel", n, seed, phi=phi, thresholds=ts, levels=qs
             )
-        # release this phi's samples before the next phi draws its own
-        del samples
-        print(f"wrote figure{fig_index}-a..d (.csv, .svg) to {out_dir}")
+            for kind, letter, grid, expansions, estimates in (
+                ("tailprob", tail_letter, ts, tail_expansions, tails),
+                ("var", var_letter, qs, var_expansions, quantiles),
+            ):
+                base = os.path.join(out_dir, f"{name}-{letter}")
+                _write_panel(
+                    kind, _panel_rows(grid, expansions, estimates), base + ".csv",
+                    base + ".svg", f"gumbel phi={phi:g}, alpha={alpha:g}", n, seed,
+                )
+        print(f"wrote {name}-a..d (.csv, .svg) to {out_dir}")
     return 0
 
 

@@ -21,19 +21,26 @@ scratch block and writes the pairs straight into the output arrays.
 The estimators read a sample through a tail store of its sums ``x + y``:
 a cover value and a sorted array ``top`` of the largest sums, such that
 every sum left out is at most the cover (NaN sums are kept and sort last,
-as in a full sort). The first estimator call on a :class:`SamplePairs`
-builds the store. A tail query at ``t`` builds it in one pass over ``x``
-and ``y`` in blocks of ``_CHUNK`` pairs, keeping the sums above ``t``, so no
-array of all ``n`` sums is made. The pass runs on the same chunk driver and
-worker threads as the sampler (``TAILSUM_THREADS`` or the default), and the
-kept sums are joined in chunk order before the sort, so the store is the
-same at every thread count. A VaR query sums all pairs into a
-temporary array, partitions it at the lowest rank it reads and keeps the
-sorted part from that rank up. A later query the store covers (a threshold
-at or above the cover, ranks inside ``top``) reads only ``top``; any other
-query builds a store that covers it. The store holds about ``n * p`` sums
-for the largest survival level ``p`` queried so far. ``x`` and ``y`` must
-not be mutated after the first estimator call.
+as in a full sort). One builder makes every store, and is the one place
+that forms ``x + y``: it sums the pairs in blocks of ``_CHUNK`` on the same
+chunk driver and worker threads as the sampler (``TAILSUM_THREADS`` or the
+default). Each block keeps its sums above a threshold and its ``depth``
+largest sums; the kept sums are joined in chunk order and cut by the same
+rule as they arrive, then sorted, so the store is the same at every thread
+count and the scan holds about twice the store's sums, never all ``n``
+(unless the store holds most of them). The first
+estimator call on a :class:`SamplePairs` builds the store: a tail query at
+``t`` keeps the sums above ``t``, a VaR query the order statistics from the
+lowest rank it reads up. A later query the store covers (a threshold at or
+above the cover, ranks inside ``top``) reads only ``top``; any other query
+builds a store that covers it. The store holds about ``n * p`` sums for the
+largest survival level ``p`` queried so far. ``x`` and ``y`` must not be
+mutated after the first estimator call.
+
+:func:`empirical_grid` gives the same estimates over a whole grid of
+thresholds and levels without holding the sample: the builder draws each
+chunk's pairs into its worker's scratch block, as :func:`sample_pairs`
+draws them, and keeps only the sums the grid reads.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,6 +64,7 @@ __all__ = [
     "sample_pairs",
     "empirical_tailprob",
     "empirical_var",
+    "empirical_grid",
 ]
 
 _CHUNK = 65536
@@ -83,15 +92,16 @@ class SamplePairs:
 
     The estimators keep a tail store of the sums ``x + y`` on the instance
     (see the module docstring): a cover and the sorted largest sums, every
-    sum left out being at most the cover. A tail query that builds the
-    store scans the sums on ``TAILSUM_THREADS`` worker threads (or the
-    default count), and the store does not depend on that count. The stored
+    sum left out being at most the cover. A query that builds the store
+    scans the sums on ``TAILSUM_THREADS`` worker threads (or the default
+    count), and the store does not depend on that count. The stored
     array is read-only and never written after it is published, so threads
     may share an instance without a lock. A store is published only if it
     holds more sums than the one already there; racing calls may each build
-    and publish a store, and every store gives identical answers. The store is not a field and
-    takes no part in ``repr`` or ``==``. Do not mutate ``x`` or ``y`` after
-    the first estimator call: the store would not see it.
+    and publish a store, and every store gives identical answers. The store
+    is not a field and takes no part in ``repr`` or ``==``. Do not mutate
+    ``x`` or ``y`` after the first estimator call: the store would not see
+    it.
     """
 
     x: np.ndarray
@@ -110,26 +120,20 @@ class SamplePairs:
             object.__setattr__(self, "_tail_store", (cover, top))
         return top
 
+    def _scan(self, t, depth: int = 0) -> np.ndarray:
+        """The sorted sums above ``t`` and the ``depth`` largest (``_tail_sums``)."""
+        x, y = self.x, self.y
+        return _tail_sums(
+            x.size, lambda lo, hi, block: (x[lo:hi], y[lo:hi]), t, depth,
+            dtype=np.result_type(x, y),
+        )
+
     def _store_above(self, t) -> np.ndarray:
         """The ``top`` of a tail store whose cover is at most ``t`` (not NaN)."""
         held = self.__dict__.get("_tail_store")
         if held is not None and t >= held[0]:
             return held[1]
-        x, y = self.x, self.y
-
-        def above(sums):
-            return sums[~(sums <= t)]  # keeps NaN sums, unlike sums > t
-
-        # the sum is formed in this body, not in a nested def, so that the
-        # source scan of tests/test_sum_paths.py credits it to this builder
-        parts = _over_chunks(
-            x.size, None,
-            lambda lo, hi, block: above(np.add(x[lo:hi], y[lo:hi], out=block[: hi - lo])),
-            dtype=np.result_type(x, y),
-        )
-        top = np.concatenate(parts)
-        top.sort()
-        return self._publish(t, top)
+        return self._publish(t, self._scan(t))
 
     def _store_from_rank(self, rank: int) -> np.ndarray:
         """The ``top`` of a tail store holding the order statistics from the
@@ -137,9 +141,8 @@ class SamplePairs:
         held = self.__dict__.get("_tail_store")
         if held is not None and rank >= self.x.size - held[1].size:
             return held[1]
-        sums = self.x + self.y
-        sums.partition(rank)
-        top = np.sort(sums[rank:])
+        # a threshold of inf adds no sum to the n - rank largest but NaN ones
+        top = self._scan(math.inf, self.x.size - rank)
         return self._publish(top[0], top)
 
 
@@ -184,9 +187,9 @@ def _resolve_threads(threads: Optional[int]) -> int:
 
 def _over_chunks(
     size: int, threads: Optional[int], work, rows: int = 1, dtype=np.float64
-) -> list:
+) -> None:
     """Run ``work(lo, hi, block)`` on every ``_CHUNK`` slice ``[lo, hi)`` of
-    ``range(size)`` and return the results in chunk order.
+    ``range(size)``.
 
     The chunks are split over ``min(_resolve_threads(threads), n_chunks)``
     worker threads, worker ``w`` taking chunks ``w``, ``w + workers``, ...
@@ -196,20 +199,82 @@ def _over_chunks(
     """
     n_chunks = (size + _CHUNK - 1) // _CHUNK
     workers = min(_resolve_threads(threads), n_chunks)
-    results = [None] * n_chunks
 
     def run(first: int) -> None:
         block = np.empty(rows * min(size, _CHUNK), dtype=dtype)
         for index in range(first, n_chunks, workers):
             lo = index * _CHUNK
-            results[index] = work(lo, min(lo + _CHUNK, size), block)
+            work(lo, min(lo + _CHUNK, size), block)
 
     if workers == 1:
         run(0)
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, range(workers)))
-    return results
+
+
+def _tail_sums(
+    size: int, pairs_of, t, depth: int = 0, rows: int = 1, dtype=np.float64
+) -> np.ndarray:
+    """The sorted sums ``x + y`` of ``size`` pairs that lie above ``t`` (NaN
+    sums included) or among the ``depth`` largest (NaN sorting last).
+
+    ``pairs_of(lo, hi, block)`` returns the risks ``(x, y)`` of the chunk
+    ``[lo, hi)``; ``block`` is the worker's scratch block of ``rows`` chunks
+    (see ``_over_chunks``). The sums go to the first ``hi - lo`` values of
+    the block: ``pairs_of`` may use the rest, and may return that head as
+    ``x``, which the sum then overwrites in place.
+
+    Each chunk keeps its sums above ``t`` and its own ``depth`` largest,
+    which hold every sum of the result. The kept parts are joined in chunk
+    order as they arrive, whichever worker made them, and cut by the same
+    rule whenever they hold twice what the last cut kept. So the cuts depend
+    on the chunks alone and the result is the same at every thread count;
+    the held parts stay within about twice the result plus a chunk per
+    worker, and the cuts cost O(``size``) in all.
+    """
+
+    def kept(sums):
+        # the sums above t and the depth largest, for depth < sums.size;
+        # partitions sums in place
+        cut = sums.size - depth
+        if depth:
+            sums.partition(cut)
+            if sums[cut] <= t:  # so is every sum below the cut
+                return sums[cut:].copy()
+        low = sums[:cut]
+        return np.concatenate((sums[cut:], low[~(low <= t)]))  # ~(<=) keeps NaN
+
+    arrived = {}  # kept parts by chunk index, until every earlier one is held
+    held, held_size, next_chunk = [], 0, 0
+    cut_above = 2 * depth if depth else math.inf  # without a depth nothing is cut
+    lock = threading.Lock()
+
+    def keep(lo, hi, block):
+        nonlocal held_size, next_chunk, cut_above
+        x, y = pairs_of(lo, hi, block)
+        sums = np.add(x, y, out=block[: hi - lo])
+        part = sums.copy() if depth >= sums.size else kept(sums)
+        with lock:
+            arrived[lo // _CHUNK] = part
+            while next_chunk in arrived:
+                part = arrived.pop(next_chunk)
+                held.append(part)
+                held_size += part.size
+                next_chunk += 1
+                if held_size > cut_above:
+                    both = np.concatenate(held)
+                    held.clear()  # free the parts before the cut copies
+                    held.append(kept(both))
+                    held_size = held[0].size
+                    cut_above = 2 * held_size
+
+    _over_chunks(size, None, keep, rows, dtype)
+    top = np.concatenate(held)
+    if 0 < depth < top.size:
+        top = kept(top)
+    top.sort()
+    return top
 
 
 def _pairs_from_rows(rows, gamma, alpha, scale, x, y) -> None:
@@ -272,6 +337,47 @@ def _pairs_from_rows(rows, gamma, alpha, scale, x, y) -> None:
         np.copyto(y, x)
 
 
+def _chunk_drawer(
+    marginal: ParetoMarginal, family: str, n: int, seed: int, phi: Optional[float]
+) -> tuple:
+    """Check a sampler configuration and return ``(draw_chunk, n_rows)``.
+
+    ``draw_chunk(lo, hi, block, x, y)`` writes the pairs of chunk
+    ``[lo, hi)`` of the run into ``x`` and ``y``, drawing its ``n_rows``
+    uniform rows into the head of ``block``. Chunk ``lo // _CHUNK`` reads
+    only its own stream, keyed ``(seed, lo // _CHUNK)``, so every caller
+    draws the same pairs.
+
+    Raises
+    ------
+    ConfigError
+        As :func:`sample_pairs`.
+    """
+    if family not in _FAMILIES:
+        raise ConfigError(f"unknown family {family!r}; expected one of {_FAMILIES}")
+    if family == "gumbel":
+        if phi is None:
+            raise ConfigError("the gumbel family requires phi")
+        if not (phi >= 1.0) or not math.isfinite(phi):
+            raise ConfigError(f"gumbel phi must be finite and at least 1, got {phi}")
+    elif phi is not None:
+        raise ConfigError(f"phi is only meaningful for the gumbel family, got family={family!r}")
+    if n < 1:
+        raise ConfigError(f"sample size must be positive, got {n}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+
+    gamma = 1.0 / phi if family == "gumbel" and phi > 1.0 else None
+    n_rows = 4 if gamma is not None else 1 if family == "comonotone" else 2
+
+    def draw_chunk(lo: int, hi: int, block: np.ndarray, x, y) -> None:
+        rows = block[: n_rows * (hi - lo)].reshape(n_rows, hi - lo)
+        np.random.Generator(np.random.Philox(key=[seed, lo // _CHUNK])).random(out=rows)
+        _pairs_from_rows(rows, gamma, marginal.alpha, marginal.scale, x, y)
+
+    return draw_chunk, n_rows
+
+
 def sample_pairs(
     marginal: ParetoMarginal,
     family: str,
@@ -305,8 +411,8 @@ def sample_pairs(
     threads : int, optional
         Worker threads filling chunks; defaults to ``TAILSUM_THREADS`` or
         the number of CPUs the process may run on, at most 8. Has no effect
-        on the values. The estimators' first tail scan takes the same
-        default but not this argument.
+        on the values. The estimators' store scans and
+        :func:`empirical_grid` take the same default but not this argument.
 
     Returns
     -------
@@ -318,32 +424,13 @@ def sample_pairs(
         On an unknown family, missing or invalid ``phi``, nonpositive
         ``n``, or negative ``seed``.
     """
-    if family not in _FAMILIES:
-        raise ConfigError(f"unknown family {family!r}; expected one of {_FAMILIES}")
-    if family == "gumbel":
-        if phi is None:
-            raise ConfigError("the gumbel family requires phi")
-        if not (phi >= 1.0) or not math.isfinite(phi):
-            raise ConfigError(f"gumbel phi must be finite and at least 1, got {phi}")
-    elif phi is not None:
-        raise ConfigError(f"phi is only meaningful for the gumbel family, got family={family!r}")
-    if n < 1:
-        raise ConfigError(f"sample size must be positive, got {n}")
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
-
-    gamma = 1.0 / phi if family == "gumbel" and phi > 1.0 else None
-    n_rows = 4 if gamma is not None else 1 if family == "comonotone" else 2
+    draw_chunk, n_rows = _chunk_drawer(marginal, family, n, seed, phi)
     x = np.empty(n, dtype=np.float64)
     y = np.empty(n, dtype=np.float64)
-
-    def fill(lo: int, hi: int, block: np.ndarray) -> None:
-        # chunk lo // _CHUNK reads only its own stream, keyed (seed, chunk)
-        rows = block[: n_rows * (hi - lo)].reshape(n_rows, hi - lo)
-        np.random.Generator(np.random.Philox(key=[seed, lo // _CHUNK])).random(out=rows)
-        _pairs_from_rows(rows, gamma, marginal.alpha, marginal.scale, x[lo:hi], y[lo:hi])
-
-    _over_chunks(n, threads, fill, rows=n_rows)
+    _over_chunks(
+        n, threads, lambda lo, hi, block: draw_chunk(lo, hi, block, x[lo:hi], y[lo:hi]),
+        rows=n_rows,
+    )
 
     config = SimulationConfig(
         n=n, seed=seed, family=family, alpha=marginal.alpha, scale=marginal.scale,
@@ -360,6 +447,49 @@ def _require_pairs(pairs: SamplePairs, op: str) -> int:
     return n
 
 
+def _var_ranks(n: int, q: float) -> tuple:
+    """The 1-based ranks ``(k, lo, hi)`` of the point and interval ends an
+    ``empirical_var`` estimate at ``q`` reads on a sample of size ``n``.
+
+    Raises
+    ------
+    DomainError
+        If ``q`` lies outside ``(0, 1)`` or the rank ``floor(n*q)`` does not
+        exist.
+    """
+    if not (0.0 < q < 1.0):
+        raise DomainError(f"empirical_var requires 0 < q < 1, got {q}")
+    k = int(math.floor(n * q))
+    if k < 1:
+        raise DomainError(f"sample of size {n} has no rank floor(n*q)={k} statistic")
+    d = int(math.ceil(3.0 * math.sqrt(n * q * (1.0 - q))))
+    return k, max(k - d, 1), min(k + d, n)
+
+
+def _tail_estimate(top, t, n: int, seed: int) -> MCEstimate:
+    """The tail estimate at ``t`` from the sorted sums ``top`` of a store
+    covering ``t``; ``top`` is not read when ``t`` is NaN."""
+    hits = 0  # no sum exceeds NaN
+    if not math.isnan(t):
+        # NaN sums sort last and exceed no threshold
+        below, finite = np.searchsorted(top, (t, math.inf), side="right")
+        hits = int(finite - below)
+    p = hits / n
+    return MCEstimate(point=p, stderr=math.sqrt(p * (1.0 - p) / n), n=n, seed=seed)
+
+
+def _var_estimate(top, ranks: tuple, n: int, seed: int) -> MCEstimate:
+    """The VaR estimate at the ``_var_ranks`` ``ranks`` from the sorted sums
+    ``top`` whose largest hold the order statistics from rank ``ranks[1]`` up."""
+    k, lo, hi = ranks
+    offset = n + 1 - top.size  # rank r is top[r - offset]
+    ci_low, ci_high = float(top[lo - offset]), float(top[hi - offset])
+    return MCEstimate(
+        point=float(top[k - offset]), stderr=(ci_high - ci_low) / 6.0, n=n, seed=seed,
+        ci_low=ci_low, ci_high=ci_high,
+    )
+
+
 def empirical_tailprob(pairs: SamplePairs, t: float) -> MCEstimate:
     """Empirical exceedance probability of the sum with binomial error.
 
@@ -372,16 +502,9 @@ def empirical_tailprob(pairs: SamplePairs, t: float) -> MCEstimate:
         If the sample is empty.
     """
     n = _require_pairs(pairs, "empirical_tailprob")
-    if math.isnan(t):
-        hits = 0  # no sum exceeds NaN; a NaN cover would cover nothing
-    else:
-        top = pairs._store_above(t)
-        # NaN sums sort last and exceed no threshold
-        below, finite = np.searchsorted(top, (t, math.inf), side="right")
-        hits = int(finite - below)
-    p = hits / n
-    stderr = math.sqrt(p * (1.0 - p) / n)
-    return MCEstimate(point=p, stderr=stderr, n=n, seed=pairs.config.seed)
+    # a NaN cover would cover nothing, so a NaN threshold builds no store
+    top = None if math.isnan(t) else pairs._store_above(t)
+    return _tail_estimate(top, t, n, pairs.config.seed)
 
 
 def empirical_var(pairs: SamplePairs, q: float) -> MCEstimate:
@@ -400,21 +523,61 @@ def empirical_var(pairs: SamplePairs, q: float) -> MCEstimate:
         is too small for the rank ``floor(n*q)`` to exist.
     """
     n = _require_pairs(pairs, "empirical_var")
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"empirical_var requires 0 < q < 1, got {q}")
-    k = int(math.floor(n * q))
-    if k < 1:
-        raise DomainError(f"sample of size {n} has no rank floor(n*q)={k} statistic")
-    d = int(math.ceil(3.0 * math.sqrt(n * q * (1.0 - q))))
-    lo = max(k - d, 1)
-    hi = min(k + d, n)
-    top = pairs._store_from_rank(lo - 1)
-    offset = n - top.size
-    point = float(top[k - 1 - offset])
-    ci_low = float(top[lo - 1 - offset])
-    ci_high = float(top[hi - 1 - offset])
-    stderr = (ci_high - ci_low) / 6.0
-    return MCEstimate(
-        point=point, stderr=stderr, n=n, seed=pairs.config.seed,
-        ci_low=ci_low, ci_high=ci_high,
+    ranks = _var_ranks(n, q)
+    return _var_estimate(pairs._store_from_rank(ranks[1] - 1), ranks, n, pairs.config.seed)
+
+
+def empirical_grid(
+    marginal: ParetoMarginal,
+    family: str,
+    n: int,
+    seed: int,
+    *,
+    phi: Optional[float] = None,
+    thresholds=(),
+    levels=(),
+) -> tuple:
+    """The estimates of :func:`empirical_tailprob` at every threshold and of
+    :func:`empirical_var` at every level on
+    ``sample_pairs(marginal, family, n, seed, phi=phi)``, equal in every
+    field, from one streamed pass that never holds the sample.
+
+    Each chunk is drawn from the same stream as in :func:`sample_pairs`, into
+    its worker's scratch block, and keeps only its sums above the lowest
+    threshold and its ``depth`` largest, ``n - lo + 1`` for the lowest rank
+    ``lo`` a level reads (about ``n * (1 - q)`` for the lowest level ``q``).
+    Memory is one scratch block per worker thread (``TAILSUM_THREADS`` or
+    the default) plus about twice the kept sums: those above the lowest
+    threshold and the ``depth`` largest.
+
+    Returns
+    -------
+    tuple
+        ``(tail_estimates, var_estimates)``: lists of :class:`MCEstimate`,
+        one per threshold and one per level, in grid order.
+
+    Raises
+    ------
+    ConfigError
+        As :func:`sample_pairs`.
+    DomainError
+        As :func:`empirical_var`, for a level it rejects at sample size ``n``.
+    """
+    draw_chunk, n_rows = _chunk_drawer(marginal, family, n, seed, phi)
+    ranks = [_var_ranks(n, q) for q in levels]
+    # NaN thresholds read no sums
+    lowest = min((t for t in thresholds if not math.isnan(t)), default=math.inf)
+    depth = max((n - lo + 1 for _, lo, _ in ranks), default=0)
+
+    def pairs_of(lo: int, hi: int, block: np.ndarray) -> tuple:
+        # the block holds x (where the sums go), y and the uniform rows
+        m = hi - lo
+        x, y = block[:m], block[m : 2 * m]
+        draw_chunk(lo, hi, block[2 * m :], x, y)
+        return x, y
+
+    top = _tail_sums(n, pairs_of, lowest, depth, rows=n_rows + 2)
+    return (
+        [_tail_estimate(top, t, n, seed) for t in thresholds],
+        [_var_estimate(top, r, n, seed) for r in ranks],
     )

@@ -4,6 +4,7 @@ import csv
 import io
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -11,8 +12,11 @@ import pytest
 
 from tailsum import (
     ParetoMarginal,
+    empirical_tailprob,
+    empirical_var,
     gumbel_pickands,
     independence_pickands,
+    sample_pairs,
     tailprob_expansion_ev,
     var_expansion_ev,
 )
@@ -386,6 +390,48 @@ def test_reproduce_figures_both_and_deterministic(tmp_path):
     assert names == [f"figure{i}-{p}.csv" for i in (1, 2) for p in "abcd"]
     for name in names:
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def test_panels_report_the_in_memory_estimates(tmp_path):
+    # the CLI streams its sample; its Monte Carlo columns are those of the
+    # estimators on the same sample held in memory
+    m = ParetoMarginal(0.8, 1.0)
+    sample = sample_pairs(m, "gumbel", 70000, 11, phi=2.0)
+    for kind, grid, estimate in (("tailprob", "--t=20,5,1e3,5", empirical_tailprob),
+                                 ("var", "--q=0.999,0.9,0.99", empirical_var)):
+        out = tmp_path / f"{kind}.csv"
+        rc = main([kind, "--alpha", "0.8", "--family", "gumbel", "--phi", "2",
+                   "--n", "70000", "--seed", "11", grid, "--out-csv", str(out)])
+        assert rc == 0
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        for row in rows:
+            est = estimate(sample, float(row["abscissa"]))
+            assert (float(row["mc_point"]), float(row["mc_stderr"])) == (est.point, est.stderr)
+
+
+def test_reproduce_figures_names_other_phis_apart(tmp_path):
+    # phi 3 must not take the names of the phi = 10 figure
+    rc = main(["reproduce-figures", "--phi", "3", "--seed", "7",
+               "--n", "2000", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == sorted(f"figure-phi3-{p}.{ext}" for p in "abcd" for ext in ("csv", "svg"))
+    assert not list(tmp_path.glob("figure2-*"))
+
+
+def test_tailprob_never_holds_the_sample(tmp_path, monkeypatch):
+    # x alone would take 3.2 MB; one worker's scratch block is 2 MiB
+    monkeypatch.setenv("TAILSUM_THREADS", "1")
+    argv = ["tailprob", "--alpha", "2", "--family", "independence", "--n", "400000",
+            "--seed", "3", "--out-csv", str(tmp_path / "t.csv")]
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 400000 * 8, peak
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,12 @@ from tailsum import (
     MCEstimate,
     ParetoMarginal,
     SamplePairs,
+    empirical_grid,
     empirical_tailprob,
     empirical_var,
     sample_pairs,
 )
-from tailsum.montecarlo import _CHUNK, _pairs_from_rows, _resolve_threads
+from tailsum.montecarlo import _CHUNK, _pairs_from_rows, _resolve_threads, _var_ranks
 
 # crosses two 65536-draw chunk boundaries, with a ragged final chunk
 N_CHUNKY = 200_001
@@ -453,19 +454,21 @@ def test_the_tail_store_transitions_on_caller_arrays():
 
 def test_the_first_tail_call_makes_no_array_of_all_sums(m2, monkeypatch):
     # each scan worker holds one chunk of sums, so the thread counts are
-    # pinned rather than taken from the machine's CPUs
+    # pinned rather than taken from the machine's CPUs; a VaR query first
+    # keeps the sums from its lowest rank up (0.11% of the sample here)
     s = sample_pairs(m2, "independence", 1_000_000, 41)
     t = float(np.sort(s.x + s.y)[int(0.99 * s.x.size)])
     for threads in ("1", "2"):
         monkeypatch.setenv("TAILSUM_THREADS", threads)
-        pairs = SamplePairs(x=s.x, y=s.y, config=s.config)
-        tracemalloc.start()
-        try:
-            empirical_tailprob(pairs, t)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < s.x.nbytes / 4, (threads, peak)
+        for first in (lambda p: empirical_tailprob(p, t), lambda p: empirical_var(p, 0.999)):
+            pairs = SamplePairs(x=s.x, y=s.y, config=s.config)
+            tracemalloc.start()
+            try:
+                first(pairs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < s.x.nbytes / 4, (threads, peak)
 
 
 def _store_and_answers(pairs, queries):
@@ -564,6 +567,92 @@ def test_threads_sharing_a_sample_get_the_sequential_answers(m08):
                     _assert_same(est, want[qu])
     finally:
         sys.setswitchinterval(old_interval)
+
+
+GRID_FAMILIES = (("independence", None), ("comonotone", None), ("gumbel", 1.0),
+                 ("gumbel", 2.0), ("gumbel", 10.0))
+
+
+def _grids(sums):
+    """``(name, thresholds, levels)`` grids for a sample with these sums:
+    unsorted, with duplicates, NaN and infinite thresholds, and a level whose
+    lowest rank lies more than a chunk below the top."""
+    ordered = np.sort(sums)
+    at = {p: float(ordered[int(p * (ordered.size - 1))]) for p in (0.5, 0.95, 0.99, 0.999)}
+    return (
+        ("mixed", (at[0.999], at[0.95], at[0.999], math.nan, math.inf, 3.0),
+         (0.999, 0.99, 0.999)),
+        ("tails only", (at[0.99], at[0.5]), ()),
+        ("levels only", (), (0.9999, 0.99)),
+        ("deep level", (math.inf, at[0.999]), (0.6, 0.99)),
+        ("minus infinity", (-math.inf, at[0.99]), (0.9,)),
+        ("empty", (), ()),
+    )
+
+
+def test_empirical_grid_equals_the_in_memory_estimates(monkeypatch):
+    # 3 workers split the chunks unevenly and 8 are capped at one per chunk
+    for alpha in (0.8, 2.0):
+        m = ParetoMarginal(alpha, 1.0)
+        for family, phi in GRID_FAMILIES:
+            for n in (1000, 2 * _CHUNK, 3 * _CHUNK + 77):
+                monkeypatch.setenv("TAILSUM_THREADS", "1")
+                base = sample_pairs(m, family, n, 19, phi=phi)
+                cases = []
+                for name, ts, qs in _grids(base.x + base.y):
+                    pairs = SamplePairs(x=base.x, y=base.y, config=base.config)
+                    want = ([empirical_tailprob(pairs, t) for t in ts],
+                            [empirical_var(pairs, q) for q in qs])
+                    cases.append((name, ts, qs, want))
+                for threads in ("1", "2", "3", "8"):
+                    monkeypatch.setenv("TAILSUM_THREADS", threads)
+                    for name, ts, qs, want in cases:
+                        got = empirical_grid(m, family, n, 19, phi=phi, thresholds=ts, levels=qs)
+                        where = (alpha, family, phi, n, threads, name)
+                        assert got == want, where
+                        assert repr(got) == repr(want), where
+
+
+def test_empirical_grid_rejects_what_the_in_memory_path_rejects(m08):
+    s = sample_pairs(m08, "gumbel", 1000, 3, phi=2.0)
+    for q in (0.0, 1.0, 1.5, -0.1, math.nan, 0.0005):
+        with pytest.raises(DomainError) as in_memory:
+            empirical_var(s, q)
+        with pytest.raises(DomainError) as streamed:
+            empirical_grid(m08, "gumbel", 1000, 3, phi=2.0, thresholds=(10.0,),
+                           levels=(0.99, q))
+        assert str(streamed.value) == str(in_memory.value), q
+    for family, n, seed, phi in (("clayton", 100, 1, None), ("gumbel", 100, 1, None),
+                                 ("gumbel", 100, 1, 0.5), ("independence", 100, 1, 2.0),
+                                 ("independence", 0, 1, None), ("independence", 100, -1, None)):
+        with pytest.raises(ConfigError) as in_memory:
+            sample_pairs(m08, family, n, seed, phi=phi)
+        with pytest.raises(ConfigError) as streamed:
+            empirical_grid(m08, family, n, seed, phi=phi, levels=(0.5,))
+        assert str(streamed.value) == str(in_memory.value), family
+
+
+def test_empirical_grid_holds_one_scratch_block_and_the_kept_sums(m08, monkeypatch):
+    # the sample itself (4 MiB of x and y) does not fit
+    monkeypatch.setenv("TAILSUM_THREADS", "1")
+    n = 4 * _CHUNK + 1
+    block = (4 + 2) * _CHUNK * 8  # four uniform rows, x and y
+    base = sample_pairs(m08, "gumbel", n, 5, phi=10.0)
+    sums = base.x + base.y
+    t = float(np.sort(sums)[int(0.99 * n)])
+    q = 0.99
+    # each chunk keeps at most its sums above t and its sums down to q's lowest rank
+    depth = n - _var_ranks(n, q)[1] + 1
+    n_chunks = -(-n // _CHUNK)
+    kept = 8 * (int(np.count_nonzero(sums > t)) + n_chunks * depth)
+    del base, sums
+    tracemalloc.start()
+    try:
+        empirical_grid(m08, "gumbel", n, 5, phi=10.0, thresholds=(t,), levels=(q,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= block + kept + 2**20, (peak, kept)
 
 
 def test_empirical_var_order_statistic_ci_contains_exact_quantile(m08):

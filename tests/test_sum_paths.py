@@ -1,17 +1,17 @@
 """Guard: the Monte Carlo estimators read a sample's sums one way.
 
-``montecarlo.py`` forms the sums ``x + y`` only in the two builders of the
-tail store that every estimator reads. A sum formed anywhere else would be a second
-estimator path that could disagree with the store, or a full pass over the
-sample that the store exists to avoid. The scan reads the source, so it
-also catches code no test reaches.
+``montecarlo.py`` forms the sums ``x + y`` only in the one builder of the
+tail stores that every estimator and ``empirical_grid`` read. A sum formed
+anywhere else would be a second estimator path that could disagree with the
+store, or a full pass over the sample that the store exists to avoid. The
+scan reads the source, so it also catches code no test reaches.
 """
 
 import ast
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "tailsum" / "montecarlo.py"
-ALLOWED = {"_store_above", "_store_from_rank"}
+ALLOWED = {"_tail_sums"}
 
 
 def _operand(node):
@@ -33,13 +33,15 @@ def _is_pair_sum(node) -> bool:
         operands = tuple(node.args[:2])
     else:
         return False
-    return sorted(map(_operand, operands)) == ["x", "y"]
+    # compared as a set: two operands that are neither name both map to None
+    return len(operands) == 2 and {_operand(a) for a in operands} == {"x", "y"}
 
 
 def _sum_sites(node, function=None):
     """``(function, line)`` of every ``x + y`` / ``np.add(x, y)`` under ``node``,
-    with the innermost enclosing function's name."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    with the name of the outermost enclosing function (or method): a sum in
+    a nested function is formed by the function that defines it."""
+    if function is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         function = node.name
     if _is_pair_sum(node):
         yield function, node.lineno
