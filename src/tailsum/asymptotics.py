@@ -241,7 +241,7 @@ def power_term_coefficient(traits: TailOrderTraits, alpha: float) -> float:
     ``min`` it equals ``2**alpha - 2``.
     """
     two_a = 2.0**alpha
-    return float(traits.tau(two_a, two_a)) - 2.0 * float(traits.tau(1.0, two_a))
+    return traits.tau(two_a, two_a) - 2.0 * traits.tau(1.0, two_a)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,12 @@ An extreme-value family is defined once, by its :class:`PickandsEV`: its
 log-domain evaluators, the plain evaluators :func:`ev_chat` and
 :func:`ev_chat_v`, and its tail traits are derived from it.
 
+The dependence layer is scalar: dependence functions, log-domain evaluators,
+:func:`ev_chat`, :func:`ev_chat_v` and :meth:`TailOrderTraits.tau` take and
+return Python floats through :mod:`math` (with IEEE nan and inf where it
+raises), so a user family needs only float arithmetic. Only
+:attr:`PartialLimitTraits.varphi` also runs on arrays of quadrature nodes.
+
 All values are immutable after construction and safe to share across threads.
 """
 
@@ -28,8 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
-
-import numpy as np
 
 from .errors import ConfigError, DomainError, UnsupportedFamilyError
 
@@ -66,10 +70,32 @@ def _zero_profile(u: float, v: float) -> float:
     return 0.0
 
 
-def _maybe_scalar(out, *inputs):
-    if all(np.isscalar(x) or np.ndim(x) == 0 for x in inputs):
-        return float(out)
-    return out
+def _pow(x: float, y: float) -> float:
+    """``x ** y``, with IEEE values where ``math.pow`` raises: nan for a negative
+    base to a fractional power, inf for 0 to a negative one or on overflow."""
+    try:
+        return math.pow(x, y)
+    except OverflowError:
+        return math.inf
+    except ValueError:
+        return math.inf if x == 0.0 else math.nan
+
+
+def _log(x: float) -> float:
+    """``log(x)``, with IEEE values where ``math.log`` raises: ``-inf`` at 0 and
+    nan below."""
+    return math.log(x) if x > 0.0 else -math.inf if x == 0.0 else math.nan
+
+
+def _safe_exp(expo: float) -> float:
+    """``exp(expo)``, inf above 700 instead of ``math.exp``'s overflow error."""
+    if math.isnan(expo):
+        return math.nan
+    if expo == -math.inf:
+        return 0.0
+    if expo > 700.0:
+        return math.inf
+    return math.exp(expo)
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +117,9 @@ class PickandsEV:
         the origin; on the diagonal of a non-smooth function the symmetric
         subgradient is used so the Euler identity
         ``x*a1 + y*a2 = a_fn`` still holds.
+
+        All three take two floats and return a float; the library never
+        passes them arrays, so a user family needs only float arithmetic.
     family : str
         Family tag (``"independence"``, ``"gumbel"``, ``"comonotone"``).
     param : float or None
@@ -113,11 +142,10 @@ def independence_pickands() -> PickandsEV:
     """Dependence function of the independence copula: ``a(x, y) = x + y``."""
 
     def a_fn(x, y):
-        return _maybe_scalar(np.asarray(x, float) + np.asarray(y, float), x, y)
+        return x + y
 
     def a1_fn(x, y):
-        out = np.ones_like(np.asarray(x, float) + np.asarray(y, float))
-        return _maybe_scalar(out, x, y)
+        return 1.0
 
     return PickandsEV(a_fn=a_fn, a1_fn=a1_fn, a2_fn=a1_fn, family="independence", param=None)
 
@@ -129,12 +157,10 @@ def comonotone_pickands() -> PickandsEV:
     """
 
     def a_fn(x, y):
-        return _maybe_scalar(np.maximum(np.asarray(x, float), np.asarray(y, float)), x, y)
+        return max(x, y)
 
     def a1_fn(x, y):
-        xa, ya = np.asarray(x, float), np.asarray(y, float)
-        out = np.where(xa > ya, 1.0, np.where(xa < ya, 0.0, 0.5))
-        return _maybe_scalar(out, x, y)
+        return 1.0 if x > y else 0.0 if x < y else 0.5
 
     def a2_fn(x, y):
         return a1_fn(y, x)
@@ -165,24 +191,17 @@ def gumbel_pickands(phi_g: float) -> PickandsEV:
     phi = float(phi_g)
 
     def _terms(x, y):
-        xa, ya = np.asarray(x, float), np.asarray(y, float)
-        m = np.maximum(xa, ya)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            rx = np.where(m > 0, xa / np.where(m > 0, m, 1.0), np.nan)
-            ry = np.where(m > 0, ya / np.where(m > 0, m, 1.0), np.nan)
-            s = rx**phi + ry**phi
-        return m, rx, ry, s
+        m = max(x, y)
+        rx, ry = (x / m, y / m) if m > 0 else (math.nan, math.nan)
+        return m, rx, _pow(rx, phi) + _pow(ry, phi)
 
     def a_fn(x, y):
-        m, _, _, s = _terms(x, y)
-        out = np.where(m > 0, m * s ** (1.0 / phi), 0.0)
-        return _maybe_scalar(out, x, y)
+        m, _, s = _terms(x, y)
+        return m * _pow(s, 1.0 / phi) if m > 0 else 0.0
 
     def a1_fn(x, y):
-        m, rx, _, s = _terms(x, y)
-        with np.errstate(invalid="ignore"):
-            out = rx ** (phi - 1.0) * s ** (1.0 / phi - 1.0)
-        return _maybe_scalar(out, x, y)
+        _, rx, s = _terms(x, y)
+        return _pow(rx, phi - 1.0) * _pow(s, 1.0 / phi - 1.0)
 
     def a2_fn(x, y):
         return a1_fn(y, x)
@@ -203,54 +222,46 @@ _EV_FAMILIES = {
 _FAMILY_PARAMS = {**dict.fromkeys(_EV_FAMILIES), "gumbel": "phi", "log-interaction": "sigma"}
 
 
-def _ev_log_chat(p: PickandsEV, lu, lv):
+def _ev_log_chat(p: PickandsEV, lu: float, lv: float) -> float:
     """``log chat = -a_fn(-log u, -log v)``, from ``(log u, log v)``."""
-    wu, wv = -np.asarray(lu, float), -np.asarray(lv, float)
-    return _maybe_scalar(-np.asarray(p.a_fn(wu, wv), float), lu, lv)
+    return -p.a_fn(-lu, -lv)
 
 
-def _ev_log_chat_v(p: PickandsEV, lu, lv):
+def _ev_log_chat_v(p: PickandsEV, lu: float, lv: float) -> float:
     """``log chat_v = log chat + log a2_fn(-log u, -log v) - log v``.
 
     Exactly 0 at ``log u == 0``, the margin ``chat(1, v) = v``; a vanishing
     ``a2_fn`` gives ``-inf``.
     """
-    wu, wv = -np.asarray(lu, float), -np.asarray(lv, float)
-    with np.errstate(divide="ignore"):
-        out = (
-            -np.asarray(p.a_fn(wu, wv), float)
-            + np.log(np.asarray(p.a2_fn(wu, wv), float))
-            + wv
-        )
-    return _maybe_scalar(np.where(wu == 0, 0.0, out), lu, lv)
+    if lu == 0:
+        return 0.0
+    wu, wv = -lu, -lv
+    return -p.a_fn(wu, wv) + _log(p.a2_fn(wu, wv)) + wv
 
 
-def ev_chat(p: PickandsEV, u, v):
+def ev_chat(p: PickandsEV, u: float, v: float) -> float:
     """Extreme-value survival copula ``exp(-a_fn(-log u, -log v))``.
 
     Parameters
     ----------
     p : PickandsEV
-    u, v : float or array_like
+    u, v : float
         Arguments in ``[0, 1]``; the value at ``u == 0`` or ``v == 0`` is the
         continuity limit 0.
 
     Raises
     ------
     DomainError
-        If any argument lies outside ``[0, 1]``.
+        If an argument lies outside ``[0, 1]``.
     """
-    ua, va = np.asarray(u, float), np.asarray(v, float)
-    if np.any((ua < 0) | (ua > 1)) or np.any((va < 0) | (va > 1)):
+    if u < 0 or u > 1 or v < 0 or v > 1:
         raise DomainError(f"copula arguments must lie in [0, 1], got u={u!r}, v={v!r}")
-    mask = (ua == 0) | (va == 0)
-    safe_u = np.where(mask, 0.5, ua)
-    safe_v = np.where(mask, 0.5, va)
-    out = np.exp(_ev_log_chat(p, np.log(safe_u), np.log(safe_v)))
-    return _maybe_scalar(np.where(mask, 0.0, out), u, v)
+    if u == 0 or v == 0:
+        return 0.0
+    return _safe_exp(_ev_log_chat(p, math.log(u), math.log(v)))
 
 
-def ev_chat_v(p: PickandsEV, u, v):
+def ev_chat_v(p: PickandsEV, u: float, v: float) -> float:
     """Partial derivative of :func:`ev_chat` in the second argument.
 
     Equals ``ev_chat(u, v) * a2_fn(-log u, -log v) / v``, formed in the log
@@ -262,16 +273,15 @@ def ev_chat_v(p: PickandsEV, u, v):
     Raises
     ------
     DomainError
-        If any argument lies outside ``[0, 1]`` or ``v == 0``.
+        If an argument lies outside ``[0, 1]`` or ``v == 0``.
     """
-    ua, va = np.asarray(u, float), np.asarray(v, float)
-    if np.any((ua < 0) | (ua > 1)) or np.any((va <= 0) | (va > 1)):
+    if u < 0 or u > 1 or v <= 0 or v > 1:
         raise DomainError(
             f"partial derivative requires u in [0, 1] and v in (0, 1], got u={u!r}, v={v!r}"
         )
-    mask = ua == 0
-    out = np.exp(_ev_log_chat_v(p, np.log(np.where(mask, 0.5, ua)), np.log(va)))
-    return _maybe_scalar(np.where(mask, 0.0, out), u, v)
+    if u == 0:
+        return 0.0
+    return _safe_exp(_ev_log_chat_v(p, math.log(u), math.log(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -368,13 +378,12 @@ def make_survival_copula(
 
     # log-interaction: chat(u, v) = u * v * exp(-sig * log u * log v)
     def log_chat(lu, lv):
-        la, lb = np.asarray(lu, float), np.asarray(lv, float)
-        return _maybe_scalar(la + lb - sig * la * lb, lu, lv)
+        return lu + lv - sig * lu * lv
 
     def log_chat_v(lu, lv):
-        la, lb = np.asarray(lu, float), np.asarray(lv, float)
-        out = la - sig * la * lb + np.log1p(-sig * la)
-        return _maybe_scalar(out, lu, lv)
+        # log1p(z) below its pole at z = -1 (the scales above 1) is nan
+        z = -sig * lu
+        return lu - sig * lu * lv + (math.log1p(z) if z > -1.0 else _log(1.0 + z))
 
     return SurvivalCopula(log_chat, log_chat_v, family="log-interaction", param=sig)
 
@@ -406,11 +415,9 @@ class TailOrderTraits:
     kappa: float
     power_m: Optional[float]
 
-    def tau(self, u, v):
-        """The limit profile ``(u*v)**power_m``, or ``min(u, v)``."""
-        ua, va = np.asarray(u, float), np.asarray(v, float)
-        out = np.minimum(ua, va) if self.power_m is None else (ua * va) ** self.power_m
-        return _maybe_scalar(out, u, v)
+    def tau(self, u: float, v: float) -> float:
+        """The limit profile ``(u*v)**power_m``, or ``min(u, v)``, on floats."""
+        return min(u, v) if self.power_m is None else _pow(u * v, self.power_m)
 
 
 @dataclass(frozen=True)
@@ -545,6 +552,7 @@ def gumbel_log_refined_traits(phi_g: float) -> PartialLimitTraits:
             f"log-refined traits require an interaction exponent above 1, got {phi_g}"
         )
     phi = float(phi_g)
+    import numpy as np
 
     # ``varphi`` runs on the array of quadrature nodes. ``h`` keeps numpy's
     # logarithm too: its SIMD log differs from math.log in the last bit for
@@ -673,16 +681,6 @@ def _relabs(stat: float, target: float) -> float:
     if abs(target) > 1e-6:
         return abs(stat - target) / abs(target)
     return abs(stat - target)
-
-
-def _safe_exp(expo: float) -> float:
-    if math.isnan(expo):
-        return math.nan
-    if expo == -math.inf:
-        return 0.0
-    if expo > 700.0:
-        return math.inf
-    return math.exp(expo)
 
 
 def _acc(worst: float, stat: float, target: float) -> float:
@@ -819,8 +817,8 @@ def check_assumptions(
     kappa = tail_traits.kappa
 
     def diagonal(lt, u, v):
-        expo = float(lchat(math.log(u) + lt, math.log(v) + lt)) - kappa * lt
-        return _safe_exp(expo), float(tail_traits.tau(u, v))
+        expo = lchat(math.log(u) + lt, math.log(v) + lt) - kappa * lt
+        return _safe_exp(expo), tail_traits.tau(u, v)
 
     finish("A2", scan(gvals, gvals, diagonal))
 
@@ -828,7 +826,7 @@ def check_assumptions(
     # (its power v ** -1 would overflow at a subnormal grid value)
     def corner_limit(lt, u, v):
         target = a20 * u * v ** (a20 - 1.0) if a20 else 0.0
-        return _safe_exp(float(lchat_v(math.log(u) + lt, math.log(v))) - lt), target
+        return _safe_exp(lchat_v(math.log(u) + lt, math.log(v)) - lt), target
 
     corner_rows = scan(gvals, vprob, corner_limit)
 
@@ -837,7 +835,7 @@ def check_assumptions(
     else:
         # A3: relative-shift stability of the partial derivative.
         def relative_shift(lt, u, v):
-            lr = float(lchat_v(lt + math.log1p(u), math.log(v))) - float(lchat_v(lt, math.log(v)))
+            lr = lchat_v(lt + math.log1p(u), math.log(v)) - lchat_v(lt, math.log(v))
             stat = math.expm1(lr) if math.isfinite(lr) else math.nan
             return stat, (1.0 + u) - 1.0
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import pytest
 
@@ -82,6 +83,27 @@ def test_counterexample_fails_corner_taylor_check(sc_log):
     # checks needing analytic traits are skipped, not silently passed
     for name in ("A3", "A4", "evcond"):
         assert name in report.skipped
+
+
+@pytest.mark.parametrize(
+    "family, kwargs, trial, verdicts",
+    [
+        ("gumbel", {"phi": 2.0}, None, dict.fromkeys(CHECK_NAMES, False)),
+        ("comonotone", {}, None, {**dict.fromkeys(CHECK_NAMES, False), "A2": True}),
+        ("log-interaction", {"sigma": 0.5}, 2.0, {"A2": False, "taylor_limit": None}),
+    ],
+)
+def test_scales_above_one_give_verdicts_without_warnings(family, kwargs, trial, verdicts):
+    # at t > 1 the log arguments turn positive: Gumbel raises a negative base
+    # to a fractional power and log-interaction's log1p falls below its pole;
+    # both give nan statistics, never a warning or an exception
+    traits = None if trial is None else trial_tail_order_traits(trial)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_assumptions(
+            make_survival_copula(family, **kwargs), traits, log10_t_sequence=(0.5, 0.2, 0.1)
+        )
+    assert {name: check.passed for name, check in report.checks.items()} == verdicts
 
 
 def test_deviation_rows_are_recorded(sc_ind):

@@ -164,11 +164,11 @@ def test_ev_chat_v_stays_accurate_where_chat_underflows(phi, u, v, known):
 def test_chat_v_is_one_on_the_margin_u_equals_one():
     # chat(1, v) = v, so its derivative is exactly 1 there, also at v = 1
     # where a2(0, 0) is 0/0 for Gumbel with exponent above 1
-    vs = np.array([1e-6, 0.3, 1.0])
+    vs = (1e-6, 0.3, 1.0)
     for p in (gumbel_pickands(1.0), gumbel_pickands(2.0), gumbel_pickands(10.0),
               independence_pickands(), comonotone_pickands()):
-        assert ev_chat_v(p, 1.0, 1.0) == 1.0, p.family
-        assert np.array_equal(ev_chat_v(p, np.ones_like(vs), vs), np.ones_like(vs))
+        for v in vs:
+            assert ev_chat_v(p, 1.0, v) == 1.0, (p.family, v)
     for family, kwargs in (("gumbel", {"phi": 2.0}), ("comonotone", {})):
         sc = make_survival_copula(family, **kwargs)
         assert sc.log_chat_v(0.0, 0.0) == 0.0

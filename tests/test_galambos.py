@@ -9,7 +9,6 @@ tail order is 1.5 and the corner slope ``a2(1, 0)`` vanishes.
 
 import math
 
-import numpy as np
 import pytest
 
 import oracles
@@ -29,20 +28,11 @@ THETA = 1.0
 
 
 def galambos_pickands(theta: float) -> PickandsEV:
-    def scalar_or_array(out, x, y):
-        return float(out) if np.ndim(x) == 0 and np.ndim(y) == 0 else out
-
     def a_fn(x, y):
-        xa, ya = np.asarray(x, float), np.asarray(y, float)
-        with np.errstate(divide="ignore"):
-            out = xa + ya - (xa**-theta + ya**-theta) ** (-1.0 / theta)
-        return scalar_or_array(out, x, y)
+        return x + y - (x**-theta + y**-theta) ** (-1.0 / theta)
 
     def a1_fn(x, y):
-        xa, ya = np.asarray(x, float), np.asarray(y, float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = 1.0 - (xa**-theta + ya**-theta) ** (-1.0 / theta - 1.0) * xa ** (-theta - 1.0)
-        return scalar_or_array(out, x, y)
+        return 1.0 - (x**-theta + y**-theta) ** (-1.0 / theta - 1.0) * x ** (-theta - 1.0)
 
     def a2_fn(x, y):
         return a1_fn(y, x)
