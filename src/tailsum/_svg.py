@@ -41,6 +41,14 @@ def _ticks_log(lo: float, hi: float) -> list:
     return ticks
 
 
+def _axis_fraction(v: float, lo: float, hi: float, log: bool) -> float:
+    """Where ``v`` lies in the data range ``[lo, hi]`` of a linear or base-10
+    logarithmic axis, as a fraction; 0.5 when the range is empty."""
+    if log:
+        v, lo, hi = math.log10(v), math.log10(lo), math.log10(hi)
+    return 0.5 if hi == lo else (v - lo) / (hi - lo)
+
+
 def _fmt(v: float) -> str:
     if v == 0:
         return "0"
@@ -99,21 +107,11 @@ def render_line_chart(
     y_lo, y_hi = min(all_y), max(all_y)
 
     def tx(v: float) -> float:
-        lo, hi = (math.log10(x_lo), math.log10(x_hi)) if logx else (x_lo, x_hi)
-        w = math.log10(v) if logx else v
-        if hi == lo:
-            frac = 0.5
-        else:
-            frac = (w - lo) / (hi - lo)
+        frac = _axis_fraction(v, x_lo, x_hi, logx)
         return _MARGIN_L + frac * (_WIDTH - _MARGIN_L - _MARGIN_R)
 
     def ty(v: float) -> float:
-        lo, hi = (math.log10(y_lo), math.log10(y_hi)) if logy else (y_lo, y_hi)
-        w = math.log10(v) if logy else v
-        if hi == lo:
-            frac = 0.5
-        else:
-            frac = (w - lo) / (hi - lo)
+        frac = _axis_fraction(v, y_lo, y_hi, logy)
         return _HEIGHT - _MARGIN_B - frac * (_HEIGHT - _MARGIN_T - _MARGIN_B)
 
     x_ticks = _ticks_log(x_lo, x_hi) if logx else _ticks_linear(x_lo, x_hi)

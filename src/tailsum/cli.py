@@ -47,7 +47,6 @@ from .asymptotics import tailprob_expansion_ev, var_expansion_ev
 from .copulas import (
     SurvivalCopula,
     check_assumptions,
-    gumbel_pickands,
     make_survival_copula,
     tail_order_traits,
     trial_tail_order_traits,
@@ -251,50 +250,51 @@ def _diagnostics_text(expansion) -> str:
     return "; ".join(parts)
 
 
-def _expansions(kind: str, m: ParetoMarginal, pickands, grid) -> list:
-    """The expansion at each threshold (``kind == "tailprob"``) or
-    probability level (``"var"``) of ``grid``. Called before sampling, so an
-    invalid grid point is reported by the expansion."""
-    # read the module attributes at call time, not from a table built at
+def _write_panels(
+    m: ParetoMarginal, copula: SurvivalCopula, n: int, seed: int, model: str, panels: list
+) -> None:
+    """Write each panel ``(kind, grid, csv_path, svg_path)`` of ``panels``: the
+    expansion at each threshold (``kind == "tailprob"``) or probability level
+    (``"var"``) of ``grid`` next to its Monte Carlo estimate, as CSV and, when
+    ``svg_path`` is set, as a chart. Every expansion is evaluated before
+    sampling, so an invalid grid point is reported by the expansion, and one
+    streamed sample serves every panel."""
+    # read the module attributes at each call, not from a table built at
     # import, so perfbench's tracer sees the calls it patches in; the Monte
     # Carlo estimates come from empirical_grid, which it does not patch, so
     # their time counts as the command's own
-    expand = tailprob_expansion_ev if kind == "tailprob" else var_expansion_ev
-    return [expand(m, pickands, x) for x in grid]
-
-
-def _panel_rows(grid, expansions: list, estimates: list) -> list:
-    """One CSV row per grid point: the expansion next to the Monte Carlo
-    estimate."""
-    return [
-        (x, e.first_order, e.value, est.point, est.stderr, e.case.label, _diagnostics_text(e))
-        for x, e, est in zip(grid, expansions, estimates)
-    ]
-
-
-def _write_panel(
-    kind: str, rows: list, csv_path: Optional[str], svg_path: Optional[str],
-    model: str, n: int, seed: int,
-) -> None:
-    """Write the rows as CSV and, when ``svg_path`` is set, chart the
-    expansion against Monte Carlo."""
-    _write_rows(csv_path, rows)
-    if not svg_path:
-        return
-    title, xlabel, ylabel, logx = _PANEL_AXES[kind]
-    xs = [row[0] for row in rows]
-    render_line_chart(
-        svg_path,
-        title=f"{title} ({model})",
-        xlabel=xlabel,
-        ylabel=ylabel,
-        series=[
-            ("expansion", xs, [row[2] for row in rows]),
-            (f"monte carlo (n={n}, seed={seed})", xs, [row[3] for row in rows]),
-        ],
-        logx=logx,
-        logy=True,
+    expand = {"tailprob": tailprob_expansion_ev, "var": var_expansion_ev}
+    grids = {kind: grid for kind, grid, _, _ in panels}
+    expansions = {
+        kind: [expand[kind](m, copula.pickands, x) for x in grid] for kind, grid in grids.items()
+    }
+    tails, quantiles = empirical_grid(
+        m, copula.family, n, seed, phi=copula.param,
+        thresholds=grids.get("tailprob", ()), levels=grids.get("var", ()),
     )
+    estimates = {"tailprob": tails, "var": quantiles}
+    for kind, grid, csv_path, svg_path in panels:
+        rows = [
+            (x, e.first_order, e.value, est.point, est.stderr, e.case.label, _diagnostics_text(e))
+            for x, e, est in zip(grid, expansions[kind], estimates[kind])
+        ]
+        _write_rows(csv_path, rows)
+        if not svg_path:
+            continue
+        title, xlabel, ylabel, logx = _PANEL_AXES[kind]
+        xs = [row[0] for row in rows]
+        render_line_chart(
+            svg_path,
+            title=f"{title} ({model})",
+            xlabel=xlabel,
+            ylabel=ylabel,
+            series=[
+                ("expansion", xs, [row[2] for row in rows]),
+                (f"monte carlo (n={n}, seed={seed})", xs, [row[3] for row in rows]),
+            ],
+            logx=logx,
+            logy=True,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -313,18 +313,10 @@ def _cmd_panel(cfg: _Settings, kind: str) -> int:
             "or Monte Carlo directly"
         )
     n, seed = _resolve_mc(cfg)
-    tailprob = kind == "tailprob"
-    grid = _resolve_t_grid(cfg, m) if tailprob else _resolve_q_grid(cfg)
-
-    expansions = _expansions(kind, m, pickands, grid)
-    tails, quantiles = empirical_grid(
-        m, copula.family, n, seed, phi=copula.param,
-        thresholds=grid if tailprob else (), levels=() if tailprob else grid,
-    )
-    rows = _panel_rows(grid, expansions, tails if tailprob else quantiles)
-    _write_panel(
-        kind, rows, cfg.get("out.csv"), cfg.get("out.svg"),
-        f"{copula.family}, alpha={m.alpha:g}", n, seed,
+    grid = _resolve_t_grid(cfg, m) if kind == "tailprob" else _resolve_q_grid(cfg)
+    _write_panels(
+        m, copula, n, seed, f"{copula.family}, alpha={m.alpha:g}",
+        [(kind, grid, cfg.get("out.csv"), cfg.get("out.svg"))],
     )
     return 0
 
@@ -438,25 +430,15 @@ def _cmd_reproduce_figures(cfg: _Settings) -> int:
 
     for phi in phis:
         name = {1.0: "figure1", 10.0: "figure2"}.get(phi, f"figure-phi{phi:g}")
-        pickands = gumbel_pickands(phi)
-        for alpha, (tail_letter, var_letter) in panel_letters.items():
+        copula = make_survival_copula("gumbel", phi=phi)
+        for alpha, letters in panel_letters.items():
             m = ParetoMarginal(alpha, 1.0)
-            ts, qs = _sf_grid(m, *_SF_GRID), _DEFAULT_Q_GRID
-            tail_expansions = _expansions("tailprob", m, pickands, ts)
-            var_expansions = _expansions("var", m, pickands, qs)
+            tail_base, var_base = (os.path.join(out_dir, f"{name}-{x}") for x in letters)
             # one streamed sample per (phi, alpha) serves both panels
-            tails, quantiles = empirical_grid(
-                m, "gumbel", n, seed, phi=phi, thresholds=ts, levels=qs
-            )
-            for kind, letter, grid, expansions, estimates in (
-                ("tailprob", tail_letter, ts, tail_expansions, tails),
-                ("var", var_letter, qs, var_expansions, quantiles),
-            ):
-                base = os.path.join(out_dir, f"{name}-{letter}")
-                _write_panel(
-                    kind, _panel_rows(grid, expansions, estimates), base + ".csv",
-                    base + ".svg", f"gumbel phi={phi:g}, alpha={alpha:g}", n, seed,
-                )
+            _write_panels(m, copula, n, seed, f"gumbel phi={phi:g}, alpha={alpha:g}", [
+                ("tailprob", _sf_grid(m, *_SF_GRID), tail_base + ".csv", tail_base + ".svg"),
+                ("var", _DEFAULT_Q_GRID, var_base + ".csv", var_base + ".svg"),
+            ])
         print(f"wrote {name}-a..d (.csv, .svg) to {out_dir}")
     return 0
 

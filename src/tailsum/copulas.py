@@ -120,6 +120,8 @@ class PickandsEV:
 
         All three take two floats and return a float; the library never
         passes them arrays, so a user family needs only float arithmetic.
+        :func:`ev_chat_v` at ``v == 1`` calls ``a2_fn(x, -0.0)``, which must
+        return the corner-slope limit of ``a2_fn(x, y)`` as ``y -> 0``.
     family : str
         Family tag (``"independence"``, ``"gumbel"``, ``"comonotone"``).
     param : float or None
@@ -223,7 +225,16 @@ _FAMILY_PARAMS = {**dict.fromkeys(_EV_FAMILIES), "gumbel": "phi", "log-interacti
 
 
 def _ev_log_chat(p: PickandsEV, lu: float, lv: float) -> float:
-    """``log chat = -a_fn(-log u, -log v)``, from ``(log u, log v)``."""
+    """``log chat = -a_fn(-log u, -log v)``, from ``(log u, log v)``.
+
+    Exactly ``log v`` at ``log u == 0`` and ``log u`` at ``log v == 0``, the
+    margins ``chat(1, v) = v`` and ``chat(u, 1) = u``, without calling
+    ``a_fn`` at a zero argument.
+    """
+    if lu == 0:
+        return lv
+    if lv == 0:
+        return lu
     return -p.a_fn(-lu, -lv)
 
 
@@ -552,19 +563,23 @@ def gumbel_log_refined_traits(phi_g: float) -> PartialLimitTraits:
             f"log-refined traits require an interaction exponent above 1, got {phi_g}"
         )
     phi = float(phi_g)
-    import numpy as np
 
     # ``varphi`` runs on the array of quadrature nodes. ``h`` keeps numpy's
     # logarithm too: its SIMD log differs from math.log in the last bit for
     # some arguments in (0, 1), and keeping it keeps every refined value
     # bit-identical. It is scalar arithmetic on numpy.float64, which calls
     # the same pow as float and keeps IEEE results (inf, nan) where float
-    # arithmetic would raise.
+    # arithmetic would raise. Each imports numpy when it runs, so building
+    # these traits (every Gumbel dependence function does) loads no numpy.
     def h(t):
+        import numpy as np
+
         with np.errstate(divide="ignore"):
             return float((-np.log(t)) ** (1.0 - phi))
 
     def varphi(u, v):
+        import numpy as np
+
         return u * (-np.log(v)) ** (phi - 1.0) / v
 
     return PartialLimitTraits(h=h, varphi=varphi, beta=1.0)

@@ -28,14 +28,15 @@ default). Each block keeps its sums above a threshold and its ``depth``
 largest sums; the kept sums are joined in chunk order and cut by the same
 rule as they arrive, then sorted, so the store is the same at every thread
 count and the scan holds about twice the store's sums, never all ``n``
-(unless the store holds most of them). The first
-estimator call on a :class:`SamplePairs` builds the store: a tail query at
-``t`` keeps the sums above ``t``, a VaR query the order statistics from the
-lowest rank it reads up. A later query the store covers (a threshold at or
-above the cover, ranks inside ``top``) reads only ``top``; any other query
-builds a store that covers it. The store holds about ``n * p`` sums for the
-largest survival level ``p`` queried so far. ``x`` and ``y`` must not be
-mutated after the first estimator call.
+(unless the store holds most of them). Every
+estimator query on a :class:`SamplePairs` asks for the sums above a
+threshold ``t`` and the ``depth`` largest: a tail query at ``t`` with depth
+0, a VaR query at ``t = inf`` with the depth of the lowest rank it reads.
+The held store covers the query when ``t`` is at or above its cover and
+``depth`` at most the size of ``top``; a covered query reads only ``top``,
+and any other builds a store that covers it. The store holds about
+``n * p`` sums for the largest survival level ``p`` queried so far. ``x``
+and ``y`` must not be mutated after the first estimator call.
 
 :func:`empirical_grid` gives the same estimates over a whole grid of
 thresholds and levels without holding the sample: the builder draws each
@@ -91,10 +92,12 @@ class SamplePairs:
     """A simulated sample of risk pairs plus its generating configuration.
 
     The estimators keep a tail store of the sums ``x + y`` on the instance
-    (see the module docstring): a cover and the sorted largest sums, every
-    sum left out being at most the cover. A query that builds the store
-    scans the sums on ``TAILSUM_THREADS`` worker threads (or the default
-    count), and the store does not depend on that count. The stored
+    (see the module docstring): a cover and the sorted largest sums ``top``,
+    every sum left out being at most the cover. A query for the sums above
+    ``t`` and the ``depth`` largest reads the held store when
+    ``t >= cover`` and ``depth <= top.size``; any other query builds a store
+    by scanning the sums on ``TAILSUM_THREADS`` worker threads (or the
+    default count), and the store does not depend on that count. The stored
     array is read-only and never written after it is published, so threads
     may share an instance without a lock. A store is published only if it
     holds more sums than the one already there; racing calls may each build
@@ -108,10 +111,24 @@ class SamplePairs:
     y: np.ndarray
     config: SimulationConfig
 
-    def _publish(self, cover, top: np.ndarray) -> np.ndarray:
-        """Make ``top`` read-only and store ``(cover, top)`` unless the sample
-        already holds a larger store; return ``top`` either way."""
+    def _store(self, t, depth: int = 0) -> np.ndarray:
+        """The ``top`` of a tail store holding the sums above ``t`` (not NaN)
+        and the ``depth`` largest: the held one if it covers them, else a new
+        one from ``_tail_sums``, published if it holds more sums."""
+        held = self.__dict__.get("_tail_store")
+        if held is not None and t >= held[0] and depth <= held[1].size:
+            return held[1]
+        x, y = self.x, self.y
+        top = _tail_sums(
+            x.size, lambda lo, hi, block: (x[lo:hi], y[lo:hi]), t, depth,
+            dtype=np.result_type(x, y),
+        )
         top.flags.writeable = False
+        cover = t
+        if depth:
+            # the sums left out are at most the least kept one; NaN sums sort
+            # last, so a top of NaN sums bounds them only by inf
+            cover = math.inf if math.isnan(top[0]) else top[0]
         # check-then-set without a lock: a racing call may still replace a
         # larger store with a smaller one, which costs later queries a
         # rebuild but changes no answer
@@ -119,31 +136,6 @@ class SamplePairs:
         if held is None or held[1].size < top.size:
             object.__setattr__(self, "_tail_store", (cover, top))
         return top
-
-    def _scan(self, t, depth: int = 0) -> np.ndarray:
-        """The sorted sums above ``t`` and the ``depth`` largest (``_tail_sums``)."""
-        x, y = self.x, self.y
-        return _tail_sums(
-            x.size, lambda lo, hi, block: (x[lo:hi], y[lo:hi]), t, depth,
-            dtype=np.result_type(x, y),
-        )
-
-    def _store_above(self, t) -> np.ndarray:
-        """The ``top`` of a tail store whose cover is at most ``t`` (not NaN)."""
-        held = self.__dict__.get("_tail_store")
-        if held is not None and t >= held[0]:
-            return held[1]
-        return self._publish(t, self._scan(t))
-
-    def _store_from_rank(self, rank: int) -> np.ndarray:
-        """The ``top`` of a tail store holding the order statistics from the
-        0-based ``rank`` up."""
-        held = self.__dict__.get("_tail_store")
-        if held is not None and rank >= self.x.size - held[1].size:
-            return held[1]
-        # a threshold of inf adds no sum to the n - rank largest but NaN ones
-        top = self._scan(math.inf, self.x.size - rank)
-        return self._publish(top[0], top)
 
 
 @dataclass(frozen=True)
@@ -503,7 +495,7 @@ def empirical_tailprob(pairs: SamplePairs, t: float) -> MCEstimate:
     """
     n = _require_pairs(pairs, "empirical_tailprob")
     # a NaN cover would cover nothing, so a NaN threshold builds no store
-    top = None if math.isnan(t) else pairs._store_above(t)
+    top = None if math.isnan(t) else pairs._store(t)
     return _tail_estimate(top, t, n, pairs.config.seed)
 
 
@@ -524,7 +516,9 @@ def empirical_var(pairs: SamplePairs, q: float) -> MCEstimate:
     """
     n = _require_pairs(pairs, "empirical_var")
     ranks = _var_ranks(n, q)
-    return _var_estimate(pairs._store_from_rank(ranks[1] - 1), ranks, n, pairs.config.seed)
+    # a threshold of inf adds no sum to the depth largest but NaN ones
+    top = pairs._store(math.inf, n - ranks[1] + 1)
+    return _var_estimate(top, ranks, n, pairs.config.seed)
 
 
 def empirical_grid(

@@ -38,6 +38,7 @@ def _scope(module: str, function):
         ("copulas.py", "check_assumptions"),
         ("cli.py", "_resolve_family"),
         ("cli.py", "_cmd_panel"),
+        ("cli.py", "_write_panels"),
         ("cli.py", "_cmd_check"),
     ],
 )

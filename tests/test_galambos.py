@@ -57,6 +57,10 @@ def test_copula_matches_the_independent_oracle(galambos):
                 2.0 * h
             )
             assert math.isclose(want_v, fd, rel_tol=1e-5)
+    # the margins chat(1, v) = v and chat(u, 1) = u, where a_fn would meet a
+    # zero argument and its negative power
+    assert math.isclose(ev_chat(galambos, 1.0, 0.3), 0.3, rel_tol=1e-15)
+    assert math.isclose(ev_chat(galambos, 0.3, 1.0), 0.3, rel_tol=1e-15)
 
 
 def test_traits_follow_from_the_dependence_function(galambos):

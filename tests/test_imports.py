@@ -7,6 +7,7 @@ and so imports ``scipy.integrate`` into the test process; the scipy check runs
 in a fresh interpreter instead.
 """
 
+import functools
 import os
 import pathlib
 import subprocess
@@ -63,6 +64,27 @@ def test_import_var_and_check_never_load_scipy():
     assert _run_fresh(SCRIPT) == ["codes [0, 0, 0, 0]", "loaded []", "finite True True True"]
 
 
+NUMPY_FREE_SCRIPT = """
+import sys, types
+
+# the package's __init__ imports numpy; a stub package loads only copulas
+package = types.ModuleType("tailsum")
+package.__path__ = [{src!r}]
+sys.modules["tailsum"] = package
+
+from tailsum.copulas import check_assumptions, gumbel_pickands, make_survival_copula
+
+gumbel_pickands(10.0)
+check_assumptions(make_survival_copula("gumbel", phi=10.0))
+print("numpy loaded", "numpy" in sys.modules)
+"""
+
+
+def test_gumbel_dependence_and_its_check_load_no_numpy():
+    script = NUMPY_FREE_SCRIPT.format(src=str(SRC / "tailsum"))
+    assert _run_fresh(script) == ["numpy loaded False"]
+
+
 def test_package_exports_are_the_submodule_exports():
     submodules = (errors, marginals, copulas, asymptotics, montecarlo)
     assert len(set(tailsum.__all__)) == len(tailsum.__all__)
@@ -110,6 +132,51 @@ for family, phi in (("independence", None), ("gumbel", 10.0)):
     s = sample_pairs(ParetoMarginal(2.0, 1.0), family, 200000, 42, phi=phi, threads=1)
     print(family, hashlib.sha256(s.x.tobytes() + s.y.tobytes()).hexdigest())
 """
+
+
+GRID_SCRIPT = """
+from tailsum import ParetoMarginal, empirical_grid
+
+# the ParetoMarginal(2, 1) quantiles at survival levels 1e-2, 1e-3, 1e-4, in
+# Python floats, so both dispatches ask for the same thresholds
+thresholds = [sf ** -0.5 - 1.0 for sf in (1e-2, 1e-3, 1e-4)]
+for family, phi in (("independence", None), ("gumbel", 2.0), ("gumbel", 10.0)):
+    tails, quantiles = empirical_grid(
+        ParetoMarginal(2.0, 1.0), family, 1_000_000, 42, phi=phi,
+        thresholds=thresholds, levels=(0.99, 0.999),
+    )
+    for kind, estimates in (("tail", tails), ("var", quantiles)):
+        print(kind, family, phi, *map(repr, estimates))
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_estimates(dispatch: str) -> tuple:
+    return tuple(_run_fresh(GRID_SCRIPT, NPY_DISABLE_CPU_FEATURES=dispatch))
+
+
+def _grid_lines(kind: str) -> list:
+    """The ``kind`` lines of the grid estimates under each dispatch."""
+    return [
+        [line for line in _grid_estimates(d) if line.startswith(kind + " ")] for d in _DISPATCHES
+    ]
+
+
+@needs_avx512
+def test_grid_tail_estimates_do_not_depend_on_the_simd_dispatch():
+    default, reduced = _grid_lines("tail")
+    assert len(default) == 3 and default == reduced
+
+
+@needs_avx512
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 22: a VaR estimate is an order statistic, whose value carries "
+    "the last bits of the sampler's SIMD kernels",
+)
+def test_grid_var_estimates_do_not_depend_on_the_simd_dispatch():
+    default, reduced = _grid_lines("var")
+    assert len(default) == 3 and default == reduced
 
 
 @needs_avx512

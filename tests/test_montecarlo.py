@@ -23,6 +23,7 @@ from tailsum import (
     empirical_var,
     sample_pairs,
 )
+from tailsum import montecarlo
 from tailsum.montecarlo import _CHUNK, _pairs_from_rows, _resolve_threads, _var_ranks
 
 # crosses two 65536-draw chunk boundaries, with a ragged final chunk
@@ -450,6 +451,26 @@ def test_the_tail_store_transitions_on_caller_arrays():
             [("tail", -math.inf, None), ("var", 0.5, None), ("tail", 2.0, None)],
         ):
             _run_transitions(SamplePairs(x=xs, y=y, config=config), steps)
+
+
+def test_a_store_of_nan_sums_serves_the_queries_it_covers(monkeypatch):
+    # the 21 sums the first VaR query reads are NaN, and the store keeps all
+    # 100; it bounds the sums left out only by inf, so the later VaR
+    # queries and the tail query at inf read it without a rebuild
+    config = sample_pairs(ParetoMarginal(2.0, 1.0), "independence", 1, 1).config
+    x = np.arange(1000.0)
+    x[-100:] = np.nan
+    pairs = SamplePairs(x=x, y=np.zeros(1000), config=config)
+    builds = []
+    build = montecarlo._tail_sums
+    monkeypatch.setattr(
+        montecarlo, "_tail_sums", lambda *a, **k: builds.append(a) or build(*a, **k)
+    )
+    _run_transitions(pairs, [
+        ("var", 0.99, "grown"), ("var", 0.99, "kept"), ("var", 0.995, "kept"),
+        ("tail", math.inf, "kept"),
+    ])
+    assert len(builds) == 1 and _store(pairs)[0] == math.inf
 
 
 def test_the_first_tail_call_makes_no_array_of_all_sums(m2, monkeypatch):
