@@ -237,7 +237,11 @@ def _tail_sums(
         low = sums[:cut]
         return np.concatenate((sums[cut:], low[~(low <= t)]))  # ~(<=) keeps NaN
 
-    arrived = {}  # kept parts by chunk index, until every earlier one is held
+    # kept parts by chunk index, until every earlier one is held. The reorder
+    # is load-bearing: the cuts partition whatever they are given, so joining
+    # in arrival order would let the worker timing pick which of equal sums
+    # (+0.0 and -0.0 on caller-built samples) the store keeps
+    arrived = {}
     held, held_size, next_chunk = [], 0, 0
     cut_above = 2 * depth if depth else math.inf  # without a depth nothing is cut
     lock = threading.Lock()

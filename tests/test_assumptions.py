@@ -91,12 +91,14 @@ def test_counterexample_fails_corner_taylor_check(sc_log):
         ("gumbel", {"phi": 2.0}, None, dict.fromkeys(CHECK_NAMES, False)),
         ("comonotone", {}, None, {**dict.fromkeys(CHECK_NAMES, False), "A2": True}),
         ("log-interaction", {"sigma": 0.5}, 2.0, {"A2": False, "taylor_limit": None}),
+        ("gumbel", {"phi": 1.5}, None, {**dict.fromkeys(CHECK_NAMES, None), "evcond": False}),
     ],
 )
 def test_scales_above_one_give_verdicts_without_warnings(family, kwargs, trial, verdicts):
-    # at t > 1 the log arguments turn positive: Gumbel raises a negative base
-    # to a fractional power and log-interaction's log1p falls below its pole;
-    # both give nan statistics, never a warning or an exception
+    # at t > 1 the log arguments turn positive: Gumbel at phi 1.5 raises a
+    # negative base to a fractional power (phi 2's exponents are integers)
+    # and log-interaction's log1p falls below its pole; both give nan
+    # statistics, never a warning or an exception
     traits = None if trial is None else trial_tail_order_traits(trial)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -206,6 +206,18 @@ def test_sf_grid_without_a_finite_threshold_exits_2(alpha, sf_min, capsys):
     assert captured.out == ""
 
 
+def test_unwritable_outputs_exit_5(tmp_path, capsys):
+    # a CSV path in a missing directory, and an output directory that is a file
+    assert main(["tailprob", "--alpha", "0.8", "--family", "independence", "--seed", "1",
+                 "--n", "1000", "--out-csv", str(tmp_path / "missing" / "x.csv")]) == 5
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    regular = tmp_path / "file"
+    regular.write_text("")
+    assert main(["reproduce-figures", "--phi", "1", "--seed", "1", "--n", "1000",
+                 "--out-dir", str(regular)]) == 5
+    assert capsys.readouterr().err.startswith("i/o error: ")
+
+
 def test_argparse_usage_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -364,6 +376,16 @@ def test_check_trial_kappa_flag(capsys):
     assert rc == 4
     out = capsys.readouterr().out
     assert "1.5" in out
+
+
+def test_check_tolerance_flag_passes_a_trial_sweep(capsys):
+    # a tolerance no deviation reaches passes every trial order
+    rc = main(["check", "--family", "log-interaction", "--tolerance", "1e300",
+               "--trial-kappa", "1.5,2"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines.count("  grid: 0.5, 1, 2, 4; tolerance 1e+300") == 2
+    assert lines[-1] == "verdict: pass (trial tail order 1.5, 2)"
 
 
 # ---------------------------------------------------------------------------

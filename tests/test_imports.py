@@ -7,6 +7,7 @@ and so imports ``scipy.integrate`` into the test process; the scipy check runs
 in a fresh interpreter instead.
 """
 
+import ast
 import functools
 import os
 import pathlib
@@ -92,6 +93,29 @@ def test_package_exports_are_the_submodule_exports():
     for module in submodules:
         for name in module.__all__:
             assert getattr(tailsum, name) is getattr(module, name), name
+    # each public name is declared once, in its module's __all__: the package
+    # file imports submodules or star-imports them, and lists no name itself
+    tree = ast.parse((SRC / "tailsum" / "__init__.py").read_text())
+    starred = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = [alias.name for alias in node.names]
+            if node.module is None:
+                assert all((SRC / "tailsum" / f"{name}.py").is_file() for name in names), names
+            else:
+                assert names == ["*"], (node.module, names)
+                starred.append(node.module)
+    assert sorted(starred) == sorted(m.__name__.rsplit(".", 1)[1] for m in submodules)
+    (listed,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets)
+    ]
+    strings = [
+        node.value for node in ast.walk(listed)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    assert strings == ["__version__"]
 
 
 def _cpu_features() -> dict:

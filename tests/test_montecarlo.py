@@ -545,6 +545,36 @@ def test_the_store_scan_keeps_nan_and_infinite_sums_at_every_thread_count(monkey
             assert top.tobytes() == np.sort(s[~(s <= t)]).tobytes(), (threads, t)
 
 
+def _reversed_chunks(size, threads, work, rows=1, dtype=np.float64):
+    """``_over_chunks`` with the chunks run last to first on one thread."""
+    block = np.empty(rows * min(size, _CHUNK), dtype=dtype)
+    for lo in reversed(range(0, size, _CHUNK)):
+        work(lo, min(lo + _CHUNK, size), block)
+
+
+def test_the_store_does_not_depend_on_the_chunk_order(monkeypatch):
+    # sums that compare equal but differ in bytes: +0.0 and -0.0, and NaN of
+    # either sign among tied and infinite sums. The cuts partition what they
+    # are given, so only a join in chunk order keeps the same equal sums
+    # whichever chunk a worker finishes first
+    config = sample_pairs(ParetoMarginal(2.0, 1.0), "independence", 1, 1).config
+    rng = np.random.default_rng(5)
+    n = 4 * _CHUNK
+    zeros = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    tied = rng.integers(0, 4, n).astype(float)
+    tied[rng.integers(0, n, 300)] = np.inf
+    tied[rng.integers(0, n, 300)] = np.nan
+    tied[rng.integers(0, n, 300)] = -np.nan
+    minus_zero = np.full(n, -0.0)
+    monkeypatch.setenv("TAILSUM_THREADS", "1")
+    for x, t in ((zeros, 0.0), (tied, 2.0), (tied, 3.0)):
+        want = SamplePairs(x=x, y=minus_zero, config=config)._store(t, 1000).tobytes()
+        with monkeypatch.context() as reordered:
+            reordered.setattr(montecarlo, "_over_chunks", _reversed_chunks)
+            got = SamplePairs(x=x, y=minus_zero, config=config)._store(t, 1000)
+        assert got.tobytes() == want, t
+
+
 def test_no_worker_thread_outlives_an_estimator_call(m08, monkeypatch):
     monkeypatch.setenv("TAILSUM_THREADS", "3")
     s = sample_pairs(m08, "gumbel", N_CHUNKY, 17, phi=10.0)
