@@ -264,9 +264,10 @@ class CaseLabel:
         whether the eta branch's corner integral converges, so whether a
         vanishing middle case offers the ``power_term_with_eta`` candidate.
     a20 : float
-        The corner slope ``a2(1, 0)`` used by the predicates (limit
-        estimate of :func:`~tailsum.copulas.estimate_corner_slope`, exactly
-        0 when the probes fall below 1e-8 or decay like a power).
+        The corner slope ``a2(1, 0)`` used by the predicates: the
+        contract value ``a2_fn(1, -0.0)``, read by
+        :func:`~tailsum.copulas.estimate_corner_slope` (``+0.0`` when it
+        vanishes).
     boundary_indicator : bool
         Whether ``a(1,1) == a2(1,0) + 1`` within 1e-9; only meaningful for
         extreme-value families.
@@ -278,9 +279,9 @@ class CaseLabel:
         complement case's boundary closure; the diagnostics say which).
         None for tail-probability use.
     warnings : tuple of str
-        Notes attached when a predicate sits within 1e-8 of its boundary or
-        the corner-slope probe did not stabilise; a model exactly on the C3
-        boundary (``boundary_indicator``, e.g. independence) gets no C3 note.
+        Notes attached when a predicate sits within 1e-8 of its boundary; a
+        model exactly on the C3 boundary (``boundary_indicator``, e.g.
+        independence) gets no C3 note.
     """
 
     label: str
@@ -295,22 +296,23 @@ class CaseLabel:
 def classify_case(alpha: float, p: PickandsEV) -> CaseLabel:
     """Classify the model into one of the two cases of :class:`CaseLabel`.
 
-    The corner slope ``a2(1, 0)`` is estimated as the limit of ``a2(1, v)``
-    over ``v`` in ``1e-4 .. 1e-10`` by
-    :func:`~tailsum.copulas.estimate_corner_slope`. A dependence function is
-    convex with ``a(1, 0) = 1``, so ``a(1,1) - 1 = int_0^1 a2(1,y) dy >=
-    a2(1,0)`` and C3 never holds. Predicates within 1e-8 of their boundary
-    (C3: but not exactly on it) attach a warning but still classify.
+    The corner slope ``a2(1, 0)`` is the contract value ``a2_fn(1, -0.0)``,
+    read by :func:`~tailsum.copulas.estimate_corner_slope`. A dependence
+    function is convex with ``a(1, 0) = 1``, so ``a(1,1) - 1 = int_0^1
+    a2(1,y) dy >= a2(1,0)`` and C3 never holds. Predicates within 1e-8 of
+    their boundary (C3: but not exactly on it) attach a warning but still
+    classify.
 
     Raises
     ------
     DomainError
-        If ``alpha`` is not positive, or ``a(1,1) < a2(1,0) + 1 - 1e-8``
-        (the dependence function is not convex).
+        If ``alpha`` is not positive, if the corner slope lies outside
+        ``[0, 1]``, or if ``a(1,1) < a2(1,0) + 1 - 1e-8`` (the dependence
+        function is not convex).
     """
     if not (alpha > 0):
         raise DomainError(f"classify_case requires alpha > 0, got {alpha}")
-    a20, probe_warning = estimate_corner_slope(p)
+    a20 = estimate_corner_slope(p)
     a11 = float(p.a1_fn(1.0, 1.0))
     c3_margin = float(p.a_fn(1.0, 1.0)) - (a20 + 1.0)
     if c3_margin < -1e-8:
@@ -322,8 +324,6 @@ def classify_case(alpha: float, p: PickandsEV) -> CaseLabel:
     c2 = alpha * a11 < 1.0
 
     warnings = []
-    if probe_warning:
-        warnings.append(probe_warning)
     if abs(alpha * a20 - 1.0) < 1e-8:
         warnings.append("within 1e-8 of the C1 boundary alpha*a2(1,0) = 1")
     if abs(alpha * a11 - 1.0) < 1e-8:

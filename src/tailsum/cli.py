@@ -333,8 +333,6 @@ def _print_report(report, heading: str) -> None:
     print(heading)
     print(f"  scales (log10 t): {', '.join(f'{x:g}' for x in report.log10_t_sequence)}")
     print(f"  grid: {', '.join(f'{x:g}' for x in report.grid)}; tolerance {report.tolerance:g}")
-    for warning in report.warnings:
-        print(f"  note: {warning}")
     for name, result in report.checks.items():
         fitted = f", fitted c={result.fitted_c:.6g}" if result.fitted_c is not None else ""
         note = f" ({result.note})" if result.note else ""

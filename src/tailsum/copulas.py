@@ -120,8 +120,11 @@ class PickandsEV:
 
         All three take two floats and return a float; the library never
         passes them arrays, so a user family needs only float arithmetic.
-        :func:`ev_chat_v` at ``v == 1`` calls ``a2_fn(x, -0.0)``, which must
-        return the corner-slope limit of ``a2_fn(x, y)`` as ``y -> 0``.
+        ``a2_fn(x, -0.0)`` must return the corner-slope limit of
+        ``a2_fn(x, y)`` as ``y -> 0``: :func:`ev_chat_v` calls it at
+        ``v == 1``, and :func:`estimate_corner_slope` reads ``a2(1, 0)`` from
+        it for :func:`~tailsum.asymptotics.classify_case`, the corner traits
+        and the hypothesis checker.
     family : str
         Family tag (``"independence"``, ``"gumbel"``, ``"comonotone"``).
     param : float or None
@@ -460,31 +463,26 @@ class PartialLimitTraits:
     beta: float
 
 
-def estimate_corner_slope(p: PickandsEV) -> tuple[float, Optional[str]]:
-    """Estimate ``a2_fn(1, v)`` in the limit of vanishing ``v``.
+def estimate_corner_slope(p: PickandsEV) -> float:
+    """The corner slope ``a2(1, 0)`` of a dependence function, read exactly.
 
-    Probes ``v`` over the decades ``1e-4 .. 1e-10``. The limit is declared
-    an exact zero when the final value is below 1e-8, or when the probes
-    decay like a power of ``v``: each of the last three decade ratios is
-    below 0.999 and none rises by more than 1e-3 (a positive limit has
-    ratios rising toward 1). Otherwise the final value is returned, together
-    with a warning string when the probe sequence has not stabilised.
+    Returns ``a2_fn(1, -0.0)``, which the :class:`PickandsEV` contract makes
+    the limit of ``a2_fn(1, y)`` as ``y -> 0``, as a float with a negative
+    zero folded to ``+0.0``.
+
+    Raises
+    ------
+    DomainError
+        If the slope is NaN or lies outside ``[0, 1]``: the dependence
+        function breaks its contract.
     """
-    probes = [float(p.a2_fn(1.0, 10.0**-k)) for k in range(4, 11)]
-    last, prev = probes[-1], probes[-2]
-    if abs(last) < 1e-8:
-        return 0.0, None
-    tail = probes[-4:]
-    if min(tail) > 0.0:
-        ratios = [b / a for a, b in zip(tail, tail[1:])]
-        if max(ratios) < 0.999 and all(s - r <= 1e-3 for r, s in zip(ratios, ratios[1:])):
-            return 0.0, None
-    warning = None
-    if abs(last - prev) > 1e-6 * max(1.0, abs(last)):
-        warning = (
-            f"corner slope probe has not stabilised: last two values {prev!r}, {last!r}"
+    a20 = float(p.a2_fn(1.0, -0.0))
+    if not 0.0 <= a20 <= 1.0:
+        raise DomainError(
+            f"corner slope a2_fn(1, -0.0) must lie in [0, 1], got {a20!r} "
+            f"for family {p.family!r}"
         )
-    return last, warning
+    return a20 + 0.0
 
 
 def tail_order_traits(p: PickandsEV) -> TailOrderTraits:
@@ -524,14 +522,14 @@ def partial_limit_traits(p: PickandsEV) -> PartialLimitTraits:
     Returns
     -------
     PartialLimitTraits
-        With the corner slope ``a20 = a2_fn(1, 0)`` from
+        With the corner slope ``a20 = a2_fn(1, -0.0)`` read by
         :func:`estimate_corner_slope`: when ``a20 > 0``, profile
         ``a20 * u * v**(a20 - 1)`` and index ``beta = 1 - a20`` (independence
         has ``a20 = 1`` and profile ``u``). When the corner slope vanishes
         (Gumbel with exponent above 1, and the comonotone limit) the profile
         is identically zero and ``beta`` is 0.
     """
-    return _partial_traits(estimate_corner_slope(p)[0])
+    return _partial_traits(estimate_corner_slope(p))
 
 
 def _partial_traits(a20: float) -> PartialLimitTraits:
@@ -647,8 +645,6 @@ class AssumptionReport:
         Scales probed, as ``log10 t``, shallow to deep.
     tolerance : float
         Final-scale deviation threshold used for the verdicts.
-    warnings : tuple of str
-        Notes on the evidence, such as an unstable corner-slope probe.
     """
 
     checks: Mapping[str, CheckResult]
@@ -656,7 +652,6 @@ class AssumptionReport:
     grid: tuple
     log10_t_sequence: tuple
     tolerance: float
-    warnings: tuple = ()
 
     @property
     def all_pass(self) -> bool:
@@ -720,16 +715,17 @@ def check_assumptions(
     """Measure how fast a copula converges to its asserted tail scaling.
 
     Five checks run where applicable, each over a shrinking sequence of
-    scales ``t`` and a relative grid, with the corner slope ``a20`` of one
-    :func:`estimate_corner_slope` probe (0 without a dependence function):
+    scales ``t`` and a relative grid, with the corner slope ``a20`` read
+    once by :func:`estimate_corner_slope` (0 without a dependence function):
 
     * ``A2``: ``chat(u*t, v*t) / t**kappa`` against ``tau(u, v)``.
     * ``A3``: the relative increment of ``chat_v`` when the first argument
       grows by the factor ``1 + u``, against ``(1 + u) - 1``; the stability
       constant is fitted by least squares on log-ratios.
     * ``A4`` and ``taylor_limit``: one scan of ``chat_v(u*t, v) / t``
-      against ``u * a20 * v**(a20 - 1)`` (0 when ``a20`` is 0); ``A4``
-      needs a dependence function.
+      against the corner profile ``u * a20 * v**(a20 - 1)`` of
+      :func:`partial_limit_traits` (0 when ``a20`` is 0); ``A4`` needs a
+      dependence function.
     * ``evcond``: the dependence-derivative ratio
       ``a2(1, x / (1 + log(1+u)/log t)) / a2(1, x)`` against a fitted power
       ``(1 + u)**c``.
@@ -775,9 +771,9 @@ def check_assumptions(
         function.
     """
     p = copula.pickands
-    # one corner-slope probe sets the default depth and the corner target;
+    # one corner-slope read sets the default depth and the corner target;
     # a copula without a dependence function has slope 0
-    a20, probe_warning = (0.0, None) if p is None else estimate_corner_slope(p)
+    a20 = 0.0 if p is None else estimate_corner_slope(p)
     if log10_t_sequence is None:
         deep = p is not None and a20 == 0.0 and float(p.a_fn(1.0, 1.0)) > 1.0
         log10_t_sequence = _DEEP_LOG10_T if deep else _DEFAULT_LOG10_T
@@ -837,11 +833,13 @@ def check_assumptions(
 
     finish("A2", scan(gvals, gvals, diagonal))
 
-    # the rows of A4 and taylor_limit; a vanishing corner slope has target 0
-    # (its power v ** -1 would overflow at a subnormal grid value)
+    # the rows of A4 and taylor_limit, against the corner profile; a vanishing
+    # corner slope has the zero profile (its power v ** -1 would overflow at a
+    # subnormal grid value)
+    profile = _partial_traits(a20).varphi
+
     def corner_limit(lt, u, v):
-        target = a20 * u * v ** (a20 - 1.0) if a20 else 0.0
-        return _safe_exp(lchat_v(math.log(u) + lt, math.log(v)) - lt), target
+        return _safe_exp(lchat_v(math.log(u) + lt, math.log(v)) - lt), profile(u, v)
 
     corner_rows = scan(gvals, vprob, corner_limit)
 
@@ -909,5 +907,4 @@ def check_assumptions(
         grid=gvals,
         log10_t_sequence=l10,
         tolerance=float(tolerance),
-        warnings=(probe_warning,) if probe_warning else (),
     )

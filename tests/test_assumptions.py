@@ -142,7 +142,7 @@ def test_config_errors(sc_ind):
     "family,phi", [("independence", None), ("gumbel", 1.5), ("gumbel", 10.0), ("comonotone", None)]
 )
 def test_corner_slope_is_probed_once_per_check(family, phi, monkeypatch):
-    # the default depth and the corner target share one probe
+    # the default depth and the corner target share one corner-slope read
     sc = make_survival_copula(family, phi=phi)
     unpatched = check_assumptions(sc)
     probe, calls = copulas.estimate_corner_slope, []
@@ -206,14 +206,20 @@ def test_corner_is_scanned_once(family, phi, expected):
     assert report.checks["A4"].rows == report.checks["taylor_limit"].rows
 
 
-def test_unstable_corner_probe_is_reported():
-    # Gumbel with phi just above 1: a2(1, v) decays like v**(phi - 1), too
-    # slowly for the probe window, which returns about 0.998 with a warning
-    report = check_assumptions(make_survival_copula("gumbel", phi=1.0001))
-    assert len(report.warnings) == 1
-    assert "not stabilised" in report.warnings[0]
-    assert report.log10_t_sequence == _SHALLOW
-    assert check_assumptions(make_survival_copula("gumbel", phi=10.0)).warnings == ()
+@pytest.mark.parametrize("phi", [1.0000001, 1.0001])
+def test_near_independent_gumbel_is_checked_at_the_deep_scales(phi):
+    # the corner slope a2(1, 0) is 0 for every phi > 1, so the default depth
+    # is the deep one; a2(1, y) ~ y**(phi - 1) is still near 1 there, so the
+    # corner checks are about max(grid) = 4 off their zero target
+    report = check_assumptions(make_survival_copula("gumbel", phi=phi))
+    assert report.log10_t_sequence == _DEEP
+    for name in ("A4", "taylor_limit"):
+        assert report.checks[name].passed is False
+        assert report.checks[name].last_deviation == pytest.approx(4.0, rel=1e-3)
+    assert report.checks["A3"].passed is True
+    assert report.checks["evcond"].passed is True
+    assert report.any_fail
+    assert "warnings" not in {f.name for f in dataclasses.fields(report)}
 
 
 def test_traits_are_derived_from_shipped_families(sc_ind, sc_log):

@@ -322,9 +322,19 @@ def test_c3_note_only_near_but_off_the_boundary():
             c = classify_case(alpha, p)
             assert c.boundary_indicator is True
             assert not any("C3" in w for w in c.warnings), (p, alpha)
-    c = classify_case(0.8, gumbel_pickands(1.0 + 1e-12))
-    assert c.boundary_indicator is True
-    assert any("C3 boundary" in w for w in c.warnings)
+    # independence mixed with a little Gumbel 2, a convex dependence
+    # function whose C3 margin a(1,1) - a2(1,0) - 1 is (sqrt(2) - 1) * eps
+    eps, g2 = 1e-9, gumbel_pickands(2.0)
+    near = PickandsEV(
+        a_fn=lambda x, y: (1.0 - eps) * (x + y) + eps * g2.a_fn(x, y),
+        a1_fn=lambda x, y: (1.0 - eps) + eps * g2.a1_fn(x, y),
+        a2_fn=lambda x, y: (1.0 - eps) + eps * g2.a2_fn(x, y),
+        family="independence-gumbel-mixture",
+    )
+    for alpha in (0.8, 2.0):
+        c = classify_case(alpha, near)
+        assert c.boundary_indicator is True
+        assert any("C3 boundary" in w for w in c.warnings)
 
 
 @given(
@@ -380,6 +390,31 @@ def test_independence_tailprob_matches_exact_truth(m08, m2, p_ind):
             devs.append(abs(e.value - p_exact) / p_exact)
         assert devs[0] > devs[1] > devs[2]
         assert devs[-1] < 1e-3
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 17: the corner slope of Gumbel 1.0001 is 0, so the "
+    "stated second-order term vanishes and the smaller risk's mean shift is "
+    "missing; at alpha 2, sf 1e-6 the stated value is -2.0e-3 off the exact tail",
+)
+def test_stated_value_just_above_phi_1_matches_exact_truth(m2):
+    t = m2.quantile(1.0 - 1e-6)
+    e = tailprob_expansion_ev(m2, gumbel_pickands(1.0001), t)
+    p_exact = oracles.exact_sum_tail(2.0, 1.0, "gumbel", 1.0001, t)
+    assert abs(e.value - p_exact) / p_exact < 1e-4
+
+
+@pytest.mark.parametrize("phi", [1.0000001, 1.0001])
+def test_eta_candidate_just_above_phi_1_matches_exact_truth(m08, phi):
+    # the heavy tail keeps the eta-corrected power term (measured -6.9e-11
+    # and +1.5e-10 off), where the stated value, without a second-order
+    # term, is -2.9e-6 off
+    t = m08.quantile(1.0 - 1e-6)
+    e = tailprob_expansion_ev(m08, gumbel_pickands(phi), t)
+    p_exact = oracles.exact_sum_tail(0.8, 1.0, "gumbel", phi, t)
+    assert e.case.a20 == 0.0
+    assert abs(e.candidates["power_term_with_eta"] - p_exact) / p_exact < 1e-8
 
 
 def test_ev_tailprob_reduces_to_independence(m08, m2, p1, p_ind):
@@ -591,8 +626,9 @@ def test_non_convex_dependence_function_is_rejected():
     alpha=st.floats(0.3, 3.0),
 )
 def test_valid_dependence_functions_pass_the_convexity_check(p, alpha):
-    # the estimated corner slope can only overstate a2(1,0), by far less
-    # than the 1e-8 the rejection allows
+    # the corner slope is the contract value a2_fn(1, -0.0), and a convex
+    # function keeps a(1,1) - a2(1,0) - 1 well inside the 1e-8 the
+    # rejection allows
     c = classify_case(alpha, p)
     assert float(p.a_fn(1.0, 1.0)) - c.a20 - 1.0 >= -1e-10
 

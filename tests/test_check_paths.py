@@ -1,13 +1,13 @@
 """Guard: the hypothesis checker decides how a copula is checked in one place.
 
 ``check_assumptions`` picks its default scales from its one corner-slope
-probe and derives every corner target from that slope. ``tailsum check``
+read and derives every corner target from that slope. ``tailsum check``
 only passes the user's settings through: a depth rule in the CLI (a scale
 sequence of its own, or a test of ``PickandsEV.log_refined`` standing in for
 a vanishing corner slope) would let the library and the command disagree on
 the same copula, and a ``partial_traits`` argument would be a second corner
-path next to the probed one. The scan reads the source, so it also catches
-code no test reaches.
+path next to the one read from the dependence function. The scan reads the
+source, so it also catches code no test reaches.
 """
 
 import ast

@@ -358,16 +358,17 @@ def test_config_parameter_the_family_does_not_take_exits_2(tmp_path, capsys):
     assert "copula.phi" in capsys.readouterr().err
 
 
-def test_check_notes_an_unstable_corner_probe(capsys):
-    # phi just above 1: the corner-slope probe has not stabilised, and the
-    # report says so under the grid line
+def test_check_reads_a_zero_corner_slope_just_above_phi_1(capsys):
+    # a2(1, 0) = 0 for every phi > 1: the deep scales, no note line, and the
+    # corner checks fail at the 1e-3 tolerance
     rc = main(["check", "--family", "gumbel", "--phi", "1.0001"])
-    assert rc == 0
+    assert rc == 4
     lines = capsys.readouterr().out.splitlines()
-    notes = [line for line in lines if line.startswith("  note: ")]
-    assert len(notes) == 1
-    assert "corner slope probe has not stabilised" in notes[0]
-    assert lines.index(notes[0]) == 3
+    assert lines[1] == "  scales (log10 t): -8200, -8400, -8600, -8800, -9000"
+    assert not any(line.startswith("  note: ") for line in lines)
+    assert lines[4].startswith("  A3: pass")
+    assert lines[5].startswith("  A4: fail [final deviation 3.999e+00]")
+    assert lines[-1] == "verdict: fail (at least one scaling hypothesis rejected)"
 
 
 def test_check_trial_kappa_flag(capsys):

@@ -1,5 +1,6 @@
 """Unit tests for extreme-value dependence functions and survival copulas."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,11 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from test_galambos import galambos_pickands
 from tailsum import (
     DomainError,
     PartialLimitTraits,
+    PickandsEV,
     TailOrderTraits,
     UnsupportedFamilyError,
+    classify_case,
     comonotone_pickands,
     estimate_corner_slope,
     ev_chat,
@@ -324,12 +328,34 @@ def test_log_refined_traits_equal_their_array_spelling():
         assert tr.h(0.0) == 0.0
 
 
-def test_estimate_corner_slope():
-    assert estimate_corner_slope(independence_pickands()) == (1.0, None)
-    assert estimate_corner_slope(gumbel_pickands(1.0)) == (1.0, None)
-    # a2(1, v) ~ v**(phi - 1): below 1e-8 at the last probe for phi >= 2,
-    # a power decay seen in the decade ratios below that
-    for phi in (1.001, 1.05, 1.2, 1.5, 2.0, 10.0):
-        assert estimate_corner_slope(gumbel_pickands(phi)) == (0.0, None), phi
-    slope, warning = estimate_corner_slope(comonotone_pickands())
-    assert slope == 0.0
+@pytest.mark.parametrize(
+    "pickands, slope",
+    [
+        (independence_pickands(), 1.0),
+        (gumbel_pickands(1.0), 1.0),
+        # a2(1, y) ~ y**(phi - 1) vanishes in the limit however close phi is
+        # to 1: the slope is the contract value, not a probe at a small y
+        *(
+            (gumbel_pickands(phi), 0.0)
+            for phi in (1.0000001, 1.0001, 1.0004, 1.001, 1.05, 1.2, 1.5, 2.0, 10.0)
+        ),
+        (comonotone_pickands(), 0.0),
+        *((galambos_pickands(theta), 0.0) for theta in (0.2, 0.5, 1.0)),
+    ],
+    ids=lambda x: f"{x.family}-{x.param}" if isinstance(x, PickandsEV) else None,
+)
+def test_corner_slope_is_the_contract_value(pickands, slope):
+    a20 = estimate_corner_slope(pickands)
+    assert type(a20) is float
+    assert a20 == slope
+    # Gumbel phi >= 2 gives a2_fn(1, -0.0) == -0.0; the slope is folded to +0.0
+    assert math.copysign(1.0, a20) == 1.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1.5, -0.25])
+def test_corner_slope_outside_the_unit_interval_breaks_the_contract(bad):
+    p = dataclasses.replace(independence_pickands(), a2_fn=lambda x, y: bad)
+    with pytest.raises(DomainError, match="corner slope"):
+        estimate_corner_slope(p)
+    with pytest.raises(DomainError, match="corner slope"):
+        classify_case(0.8, p)
