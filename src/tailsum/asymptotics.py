@@ -28,8 +28,7 @@ expansions cache, per ``(marginal, dependence function)`` model, only what
 does not depend on the threshold or the level: the case label, the case
 coefficient (its corner integrals), the stated term specs, when the stated
 second order vanishes the candidates' specs, and what a quantile query
-reuses (the label with its ``rho_regime``, the quantile diagnostics and the
-marginal's second-order constants). The cache is a bounded
+reuses (its ``rho_regime`` and diagnostics). The cache is a bounded
 ``functools.lru_cache``, which is thread-safe, and holds frozen values, so
 concurrent use is safe; the quadrature rule is read-only arrays built
 once, and its scratch state is local to each call.
@@ -41,7 +40,6 @@ is a fixed Gauss-Legendre rule, and the one root finding, in
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import types
@@ -63,7 +61,7 @@ from .errors import (
     DivergentIntegralError,
     DomainError,
 )
-from .marginals import ParetoMarginal, SecondOrderTail
+from .marginals import ParetoMarginal
 
 __all__ = [
     "CaseLabel",
@@ -271,13 +269,6 @@ class CaseLabel:
     boundary_indicator : bool
         Whether ``a(1,1) == a2(1,0) + 1`` within 1e-9; only meaningful for
         extreme-value families.
-    rho_regime : str or None
-        Filled by the quantile expansions: ``"below"`` when the case
-        formula gave the value (the Pareto ``rho`` lies below the case's
-        threshold exponent), ``"above"`` when the second-order
-        regular-variation strip did (a vanishing case coefficient, or the
-        complement case's boundary closure; the diagnostics say which).
-        None for tail-probability use.
     warnings : tuple of str
         Notes attached when a predicate sits within 1e-8 of its boundary; a
         model exactly on the C3 boundary (``boundary_indicator``, e.g.
@@ -289,7 +280,6 @@ class CaseLabel:
     c2: bool
     a20: float
     boundary_indicator: bool
-    rho_regime: Optional[str] = None
     warnings: tuple = ()
 
 
@@ -337,7 +327,6 @@ def classify_case(alpha: float, p: PickandsEV) -> CaseLabel:
         c2=c2,
         a20=a20,
         boundary_indicator=abs(c3_margin) <= 1e-9,
-        rho_regime=None,
         warnings=tuple(warnings),
     )
 
@@ -421,7 +410,13 @@ class VarExpansion:
     first_order : float
         The leading order ``2**(1/alpha) * quantile(q)``.
     case : CaseLabel or None
-        Regime label (extreme-value runs), with ``rho_regime`` filled.
+        Regime label (extreme-value runs).
+    rho_regime : str or None
+        ``"below"`` when the case formula gave the value (the middle case
+        states a second-order term, and the Pareto ``rho = -1`` lies below
+        its threshold exponent), ``"above"`` when the second-order
+        regular-variation strip did (a vanishing stated term, or the
+        complement case's boundary closure; the diagnostics say which).
     diagnostics : tuple of str
         Notes (degenerate coefficients, boundary closures).
     """
@@ -430,6 +425,7 @@ class VarExpansion:
     value: float
     first_order: float
     case: Optional[CaseLabel] = None
+    rho_regime: Optional[str] = None
     diagnostics: tuple = ()
 
 
@@ -523,48 +519,41 @@ class _ModelPlan:
     ``terms`` holds the stated term specs: the case's power terms in the
     middle case, the truncated-mean term in the complement case.
     ``coefficient`` is the middle case's coefficient of the quantile
-    expansion, on the power ``case.a20`` of ``1 - q`` (zero when
-    degenerate), and None in the complement case. ``candidates`` maps each
-    candidate's name to its specs, only in the middle case whose stated
-    second order vanishes (see :func:`tailprob_expansion_ev`).
+    expansion, on the power ``case.a20`` of ``1 - q`` (the sum of the
+    stated power terms' coefficients, zero when none is stated), and None
+    in the complement case. ``candidates`` maps each candidate's name to
+    its specs, only in the middle case whose stated second order vanishes
+    (see :func:`tailprob_expansion_ev`).
 
-    The rest serves :func:`var_expansion_ev`, whose regime depends only on
-    ``coefficient``: ``var_case`` is ``case`` with ``rho_regime`` set,
-    ``var_diagnostics`` holds the quantile's notes and ``second_order`` the
-    marginal's second-order constants.
+    The rest serves :func:`var_expansion_ev`: ``rho_regime`` is
+    ``"below"`` exactly when the middle case states a term, and
+    ``var_diagnostics`` holds the quantile's notes.
     """
 
     case: CaseLabel
     coefficient: Optional[float]
     terms: tuple
     candidates: Optional[Mapping[str, tuple]]
-    var_case: CaseLabel
+    rho_regime: str
     var_diagnostics: tuple
-    second_order: SecondOrderTail
 
 
 def _plan(
-    m: ParetoMarginal, case: CaseLabel, c: Optional[float], terms: tuple,
+    case: CaseLabel, c: Optional[float], terms: tuple,
     candidates: Optional[Mapping[str, tuple]] = None,
 ) -> _ModelPlan:
     """The :class:`_ModelPlan` of the classified model with case coefficient
     ``c``, its quantile fields filled."""
-    diagnostics = case.warnings
-    if c is not None and c != 0.0:
-        regime = "below"
-    else:
-        regime = "above"
-        why = (
-            "rho equals the complement-case threshold -1; closed into the "
-            "regular-variation strip"
-            if c is None
-            else "stated second-order coefficient vanishes; regular-variation value returned"
-        )
-        diagnostics += ("second-order regular-variation strip", why)
-    return _ModelPlan(
-        case, c, terms, candidates, dataclasses.replace(case, rho_regime=regime),
-        diagnostics, m.second_order_params(),
+    if c is not None and terms:
+        return _ModelPlan(case, c, terms, candidates, "below", case.warnings)
+    why = (
+        "rho equals the complement-case threshold -1; closed into the "
+        "regular-variation strip"
+        if c is None
+        else "stated second-order coefficient vanishes; regular-variation value returned"
     )
+    diagnostics = case.warnings + ("second-order regular-variation strip", why)
+    return _ModelPlan(case, c, terms, candidates, "above", diagnostics)
 
 
 @functools.lru_cache(maxsize=64)
@@ -581,28 +570,24 @@ def _model_plan(m: ParetoMarginal, p: PickandsEV) -> _ModelPlan:
         )
     a20 = case.a20
     if case.label == LABEL_COMPLEMENT:  # alpha * a20 >= 1
-        return _plan(m, case, None, (("truncated_mean", 2.0 * alpha, 1.0, a20),))
+        return _plan(case, None, (("truncated_mean", 2.0 * alpha, 1.0, a20),))
 
-    c = zeta2 = 2.0 * integral_I(alpha, alpha * a20)
-    terms = []
-    if zeta2 != 0.0:
-        terms.append(("power", zeta2, a20 + 1.0, None))
+    power_term = _branch_specs(traits, None, alpha, "power")
+    zeta2 = 2.0 * integral_I(alpha, alpha * a20)
+    terms = (("power", zeta2, a20 + 1.0, None),) if zeta2 != 0.0 else ()
     if case.boundary_indicator:
-        am = alpha * traits.power_m
-        coeff = 2.0 ** (2.0 * am) - 2.0 ** (am + 1.0)
-        terms.append(("power", coeff, traits.kappa, None))
-        c += coeff
+        terms += power_term
+    c = sum((coefficient for _, coefficient, _, _ in terms), 0.0)
     if terms:
-        return _plan(m, case, c, tuple(terms))
+        return _plan(case, c, terms)
 
     # the stated second order vanishes: the candidates are the trait branches
-    candidates = {"leading": (), "power_term": _branch_specs(traits, None, alpha, "power")}
-    eta = eta_limit(traits, alpha)
-    if math.isfinite(eta):
-        candidates["power_term_with_eta"] = _branch_specs(traits, None, alpha, "eta", eta)
+    candidates = {"leading": (), "power_term": power_term}
+    if case.c2:  # the eta branch's corner integral converges
+        candidates["power_term_with_eta"] = _branch_specs(traits, None, alpha, "eta")
     if p.log_refined is not None:
         candidates["log_refined"] = _branch_specs(traits, p.log_refined, alpha, "partial")
-    return _plan(m, case, c, (), types.MappingProxyType(candidates))
+    return _plan(case, c, (), types.MappingProxyType(candidates))
 
 
 def tailprob_expansion_ev(m: ParetoMarginal, p: PickandsEV, t: float) -> Expansion:
@@ -612,9 +597,9 @@ def tailprob_expansion_ev(m: ParetoMarginal, p: PickandsEV, t: float) -> Expansi
     Dispatches on the two cases of :func:`classify_case`:
 
     * ``alpha*a20 < 1``: coefficient ``2*integral_I(alpha, alpha*a20)`` on
-      the power ``a20 + 1`` of the survival, plus the boundary-indicator
-      term ``(2**(2*a*m) - 2**(a*m+1)) * sf**a(1,1)`` (with
-      ``m = a1(1,1)``) when ``a(1,1) == a20 + 1``;
+      the power ``a20 + 1`` of the survival, plus, when
+      ``a(1,1) == a20 + 1``, the boundary-indicator term: the
+      ``power_term`` candidate's ``power_term_coefficient * sf**a(1,1)``;
     * ``alpha*a20 >= 1``: the truncated-mean form with the tail-power
       distribution of exponent ``a20``.
 
@@ -734,17 +719,6 @@ def tailprob_expansion_general(
 # ---------------------------------------------------------------------------
 
 
-def _two_rv_var(so: SecondOrderTail, x_q: float) -> float:
-    """Quantile of the sum in the regime driven by second-order regular
-    variation of the marginal: ``2**(1/a) * Q(q) * (1 + (B/a) *
-    (2**(-rho/a) - 1) * Q(q)**rho)``, from the marginal's second-order
-    constants ``so`` and its quantile ``x_q = Q(q)``."""
-    alpha, rho, b = so.alpha, so.rho, so.b_coeff
-    return 2.0 ** (1.0 / alpha) * x_q * (
-        1.0 + b / alpha * (2.0 ** (-rho / alpha) - 1.0) * x_q**rho
-    )
-
-
 def _check_q(q: float, op: str) -> None:
     if not (0.5 < q < 1.0):
         raise DomainError(f"{op} requires 0.5 < q < 1, got {q}")
@@ -759,11 +733,15 @@ def var_expansion_ev(m: ParetoMarginal, p: PickandsEV, q: float) -> VarExpansion
     ``2**(1/alpha) * Q(q) * (1 + c * 2**-(a20+1) / alpha * (1-q)**a20)``.
     The Pareto second-order index ``rho = -1`` lies below the case
     threshold ``-alpha*a20`` there (``rho_regime`` is ``"below"``). When
-    ``c`` vanishes, and in the complement case, whose threshold ``-1`` is
-    exactly the Pareto ``rho``, the value is the second-order
-    regular-variation strip (``rho_regime`` is ``"above"``), with a
-    diagnostic saying which. A numpy scalar ``q`` is taken as its
-    ``float``, so every value of the result is a Python ``float``.
+    the middle case states no term (then ``c`` is 0), and in the complement
+    case, whose threshold ``-1`` is exactly the Pareto ``rho``, the value
+    is the second-order regular-variation strip of the Lomax marginal,
+    ``2**(1/alpha) * Q(q) * (1 + (b/alpha) * (2**(1/alpha) - 1) / Q(q))``
+    with ``rho = -1`` and ``b = -alpha*scale`` (from ``survival(x) =
+    scale**alpha * x**-alpha * (1 + b/x + o(1/x))``; ``rho_regime`` is
+    ``"above"``), with a diagnostic saying which. A numpy scalar ``q`` is
+    taken as its ``float``, so every value of the result is a Python
+    ``float``.
 
     Raises
     ------
@@ -794,11 +772,12 @@ def var_expansion_ev(m: ParetoMarginal, p: PickandsEV, q: float) -> VarExpansion
     first = 2.0 ** (1.0 / alpha) * x_q if x_q < math.inf else math.inf
     if first == math.inf:
         raise DomainError(f"var_expansion_ev: 2**(1/alpha) * Q(q) overflows at alpha={alpha}")
-    if plan.var_case.rho_regime == "below":
+    if plan.rho_regime == "below":
         c, a20 = plan.coefficient, plan.case.a20
         value = first * (1.0 + c * 2.0 ** -(a20 + 1.0) / alpha * (1.0 - q) ** a20)
-    else:
-        value = _two_rv_var(plan.second_order, x_q)
+    else:  # the strip, rho = -1
+        b = -alpha * m.scale
+        value = first * (1.0 + b / alpha * (2.0 ** (1.0 / alpha) - 1.0) * x_q**-1.0)
     if not value > 0.0:
         raise DomainError(
             f"var_expansion_ev: the second-order VaR {value:.6g} at q={q}, alpha={alpha} is "
@@ -806,8 +785,8 @@ def var_expansion_ev(m: ParetoMarginal, p: PickandsEV, q: float) -> VarExpansion
             "term at this level"
         )
     return VarExpansion(
-        q=q, value=value, first_order=first, case=plan.var_case,
-        diagnostics=plan.var_diagnostics,
+        q=q, value=value, first_order=first, case=plan.case,
+        rho_regime=plan.rho_regime, diagnostics=plan.var_diagnostics,
     )
 
 

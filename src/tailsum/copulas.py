@@ -668,13 +668,16 @@ _DEEP_LOG10_T = (-8200.0, -8400.0, -8600.0, -8800.0, -9000.0)
 _DEFAULT_GRID = (0.5, 1.0, 2.0, 4.0)
 
 
-def _verdict(deviations: Sequence[float], tolerance: float):
+def _verdict(deviations: Sequence[float], tolerance: float, lts: Sequence[float]):
+    """``(passed, note)`` for the deviations at the scales ``log t = lts``."""
     devs = list(deviations)
     if any(not math.isfinite(d) for d in devs):
         return None, "non-finite statistics (underflow or undefined derivative); verdict withheld"
     tail = devs[-3:]
-    # jitter at the double-precision noise floor is convergence, not a trend
-    floor = 1e-12
+    # jitter at the double-precision noise floor is convergence, not a trend;
+    # a statistic formed as lchat(...) - kappa*log t rounds to about
+    # eps*|log t|, which exceeds 1e-12 at the deep scales
+    floor = max(1e-12, 4.0 * math.ulp(1.0) * max(abs(lt) for lt in lts[-3:]))
     shrinking = all(b <= max(a * (1.0 + 1e-12), floor) for a, b in zip(tail, tail[1:]))
     small = devs[-1] < tolerance
     if small and shrinking:
@@ -811,7 +814,7 @@ def check_assumptions(
         for x10, _, _, stat, target in rows:
             worst[x10] = _acc(worst[x10], stat, target)
         devs = tuple(worst.values())
-        passed, note = _verdict(devs, tolerance)
+        passed, note = _verdict(devs, tolerance, lts)
         checks[name] = CheckResult(
             name=name, passed=passed, deviations=devs, rows=tuple(rows),
             fitted_c=fitted_c, note=note,

@@ -1,10 +1,9 @@
-"""Pareto (Lomax) marginal distributions with second-order tail metadata.
+"""Pareto (Lomax) marginal distributions.
 
 The package models each risk as a shifted Pareto variable with survival
 function ``(scale/(x+scale))**alpha`` on ``x >= 0``. Besides the usual
 distribution operations, the marginal exposes closed-form truncated first
-moments and the constants of its second-order regular-variation expansion,
-which the asymptotic tail formulas consume.
+moments, which the asymptotic tail formulas consume.
 
 All operations are pure functions of immutable values and are safe to share
 across threads.
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["ParetoMarginal", "SecondOrderTail"]
+__all__ = ["ParetoMarginal"]
 
 
 def _truncated_mean(alpha: float, scale: float, t: float) -> float:
@@ -33,32 +32,6 @@ def _truncated_mean(alpha: float, scale: float, t: float) -> float:
     x = (1.0 - alpha) * log_top
     exprel = math.expm1(x) / x if x != 0.0 else 1.0
     return scale * (alpha * log_top * exprel + math.expm1(-alpha * log_top))
-
-
-@dataclass(frozen=True)
-class SecondOrderTail:
-    """Constants of the second-order expansion of a regularly varying tail.
-
-    The survival function satisfies
-    ``survival(x) = c_scale * x**(-alpha) * (1 + b_coeff * x**rho + o(x**rho))``
-    as ``x`` grows.
-
-    Attributes
-    ----------
-    alpha : float
-        First-order tail index (rate of power decay).
-    rho : float
-        Second-order index, a negative number.
-    c_scale : float
-        Multiplicative constant of the leading power term.
-    b_coeff : float
-        Coefficient of the second-order correction.
-    """
-
-    alpha: float
-    rho: float
-    c_scale: float
-    b_coeff: float
 
 
 @dataclass(frozen=True)
@@ -242,22 +215,3 @@ class ParetoMarginal:
         if not (0.0 < a <= 1.0):
             raise DomainError(f"powered_tail_truncated_mean requires 0 < a <= 1, got {a}")
         return _truncated_mean(a * self.alpha, self.scale, t)
-
-    # -- tail metadata -------------------------------------------------------
-
-    def second_order_params(self) -> SecondOrderTail:
-        """Constants of the second-order regular-variation expansion.
-
-        Returns
-        -------
-        SecondOrderTail
-            ``(alpha, rho=-1, c_scale=scale**alpha, b_coeff=-alpha*scale)``,
-            from ``(scale/(x+scale))**alpha = scale**alpha * x**(-alpha) *
-            (1 - alpha*scale/x + o(1/x))``.
-        """
-        return SecondOrderTail(
-            alpha=self.alpha,
-            rho=-1.0,
-            c_scale=self.scale**self.alpha,
-            b_coeff=-self.alpha * self.scale,
-        )

@@ -43,6 +43,31 @@ def test_gumbel_phi_one_passes_at_default_depth():
     assert report.all_pass
 
 
+# the A2 deviations of Gumbel 1.0000001 at log10 t = -8200 .. -9000: rounding
+# of lchat(...) - kappa*log t, about eps*|log t| with |log t| near 2e4
+_DEEP_ROUNDING = (7.28e-12, 6.28e-12, 6.78e-12, 6.78e-12, 7.78e-12)
+
+
+def test_verdict_noise_floor_follows_the_scale():
+    ln10 = math.log(10.0)
+    deep = [x * ln10 for x in _DEEP]
+    shallow = [x * ln10 for x in _SHALLOW[:5]]
+    assert copulas._verdict(_DEEP_ROUNDING, 1e-3, deep) == (True, "")
+    # at shallow scales the floor is 1e-12, so the same jitter is a trend
+    assert copulas._verdict(_DEEP_ROUNDING, 1e-3, shallow) == (
+        False, "deviations not shrinking over the final scales"
+    )
+
+
+@pytest.mark.parametrize("phi", [1.0, 1.0000001])
+def test_deep_rounding_jitter_passes_the_diagonal_check(phi):
+    # both once failed A2 as "not shrinking" at the deep scales
+    sc = make_survival_copula("gumbel", phi=phi)
+    check = check_assumptions(sc, log10_t_sequence=_DEEP).checks["A2"]
+    assert max(check.deviations) < 1e-11
+    assert check.passed is True
+
+
 def test_gumbel_phi_ten_needs_depth():
     sc = make_survival_copula("gumbel", phi=10.0)
     p = gumbel_pickands(10.0)

@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -751,16 +751,45 @@ def test_alpha_half_closed_form_matches_the_exact_oracle():
 
 @pytest.mark.parametrize("q, measured", [(0.99, 2.5e-5), (0.999, 2.5e-7), (0.9999, 2.5e-9)])
 def test_var_at_alpha_half_matches_the_exact_reference(q, measured, p1, p_ind):
-    # At alpha 0.5 the case coefficient 2*I(1/2, 1/2) + 2 - 2*sqrt(2) is 0
-    # analytically and -4.4e-16 in floats, so the case formula is taken; the
-    # strip would be off by -3.3e-4, -3.3e-6 and -3.3e-8. The gate is twice
-    # the formula's measured error against the exact VaR.
+    # At alpha 0.5 the case coefficient 2*I(1/2, 1/2) + 2 - 2*sqrt(2) is 0,
+    # but the middle case states its terms, so the case formula is taken and
+    # gives the first order; the strip would be off by -3.3e-4, -3.3e-6 and
+    # -3.3e-8. The gate is twice the formula's measured error against the
+    # exact VaR.
     m = ParetoMarginal(0.5, 1.0)
     exact = oracles.independent_half_sum_var(1.0, q)
     for p in (p_ind, p1):
         v = var_expansion_ev(m, p, q)
-        assert v.case.rho_regime == "below"
+        assert v.rho_regime == "below"
         assert abs(v.value - exact) / exact < 2.0 * measured
+
+
+@pytest.mark.parametrize("pickands", [independence_pickands(), gumbel_pickands(1.0)],
+                         ids=["independence", "gumbel1"])
+def test_alpha_half_takes_the_case_formula_with_a_zero_coefficient(pickands):
+    # the boundary term 2 - 2*sqrt(2) cancels 2*I(1/2, 1/2) exactly in
+    # floats; the stated terms, not the sign of that sum, pick the formula
+    m = ParetoMarginal(0.5, 1.0)
+    plan = _model_plan(m, pickands)
+    assert plan.coefficient == 0.0
+    assert plan.rho_regime == "below"
+    v = var_expansion_ev(m, pickands, 0.6)
+    assert v.rho_regime == "below"
+    assert v.value == v.first_order
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 0.95])
+@pytest.mark.parametrize("pickands", [independence_pickands(), gumbel_pickands(1.0)],
+                         ids=["independence", "gumbel1"])
+def test_boundary_term_is_the_power_term_spec(alpha, pickands):
+    # the stated boundary-indicator term is the power_term candidate's spec,
+    # bit for bit (alpha 0.8: -0.4507691201637001)
+    m = ParetoMarginal(alpha, 1.0)
+    traits = tail_order_traits(pickands)
+    coefficient = power_term_coefficient(traits, alpha)
+    assert _model_plan(m, pickands).terms[-1] == ("power", coefficient, traits.kappa, None)
+    e = tailprob_expansion_ev(m, pickands, m.quantile(0.999))
+    assert e.terms[-1].coefficient == coefficient
 
 
 def test_var_ev_reduces_to_independence(m08, m2, p1, p_ind):
@@ -778,10 +807,10 @@ def test_var_ev_pins(m08, m2, p10):
     assert math.isclose(
         var_expansion_ev(m08, p10, 0.999).value, 13369.149245278933, rel_tol=1e-12
     )
-    # degenerate corner coefficient falls back to the strip closure
+    # a middle case that states no term falls back to the strip closure
     e = var_expansion_ev(m08, p10, 0.99)
     assert e.case.label == "C1\\(C2∩C3)"
-    assert e.case.rho_regime is not None
+    assert e.rho_regime == "above"
     e2 = var_expansion_ev(m2, p10, 0.999)
     assert math.isclose(e2.value, 42.721359549995775, rel_tol=1e-12)
 
@@ -852,17 +881,19 @@ def test_comonotone_plan_raises_before_building_a_term(p_co, monkeypatch):
     ),
     alpha=st.floats(0.3, 3.0).filter(lambda a: a != 1.0),
 )
-def test_var_formula_applies_exactly_when_the_case_coefficient_is_nonzero(p, alpha):
+@example(p=gumbel_pickands(1.0), alpha=0.5)
+def test_var_formula_applies_exactly_when_the_middle_case_states_a_term(p, alpha):
     # the quantile expansion has one formula and no test on rho: the case
-    # predicates already put the Pareto rho below the case threshold
+    # predicates already put the Lomax rho = -1 below the case threshold.
+    # The regime follows the stated terms, as the tail side does, not the
+    # last bit of their coefficient (0 at alpha 0.5 for Gumbel 1)
     m = ParetoMarginal(alpha, 1.0)
-    rho = m.second_order_params().rho
     case = classify_case(alpha, p)
     if case.label == "C1\\(C2∩C3)":
-        assert rho < -alpha * case.a20
-    c = _model_plan(m, p).coefficient
-    regime = var_expansion_ev(m, p, 0.99).case.rho_regime
-    assert (regime == "below") == (c is not None and c != 0.0)
+        assert -1.0 < -alpha * case.a20
+    plan = _model_plan(m, p)
+    regime = var_expansion_ev(m, p, 0.99).rho_regime
+    assert (regime == "below") == (plan.coefficient is not None and bool(plan.terms))
 
 
 def test_var_inversion_consistency(m08, p10, p_ind):

@@ -239,14 +239,3 @@ def test_powered_truncated_mean_domain():
         m.powered_tail_truncated_mean(10.0, 0.0)
     with pytest.raises(DomainError):
         m.powered_tail_truncated_mean(10.0, 1.5)
-
-
-def test_second_order_params_fields():
-    m = ParetoMarginal(0.8, 2.0)
-    so = m.second_order_params()
-    assert so.alpha == 0.8
-    assert so.rho == -1.0
-    assert so.c_scale == 2.0**0.8
-    assert so.b_coeff == -0.8 * 2.0
-
-
