@@ -1,7 +1,6 @@
 """Asymptotic expansions for the tail and quantile of a sum of two risks.
 
-Given a Pareto marginal and a dependence structure (an extreme-value
-copula, or raw tail traits), this module evaluates:
+Given a Pareto marginal and an extreme-value copula, this module evaluates:
 
 * the singular integrals feeding the second-order constants (the series
   :func:`integral_I`, the corner functional :func:`eta_limit` in closed
@@ -9,7 +8,7 @@ copula, or raw tail traits), this module evaluates:
 * the case classification of the extreme-value regime
   (:func:`classify_case`), which rejects a non-convex dependence function;
 * first- plus second-order expansions of ``P(X + Y > t)``
-  (:func:`tailprob_expansion_ev`, :func:`tailprob_expansion_general`);
+  (:func:`tailprob_expansion_ev`);
 * first- plus second-order expansions of the ``q``-quantile of ``X + Y``
   (:func:`var_expansion_ev`) and a numerical inversion diagnostic
   (:func:`var_from_tailprob_inversion`).
@@ -20,8 +19,8 @@ order 2); it runs through the same extreme-value expansions.
 
 Every second-order term is a threshold-free spec ``(kind, coefficient,
 exponent, arg)``, and one evaluator, :func:`_evaluate`, turns specs into
-numbers at a threshold. The trait theorem's eta and partial branches are
-built once, by :func:`_branch_specs`, for raw traits and for the model's own.
+numbers at a threshold. One builder, :func:`_model_plan`, writes every
+spec, the trait theorem's eta and partial branches among them.
 
 Everything is a pure function of immutable inputs. The extreme-value
 expansions cache, per ``(marginal, dependence function)`` model, only what
@@ -55,12 +54,7 @@ from .copulas import (
     estimate_corner_slope,
     tail_order_traits,
 )
-from .errors import (
-    AmbiguousBranchError,
-    BoundaryCaseError,
-    DivergentIntegralError,
-    DomainError,
-)
+from .errors import BoundaryCaseError, DivergentIntegralError, DomainError
 from .marginals import ParetoMarginal
 
 __all__ = [
@@ -75,7 +69,6 @@ __all__ = [
     "power_term_coefficient",
     "classify_case",
     "tailprob_expansion_ev",
-    "tailprob_expansion_general",
     "var_expansion_ev",
     "var_from_tailprob_inversion",
 ]
@@ -165,7 +158,7 @@ def eta_limit(traits: TailOrderTraits, alpha: float) -> float:
 def delta_correction(
     partial_traits: PartialLimitTraits, marginal: ParetoMarginal, t: float
 ) -> float:
-    """Finite-level second-order weight of the refined tail branch.
+    """Finite-level second-order weight of the trait theorem's partial branch.
 
     Returns ``int_0^{1/2} ((1-y)**(-alpha) - 1)
     * varphi(1, survival(t*y)) * density(t*y) * t dy``. For plain power
@@ -258,9 +251,10 @@ class CaseLabel:
         (the paper's third case, with ``C3: a(1,1) < a2(1,0) + 1``, needs a
         non-convex dependence function, which :func:`classify_case` rejects).
     c1, c2 : bool
-        C1 and ``C2: alpha*a1(1,1) < 1``. C2 leaves the label alone: it says
-        whether the eta branch's corner integral converges, so whether a
-        vanishing middle case offers the ``power_term_with_eta`` candidate.
+        C1 and ``C2: alpha*a1(1,1) < 1``. C2 leaves the label alone: it is
+        the one test of whether the eta branch's corner integral
+        (:func:`eta_limit`) converges, so of whether a vanishing middle case
+        offers the ``power_term_with_eta`` candidate.
     a20 : float
         The corner slope ``a2(1, 0)`` used by the predicates: the
         contract value ``a2_fn(1, -0.0)``, read by
@@ -376,11 +370,10 @@ class Expansion:
         The leading order ``2 * survival(t)``.
     terms : tuple of ExpansionTerm
         The second-order terms (empty when they vanish).
-    case : CaseLabel or None
-        Regime label for extreme-value expansions.
+    case : CaseLabel
+        Regime label.
     diagnostics : tuple of str
-        Notes (degenerate second order, branch-selection evidence,
-        boundary warnings).
+        Notes (degenerate second order, boundary warnings).
     candidates : mapping or None
         When the stated second-order term vanishes, alternative refinements
         keyed by name (``"leading"``, ``"power_term"``,
@@ -392,7 +385,7 @@ class Expansion:
     value: float
     first_order: float
     terms: tuple
-    case: Optional[CaseLabel] = None
+    case: CaseLabel
     diagnostics: tuple = ()
     candidates: Optional[Mapping[str, float]] = None
 
@@ -409,9 +402,9 @@ class VarExpansion:
         First- plus second-order quantile of the sum.
     first_order : float
         The leading order ``2**(1/alpha) * quantile(q)``.
-    case : CaseLabel or None
-        Regime label (extreme-value runs).
-    rho_regime : str or None
+    case : CaseLabel
+        Regime label.
+    rho_regime : str
         ``"below"`` when the case formula gave the value (the middle case
         states a second-order term, and the Pareto ``rho = -1`` lies below
         its threshold exponent), ``"above"`` when the second-order
@@ -424,8 +417,8 @@ class VarExpansion:
     q: float
     value: float
     first_order: float
-    case: Optional[CaseLabel] = None
-    rho_regime: Optional[str] = None
+    case: CaseLabel
+    rho_regime: str
     diagnostics: tuple = ()
 
 
@@ -480,35 +473,6 @@ def _evaluate(specs: tuple, m: ParetoMarginal, t: float, sf: float) -> tuple:
             )
         terms.append(term)
     return tuple(terms), 2.0 * sf + sum(term.value for term in terms)
-
-
-def _branch_specs(
-    tail_traits: TailOrderTraits,
-    partial_traits: Optional[PartialLimitTraits],
-    alpha: float,
-    branch: str,
-    eta: Optional[float] = None,
-) -> tuple:
-    """Term specs of the ``"eta"`` or ``"partial"`` branch (see
-    :func:`tailprob_expansion_general`), or of the ``"power"`` term the two
-    share. The eta branch uses the eta limit ``eta`` when given and raises
-    :class:`DivergentIntegralError` when it is infinite; the partial branch
-    raises :class:`DomainError` without partial traits."""
-    coefficient = power_term_coefficient(tail_traits, alpha)
-    if branch == "eta":
-        if eta is None:
-            eta = eta_limit(tail_traits, alpha)
-        if not math.isfinite(eta):
-            raise DivergentIntegralError(
-                "eta branch requested but the eta limit diverges for these traits"
-            )
-        coefficient = 2.0 * eta + coefficient
-    specs = (("power", coefficient, tail_traits.kappa, None),)
-    if branch != "partial":
-        return specs
-    if partial_traits is None:
-        raise DomainError("partial branch requires partial-limit traits")
-    return specs + (("delta_correction", 2.0, 1.0, partial_traits),)
 
 
 @dataclass(frozen=True)
@@ -572,22 +536,24 @@ def _model_plan(m: ParetoMarginal, p: PickandsEV) -> _ModelPlan:
     if case.label == LABEL_COMPLEMENT:  # alpha * a20 >= 1
         return _plan(case, None, (("truncated_mean", 2.0 * alpha, 1.0, a20),))
 
-    power_term = _branch_specs(traits, None, alpha, "power")
+    c = power_term_coefficient(traits, alpha)
+    power_term = (("power", c, traits.kappa, None),)
     zeta2 = 2.0 * integral_I(alpha, alpha * a20)
     terms = (("power", zeta2, a20 + 1.0, None),) if zeta2 != 0.0 else ()
     if case.boundary_indicator:
         terms += power_term
-    c = sum((coefficient for _, coefficient, _, _ in terms), 0.0)
     if terms:
-        return _plan(case, c, terms)
+        return _plan(case, sum((coef for _, coef, _, _ in terms), 0.0), terms)
 
-    # the stated second order vanishes: the candidates are the trait branches
+    # the stated second order vanishes: the candidates are the trait theorem's
+    # branches, eta (its corner integral converges under C2) and partial
     candidates = {"leading": (), "power_term": power_term}
-    if case.c2:  # the eta branch's corner integral converges
-        candidates["power_term_with_eta"] = _branch_specs(traits, None, alpha, "eta")
+    if case.c2:
+        eta_c = 2.0 * eta_limit(traits, alpha) + c
+        candidates["power_term_with_eta"] = (("power", eta_c, traits.kappa, None),)
     if p.log_refined is not None:
-        candidates["log_refined"] = _branch_specs(traits, p.log_refined, alpha, "partial")
-    return _plan(case, c, (), types.MappingProxyType(candidates))
+        candidates["log_refined"] = power_term + (("delta_correction", 2.0, 1.0, p.log_refined),)
+    return _plan(case, 0.0, (), types.MappingProxyType(candidates))
 
 
 def tailprob_expansion_ev(m: ParetoMarginal, p: PickandsEV, t: float) -> Expansion:
@@ -606,11 +572,12 @@ def tailprob_expansion_ev(m: ParetoMarginal, p: PickandsEV, t: float) -> Expansi
     When the middle case yields a zero coefficient and a false indicator the
     stated second order vanishes; the expansion then carries an explicit
     diagnostic and a ``candidates`` mapping of alternative refinements, with
-    the primary value staying the stated one. The candidates are branches of
-    :func:`tailprob_expansion_general` on the model's own traits: no term
-    (``leading``), the branches' shared power term (``power_term``), the eta
-    branch when its limit is finite (``power_term_with_eta``) and the
-    partial branch on the log-refined traits, if any (``log_refined``).
+    the primary value staying the stated one. The candidates are the trait
+    theorem's branches on the model's own traits: no term (``leading``), the
+    shared term ``power_term_coefficient * sf**kappa`` (``power_term``), plus
+    ``2*eta_limit * sf**kappa`` when C2 makes it finite (``power_term_with_eta``)
+    or plus ``2*delta_correction(t) * sf * h(sf)`` on the log-refined traits,
+    if any (``log_refined``).
 
     The classification and the term specs are built once per model and
     cached; only the survival, the complement case's truncated mean and
@@ -642,75 +609,6 @@ def tailprob_expansion_ev(m: ParetoMarginal, p: PickandsEV, t: float) -> Expansi
     return Expansion(
         t=t, value=value, first_order=2.0 * s, terms=terms, case=plan.case,
         diagnostics=diagnostics, candidates=candidates,
-    )
-
-
-def tailprob_expansion_general(
-    m: ParetoMarginal,
-    tail_traits: TailOrderTraits,
-    partial_traits: Optional[PartialLimitTraits],
-    t: float,
-    branch: str = "auto",
-) -> Expansion:
-    """Second-order tail of the sum from raw tail traits.
-
-    Two branches exist. The ``"eta"`` branch uses the corner functional
-    limit: ``2*sf + (2*eta + tau(2**a, 2**a) - 2*tau(1, 2**a)) * sf**kappa``.
-    The ``"partial"`` branch keeps the finite-level correction:
-    ``2*sf + (tau(2**a, 2**a) - 2*tau(1, 2**a)) * sf**kappa
-    + 2*delta_correction(t) * sf * h(sf)``.
-
-    With ``branch="auto"`` the eta branch is chosen when the eta limit
-    (:func:`eta_limit`) is finite and, when partial traits are supplied,
-    ``alpha*(1 - beta) < 1``; otherwise the partial branch is chosen when
-    partial traits are available. If neither branch qualifies the choice is
-    ambiguous and an explicit branch is required. The choice depends on the
-    traits and ``alpha`` only, never on the threshold.
-
-    Raises
-    ------
-    DomainError
-        If ``t`` is not finite and above the marginal median, the tail order
-        is not above 1, or an explicit ``"partial"`` request lacks partial
-        traits.
-    DivergentIntegralError
-        If an explicit ``"eta"`` request meets an infinite eta limit.
-    AmbiguousBranchError
-        If automatic selection cannot justify either branch.
-    """
-    _require_above_median(m, t, "tailprob_expansion_general")
-    if branch not in ("auto", "eta", "partial"):
-        raise DomainError(f"branch must be 'auto', 'eta', or 'partial', got {branch!r}")
-    kappa = tail_traits.kappa
-    if not (kappa > 1.0):
-        raise DomainError(
-            f"tail order must exceed 1 for a genuinely higher-order correction, got {kappa}"
-        )
-    alpha = m.alpha
-    diagnostics = ()
-
-    chosen = branch
-    eta = None
-    s = m.survival(t)
-    if branch == "auto":
-        eta = eta_limit(tail_traits, alpha)
-        beta_ok = partial_traits is None or alpha * (1.0 - partial_traits.beta) < 1.0
-        if math.isfinite(eta) and beta_ok:
-            chosen = "eta"
-        elif partial_traits is not None:
-            chosen = "partial"
-        else:
-            raise AmbiguousBranchError(
-                "automatic branch selection is inconclusive "
-                f"(eta={eta!r}, no partial traits); "
-                "pass branch='eta' or branch='partial' explicitly"
-            )
-        diagnostics = (f"auto-selected {chosen} branch: eta={eta:.6g}, sf={s:.3e}",)
-    specs = _branch_specs(tail_traits, partial_traits, alpha, chosen, eta)
-    terms, value = _evaluate(specs, m, t, s)
-    return Expansion(
-        t=t, value=value, first_order=2.0 * s, terms=terms, case=None,
-        diagnostics=diagnostics, candidates=None,
     )
 
 

@@ -146,11 +146,16 @@ class _Settings:
         return value
 
 
-def _float_list(text: str) -> tuple:
+def _float_list(text: str, empty: Optional[str] = None) -> tuple:
+    """The numbers of a comma-separated list; ``empty``, when given, is the
+    error for a list that holds none."""
     try:
-        return tuple(float(x) for x in text.split(",") if x.strip())
+        values = tuple(float(x) for x in text.split(",") if x.strip())
     except ValueError as exc:
         raise ConfigError(f"expected a comma-separated list of numbers, got {text!r}") from exc
+    if empty is not None and not values:
+        raise ConfigError(empty)
+    return values
 
 
 def _resolve_marginal(cfg: _Settings) -> ParetoMarginal:
@@ -200,10 +205,7 @@ def _sf_grid(m: ParetoMarginal, sf_min: float, sf_max: float, points: int) -> tu
 def _resolve_t_grid(cfg: _Settings, m: ParetoMarginal) -> tuple:
     explicit = cfg.get("grid.t")
     if explicit is not None:
-        ts = _float_list(explicit)
-        if not ts:
-            raise ConfigError("grid.t must contain at least one threshold")
-        return ts
+        return _float_list(explicit, "grid.t must contain at least one threshold")
     sf_min, sf_max, points = _SF_GRID
     return _sf_grid(
         m, cfg.get("grid.sf_min", sf_min), cfg.get("grid.sf_max", sf_max),
@@ -215,10 +217,7 @@ def _resolve_q_grid(cfg: _Settings) -> tuple:
     explicit = cfg.get("grid.q")
     if explicit is None:
         return _DEFAULT_Q_GRID
-    qs = _float_list(explicit)
-    if not qs:
-        raise ConfigError("grid.q must contain at least one probability level")
-    return qs
+    return _float_list(explicit, "grid.q must contain at least one probability level")
 
 
 def _format(value) -> str:
@@ -369,7 +368,9 @@ def _cmd_check(cfg: _Settings) -> int:
         reports = [(None, check_assumptions(copula, **kwargs))]
     else:
         if trial_raw is not None:
-            trial_kappas = _float_list(trial_raw)
+            trial_kappas = _float_list(
+                trial_raw, "check.trial_kappa must contain at least one tail order"
+            )
         else:
             trial_kappas = tuple(round(1.0 + 0.1 * i, 1) for i in range(11))
         print(
@@ -396,7 +397,7 @@ def _cmd_check(cfg: _Settings) -> int:
             )
 
     out_csv = cfg.get("out.csv")
-    if out_csv and out_csv != "-":
+    if out_csv:
         _write_rows(out_csv, csv_rows, _CHECK_HEADER)
 
     if any(report.all_pass for _, report in reports):
@@ -533,7 +534,7 @@ def _build_parser() -> tuple:
         "--trial-kappa", dest="check.trial_kappa",
         help="comma-separated trial tail orders for families without declared traits",
     )
-    p_check.add_argument("--out-csv", dest="out.csv", help="optional CSV evidence path")
+    p_check.add_argument("--out-csv", dest="out.csv", help="CSV evidence path ('-': stdout)")
 
     p_fig = sub.add_parser(
         "reproduce-figures",

@@ -436,14 +436,15 @@ class TailOrderTraits:
 
 @dataclass(frozen=True)
 class PartialLimitTraits:
-    """Corner scaling of the partial derivative of the survival copula.
+    """Corner scaling ``(h, varphi)`` of the partial derivative of the survival copula.
 
     ``chat_v(u*t, v) ~ t * h(t) * varphi(u, v)`` as ``t`` shrinks, with
     ``varphi(u, v) = u * varphi(1, v)``: the scaling exponent is 1 for every
     extreme-value copula.
 
     ``h`` takes and returns a float. ``varphi`` takes arrays as well: the
-    refined tail branch calls it once, on all its quadrature nodes.
+    partial branch's :func:`~tailsum.asymptotics.delta_correction` calls it
+    once, on all its quadrature nodes.
 
     Attributes
     ----------
@@ -453,14 +454,10 @@ class PartialLimitTraits:
     varphi : callable
         The limit profile, elementwise on floats or arrays; identically
         zero when the corner slope vanishes.
-    beta : float
-        Regular-variation index of ``varphi(1, 1/.)``, nonnegative (0 for
-        the zero profile).
     """
 
     h: Callable
     varphi: Callable
-    beta: float
 
 
 def estimate_corner_slope(p: PickandsEV) -> float:
@@ -524,10 +521,9 @@ def partial_limit_traits(p: PickandsEV) -> PartialLimitTraits:
     PartialLimitTraits
         With the corner slope ``a20 = a2_fn(1, -0.0)`` read by
         :func:`estimate_corner_slope`: when ``a20 > 0``, profile
-        ``a20 * u * v**(a20 - 1)`` and index ``beta = 1 - a20`` (independence
-        has ``a20 = 1`` and profile ``u``). When the corner slope vanishes
-        (Gumbel with exponent above 1, and the comonotone limit) the profile
-        is identically zero and ``beta`` is 0.
+        ``a20 * u * v**(a20 - 1)`` (independence has ``a20 = 1`` and profile
+        ``u``). When the corner slope vanishes (Gumbel with exponent above
+        1, and the comonotone limit) the profile is identically zero.
     """
     return _partial_traits(estimate_corner_slope(p))
 
@@ -538,8 +534,8 @@ def _partial_traits(a20: float) -> PartialLimitTraits:
         def varphi(u, v):
             return a20 * u * v ** (a20 - 1.0)
 
-        return PartialLimitTraits(h=_const_one, varphi=varphi, beta=1.0 - a20)
-    return PartialLimitTraits(h=_const_one, varphi=_zero_profile, beta=0.0)
+        return PartialLimitTraits(h=_const_one, varphi=varphi)
+    return PartialLimitTraits(h=_const_one, varphi=_zero_profile)
 
 
 def gumbel_log_refined_traits(phi_g: float) -> PartialLimitTraits:
@@ -548,8 +544,9 @@ def gumbel_log_refined_traits(phi_g: float) -> PartialLimitTraits:
     The plain power scaling of the partial derivative is degenerate for
     these copulas; keeping the slowly varying factor
     ``h(t) = (-log t)**(1 - phi)`` yields the non-degenerate profile
-    ``varphi(u, v) = u * (-log v)**(phi - 1) / v`` with index 1. These traits
-    feed the refined branch of the general tail expansion.
+    ``varphi(u, v) = u * (-log v)**(phi - 1) / v``. These traits feed the
+    ``log_refined`` candidate of
+    :func:`~tailsum.asymptotics.tailprob_expansion_ev`.
 
     Raises
     ------
@@ -580,7 +577,7 @@ def gumbel_log_refined_traits(phi_g: float) -> PartialLimitTraits:
 
         return u * (-np.log(v)) ** (phi - 1.0) / v
 
-    return PartialLimitTraits(h=h, varphi=varphi, beta=1.0)
+    return PartialLimitTraits(h=h, varphi=varphi)
 
 
 # ---------------------------------------------------------------------------

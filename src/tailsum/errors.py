@@ -1,9 +1,11 @@
 """Exception hierarchy for the tailsum package.
 
 Every error raised by the library derives from :class:`TailsumError`, so
-callers can catch one base type. Subclasses distinguish bad numeric inputs,
-bad configuration, analytic boundary cases, and divergent integrals, because
-the command-line interface maps them to distinct exit codes.
+callers can catch one base type. The command-line interface exits with
+code 3 on a :class:`BoundaryCaseError` and with code 2 on the others:
+:class:`ConfigError`, :class:`DomainError`, :class:`UnsupportedFamilyError`
+and :class:`DivergentIntegralError`, a :class:`DomainError` that only
+:func:`~tailsum.asymptotics.integral_I` raises.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ __all__ = [
     "BoundaryCaseError",
     "DivergentIntegralError",
     "UnsupportedFamilyError",
-    "AmbiguousBranchError",
 ]
 
 
@@ -48,8 +49,3 @@ class DivergentIntegralError(DomainError):
 
 class UnsupportedFamilyError(TailsumError):
     """A copula family name is not recognised by the requested operation."""
-
-
-class AmbiguousBranchError(TailsumError):
-    """Automatic branch selection between the two general tail expansions
-    found contradictory evidence; the caller must name a branch explicitly."""

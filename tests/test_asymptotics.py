@@ -20,7 +20,6 @@ from scipy import optimize
 import oracles
 from test_galambos import galambos_pickands
 from tailsum import (
-    AmbiguousBranchError,
     BoundaryCaseError,
     DivergentIntegralError,
     DomainError,
@@ -39,7 +38,6 @@ from tailsum import (
     power_term_coefficient,
     tail_order_traits,
     tailprob_expansion_ev,
-    tailprob_expansion_general,
     trial_tail_order_traits,
     var_expansion_ev,
     var_from_tailprob_inversion,
@@ -243,8 +241,7 @@ def test_independence_partial_branch_certified_where_quadpack_missed():
     # alpha 0.8, sf 1e-10, +1.0% at alpha 0.8, sf 1e-12 and -2.0e-3 at
     # alpha 0.3, sf 1e-12
     mp = pytest.importorskip("mpmath")
-    ind = independence_pickands()
-    tri, pl = tail_order_traits(ind), partial_limit_traits(ind)
+    pl = partial_limit_traits(independence_pickands())
     for alpha, sf in ((0.8, 1e-10), (0.8, 1e-12), (0.3, 1e-12)):
         m = ParetoMarginal(alpha, 1.0)
         t = sf ** (-1.0 / alpha) - 1.0
@@ -252,16 +249,13 @@ def test_independence_partial_branch_certified_where_quadpack_missed():
             want = _mp_delta_y(mp, alpha, t)
         got = delta_correction(pl, m, t)
         assert abs(got / want - 1) < 1e-13, (alpha, sf, got, want)
-        e = tailprob_expansion_general(m, tri, pl, t, branch="partial")
-        assert e.terms[-1].t_factor == got
 
 
 def test_far_tail_values_are_finite():
     # varphi(1, sf) overflows once sf is near 1e-300; the quadrature on it
     # returned NaN or inf in 104 of these 528 cells (e.g. the log_refined
     # candidate at phi 10, alpha 2, t = 1e148)
-    ind = independence_pickands()
-    tri, pl = tail_order_traits(ind), partial_limit_traits(ind)
+    pl = partial_limit_traits(independence_pickands())
     for alpha in (0.3, 0.8, 2.0, 3.0):
         m = ParetoMarginal(alpha, 1.0)
         for t in 10.0 ** np.arange(1, 303, 7):
@@ -270,7 +264,6 @@ def test_far_tail_values_are_finite():
                 assert math.isfinite(delta_correction(p.log_refined, m, t)), (alpha, phi, t)
                 assert math.isfinite(tailprob_expansion_ev(m, p, t).candidates["log_refined"])
             assert math.isfinite(delta_correction(pl, m, t)), (alpha, t)
-            assert math.isfinite(tailprob_expansion_general(m, tri, pl, t, branch="partial").value)
 
 
 def test_power_term_coefficient_profiles():
@@ -474,121 +467,59 @@ def test_tailprob_first_order_dominates_in_depth(m08, m2, p1, p10):
 
 
 def test_general_tailprob_eta_branch_equals_closed_form(m08, p_ind):
-    tri = tail_order_traits(independence_pickands())
-    pl = partial_limit_traits(independence_pickands())
-    # the automatic choice once read a quadrature that shrinks like sf(t):
-    # it fell to the partial branch at sf 1e-15 and 1e-16, and again from sf
-    # 1e-150, where the quadrature underflowed to 0.0
+    # for independence the stated terms are the trait theorem's eta branch:
+    # zeta2 = 2*integral_I(alpha, alpha) is twice the eta limit, and the
+    # boundary term is the power term
+    tri = tail_order_traits(p_ind)
+    want = 2.0 * eta_limit(tri, 0.8) + power_term_coefficient(tri, 0.8)
     for t in (1e2, 1e3, *(sf**-1.25 - 1.0 for sf in (1e-15, 1e-16, 1e-150))):
-        g = tailprob_expansion_general(m08, tri, pl, t)
-        closed = tailprob_expansion_ev(m08, p_ind, t)
-        assert abs(g.value - closed.value) / closed.value <= 1e-12
-        assert any("eta branch" in d for d in g.diagnostics)
+        e = tailprob_expansion_ev(m08, p_ind, t)
+        assert math.isclose(sum(term.coefficient for term in e.terms), want, rel_tol=1e-15)
+        s = m08.survival(t)
+        assert abs(e.value - (2.0 * s + want * s**2.0)) / e.value <= 1e-12
 
 
-def test_general_tailprob_partial_branch_tracks_exact_truth(m2):
-    tri = tail_order_traits(independence_pickands())
-    pl = partial_limit_traits(independence_pickands())
+def _partial_branch(m, traits, partial, t):
+    """The trait theorem's partial branch ``2*sf + power_term_coefficient *
+    sf**kappa + 2*delta_correction(t) * sf * h(sf)``, assembled from the
+    public functionals."""
+    s = m.survival(t)
+    c = power_term_coefficient(traits, m.alpha)
+    return 2.0 * s + c * s**traits.kappa + 2.0 * delta_correction(partial, m, t) * s * partial.h(s)
+
+
+def test_general_tailprob_partial_branch_tracks_exact_truth(m2, p_ind):
+    # ROADMAP item 5's evidence that, for independence, the partial branch
+    # tracks the exact tail (closer than the stated value, per its table)
+    tri, pl = tail_order_traits(p_ind), partial_limit_traits(p_ind)
     devs = []
     for t in (1e2, 1e3, 1e4):
-        g = tailprob_expansion_general(m2, tri, pl, t)
+        value = _partial_branch(m2, tri, pl, t)
         p_exact = oracles.exact_sum_tail(2.0, 1.0, "gumbel", 1.0, t)
-        devs.append(abs(g.value - p_exact) / p_exact)
+        devs.append(abs(value - p_exact) / p_exact)
     assert devs[0] > devs[1] > devs[2]
     assert devs[1] < 1e-3
-
-
-def test_general_tailprob_branch_selection_and_errors(m08, m2):
-    tri = tail_order_traits(independence_pickands())
-    pl = partial_limit_traits(independence_pickands())
-    # explicit eta branch with a divergent corner integral must refuse
-    with pytest.raises(DivergentIntegralError):
-        tailprob_expansion_general(m2, tri, pl, 1e3, branch="eta")
-    # explicit partial branch without partial traits must refuse
-    with pytest.raises(DomainError):
-        tailprob_expansion_general(m2, tri, None, 1e3, branch="partial")
-    # auto: divergent eta and no partial traits leaves nothing to select
-    with pytest.raises(AmbiguousBranchError):
-        tailprob_expansion_general(m2, trial_tail_order_traits(1.5), None, 1e3)
-    # diagonal order at or below 1 leaves no expansion scale
-    with pytest.raises(DomainError):
-        tailprob_expansion_general(m08, tail_order_traits(comonotone_pickands()), None, 1e3)
-    with pytest.raises(DomainError):
-        tailprob_expansion_general(m08, tri, pl, 1e3, branch="nonsense")
-
-
-def test_general_tailprob_auto_prefers_partial_when_eta_diverges(m2):
-    tri = tail_order_traits(independence_pickands())
-    pl = partial_limit_traits(independence_pickands())
-    g = tailprob_expansion_general(m2, tri, pl, 1e3)
-    assert any("partial" in d for d in g.diagnostics)
-
-
-def _auto_rule(tail_traits, partial_traits, alpha):
-    """The documented automatic branch, from the traits and alpha alone
-    (None where the choice is ambiguous)."""
-    beta_ok = partial_traits is None or alpha * (1.0 - partial_traits.beta) < 1.0
-    if math.isfinite(eta_limit(tail_traits, alpha)) and beta_ok:
-        return "eta"
-    return None if partial_traits is None else "partial"
-
-
-def _trait_sets():
-    ind, g2, g10 = independence_pickands(), gumbel_pickands(2.0), gumbel_pickands(10.0)
-    trial = trial_tail_order_traits(1.5)
-    return {
-        "independence": (tail_order_traits(ind), partial_limit_traits(ind)),
-        "independence, no partial": (tail_order_traits(ind), None),
-        "gumbel 2": (tail_order_traits(g2), partial_limit_traits(g2)),
-        "gumbel 2, log-refined": (tail_order_traits(g2), g2.log_refined),
-        "gumbel 10": (tail_order_traits(g10), partial_limit_traits(g10)),
-        "gumbel 10, log-refined": (tail_order_traits(g10), g10.log_refined),
-        "gumbel 10, no partial": (tail_order_traits(g10), None),
-        "trial 1.5, no partial": (trial, None),
-        "trial 1.5, independence partial": (trial, partial_limit_traits(ind)),
-    }
-
-
-def _bits(e):
-    return repr((e.value, e.terms))
-
-
-@pytest.mark.parametrize("name", list(_trait_sets()))
-def test_auto_branch_follows_the_rule_and_equals_the_explicit_branch(name):
-    tail, partial = _trait_sets()[name]
-    for alpha in (0.3, 0.5, 0.8, 1.5, 2.0, 3.0):
-        m = ParetoMarginal(alpha, 1.0)
-        want = _auto_rule(tail, partial, alpha)
-        for k in range(1, 18):
-            t = (10.0**-k) ** (-1.0 / alpha) - 1.0
-            if want is None:
-                with pytest.raises(AmbiguousBranchError):
-                    tailprob_expansion_general(m, tail, partial, t)
-                continue
-            auto = tailprob_expansion_general(m, tail, partial, t)
-            assert auto.diagnostics[0].startswith(f"auto-selected {want} branch"), (alpha, k)
-            explicit = tailprob_expansion_general(m, tail, partial, t, branch=want)
-            assert _bits(auto) == _bits(explicit), (alpha, k)
 
 
 @pytest.mark.parametrize("phi", [2.0, 10.0])
 @pytest.mark.parametrize("alpha", [0.8, 2.0])
 def test_candidates_are_the_trait_theorems_branches(phi, alpha):
-    # the degenerate case's candidates are the general expansion's branches
-    # on the model's own traits, evaluated by the same code
+    # the degenerate case's candidates are the trait theorem's eta branch and
+    # its partial branch on the log-refined traits; the eta candidate is
+    # offered exactly when the eta limit is finite
     m, p = ParetoMarginal(alpha, 1.0), gumbel_pickands(phi)
     traits = tail_order_traits(p)
+    c, eta = power_term_coefficient(traits, alpha), eta_limit(traits, alpha)
     for sf in np.geomspace(1e-2, 1e-6, 5):
         t = m.quantile(1.0 - sf)
+        s = m.survival(t)
         candidates = tailprob_expansion_ev(m, p, t).candidates
-        partial = tailprob_expansion_general(m, traits, p.log_refined, t, branch="partial")
-        assert math.isclose(candidates["log_refined"], partial.value, rel_tol=1e-15)
-        if "power_term_with_eta" in candidates:
-            eta = tailprob_expansion_general(m, traits, p.log_refined, t, branch="eta")
-            assert math.isclose(candidates["power_term_with_eta"], eta.value, rel_tol=1e-15)
-        else:
-            with pytest.raises(DivergentIntegralError):
-                tailprob_expansion_general(m, traits, p.log_refined, t, branch="eta")
+        partial = _partial_branch(m, traits, p.log_refined, t)
+        assert math.isclose(candidates["log_refined"], partial, rel_tol=1e-15)
+        assert ("power_term_with_eta" in candidates) == math.isfinite(eta)
+        if math.isfinite(eta):
+            want = 2.0 * s + (2.0 * eta + c) * s**traits.kappa
+            assert math.isclose(candidates["power_term_with_eta"], want, rel_tol=1e-15)
 
 
 def test_non_convex_dependence_function_is_rejected():
@@ -651,12 +582,10 @@ def test_log_refined_candidate_quadrature_converges_at_phi2_alpha03():
 
 def test_threshold_must_be_finite_and_above_the_median(m08, m2, p1, p10):
     # an infinite threshold once gave NaN (inf / inf in the complement term)
-    tri = tail_order_traits(independence_pickands())
     pl = partial_limit_traits(independence_pickands())
     calls = [
         lambda t: tailprob_expansion_ev(m2, p1, t),  # complement case
         lambda t: tailprob_expansion_ev(m08, p10, t),  # degenerate case, candidates
-        lambda t: tailprob_expansion_general(m08, tri, pl, t),
         lambda t: delta_correction(pl, m08, t),
     ]
     for call in calls:

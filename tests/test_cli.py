@@ -379,6 +379,38 @@ def test_check_trial_kappa_flag(capsys):
     assert "1.5" in out
 
 
+@pytest.mark.parametrize("value", ["", ","])
+def test_check_empty_trial_kappa_flag_exits_2(value, capsys):
+    # an empty list once ran no check and exited 4 with a fail verdict
+    assert main(["check", "--family", "log-interaction", "--trial-kappa", value]) == 2
+    captured = capsys.readouterr()
+    assert "check.trial_kappa must contain at least one tail order" in captured.err
+    assert "verdict" not in captured.out
+
+
+def test_check_empty_trial_kappa_config_line_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("copula.family = log-interaction\ncheck.trial_kappa =\n")
+    assert main(["check", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "check.trial_kappa must contain at least one tail order" in captured.err
+    assert "verdict" not in captured.out
+
+
+def test_check_out_csv_dash_writes_the_evidence_to_stdout(capsys):
+    # '-' once wrote no CSV at all; the rows follow the report
+    rc = main(["check", "--family", "log-interaction", "--sigma", "0.5",
+               "--trial-kappa", "1.5", "--out-csv", "-"])
+    assert rc == 4
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("trial_kappa,check,verdict,final_deviation,fitted_c,note")
+    assert lines[start - 1].startswith("  ")  # the last line of the report
+    rows = list(csv.reader(lines[start + 1:-1]))
+    assert rows and all(row[0] == "1.5" for row in rows)
+    assert {row[1] for row in rows} >= {"A2"}
+    assert lines[-1] == "verdict: fail (at least one scaling hypothesis rejected)"
+
+
 def test_check_tolerance_flag_passes_a_trial_sweep(capsys):
     # a tolerance no deviation reaches passes every trial order
     rc = main(["check", "--family", "log-interaction", "--tolerance", "1e300",

@@ -297,19 +297,16 @@ def test_trial_tail_order_traits():
 def test_partial_limit_traits_fields():
     # independence: corner slope 1, profile u; Gumbel 10: slope 0, zero profile
     ind = partial_limit_traits(independence_pickands())
-    assert ind.beta == 0.0
     assert ind.h(1e-3) == 1.0
     assert ind.varphi(0.5, 0.25) == 0.5
     g10 = partial_limit_traits(gumbel_pickands(10.0))
-    assert g10.beta == 0.0
     assert g10.h(1e-3) == 1.0
     assert g10.varphi(0.5, 0.25) == 0.0
-    assert set(PartialLimitTraits.__dataclass_fields__) == {"h", "varphi", "beta"}
+    assert set(PartialLimitTraits.__dataclass_fields__) == {"h", "varphi"}
 
 
 def test_gumbel_log_refined_traits_domain():
-    tr = gumbel_log_refined_traits(10.0)
-    assert tr.beta == 1.0
+    gumbel_log_refined_traits(10.0)
     with pytest.raises(DomainError):
         gumbel_log_refined_traits(1.0)
 

@@ -68,7 +68,6 @@ def test_traits_follow_from_the_dependence_function(galambos):
     assert abs(tr.kappa - (2.0 - 2.0 ** (-1.0 / THETA))) < 1e-14
     assert abs(tr.power_m - (1.0 - 2.0 ** (-1.0 / THETA - 1.0))) < 1e-14
     partial = partial_limit_traits(galambos)
-    assert partial.beta == 0.0
     assert partial.varphi(0.5, 0.5) == 0.0
 
 
@@ -79,7 +78,6 @@ def test_slowly_vanishing_corner_slope_is_exactly_zero(theta):
     p = galambos_pickands(theta)
     partial = partial_limit_traits(p)
     assert partial.varphi(0.5, 0.5) == 0.0
-    assert partial.beta == 0.0
     assert tailprob_expansion_ev(ParetoMarginal(0.8, 1.0), p, 1e4).candidates is not None
 
 

@@ -2,10 +2,11 @@
 
 ``asymptotics.py`` writes every second-order term as a threshold-free spec
 ``(kind, coefficient, exponent, arg)`` and evaluates specs only in
-``_evaluate``. An ``ExpansionTerm`` built anywhere else would be a second
-place that turns the paper's terms into numbers, one that the trait
-branches and the extreme-value candidates could disagree through. The scan
-reads the source, so it also catches code no test reaches.
+``_evaluate``; ``_model_plan`` writes every spec, the candidates' trait
+branches among them. An ``ExpansionTerm`` built anywhere else would be a
+second place that turns the paper's terms into numbers, one that the stated
+value and its candidates could disagree through. The scan reads the source,
+so it also catches code no test reaches.
 """
 
 import ast
