@@ -1,8 +1,9 @@
 """Minimal static SVG line charts (no plotting dependency).
 
 Only what the command line needs: one chart, up to a few series drawn as
-polylines with markers, linear or logarithmic axes, tick labels, and a
-legend. Output is a complete standalone ``.svg`` document.
+polylines with markers, a linear or logarithmic x axis, a logarithmic y
+axis, tick labels, and a legend. Output is a complete standalone ``.svg``
+document.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ _MARGIN_B = 58
 _COLORS = ("#1f6fb2", "#d1495b", "#3a7d44", "#8d6a9f")
 
 
-def _ticks_linear(lo: float, hi: float, count: int = 5) -> list:
+def _ticks_linear(lo: float, hi: float) -> list:
     if hi <= lo:
         hi = lo + 1.0
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+    step = (hi - lo) / 4
+    return [lo + i * step for i in range(5)]
 
 
 def _ticks_log(lo: float, hi: float) -> list:
@@ -64,7 +65,6 @@ def render_line_chart(
     ylabel: str,
     series: Sequence[tuple],
     logx: bool = False,
-    logy: bool = False,
 ) -> None:
     """Write a line chart to ``path`` as a standalone SVG document.
 
@@ -76,9 +76,10 @@ def render_line_chart(
         Chart annotations.
     series : sequence of (label, xs, ys)
         Each entry is drawn as one polyline with point markers. Points with
-        nonpositive coordinates on a logarithmic axis are dropped.
-    logx, logy : bool
-        Use a base-10 logarithmic axis.
+        a nonpositive y, or a nonpositive x on a logarithmic x axis, are
+        dropped.
+    logx : bool
+        Use a base-10 logarithmic x axis; the y axis is always one.
 
     Raises
     ------
@@ -89,11 +90,9 @@ def render_line_chart(
     for label, xs, ys in series:
         pts = []
         for xv, yv in zip(xs, ys):
-            if not (math.isfinite(xv) and math.isfinite(yv)):
+            if not (math.isfinite(xv) and math.isfinite(yv)) or yv <= 0:
                 continue
             if logx and xv <= 0:
-                continue
-            if logy and yv <= 0:
                 continue
             pts.append((float(xv), float(yv)))
         if pts:
@@ -111,11 +110,11 @@ def render_line_chart(
         return _MARGIN_L + frac * (_WIDTH - _MARGIN_L - _MARGIN_R)
 
     def ty(v: float) -> float:
-        frac = _axis_fraction(v, y_lo, y_hi, logy)
+        frac = _axis_fraction(v, y_lo, y_hi, True)
         return _HEIGHT - _MARGIN_B - frac * (_HEIGHT - _MARGIN_T - _MARGIN_B)
 
     x_ticks = _ticks_log(x_lo, x_hi) if logx else _ticks_linear(x_lo, x_hi)
-    y_ticks = _ticks_log(y_lo, y_hi) if logy else _ticks_linear(y_lo, y_hi)
+    y_ticks = _ticks_log(y_lo, y_hi)
     x_ticks = [v for v in x_ticks if x_lo <= v <= x_hi] or [x_lo, x_hi]
     y_ticks = [v for v in y_ticks if y_lo <= v <= y_hi] or [y_lo, y_hi]
 

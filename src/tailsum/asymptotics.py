@@ -793,9 +793,9 @@ def var_from_tailprob_inversion(
             )
 
     target = 1.0 - q
-    with np.errstate(over="ignore"):  # a tiny alpha maps these levels to inf
-        lo = m.quantile(q)
-        hi = 4.0 * m.quantile(1.0 - target / 4.0) + 4.0 * m.scale
+    # a tiny alpha maps these levels to inf
+    lo = m.quantile(q)
+    hi = 4.0 * m.quantile(1.0 - target / 4.0) + 4.0 * m.scale
     require_finite_top(hi)
     f_lo = tail_value(lo) - target
     f_hi = tail_value(hi) - target

@@ -116,7 +116,9 @@ class _Settings:
 
     ``flags`` maps each config key of the running subcommand to its flag's
     action, whose ``dest`` is the key. A file value is cast with the flag's
-    ``type`` only when the command reads the key.
+    ``type`` only when the command reads the key. An output path (``out.*``)
+    read empty, or an ``out.svg`` read as ``-`` (stdout, which only
+    ``out.csv`` writes to), is an error by flag and by file alike.
     """
 
     def __init__(self, file_values: dict, args: argparse.Namespace, flags: dict) -> None:
@@ -126,17 +128,15 @@ class _Settings:
 
     def get(self, key: str, default=None):
         value = getattr(self._args, key)
-        if value is not None:
-            return value
-        if key not in self._file:
-            return default
-        text, cast = self._file[key], self._flags[key].type
-        if cast is None:
-            return text
-        try:
-            return cast(text)
-        except ValueError as exc:
-            raise ConfigError(f"invalid value for {key}: {text!r}") from exc
+        if value is None and key in self._file:
+            text, cast = self._file[key], self._flags[key].type or str
+            try:
+                value = cast(text)
+            except ValueError as exc:
+                raise ConfigError(f"invalid value for {key}: {text!r}") from exc
+        if key.startswith("out.") and (value == "" or (value == "-" and key == "out.svg")):
+            raise ConfigError(f"{key} needs a path, got {value!r}")
+        return default if value is None else value
 
     def require(self, key: str):
         value = self.get(key)
@@ -195,9 +195,8 @@ def _sf_grid(m: ParetoMarginal, sf_min: float, sf_max: float, points: int) -> tu
     if points < 2:
         raise ConfigError(f"grid.points must be at least 2, got {points}")
     # 1 - sf_min may round to 1, or its quantile overflow at a tiny alpha
-    with np.errstate(over="ignore"):
-        if 1.0 - sf_min == 1.0 or not math.isfinite(m.quantile(1.0 - sf_min)):
-            raise ConfigError(f"grid.sf_min {sf_min} has no finite threshold at alpha {m.alpha}")
+    if 1.0 - sf_min == 1.0 or not math.isfinite(m.quantile(1.0 - sf_min)):
+        raise ConfigError(f"grid.sf_min {sf_min} has no finite threshold at alpha {m.alpha}")
     sfs = np.geomspace(sf_max, sf_min, points)
     return tuple(float(m.quantile(1.0 - sf)) for sf in sfs)
 
@@ -292,7 +291,6 @@ def _write_panels(
                 (f"monte carlo (n={n}, seed={seed})", xs, [row[3] for row in rows]),
             ],
             logx=logx,
-            logy=True,
         )
 
 
@@ -346,6 +344,7 @@ def _print_report(report, heading: str) -> None:
 def _cmd_check(cfg: _Settings) -> int:
     copula = _resolve_family(cfg)
     family = copula.family
+    out_csv = cfg.get("out.csv")
 
     # settings the user left unset take check_assumptions' defaults; the
     # default scales follow the copula's corner
@@ -396,8 +395,7 @@ def _cmd_check(cfg: _Settings) -> int:
                  result.note)
             )
 
-    out_csv = cfg.get("out.csv")
-    if out_csv:
+    if out_csv is not None:
         _write_rows(out_csv, csv_rows, _CHECK_HEADER)
 
     if any(report.all_pass for _, report in reports):

@@ -596,8 +596,7 @@ class CheckResult:
         (stability of the partial derivative under relative shifts),
         ``"A4"`` (corner limit of the scaled partial derivative),
         ``"evcond"`` (stability of the dependence-function derivative under
-        log-relative perturbations), ``"taylor_limit"`` (first-order corner
-        behaviour of the partial derivative).
+        log-relative perturbations).
     passed : bool or None
         True / False verdict, or None when the evidence is numerically
         inconclusive (never silently counted as a pass).
@@ -714,7 +713,7 @@ def check_assumptions(
 ) -> AssumptionReport:
     """Measure how fast a copula converges to its asserted tail scaling.
 
-    Five checks run where applicable, each over a shrinking sequence of
+    Four checks run where applicable, each over a shrinking sequence of
     scales ``t`` and a relative grid, with the corner slope ``a20`` read
     once by :func:`estimate_corner_slope` (0 without a dependence function):
 
@@ -722,10 +721,9 @@ def check_assumptions(
     * ``A3``: the relative increment of ``chat_v`` when the first argument
       grows by the factor ``1 + u``, against ``(1 + u) - 1``; the stability
       constant is fitted by least squares on log-ratios.
-    * ``A4`` and ``taylor_limit``: one scan of ``chat_v(u*t, v) / t``
-      against the corner profile ``u * a20 * v**(a20 - 1)`` of
-      :func:`partial_limit_traits` (0 when ``a20`` is 0); ``A4`` needs a
-      dependence function.
+    * ``A4``: ``chat_v(u*t, v) / t`` against the corner profile
+      ``u * a20 * v**(a20 - 1)`` of :func:`partial_limit_traits` (0 when
+      ``a20`` is 0).
     * ``evcond``: the dependence-derivative ratio
       ``a2(1, x / (1 + log(1+u)/log t)) / a2(1, x)`` against a fitted power
       ``(1 + u)**c``.
@@ -747,7 +745,7 @@ def check_assumptions(
     tail_traits : TailOrderTraits, optional
         Defaults to the traits of the copula's dependence function; required
         for a copula without one (pass :func:`trial_tail_order_traits`),
-        which skips ``A3``, ``A4`` and ``evcond``.
+        which skips ``A3`` and ``evcond``.
     grid : sequence of float
         Relative grid of positive finite values (default ``(0.5, 1, 2, 4)``);
         values below 1 double as the probability grid of the derivative
@@ -804,7 +802,6 @@ def check_assumptions(
     lchat, lchat_v = copula.log_chat, copula.log_chat_v
 
     checks: dict[str, CheckResult] = {}
-    skipped: list[str] = []
 
     def finish(name, rows, fitted_c=None):
         worst = dict.fromkeys(l10, 0.0)
@@ -833,19 +830,8 @@ def check_assumptions(
 
     finish("A2", scan(gvals, gvals, diagonal))
 
-    # the rows of A4 and taylor_limit, against the corner profile; a vanishing
-    # corner slope has the zero profile (its power v ** -1 would overflow at a
-    # subnormal grid value)
-    profile = _partial_traits(a20).varphi
-
-    def corner_limit(lt, u, v):
-        return _safe_exp(lchat_v(math.log(u) + lt, math.log(v)) - lt), profile(u, v)
-
-    corner_rows = scan(gvals, vprob, corner_limit)
-
-    if p is None:
-        skipped += ["A3", "A4"]
-    else:
+    # A3 and evcond read the dependence function
+    if p is not None:
         # A3: relative-shift stability of the partial derivative.
         def relative_shift(lt, u, v):
             lr = lchat_v(lt + math.log1p(u), math.log(v)) - lchat_v(lt, math.log(v))
@@ -864,13 +850,20 @@ def check_assumptions(
             if den > 0:
                 fitted_c = num / den
         finish("A3", rows, fitted_c=fitted_c)
-        finish("A4", corner_rows)
+
+    # A4: corner limit of the scaled partial derivative against the corner
+    # profile; a vanishing corner slope has the zero profile (its power
+    # v ** -1 would overflow at a subnormal grid value)
+    profile = _partial_traits(a20).varphi
+
+    def corner_limit(lt, u, v):
+        return _safe_exp(lchat_v(math.log(u) + lt, math.log(v)) - lt), profile(u, v)
+
+    finish("A4", scan(gvals, vprob, corner_limit))
 
     # evcond: stability of the dependence derivative under log perturbations;
     # its power is fitted per grid point, so it keeps its own loop.
-    if p is None:
-        skipped.append("evcond")
-    else:
+    if p is not None:
         rows = []
         fitted_c = None
         for x10, lt in zip(l10, lts):
@@ -899,11 +892,9 @@ def check_assumptions(
                 rows += [(x10, u, x, q, (1.0 + u) ** c_x) for u, q in triples]
         finish("evcond", rows, fitted_c=fitted_c)
 
-    finish("taylor_limit", corner_rows)
-
     return AssumptionReport(
         checks=checks,
-        skipped=tuple(skipped),
+        skipped=("A3", "evcond") if p is None else (),
         grid=gvals,
         log10_t_sequence=l10,
         tolerance=float(tolerance),

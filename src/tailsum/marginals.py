@@ -109,9 +109,10 @@ class ParetoMarginal:
             ``scale * ((1-q)**(-1/alpha) - 1)``; NaN at a NaN level.
 
         A ``float`` level (``numpy.float64`` included) is computed with
-        numpy scalar arithmetic, whose power is libm's ``pow``, without
-        building an array; an array with the vectorised (SIMD) power ufunc.
-        The two can differ in the last bit (for about 5% of random levels).
+        ``math.pow``, which is libm's ``pow``, without building an array; an
+        array with the vectorised (SIMD) power ufunc. The two can differ in
+        the last bit (for about 5% of random levels). A level whose quantile
+        overflows a float gives ``inf``, without a warning.
 
         Raises
         ------
@@ -121,9 +122,10 @@ class ParetoMarginal:
         if isinstance(q, float):
             if q < 0.0 or q >= 1.0:
                 raise DomainError(f"quantile requires 0 <= q < 1, got {q!r}")
-            # the 0-d array's arithmetic: np.power would run the SIMD ufunc loop,
-            # and a Python float ** raises OverflowError where numpy warns
-            return float(self.scale * ((1.0 - np.float64(q)) ** (-1.0 / self.alpha) - 1.0))
+            try:
+                return float(self.scale) * (math.pow(1.0 - q, -1.0 / self.alpha) - 1.0)
+            except OverflowError:
+                return math.inf
         arr = np.asarray(q, dtype=float)
         if np.any(arr < 0) or np.any(arr >= 1):
             raise DomainError(f"quantile requires 0 <= q < 1, got {q!r}")

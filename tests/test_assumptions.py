@@ -18,7 +18,7 @@ from tailsum import (
     trial_tail_order_traits,
 )
 
-CHECK_NAMES = ("A2", "A3", "A4", "evcond", "taylor_limit")
+CHECK_NAMES = ("A2", "A3", "A4", "evcond")
 _SHALLOW = (-1.0, -2.0, -3.0, -4.0, -5.0, -6.0, -7.0)
 _DEEP = (-8200.0, -8400.0, -8600.0, -8800.0, -9000.0)
 
@@ -104,10 +104,9 @@ def test_counterexample_fails_scaling_check_for_every_trial_kappa(sc_log):
 
 def test_counterexample_fails_corner_taylor_check(sc_log):
     report = check_assumptions(sc_log, tail_traits=trial_tail_order_traits(1.5))
-    assert report.checks["taylor_limit"].passed is False
-    # checks needing analytic traits are skipped, not silently passed
-    for name in ("A3", "A4", "evcond"):
-        assert name in report.skipped
+    assert report.checks["A4"].passed is False
+    # checks needing a dependence function are skipped, not silently passed
+    assert report.skipped == ("A3", "evcond")
 
 
 @pytest.mark.parametrize(
@@ -115,7 +114,7 @@ def test_counterexample_fails_corner_taylor_check(sc_log):
     [
         ("gumbel", {"phi": 2.0}, None, dict.fromkeys(CHECK_NAMES, False)),
         ("comonotone", {}, None, {**dict.fromkeys(CHECK_NAMES, False), "A2": True}),
-        ("log-interaction", {"sigma": 0.5}, 2.0, {"A2": False, "taylor_limit": None}),
+        ("log-interaction", {"sigma": 0.5}, 2.0, {"A2": False, "A4": None}),
         ("gumbel", {"phi": 1.5}, None, {**dict.fromkeys(CHECK_NAMES, None), "evcond": False}),
     ],
 )
@@ -222,25 +221,55 @@ def _counting(sc):
     "family, phi, expected", [("gumbel", 10.0, 60), ("independence", None, 84)]
 )
 def test_corner_is_scanned_once(family, phi, expected):
-    # A3 reads log_chat_v twice per point; A4 and taylor_limit share one
-    # corner scan of one read per point (5 deep or 7 shallow scales x 4 grid
-    # values x the probability grid (0.5,))
+    # A3 reads log_chat_v twice per point and A4 once (5 deep or 7 shallow
+    # scales x 4 grid values x the probability grid (0.5,))
     sc, calls = _counting(make_survival_copula(family, phi=phi))
-    report = check_assumptions(sc)
+    check_assumptions(sc)
     assert len(calls) == expected
-    assert report.checks["A4"].rows == report.checks["taylor_limit"].rows
+
+
+_SCAN_MODELS = [
+    ("independence", {}), ("comonotone", {}),
+    *(("gumbel", {"phi": phi}) for phi in (1.0, 1.0000001, 1.0001, 1.05, 1.2, 1.5, 2.0, 3.0,
+                                           5.0, 10.0, 20.0)),
+    ("log-interaction", {"sigma": 0.5}), ("log-interaction", {"sigma": 1.0}),
+]
+
+
+@pytest.mark.parametrize(
+    "family, kwargs", _SCAN_MODELS,
+    ids=[family + "".join(map(str, kw.values())) for family, kw in _SCAN_MODELS],
+)
+def test_each_check_reports_its_own_scan(family, kwargs):
+    # every check runs for every copula or is skipped, never both, and no
+    # two checks of a report file the same evidence
+    sc = make_survival_copula(family, **kwargs)
+    trials = (None,) if sc.pickands is not None else (1.0, 1.5, 2.0)
+    for kappa in trials:
+        traits = None if kappa is None else trial_tail_order_traits(kappa)
+        for scales in (None, _SHALLOW, _DEEP):
+            kw = {} if scales is None else {"log10_t_sequence": scales}
+            report = check_assumptions(sc, traits, **kw)
+            if sc.pickands is None:
+                assert tuple(report.checks) == ("A2", "A4")
+                assert report.skipped == ("A3", "evcond")
+            else:
+                assert tuple(report.checks) == CHECK_NAMES
+                assert report.skipped == ()
+            assert not set(report.checks) & set(report.skipped)
+            rows = [check.rows for check in report.checks.values()]
+            assert all(a != b for i, a in enumerate(rows) for b in rows[i + 1:])
 
 
 @pytest.mark.parametrize("phi", [1.0000001, 1.0001])
 def test_near_independent_gumbel_is_checked_at_the_deep_scales(phi):
     # the corner slope a2(1, 0) is 0 for every phi > 1, so the default depth
     # is the deep one; a2(1, y) ~ y**(phi - 1) is still near 1 there, so the
-    # corner checks are about max(grid) = 4 off their zero target
+    # corner check is about max(grid) = 4 off its zero target
     report = check_assumptions(make_survival_copula("gumbel", phi=phi))
     assert report.log10_t_sequence == _DEEP
-    for name in ("A4", "taylor_limit"):
-        assert report.checks[name].passed is False
-        assert report.checks[name].last_deviation == pytest.approx(4.0, rel=1e-3)
+    assert report.checks["A4"].passed is False
+    assert report.checks["A4"].last_deviation == pytest.approx(4.0, rel=1e-3)
     assert report.checks["A3"].passed is True
     assert report.checks["evcond"].passed is True
     assert report.any_fail
@@ -271,9 +300,6 @@ _EVIDENCE = {
                 2.220446049250313e-16, 2.220446049250313e-16, 2.220446049250313e-16,
                 1.7763568394002505e-15), None),
         "evcond": ((0.0,) * 7, 0.0),
-        "taylor_limit": ((2.220446049250313e-16, 2.220446049250313e-16, 8.881784197001252e-16,
-                          2.220446049250313e-16, 2.220446049250313e-16, 2.220446049250313e-16,
-                          1.7763568394002505e-15), None),
     },
     "gumbel10-deep": {
         "A2": ((0.00027610063209566643, 0.0002695275794679357, 0.0002632602080245055,
@@ -284,17 +310,15 @@ _EVIDENCE = {
                 5.134537283578884e-40, 4.194274337497326e-40), None),
         "evcond": ((1.1478222240557278e-08, 1.0938110069673748e-08, 1.0435243509378298e-08,
                     9.966273674198835e-09, 9.528221422235744e-09), 0.0004762162078440048),
-        "taylor_limit": ((9.694831335805237e-40, 7.804489873440336e-40, 6.314886064754128e-40,
-                          5.134537283578884e-40, 4.194274337497326e-40), None),
     },
     # the negative control of `tailsum check --family log-interaction`;
-    # A3, A4 and evcond are skipped
+    # A3 and evcond are skipped
     "log-interaction": {
         "A2": ((0.9964417928620298, 0.9999999197940833, 0.999999999999991,
                 1.0, 1.0, 1.0, 1.0), None),
-        "taylor_limit": ((4.245661013139918, 3.4207227144039205, 2.219573447710317,
-                          1.3052211877890867, 0.7253711915982628, 0.3885879126256352,
-                          0.2028689842065432), None),
+        "A4": ((4.245661013139918, 3.4207227144039205, 2.219573447710317,
+                1.3052211877890867, 0.7253711915982628, 0.3885879126256352,
+                0.2028689842065432), None),
     },
 }
 

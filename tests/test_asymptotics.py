@@ -594,15 +594,15 @@ def test_threshold_must_be_finite_and_above_the_median(m08, m2, p1, p10):
                 call(t)
 
 
+@pytest.mark.filterwarnings("error")
 def test_inversion_with_an_infinite_bracket_raises_domain_error():
     # at alpha 0.003 the level's quantiles overflow to inf, so the doubling
     # bracket starts and stays at an infinite threshold
     m = ParetoMarginal(0.003, 1.0)
-    with np.errstate(over="ignore"):
-        assert math.isinf(m.quantile(0.99))
-        for p in (gumbel_pickands(1.0), gumbel_pickands(10.0)):
-            with pytest.raises(DomainError, match="could not bracket"):
-                var_from_tailprob_inversion(m, p, 0.99)
+    assert math.isinf(m.quantile(0.99))
+    for p in (gumbel_pickands(1.0), gumbel_pickands(10.0)):
+        with pytest.raises(DomainError, match="could not bracket"):
+            var_from_tailprob_inversion(m, p, 0.99)
 
 
 @pytest.mark.filterwarnings("error")
@@ -626,22 +626,22 @@ def test_a_bracket_doubled_past_the_largest_float_raises(monkeypatch):
         var_from_tailprob_inversion(m, gumbel_pickands(2.0), 0.9)
 
 
+@pytest.mark.filterwarnings("error")
 def test_tiny_tail_index_raises_domain_error():
     # 2**(1/alpha) overflows at alpha 1e-4 (it raised OverflowError); at
     # alpha 0.01 the bracket near 1e200..1e261 defeats the root finder (it
     # raised scipy's RuntimeError), and at alpha 0.005 the bracket's top is
     # inf, which is named as the overflow it is (it was reported as a
     # root search that did not converge at the NaN expansion there)
-    with np.errstate(over="ignore"):
-        for alpha in (1e-4, 0.003):
-            with pytest.raises(DomainError, match="overflows"):
-                var_expansion_ev(ParetoMarginal(alpha, 1.0), gumbel_pickands(1.0), 0.99)
-        for alpha, phi, q in ((0.01, 1.0, 0.99), (0.01, 10.0, 0.99)):
-            with pytest.raises(DomainError, match="did not converge"):
-                var_from_tailprob_inversion(ParetoMarginal(alpha, 1.0), gumbel_pickands(phi), q)
-        for phi in (1.5, 10.0):
-            with pytest.raises(DomainError, match="could not bracket.*overflows"):
-                var_from_tailprob_inversion(ParetoMarginal(0.005, 1.0), gumbel_pickands(phi), 0.9)
+    for alpha in (1e-4, 0.003):
+        with pytest.raises(DomainError, match="overflows"):
+            var_expansion_ev(ParetoMarginal(alpha, 1.0), gumbel_pickands(1.0), 0.99)
+    for alpha, phi, q in ((0.01, 1.0, 0.99), (0.01, 10.0, 0.99)):
+        with pytest.raises(DomainError, match="did not converge"):
+            var_from_tailprob_inversion(ParetoMarginal(alpha, 1.0), gumbel_pickands(phi), q)
+    for phi in (1.5, 10.0):
+        with pytest.raises(DomainError, match="could not bracket.*overflows"):
+            var_from_tailprob_inversion(ParetoMarginal(0.005, 1.0), gumbel_pickands(phi), 0.9)
     # at a moderate level the case correction c * 2**-(a20+1) / alpha *
     # (1-q)**a20 falls below -1; these once returned -9.45e13 and -1.36e62
     for alpha, q in ((0.05, 0.6), (0.01, 0.51)):
