@@ -6,7 +6,8 @@ Given a Pareto marginal and an extreme-value copula, this module evaluates:
   :func:`integral_I`, the corner functional :func:`eta_limit` in closed
   form, and :func:`delta_correction` by a fixed quadrature rule);
 * the case classification of the extreme-value regime
-  (:func:`classify_case`), which rejects a non-convex dependence function;
+  (:func:`classify_case`), which rejects a dependence function that breaks
+  the :class:`~tailsum.copulas.PickandsEV` contract;
 * first- plus second-order expansions of ``P(X + Y > t)``
   (:func:`tailprob_expansion_ev`);
 * first- plus second-order expansions of the ``q``-quantile of ``X + Y``
@@ -249,7 +250,8 @@ class CaseLabel:
     label : str
         ``"C1\\(C2∩C3)"`` when ``C1: alpha*a2(1,0) < 1``, else ``"C1ᶜ"``
         (the paper's third case, with ``C3: a(1,1) < a2(1,0) + 1``, needs a
-        non-convex dependence function, which :func:`classify_case` rejects).
+        non-convex dependence function, which breaks the contract that
+        :func:`classify_case` tests).
     c1, c2 : bool
         C1 and ``C2: alpha*a1(1,1) < 1``. C2 leaves the label alone: it is
         the one test of whether the eta branch's corner integral
@@ -281,7 +283,8 @@ def classify_case(alpha: float, p: PickandsEV) -> CaseLabel:
     """Classify the model into one of the two cases of :class:`CaseLabel`.
 
     The corner slope ``a2(1, 0)`` is the contract value ``a2_fn(1, -0.0)``,
-    read by :func:`~tailsum.copulas.estimate_corner_slope`. A dependence
+    read by :func:`~tailsum.copulas.estimate_corner_slope`, which first
+    tests the :class:`~tailsum.copulas.PickandsEV` contract. A dependence
     function is convex with ``a(1, 0) = 1``, so ``a(1,1) - 1 = int_0^1
     a2(1,y) dy >= a2(1,0)`` and C3 never holds. Predicates within 1e-8 of
     their boundary (C3: but not exactly on it) attach a warning but still
@@ -290,19 +293,16 @@ def classify_case(alpha: float, p: PickandsEV) -> CaseLabel:
     Raises
     ------
     DomainError
-        If ``alpha`` is not positive, if the corner slope lies outside
-        ``[0, 1]``, or if ``a(1,1) < a2(1,0) + 1 - 1e-8`` (the dependence
-        function is not convex).
+        If ``alpha`` is not positive, or if the dependence function breaks
+        its contract (a corner slope outside ``[0, 1]``, asymmetry, a value
+        outside the bounds, a broken Euler identity, or non-convexity, such
+        as ``a(1,1) < a2(1,0) + 1 - 1e-8``); the message names the property.
     """
     if not (alpha > 0):
         raise DomainError(f"classify_case requires alpha > 0, got {alpha}")
     a20 = estimate_corner_slope(p)
     a11 = float(p.a1_fn(1.0, 1.0))
     c3_margin = float(p.a_fn(1.0, 1.0)) - (a20 + 1.0)
-    if c3_margin < -1e-8:
-        raise DomainError(
-            f"a(1,1) - a2(1,0) - 1 = {c3_margin!r} < 0: the dependence function is not convex"
-        )
 
     c1 = alpha * a20 < 1.0
     c2 = alpha * a11 < 1.0
@@ -589,7 +589,7 @@ def tailprob_expansion_ev(m: ParetoMarginal, p: PickandsEV, t: float) -> Expansi
     ------
     DomainError
         If ``t`` is not finite and above the marginal median, or the
-        dependence function is not convex (see :func:`classify_case`).
+        dependence function breaks its contract (see :func:`classify_case`).
     """
     _require_above_median(m, t, "tailprob_expansion_ev")
     t = float(t)
@@ -646,7 +646,7 @@ def var_expansion_ev(m: ParetoMarginal, p: PickandsEV, q: float) -> VarExpansion
     DomainError
         If ``q`` lies outside ``(0.5, 1)``, the first order
         ``2**(1/alpha) * Q(q)`` overflows a float (a tiny ``alpha``), the
-        dependence function is not convex, the stated second-order term
+        dependence function breaks its contract, the stated second-order term
         is of the leading order (exponent ``a(1,1) = 1``, the comonotone
         model), as in :func:`tailprob_expansion_ev`, or the second-order
         value is not positive (the relative correction falls below ``-1``,

@@ -124,7 +124,9 @@ class PickandsEV:
         ``a2_fn(x, y)`` as ``y -> 0``: :func:`ev_chat_v` calls it at
         ``v == 1``, and :func:`estimate_corner_slope` reads ``a2(1, 0)`` from
         it for :func:`~tailsum.asymptotics.classify_case`, the corner traits
-        and the hypothesis checker.
+        and the hypothesis checker, after testing every property above but
+        homogeneity at five points: each of its readers raises
+        :class:`~tailsum.errors.DomainError` naming the first one broken.
     family : str
         Family tag (``"independence"``, ``"gumbel"``, ``"comonotone"``).
     param : float or None
@@ -460,26 +462,94 @@ class PartialLimitTraits:
     varphi: Callable
 
 
+def _require_dependence_function(p: PickandsEV) -> float:
+    """The corner slope ``a2(1, 0)`` of a dependence function that keeps the
+    :class:`PickandsEV` contract, which is tested here and nowhere else.
+
+    The expansions, their case and the corner traits read one corner of the
+    copula and double it, so they hold only for such a function. The tests,
+    at the points ``(1, 0.1)``, ``(1, 0.5)``, ``(1, 1)``, ``(0.5, 1)`` and
+    ``(0.1, 1)``:
+
+    * the corner slope ``a2_fn(1, -0.0)`` lies in ``[0, 1]`` (exactly);
+    * symmetry: ``a(x, y) = a(y, x)`` and ``a1(x, y) = a2(y, x)``;
+    * the bounds ``max(x, y) <= a(x, y) <= x + y``;
+    * the Euler identity ``x*a1 + y*a2 = a``;
+    * convexity: ``a(x', y') >= x'*a1(x, y) + y'*a2(x, y)``, the supporting
+      line at each point ``(x, y)`` and at the corner ``(1, 0)``, whose
+      gradient is ``(1, a20)``. At the corner and ``(x', y') = (1, 1)`` this
+      is the C3 margin ``a(1, 1) - a2(1, 0) - 1 >= 0``.
+
+    The middle three are tested point by point, convexity after them. All
+    but the first allow the C3 margin's ``1e-8``; NaN fails every test.
+    Returns ``a2_fn(1, -0.0)`` with a negative zero folded to ``+0.0``.
+
+    Raises
+    ------
+    DomainError
+        Naming the first broken property, the family and the point.
+    """
+
+    def require(ok: bool, broken: str, z: tuple, detail: str) -> None:
+        if not ok:
+            raise DomainError(
+                f"the dependence function of family {p.family!r} {broken} at "
+                f"(x, y) = {z}: {detail}"
+            )
+
+    a20 = float(p.a2_fn(1.0, -0.0)) + 0.0
+    require(
+        0.0 <= a20 <= 1.0, "has a corner slope a2_fn(1, -0.0) outside [0, 1]", (1.0, 0.0),
+        f"a2(x, y) = {a20!r}",
+    )
+    points = ((1.0, 0.1), (1.0, 0.5), (1.0, 1.0), (0.5, 1.0), (0.1, 1.0))
+    tol = 1e-8
+    a, a1, a2 = ({z: float(f(*z)) for z in points} for f in (p.a_fn, p.a1_fn, p.a2_fn))
+    for z in points:
+        x, y = z
+        require(
+            abs(a[z] - a[y, x]) <= tol and abs(a1[z] - a2[y, x]) <= tol,
+            "is not symmetric", z,
+            f"a(x, y) = {a[z]!r}, a(y, x) = {a[y, x]!r}, "
+            f"a1(x, y) = {a1[z]!r}, a2(y, x) = {a2[y, x]!r}",
+        )
+        require(
+            max(x, y) - tol <= a[z] <= x + y + tol,
+            "breaks the bounds max(x, y) <= a <= x + y", z, f"a(x, y) = {a[z]!r}",
+        )
+        euler = x * a1[z] + y * a2[z]
+        require(
+            abs(euler - a[z]) <= tol,
+            "breaks the Euler identity x*a1 + y*a2 = a", z,
+            f"x*a1 + y*a2 = {euler!r}, a = {a[z]!r}",
+        )
+    gradients = [((1.0, 0.0), (1.0, a20))] + [(z, (a1[z], a2[z])) for z in points]
+    for z, (g1, g2) in gradients:
+        for x, y in points:
+            margin = a[x, y] - (x * g1 + y * g2)
+            require(
+                margin >= -tol, "is not convex", z,
+                f"a({x}, {y}) lies {-margin!r} below the supporting line at (x, y)",
+            )
+    return a20
+
+
 def estimate_corner_slope(p: PickandsEV) -> float:
     """The corner slope ``a2(1, 0)`` of a dependence function, read exactly.
 
     Returns ``a2_fn(1, -0.0)``, which the :class:`PickandsEV` contract makes
     the limit of ``a2_fn(1, y)`` as ``y -> 0``, as a float with a negative
-    zero folded to ``+0.0``.
+    zero folded to ``+0.0``. It tests the whole contract first
+    (:func:`_require_dependence_function`), so every reader of the slope
+    (:func:`~tailsum.asymptotics.classify_case`, :func:`partial_limit_traits`
+    and :func:`check_assumptions`) rejects a broken dependence function.
 
     Raises
     ------
     DomainError
-        If the slope is NaN or lies outside ``[0, 1]``: the dependence
-        function breaks its contract.
+        Naming the first broken property of the contract.
     """
-    a20 = float(p.a2_fn(1.0, -0.0))
-    if not 0.0 <= a20 <= 1.0:
-        raise DomainError(
-            f"corner slope a2_fn(1, -0.0) must lie in [0, 1], got {a20!r} "
-            f"for family {p.family!r}"
-        )
-    return a20 + 0.0
+    return _require_dependence_function(p)
 
 
 def tail_order_traits(p: PickandsEV) -> TailOrderTraits:

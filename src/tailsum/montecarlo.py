@@ -249,7 +249,8 @@ def _tail_sums(
     def keep(lo, hi, block):
         nonlocal held_size, next_chunk, cut_above
         x, y = pairs_of(lo, hi, block)
-        sums = np.add(x, y, out=block[: hi - lo])
+        with np.errstate(over="ignore"):  # two finite risks may sum past the largest float
+            sums = np.add(x, y, out=block[: hi - lo])
         part = sums.copy() if depth >= sums.size else kept(sums)
         with lock:
             arrived[lo // _CHUNK] = part

@@ -8,6 +8,7 @@ reduced panel counts; the acceptance suite repeats the headline comparisons
 at full oracle resolution.
 """
 
+import dataclasses
 import math
 import random
 
@@ -26,6 +27,7 @@ from tailsum import (
     ExpansionTerm,
     ParetoMarginal,
     PickandsEV,
+    check_assumptions,
     classify_case,
     comonotone_pickands,
     delta_correction,
@@ -42,6 +44,7 @@ from tailsum import (
     var_expansion_ev,
     var_from_tailprob_inversion,
 )
+from tailsum import copulas
 from tailsum.asymptotics import _model_plan
 from tailsum.copulas import _partial_traits
 
@@ -522,46 +525,109 @@ def test_candidates_are_the_trait_theorems_branches(phi, alpha):
             assert math.isclose(candidates["power_term_with_eta"], want, rel_tol=1e-15)
 
 
-def test_non_convex_dependence_function_is_rejected():
-    # A convex dependence function has a(1,1) - 1 = int_0^1 a2(1,y) dy >=
-    # a2(1,0), so the paper's third case (C3: a(1,1) < a2(1,0) + 1) needs a
-    # non-convex one, such as this symmetric, homogeneous a with
-    # a(1,1) = 1.4 and a2(1,0) = 1; no expansion may turn it into a number
-    c = 0.3
+def _quadratic_interaction(k: float, family: str) -> PickandsEV:
+    """The symmetric, homogeneous ``a = x + y + k*x**2*y**2/(x + y)**3``,
+    with ``a(1,1) = 2 + k/8`` and ``a2(1,0) = 1``: above ``x + y`` for
+    ``k > 0`` and not convex for ``k < 0``."""
 
     def a_fn(x, y):
-        return x + y - 16 * c * x**2 * y**2 / (x + y) ** 3
+        return x + y + k * x**2 * y**2 / (x + y) ** 3
 
     def a2_fn(x, y):
         s = x + y
-        return 1 - 16 * c * (2 * x**2 * y / s**3 - 3 * x**2 * y**2 / s**4)
+        return 1 + k * (2 * x**2 * y / s**3 - 3 * x**2 * y**2 / s**4)
 
-    p = PickandsEV(a_fn, lambda x, y: a2_fn(y, x), a2_fn, family="non-convex")
+    return PickandsEV(a_fn, lambda x, y: a2_fn(y, x), a2_fn, family=family)
+
+
+def _asymmetric_logistic(theta1: float, theta2: float, r: float) -> PickandsEV:
+    """Tawn's (1988) asymmetric logistic ``a = (1 - theta1)*x + (1 - theta2)*y
+    + ((theta1*x)**r + (theta2*y)**r)**(1/r)``: convex, within the bounds and
+    Euler's, but not symmetric unless ``theta1 == theta2``."""
+
+    def s(x, y):
+        return (theta1 * x) ** r + (theta2 * y) ** r
+
+    def a_fn(x, y):
+        return (1 - theta1) * x + (1 - theta2) * y + s(x, y) ** (1 / r)
+
+    def a1_fn(x, y):
+        return (1 - theta1) + theta1 * (theta1 * x) ** (r - 1) * s(x, y) ** (1 / r - 1)
+
+    def a2_fn(x, y):
+        return (1 - theta2) + theta2 * (theta2 * y) ** (r - 1) * s(x, y) ** (1 / r - 1)
+
+    return PickandsEV(a_fn, a1_fn, a2_fn, family="asymmetric-logistic")
+
+
+def _euler_breaking() -> PickandsEV:
+    # Gumbel's derivatives scaled by 0.9: still symmetric, with a corner
+    # slope of 0, but x*a1 + y*a2 = 0.9*a
+    g = gumbel_pickands(2.0)
+    return dataclasses.replace(
+        g, a1_fn=lambda x, y: 0.9 * g.a1_fn(x, y), a2_fn=lambda x, y: 0.9 * g.a2_fn(x, y),
+        family="euler-breaking",
+    )
+
+
+@pytest.mark.parametrize(
+    "make,match",
+    [
+        # swapping its arguments gives the same law of X + Y, yet the case and
+        # the tail at alpha 2, t 100 moved from C1ᶜ 2.037e-4 to C1\(C2∩C3)
+        # 2.319e-4 while symmetry went unchecked
+        (lambda: _asymmetric_logistic(0.9, 0.3, 3.0), "not symmetric"),
+        (lambda: _quadratic_interaction(4.8, "above-the-sum"), "bounds"),
+        (_euler_breaking, "Euler identity"),
+        (lambda: dataclasses.replace(independence_pickands(), a2_fn=lambda x, y: 1.5), "corner slope"),
+        # a convex dependence function has a(1,1) - 1 = int_0^1 a2(1,y) dy >=
+        # a2(1,0), so the paper's third case (C3: a(1,1) < a2(1,0) + 1) needs
+        # a non-convex one, such as this one with a(1,1) = 1.4 and a2(1,0) = 1
+        (lambda: _quadratic_interaction(-4.8, "non-convex"), "not convex"),
+    ],
+    ids=["asymmetric", "above-the-sum", "euler", "corner-slope", "non-convex"],
+)
+def test_broken_dependence_function_is_rejected(make, match):
+    # every public entry that reads the corner slope raises, naming the
+    # broken property; no expansion may turn such a function into a number
+    p = make()
     m = ParetoMarginal(0.8, 1.0)
     for run in (
         lambda: classify_case(0.8, p),
         lambda: tailprob_expansion_ev(m, p, m.quantile(0.999)),
         lambda: var_expansion_ev(m, p, 0.999),
         lambda: var_from_tailprob_inversion(m, p, 0.999),
+        lambda: partial_limit_traits(p),
+        lambda: check_assumptions(copulas._ev_copula(p)),
     ):
-        with pytest.raises(DomainError, match="not convex"):
+        with pytest.raises(DomainError, match=match):
             run()
 
 
 @given(
     p=st.one_of(
-        st.floats(1.0, 20.0).map(gumbel_pickands),
+        st.floats(1.0, 50.0).map(gumbel_pickands),
         st.floats(0.05, 3.0).map(galambos_pickands),
         st.sampled_from([independence_pickands(), comonotone_pickands()]),
     ),
     alpha=st.floats(0.3, 3.0),
+    w=st.floats(0.01, 0.99),
+    w2=st.floats(0.01, 0.99),
 )
-def test_valid_dependence_functions_pass_the_convexity_check(p, alpha):
-    # the corner slope is the contract value a2_fn(1, -0.0), and a convex
-    # function keeps a(1,1) - a2(1,0) - 1 well inside the 1e-8 the
-    # rejection allows
+def test_valid_dependence_functions_keep_the_contract(p, alpha, w, w2):
+    # the shipped families and Galambos pass the contract check, and keep the
+    # contract between its probe points to rounding (measured: at most
+    # 5.4e-16 relative), far inside the check's 1e-8 and the C3 margin's
     c = classify_case(alpha, p)
     assert float(p.a_fn(1.0, 1.0)) - c.a20 - 1.0 >= -1e-10
+    x, y = 1.0 - w, w
+    a = p.a_fn(x, y)
+    assert abs(p.a_fn(y, x) - a) <= 1e-14 * a
+    assert abs(p.a1_fn(x, y) - p.a2_fn(y, x)) <= 1e-14
+    assert max(x, y) * (1.0 - 1e-14) <= a <= (x + y) * (1.0 + 1e-14)
+    assert abs(x * p.a1_fn(x, y) + y * p.a2_fn(x, y) - a) <= 1e-14 * a
+    # convexity: a lies above its supporting line at (x, y)
+    assert p.a_fn(1.0 - w2, w2) >= (1.0 - w2) * p.a1_fn(x, y) + w2 * p.a2_fn(x, y) - 1e-14
 
 
 def test_log_refined_candidate_quadrature_converges_at_phi2_alpha03():
@@ -881,8 +947,6 @@ def test_model_plans_do_not_leak_between_models():
 def test_a_warm_var_query_builds_no_array_and_no_label(monkeypatch):
     # once the plan is built, a quantile query does only the work that
     # depends on q: no numpy array dispatch and no relabelled case
-    import dataclasses
-
     models = [(name, m, p) for name, m, p in _plan_models() if name != "comonotone"]
     levels = (0.9, 0.99, np.float64(0.999), np.float64(0.9999))
     want = {}
