@@ -19,9 +19,13 @@ Independence is the extreme-value copula with dependence function
 order 2); it runs through the same extreme-value expansions.
 
 Every second-order term is a threshold-free spec ``(kind, coefficient,
-exponent, arg)``, and one evaluator, :func:`_evaluate`, turns specs into
-numbers at a threshold. One builder, :func:`_model_plan`, writes every
-spec, the trait theorem's eta and partial branches among them.
+exponent, arg)``, and one function, :func:`_spec_value`, turns a spec into
+its number at a threshold. :func:`_evaluate` wraps those numbers into
+:class:`ExpansionTerm` records, for the stated terms only; the candidates
+and the VaR inversion sum the plain numbers (:func:`_tail_value`) in the
+same order, so they give the same values without the records. One
+builder, :func:`_model_plan`, writes every spec, the trait theorem's eta
+and partial branches among them.
 
 Everything is a pure function of immutable inputs. The extreme-value
 expansions cache, per ``(marginal, dependence function)`` model, only what
@@ -30,8 +34,9 @@ coefficient (its corner integrals), the stated term specs, when the stated
 second order vanishes the candidates' specs, and what a quantile query
 reuses (its ``rho_regime`` and diagnostics). The cache is a bounded
 ``functools.lru_cache``, which is thread-safe, and holds frozen values, so
-concurrent use is safe; the quadrature rule is read-only arrays built
-once, and its scratch state is local to each call.
+concurrent use is safe; the quadrature rule, panel edge table included,
+is read-only arrays built once, and its scratch state is local to each
+call.
 
 The module needs numpy only. The one quadrature, :func:`delta_correction`,
 is a fixed Gauss-Legendre rule, and the one root finding, in
@@ -40,6 +45,7 @@ is a fixed Gauss-Legendre rule, and the one root finding, in
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import types
@@ -180,13 +186,23 @@ def delta_correction(
     so neither overflows where ``t/(2*scale)`` does (``scale < 1``). The
     rule is 24-node Gauss-Legendre on panels graded geometrically away
     from both ends: edges ``2**-20, 2**-19, ...`` from ``w = 0`` and
-    ``W - 1/8, W - 1/4, ...`` from ``w = W``, meeting at ``W/2``. Against
+    ``W - 1/8, W - 1/4, ...`` from ``w = W``, meeting at ``W/2``. The
+    edges are read from the table of :func:`_delta_rule`, by the count of
+    grades below ``W/2``, as ``base + coef * W``. Against
     40-digit mpmath it is within 1e-13 relative (1e-14 measured) for
     log-refined phi in {1.05, 2, 10} and plain power corner slopes
     {1, 0.5}, alpha in {0.3, 0.8, 2, 3} and ``sf = 1e-2 .. 1e-12``, and
     for log-refined phi at alpha 0.3, ``scale = 1e-5``, ``t = 1e300`` and
-    ``1e305``. Nodes where ``sf`` underflows to 0 contribute 0; they exist
-    only where ``survival(t)`` itself underflows.
+    ``1e305``.
+
+    Nodes where ``sf`` underflows to 0 are dropped, so they contribute 0.
+    Every node has ``w <= W``, so they can exist only where ``alpha * W``
+    reaches about 745, and the test for them runs only where ``alpha * W
+    >= 700``, which is also where ``survival(t)`` itself is below about
+    ``1e-304``. There the value is not to be trusted, and no warning says
+    so: the dropped nodes are the ones that carry the integral
+    (``ParetoMarginal(2, 1e-5)`` with the log-refined phi 10 traits at
+    ``t = 1e300`` gives 7.3e-117, where 40-digit mpmath gives 7.07e28).
 
     Raises
     ------
@@ -196,33 +212,51 @@ def delta_correction(
     _require_above_median(marginal, t, "delta_correction")
     alpha, scale = marginal.alpha, marginal.scale
     top = math.log(t / 2.0) - math.log(scale) + math.log1p(2.0 * scale / t)
-    half = 0.5 * top
-    x, wx, grade = _delta_rule()
-    grade = grade[grade < half]
-    edges = np.concatenate(([0.0], grade, [half], top - grade[grade >= 0.125][::-1], [top]))
+    x, wx, grade, table = _delta_rule()
+    base, coef = table[bisect.bisect_left(grade, 0.5 * top)]
+    edges = base + coef * top
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
     radius = 0.5 * (edges[1:] - edges[:-1])[:, None]
     w = (mid + radius * x).ravel()
     weights = (radius * wx).ravel()
     sf = np.exp(-alpha * w)
-    live = sf > 0.0
-    w, weights, sf = w[live], weights[live], sf[live]
+    if alpha * top >= 700.0:  # below it no node's survival underflows
+        live = sf > 0.0
+        w, weights, sf = w[live], weights[live], sf[live]
     y = (np.exp(w - top) - math.exp(-top)) * (0.5 / -math.expm1(-top))
     f = np.expm1(-alpha * np.log1p(-y)) * partial_traits.varphi(sf, sf)
-    return alpha * float(np.sum(weights * f))
+    return alpha * float((weights * f).sum())
 
 
 @functools.cache
 def _delta_rule() -> tuple:
-    """The 24-node Gauss-Legendre rule on ``[-1, 1]`` and the panel
-    grading ``2**-20 .. 2**9`` of :func:`delta_correction` (``W/2`` stays
-    below ``2**9`` for every float ``t`` while ``scale > 1e-136``),
-    read-only."""
+    """The 24-node Gauss-Legendre rule on ``[-1, 1]``, the panel grading
+    ``2**-20 .. 2**9`` of :func:`delta_correction` as a tuple of floats
+    (``W/2`` stays below ``2**9`` for every float ``t`` while
+    ``scale > 1e-136``) and its panel edge table, all read-only.
+
+    Entry ``k`` of the table serves every ``W`` with ``k`` grades below
+    ``W/2``: a pair of arrays ``(base, coef)`` whose panel edges are
+    ``base + coef * W``. ``coef`` is 0 for the edge 0 and the ``k``
+    grades, ½ for ``W/2``, and 1 for ``W`` less each of those grades from
+    ``1/8`` up (``base`` is minus the grade) and for ``W`` itself. Each
+    sum adds 0 to an exact product or is ``W - grade``, so the edges are
+    bit for bit those of masking the grades below ``W/2`` and
+    concatenating them on each call. Only the ``sf > 0`` test, for the
+    nodes that underflow, stays in :func:`delta_correction`, where
+    ``alpha * W >= 700``."""
     x, wx = np.polynomial.legendre.leggauss(24)
     grade = 2.0 ** np.arange(-20, 10)
-    for a in (x, wx, grade):
+    table = []
+    for k in range(grade.size + 1):
+        low = grade[:k]
+        high = low[low >= 0.125][::-1]
+        base = np.concatenate(([0.0], low, [0.0], -high, [0.0]))
+        coef = np.concatenate(([0.0], np.zeros(k), [0.5], np.ones(high.size), [1.0]))
+        table.append((base, coef))
+    for a in (x, wx, *(a for pair in table for a in pair)):
         a.flags.writeable = False
-    return x, wx, grade
+    return x, wx, tuple(grade.tolist()), tuple(table)
 
 
 def power_term_coefficient(traits: TailOrderTraits, alpha: float) -> float:
@@ -448,30 +482,48 @@ def _require_above_median(m: ParetoMarginal, t: float, op: str) -> None:
         raise DomainError(f"{op} requires a finite t above the marginal median {median}, got {t}")
 
 
-def _evaluate(specs: tuple, m: ParetoMarginal, t: float, sf: float) -> tuple:
-    """``(terms, 2*sf + their sum)`` for the term specs at ``t``, where the
+_FACTOR_TAGS = {
+    "power": "",
+    "truncated_mean": "powered_truncated_mean_over_t",
+    "delta_correction": "delta_correction",
+}
+
+
+def _spec_value(spec: tuple, m: ParetoMarginal, t: float, sf: float) -> tuple:
+    """``(value, t_factor, sv_factor)`` of one term spec at ``t``, where the
     survival is ``sf``. A ``"power"`` spec is ``c * sf**e`` (``arg`` None),
     ``"truncated_mean"`` is ``c * sf**e *
     powered_tail_truncated_mean(t, arg) / t`` and ``"delta_correction"`` is
     ``c * delta_correction(arg, t) * sf**e * arg.h(sf)``."""
+    kind, c, e, arg = spec
+    if kind == "power":
+        return c * sf**e, None, 1.0
+    if kind == "truncated_mean":
+        tf = m.powered_tail_truncated_mean(t, arg) / t
+        return c * tf * sf**e, tf, 1.0
+    dt = delta_correction(arg, m, t)
+    h = float(arg.h(sf))
+    return c * dt * sf**e * h, dt, h
+
+
+def _tail_value(specs: tuple, m: ParetoMarginal, t: float, sf: float) -> float:
+    """``2*sf`` plus the values of the term specs at ``t``: the number of
+    :func:`_evaluate`, without its records."""
+    return 2.0 * sf + sum(_spec_value(spec, m, t, sf)[0] for spec in specs)
+
+
+def _evaluate(specs: tuple, m: ParetoMarginal, t: float, sf: float) -> tuple:
+    """``(terms, 2*sf + their sum)``: the :class:`ExpansionTerm` records of
+    the term specs at ``t``, where the survival is ``sf``, and the tail
+    value they give (:func:`_spec_value` evaluates each)."""
     terms = []
-    for kind, c, e, arg in specs:
-        if kind == "power":
-            term = ExpansionTerm(coefficient=c, exponent=e, value=c * sf**e)
-        elif kind == "truncated_mean":
-            tf = m.powered_tail_truncated_mean(t, arg) / t
-            term = ExpansionTerm(
-                coefficient=c, exponent=e, factor_tag="powered_truncated_mean_over_t",
-                t_factor=tf, value=c * tf * sf**e,
-            )
-        else:  # "delta_correction"
-            dt = delta_correction(arg, m, t)
-            h = float(arg.h(sf))
-            term = ExpansionTerm(
-                coefficient=c, exponent=e, factor_tag="delta_correction",
-                t_factor=dt, sv_factor=h, value=c * dt * sf**e * h,
-            )
-        terms.append(term)
+    for spec in specs:
+        kind, c, e, _ = spec
+        value, t_factor, sv_factor = _spec_value(spec, m, t, sf)
+        terms.append(ExpansionTerm(
+            coefficient=c, exponent=e, factor_tag=_FACTOR_TAGS[kind],
+            t_factor=t_factor, sv_factor=sv_factor, value=value,
+        ))
     return tuple(terms), 2.0 * sf + sum(term.value for term in terms)
 
 
@@ -582,8 +634,9 @@ def tailprob_expansion_ev(m: ParetoMarginal, p: PickandsEV, t: float) -> Expansi
     The classification and the term specs are built once per model and
     cached; only the survival, the complement case's truncated mean and
     the ``log_refined`` candidate's :func:`delta_correction` are evaluated
-    per threshold. A numpy scalar ``t`` is taken as its ``float``, so every
-    value of the result is a Python ``float`` whatever the threshold's type.
+    per threshold, and only the stated terms become records. A numpy
+    scalar ``t`` is taken as its ``float``, so every value of the result
+    is a Python ``float`` whatever the threshold's type.
 
     Raises
     ------
@@ -604,7 +657,7 @@ def tailprob_expansion_ev(m: ParetoMarginal, p: PickandsEV, t: float) -> Expansi
             "candidate refinements attached",
         )
         candidates = {
-            name: _evaluate(specs, m, t, s)[1] for name, specs in plan.candidates.items()
+            name: _tail_value(specs, m, t, s) for name, specs in plan.candidates.items()
         }
     return Expansion(
         t=t, value=value, first_order=2.0 * s, terms=terms, case=plan.case,
@@ -783,7 +836,7 @@ def var_from_tailprob_inversion(
     terms = _model_plan(m, p).terms
 
     def tail_value(t: float) -> float:
-        return _evaluate(terms, m, t, m.survival(t))[1]
+        return _tail_value(terms, m, t, m.survival(t))
 
     def require_finite_top(hi: float) -> None:
         if not math.isfinite(hi):

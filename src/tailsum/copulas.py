@@ -634,11 +634,15 @@ def gumbel_log_refined_traits(phi_g: float) -> PartialLimitTraits:
     # some arguments in (0, 1), and keeping it keeps every refined value
     # bit-identical. It is scalar arithmetic on numpy.float64, which calls
     # the same pow as float and keeps IEEE results (inf, nan) where float
-    # arithmetic would raise. Each imports numpy when it runs, so building
+    # arithmetic would raise. Numpy warns of a division by zero only at 0
+    # (the log) and 1 (the power of -0.0), so only arguments outside (0, 1)
+    # pay for silencing it. Each imports numpy when it runs, so building
     # these traits (every Gumbel dependence function does) loads no numpy.
     def h(t):
         import numpy as np
 
+        if 0.0 < t < 1.0:
+            return float((-np.log(t)) ** (1.0 - phi))
         with np.errstate(divide="ignore"):
             return float((-np.log(t)) ** (1.0 - phi))
 

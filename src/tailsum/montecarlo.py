@@ -144,8 +144,9 @@ class MCEstimate:
 
     ``stderr`` is a standard-error scale: the binomial standard error for
     tail probabilities, and one sixth of a plus/minus three standard error
-    order-statistic interval for quantiles. ``ci_low``/``ci_high`` carry the
-    explicit interval when one was formed.
+    order-statistic interval for quantiles (inf where the interval's low end
+    is infinite, as where a tiny ``alpha`` makes the sampled risks overflow).
+    ``ci_low``/``ci_high`` carry the explicit interval when one was formed.
     """
 
     point: float
@@ -481,8 +482,11 @@ def _var_estimate(top, ranks: tuple, n: int, seed: int) -> MCEstimate:
     k, lo, hi = ranks
     offset = n + 1 - top.size  # rank r is top[r - offset]
     ci_low, ci_high = float(top[lo - offset]), float(top[hi - offset])
+    # unbounded where the low end is infinite (overflowing risks), where
+    # both ends are inf and their difference NaN
+    stderr = math.inf if math.isinf(ci_low) else (ci_high - ci_low) / 6.0
     return MCEstimate(
-        point=float(top[k - offset]), stderr=(ci_high - ci_low) / 6.0, n=n, seed=seed,
+        point=float(top[k - offset]), stderr=stderr, n=n, seed=seed,
         ci_low=ci_low, ci_high=ci_high,
     )
 
@@ -511,7 +515,7 @@ def empirical_var(pairs: SamplePairs, q: float) -> MCEstimate:
     interval takes the order statistics ``ceil(3*sqrt(n*q*(1-q)))`` ranks
     to either side (clamped to the sample), covering the true quantile with
     roughly plus/minus three standard errors; ``stderr`` is one sixth of
-    its width.
+    its width, and inf where its low end is infinite.
 
     Raises
     ------

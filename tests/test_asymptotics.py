@@ -269,6 +269,86 @@ def test_far_tail_values_are_finite():
             assert math.isfinite(delta_correction(pl, m, t)), (alpha, t)
 
 
+def _top(scale, t):
+    # delta_correction's W = log1p(t/(2*scale)), the same float expression
+    return math.log(t / 2.0) - math.log(scale) + math.log1p(2.0 * scale / t)
+
+
+def _masked_delta_correction(rule, partial_traits, marginal, t):
+    # delta_correction with its panel edges masked and concatenated on each
+    # call, and every node's survival tested for underflow
+    x, wx = rule
+    alpha, scale = marginal.alpha, marginal.scale
+    top = _top(scale, t)
+    half = 0.5 * top
+    grade = 2.0 ** np.arange(-20, 10)
+    grade = grade[grade < half]
+    edges = np.concatenate(([0.0], grade, [half], top - grade[grade >= 0.125][::-1], [top]))
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    radius = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    w = (mid + radius * x).ravel()
+    weights = (radius * wx).ravel()
+    sf = np.exp(-alpha * w)
+    live = sf > 0.0
+    w, weights, sf = w[live], weights[live], sf[live]
+    y = (np.exp(w - top) - math.exp(-top)) * (0.5 / -math.expm1(-top))
+    f = np.expm1(-alpha * np.log1p(-y)) * partial_traits.varphi(sf, sf)
+    return alpha * float(np.sum(weights * f))
+
+
+def _thresholds_at_top(m, target):
+    """Thresholds above the median of ``m`` whose ``W`` is ``target`` or one
+    ulp to either side of it, from a bisection for ``W = target`` and a scan
+    of the floats around its end."""
+    t0 = 2.0 * m.scale * math.expm1(min(target, 700.0))
+    lo, hi = max(m._median, t0 / 4.0), min(4.0 * t0, 1.7976931348623157e308)
+    if not _top(m.scale, lo) < target < _top(m.scale, hi):
+        return []
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if _top(m.scale, mid) < target else (lo, mid)
+    wanted = {math.nextafter(target, -math.inf), target, math.nextafter(target, math.inf)}
+    found, t = {}, lo
+    for _ in range(64):
+        t = math.nextafter(t, -math.inf)
+    for _ in range(128):
+        if t > m._median and _top(m.scale, t) in wanted:
+            found.setdefault(_top(m.scale, t), t)
+        t = math.nextafter(t, math.inf)
+    return list(found.values())
+
+
+def test_delta_correction_edge_table_equals_the_masked_edges():
+    # the edge table of _delta_rule and the underflow test only where
+    # alpha * W >= 700 give the masked concatenation's value bit for bit:
+    # from sf 10**-0.5 down past underflow, at W/2 on a grade and one ulp
+    # to either side of it, and where survival(t) itself underflows
+    rule = np.polynomial.legendre.leggauss(24)
+    cells = far = on_grade = 0
+    for alpha in (0.3, 0.8, 2.0, 3.0):
+        for scale in (1e-5, 1.0, 3.0):
+            m = ParetoMarginal(alpha, scale)
+            # sf = 10**-(k/4), the Lomax threshold while it is a float
+            logs = (k / 4.0 * math.log(10.0) / alpha for k in range(2, 1400, 3))
+            ts = [scale * math.expm1(x) for x in logs if x < 709.0]
+            for j in range(-6, 10):
+                near = _thresholds_at_top(m, 2.0 ** (j + 1))
+                on_grade += sum(0.5 * _top(scale, t) == 2.0**j for t in near)
+                ts += near
+            ts = [t for t in ts if m._median < t < math.inf]
+            for phi in (1.05, 2.0, 10.0):
+                traits = gumbel_log_refined_traits(phi)
+                for t in ts:
+                    got = delta_correction(traits, m, t)
+                    want = _masked_delta_correction(rule, traits, m, t)
+                    assert repr(got) == repr(want), (alpha, scale, phi, t, got, want)
+                    cells += 1
+                    far += alpha * _top(scale, t) >= 700.0
+    assert cells > 10000 and far > 1000 and on_grade > 100, (cells, far, on_grade)
+
+
 def test_power_term_coefficient_profiles():
     tri = tail_order_traits(independence_pickands())
     got = power_term_coefficient(tri, 0.8)
@@ -685,7 +765,7 @@ def test_a_bracket_doubled_past_the_largest_float_raises(monkeypatch):
     # about 4e291 at alpha 0.0055, past the largest float within 60 steps
     import tailsum.asymptotics as asymptotics
 
-    monkeypatch.setattr(asymptotics, "_evaluate", lambda terms, m, t, sf: ((), 1.0))
+    monkeypatch.setattr(asymptotics, "_tail_value", lambda specs, m, t, sf: 1.0)
     m = ParetoMarginal(0.0055, 1.0)
     assert math.isfinite(4.0 * m.quantile(0.975))
     with pytest.raises(DomainError, match="could not bracket.*overflows a float"):

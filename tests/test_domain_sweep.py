@@ -6,10 +6,10 @@ indices ``alpha`` in ``[1e-3, 50]``, scales in ``[1e-6, 1e6]``, thresholds
 up to ``1e300``, levels ``q`` in ``(0.5, 1 - 1e-15]`` and the Gumbel family
 with ``phi`` in ``[1, 50]`` plus the Galambos family (which has no sampler,
 so only Gumbel reaches the estimators). The one exception is the Monte
-Carlo VaR, the sample's own order statistic: it is inf where the sampled
-risks overflow to inf. ``alpha``, the scale, ``t`` and ``1 - q`` are drawn
-as powers of ten, so every order of magnitude, the overflowing ones among
-them, is in reach. The seed is fixed, so every run and every thread count
+Carlo VaR, the sample's own order statistic: it, its interval and its
+stderr are inf where the sampled risks overflow to inf, and never NaN.
+``alpha``, the scale, ``t`` and ``1 - q`` are drawn as powers of ten, so
+every order of magnitude, the overflowing ones among them, is in reach. The seed is fixed, so every run and every thread count
 draws the same cases.
 """
 
@@ -45,7 +45,8 @@ def _finite_or_error(call, positive: bool = False, infinite: bool = False) -> No
     except TailsumError:
         return
     for value in values:
-        assert type(value) is float and (math.isfinite(value) or infinite), values
+        assert type(value) is float and not math.isnan(value), values
+        assert math.isfinite(value) or infinite, values
         assert value > 0.0 or not positive, values
 
 
@@ -86,10 +87,15 @@ def test_public_api_gives_a_finite_value_or_a_tailsum_error(p, alpha, scale, t, 
     if p.family == "gumbel":
         pairs = sample_pairs(m, "gumbel", 1000, sample_seed, phi=p.param, threads=1)
         _finite_or_error(lambda: (empirical_tailprob(pairs, t).point,))
-        # an order statistic of the sample itself, which is inf where a tiny
+        # order statistics of the sample itself, which are inf where a tiny
         # alpha maps the far tail past the largest float (the sampler's
-        # documented overflow); test_montecarlo pins inf order statistics
-        _finite_or_error(lambda: (empirical_var(pairs, q).point,), positive=True, infinite=True)
+        # documented overflow), and so is the stderr then, never NaN;
+        # test_montecarlo pins inf order statistics
+        def var_estimate():
+            est = empirical_var(pairs, q)
+            return est.point, est.stderr, est.ci_low, est.ci_high
+
+        _finite_or_error(var_estimate, positive=True, infinite=True)
     try:
         check_assumptions(copulas._ev_copula(p))
     except TailsumError:

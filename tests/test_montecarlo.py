@@ -239,7 +239,8 @@ def _reference_var(pairs, q):
     lo, hi = max(k - d, 1), min(k + d, n)
     total = np.partition(pairs.x + pairs.y, sorted({k - 1, lo - 1, hi - 1}))
     low, high = float(total[lo - 1]), float(total[hi - 1])
-    return MCEstimate(point=float(total[k - 1]), stderr=(high - low) / 6.0, n=n,
+    stderr = math.inf if math.isinf(low) else (high - low) / 6.0
+    return MCEstimate(point=float(total[k - 1]), stderr=stderr, n=n,
                       seed=pairs.config.seed, ci_low=low, ci_high=high)
 
 
