@@ -12,7 +12,8 @@ Given a Pareto marginal and an extreme-value copula, this module evaluates:
   (:func:`tailprob_expansion_ev`);
 * first- plus second-order expansions of the ``q``-quantile of ``X + Y``
   (:func:`var_expansion_ev`) and a numerical inversion diagnostic
-  (:func:`var_from_tailprob_inversion`).
+  (:func:`var_from_tailprob_inversion`), the root of the stated tail
+  value found from the leading order's closed-form root.
 
 Independence is the extreme-value copula with dependence function
 ``a(x, y) = x + y`` (:func:`~tailsum.copulas.independence_pickands`, tail
@@ -40,7 +41,10 @@ call.
 
 The module needs numpy only. The one quadrature, :func:`delta_correction`,
 is a fixed Gauss-Legendre rule, and the one root finding, in
-:func:`var_from_tailprob_inversion`, is Brent's method (:func:`_brent`).
+:func:`var_from_tailprob_inversion`, is Brent's method (:func:`_brent`) on
+a bracket grown from one log-Newton step off the closed-form root of
+``2 * survival(t) = 1 - q``, with each threshold's tail value evaluated
+once.
 """
 
 from __future__ import annotations
@@ -407,7 +411,12 @@ class Expansion:
     case : CaseLabel
         Regime label.
     diagnostics : tuple of str
-        Notes (degenerate second order, boundary warnings).
+        Notes (degenerate second order, boundary warnings). Where the
+        second-order terms outweigh the first order (``|value -
+        first_order| > first_order``) a note names the C1 boundary
+        ``alpha*a20 = 1``, across which the expansion is not uniform (its
+        middle-case coefficient ``2*integral_I(alpha, alpha*a20)``
+        diverges there); the value is not clipped.
     candidates : mapping or None
         When the stated second-order term vanishes, alternative refinements
         keyed by name (``"leading"``, ``"power_term"``,
@@ -649,7 +658,13 @@ def tailprob_expansion_ev(m: ParetoMarginal, p: PickandsEV, t: float) -> Expansi
     plan = _model_plan(m, p)
     s = m.survival(t)
     terms, value = _evaluate(plan.terms, m, t, s)
+    first = 2.0 * s
     diagnostics = plan.case.warnings
+    if abs(value - first) > first:
+        diagnostics += (
+            "second-order terms outweigh the first order: the expansion is not uniform "
+            f"across the C1 boundary alpha*a20 = 1 (here {m.alpha * plan.case.a20:.6g})",
+        )
     candidates = None
     if plan.candidates is not None:
         diagnostics += (
@@ -660,7 +675,7 @@ def tailprob_expansion_ev(m: ParetoMarginal, p: PickandsEV, t: float) -> Expansi
             name: _tail_value(specs, m, t, s) for name, specs in plan.candidates.items()
         }
     return Expansion(
-        t=t, value=value, first_order=2.0 * s, terms=terms, case=plan.case,
+        t=t, value=value, first_order=first, terms=terms, case=plan.case,
         diagnostics=diagnostics, candidates=candidates,
     )
 
@@ -805,12 +820,27 @@ def var_from_tailprob_inversion(
     """Invert the tail-probability expansion and compare with the quantile
     formula.
 
-    Finds the threshold where the evaluated tail expansion equals ``1 - q``
-    by Brent's bracketed root finding (:func:`_brent`), evaluates the
-    direct quantile expansion at the same level, and reports their relative
-    discrepancy. A small discrepancy says the two deliverables are mutually
-    consistent; it does not by itself certify either against the true
-    quantile.
+    Finds the threshold where the stated tail expansion (its ``value``,
+    without the candidates) equals ``1 - q``, evaluates the direct quantile
+    expansion at the same level, and reports their relative discrepancy. A
+    small discrepancy says the two deliverables are mutually consistent; it
+    does not by itself certify either against the true quantile.
+
+    The search starts at the closed-form root of the leading order,
+    ``t0 = quantile(1 - (1-q)/2)``, where ``2 * survival(t0) = 1 - q``: the
+    exact root wherever the stated second order vanishes. One log-Newton
+    step on the leading log-slope ``alpha * t / (t + scale)`` moves it to
+    ``c`` (``t0`` again where the step is not finite); ``c`` never lies
+    below ``Q(q) = quantile(q)``. The bracket grows from ``c`` toward the
+    root, its width starting at the step's length (at least Brent's
+    tolerance) and growing fourfold, until the stated value crosses
+    ``1 - q`` at its ends; its low end stops at ``Q(q)``. Brent's method
+    (:func:`_brent`) then finds the root on that bracket, to within
+    ``1e-12 * max(1, Q(q)) + 1e-14 * |root|``. A per-call memo evaluates
+    the stated value once per threshold, as :func:`_brent` evaluates the
+    bracket's ends again: about 3 evaluations per root where the stated
+    second order vanishes, and at most 9 on the Gumbel grids measured
+    (phi 1 .. 10, alpha 0.3 .. 3, q 0.6 .. 1 - 1e-6).
 
     Parameters
     ----------
@@ -824,46 +854,61 @@ def var_from_tailprob_inversion(
     Raises
     ------
     DomainError
-        If no bracket for the root can be established (among others when
-        a tiny ``alpha`` makes the bracket's top overflow a float), or the
-        root finder does not converge on it (a tiny ``alpha`` puts the
-        bracket near ``1e200``, where the expansion may be NaN); otherwise
-        as :func:`var_expansion_ev`.
+        If the closed-form root ``t0`` or the bracket's top overflows a
+        float (a tiny ``alpha``, such as 0.003 at ``q = 0.99``), the stated
+        value stays below ``1 - q`` down to ``Q(q)``, or the root finder
+        does not converge (the stated value is NaN); otherwise as
+        :func:`var_expansion_ev`.
     """
     _check_q(q, "var_from_tailprob_inversion")
 
     # the stated value only: the candidates never enter it
     terms = _model_plan(m, p).terms
+    target = 1.0 - q
+    tails = {}
 
     def tail_value(t: float) -> float:
-        return _tail_value(terms, m, t, m.survival(t))
+        if t not in tails:
+            tails[t] = _tail_value(terms, m, t, m.survival(t))
+        return tails[t]
 
-    def require_finite_top(hi: float) -> None:
-        if not math.isfinite(hi):
+    def f(t: float) -> float:
+        return tail_value(t) - target
+
+    def require_finite(t: float, what: str) -> None:
+        if not math.isfinite(t):
             raise DomainError(
                 f"could not bracket the tail-expansion root for q={q}: "
-                f"the bracket's top overflows a float (alpha={m.alpha})"
+                f"{what} overflows a float (alpha={m.alpha})"
             )
 
-    target = 1.0 - q
-    # a tiny alpha maps these levels to inf
-    lo = m.quantile(q)
-    hi = 4.0 * m.quantile(1.0 - target / 4.0) + 4.0 * m.scale
-    require_finite_top(hi)
-    f_lo = tail_value(lo) - target
-    f_hi = tail_value(hi) - target
-    tries = 0
-    while f_lo * f_hi > 0 and tries < 60:
-        hi *= 2.0
-        require_finite_top(hi)
-        f_hi = tail_value(hi) - target
-        tries += 1
-    if f_lo * f_hi > 0:
-        raise DomainError(
-            f"could not bracket the tail-expansion root for q={q}; "
-            f"expansion may not cross {target}"
-        )
-    inverted = _brent(lambda t: tail_value(t) - target, lo, hi, 1e-12 * max(1.0, lo), 1e-14)
+    floor = m.quantile(q)
+    t0 = m.quantile(1.0 - target / 2.0)  # 2 * survival(t0) = 1 - q
+    require_finite(t0, "the closed-form root")
+    # one log-Newton step on the leading log-slope alpha * t / (t + scale)
+    try:
+        step = t0 * math.exp(math.log(tail_value(t0) / target) * (t0 + m.scale) / (m.alpha * t0))
+    except (ValueError, OverflowError):  # a value <= 0, or a step past the largest float
+        step = t0
+    c = max(step if step < math.inf else t0, floor)  # a NaN step is not below inf
+
+    # the stated value decreases in t: grow the bracket from c toward the root
+    xtol = 1e-12 * max(1.0, floor)
+    width = max(abs(c - t0), xtol + 1e-14 * c)
+    lo = hi = c
+    while f(hi) > 0:
+        lo, hi = hi, c + width
+        require_finite(hi, "the bracket's top")
+        width *= 4.0
+    while f(lo) < 0:
+        if lo == floor:
+            raise DomainError(
+                f"could not bracket the tail-expansion root for q={q}; "
+                f"expansion may not cross {target}"
+            )
+        lo, hi = max(c - width, floor), lo
+        width *= 4.0
+    inverted = _brent(f, lo, hi, xtol, 1e-14)
     if inverted is None:
         raise DomainError(f"the tail-expansion root for q={q} did not converge in [{lo}, {hi}]")
     formula = var_expansion_ev(m, p, q).value

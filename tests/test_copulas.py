@@ -325,6 +325,16 @@ def test_log_refined_traits_equal_their_array_spelling():
         assert tr.h(0.0) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("phi", [2.0, 2.5, 10.0, 11.0])
+def test_log_refined_h_is_plus_infinity_at_one(phi):
+    # -log(1) is -0.0, and its power took the sign of zero where 1 - phi is
+    # an odd integer: h(1) was -inf at phi 2 and 10, +inf at 2.5 and 11
+    tr = gumbel_log_refined_traits(phi)
+    assert tr.h(1.0) == math.inf
+    assert tr.h(0.0) == 0.0
+
+
 @pytest.mark.parametrize(
     "pickands, slope",
     [
