@@ -65,7 +65,7 @@ from .copulas import (
     estimate_corner_slope,
     tail_order_traits,
 )
-from .errors import BoundaryCaseError, DivergentIntegralError, DomainError
+from .errors import DivergentIntegralError, DomainError
 from .marginals import ParetoMarginal
 
 __all__ = [
@@ -454,7 +454,8 @@ class VarExpansion:
         regular-variation strip did (a vanishing stated term, or the
         complement case's boundary closure; the diagnostics say which).
     diagnostics : tuple of str
-        Notes (degenerate coefficients, boundary closures).
+        Notes (degenerate coefficients, boundary closures, and the C1 note
+        of :class:`Expansion` where the second order outweighs the first).
     """
 
     q: float
@@ -513,6 +514,20 @@ def _spec_value(spec: tuple, m: ParetoMarginal, t: float, sf: float) -> tuple:
     dt = delta_correction(arg, m, t)
     h = float(arg.h(sf))
     return c * dt * sf**e * h, dt, h
+
+
+def _c1_note(value: float, first: float, alpha: float, case: CaseLabel) -> tuple:
+    """The note, as a 1-tuple, that a tail or quantile ``value`` whose second
+    order outweighs its ``first`` order (``|value - first| > first``) is
+    not uniform across the C1 boundary ``alpha*a20 = 1``, where the middle
+    case's coefficient ``2*integral_I(alpha, alpha*a20)`` diverges; else
+    empty. The value is not clipped."""
+    if abs(value - first) > first:
+        return (
+            "second-order terms outweigh the first order: the expansion is not uniform "
+            f"across the C1 boundary alpha*a20 = 1 (here {alpha * case.a20:.6g})",
+        )
+    return ()
 
 
 def _tail_value(specs: tuple, m: ParetoMarginal, t: float, sf: float) -> float:
@@ -659,12 +674,7 @@ def tailprob_expansion_ev(m: ParetoMarginal, p: PickandsEV, t: float) -> Expansi
     s = m.survival(t)
     terms, value = _evaluate(plan.terms, m, t, s)
     first = 2.0 * s
-    diagnostics = plan.case.warnings
-    if abs(value - first) > first:
-        diagnostics += (
-            "second-order terms outweigh the first order: the expansion is not uniform "
-            f"across the C1 boundary alpha*a20 = 1 (here {m.alpha * plan.case.a20:.6g})",
-        )
+    diagnostics = plan.case.warnings + _c1_note(value, first, m.alpha, plan.case)
     candidates = None
     if plan.candidates is not None:
         diagnostics += (
@@ -709,6 +719,13 @@ def var_expansion_ev(m: ParetoMarginal, p: PickandsEV, q: float) -> VarExpansion
     taken as its ``float``, so every value of the result is a Python
     ``float``.
 
+    ``alpha = 1`` takes the general path: it is no boundary where ``a20 =
+    0`` (Gumbel ``phi > 1``) and the C1 edge for independence, which
+    :func:`classify_case` puts in the complement case. Just below C1 the
+    middle case's coefficient diverges (independence at ``alpha =
+    0.999999``, ``q = 0.99``: 5001 times the first order); the diagnostics
+    then carry the C1 note of :func:`tailprob_expansion_ev`.
+
     Raises
     ------
     DomainError
@@ -719,19 +736,10 @@ def var_expansion_ev(m: ParetoMarginal, p: PickandsEV, q: float) -> VarExpansion
         model), as in :func:`tailprob_expansion_ev`, or the second-order
         value is not positive (the relative correction falls below ``-1``,
         as at ``alpha = 0.05``, ``q = 0.6``).
-    BoundaryCaseError
-        If ``alpha == 1`` exactly (every threshold coincides with the
-        Pareto ``rho``).
     """
     _check_q(q, "var_expansion_ev")
     q = float(q)
     alpha = m.alpha
-    if alpha == 1.0:
-        raise BoundaryCaseError(
-            "alpha=1 sits on the case boundary (the second-order index "
-            "rho=-1 coincides with the dispatch threshold); perturb alpha "
-            "or use Monte Carlo"
-        )
     plan = _model_plan(m, p)
     x_q = m.quantile(q)
     # 2**(1/alpha) <= Q(q)/scale + 1 for q > 1/2, so it overflows only with Q(q)
@@ -751,8 +759,8 @@ def var_expansion_ev(m: ParetoMarginal, p: PickandsEV, q: float) -> VarExpansion
             "term at this level"
         )
     return VarExpansion(
-        q=q, value=value, first_order=first, case=plan.case,
-        rho_regime=plan.rho_regime, diagnostics=plan.var_diagnostics,
+        q=q, value=value, first_order=first, case=plan.case, rho_regime=plan.rho_regime,
+        diagnostics=plan.var_diagnostics + _c1_note(value, first, alpha, plan.case),
     )
 
 

@@ -17,8 +17,8 @@ Subcommands
 Exit codes
 ----------
 0 success (including an inconclusive check, which prints a warning),
-2 configuration or usage error, 3 boundary-case error (the expansion is
-undefined on a parameter boundary), 4 hypothesis-check failure, 5 I/O error.
+2 configuration, usage or domain error (a model or level the expansions do
+not cover), 4 hypothesis-check failure, 5 I/O error.
 
 Configuration
 -------------
@@ -48,15 +48,9 @@ from .copulas import (
     SurvivalCopula,
     check_assumptions,
     make_survival_copula,
-    tail_order_traits,
     trial_tail_order_traits,
 )
-from .errors import (
-    BoundaryCaseError,
-    ConfigError,
-    DomainError,
-    UnsupportedFamilyError,
-)
+from .errors import ConfigError, DomainError, UnsupportedFamilyError
 from .marginals import ParetoMarginal
 from .montecarlo import empirical_grid
 
@@ -303,11 +297,12 @@ def _cmd_panel(cfg: _Settings, kind: str) -> int:
     m = _resolve_marginal(cfg)
     copula = _resolve_family(cfg)
     pickands = copula.pickands
-    if pickands is None or tail_order_traits(pickands).kappa <= 1.0:
+    # the expansions decide the rest of the domain (a tail order a(1, 1) = 1
+    # among it) before any sampling
+    if pickands is None:
         raise ConfigError(
             f"family {copula.family!r} has no tail expansion: the expansions need a "
-            "dependence function with tail order a(1, 1) > 1; use the check subcommand "
-            "or Monte Carlo directly"
+            "dependence function; use the check subcommand or Monte Carlo directly"
         )
     n, seed = _resolve_mc(cfg)
     grid = _resolve_t_grid(cfg, m) if kind == "tailprob" else _resolve_q_grid(cfg)
@@ -569,9 +564,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         file_values = _load_config_file(args.config, known_keys) if args.config else {}
         cfg = _Settings(file_values, args, flags[args.command])
         return _DISPATCH[args.command](cfg)
-    except BoundaryCaseError as exc:
-        print(f"boundary case: {exc}", file=sys.stderr)
-        return 3
     except (ConfigError, DomainError, UnsupportedFamilyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

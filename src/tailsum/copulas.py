@@ -51,7 +51,6 @@ __all__ = [
     "ev_chat_v",
     "make_survival_copula",
     "tail_order_traits",
-    "partial_limit_traits",
     "trial_tail_order_traits",
     "gumbel_log_refined_traits",
     "estimate_corner_slope",
@@ -89,10 +88,6 @@ def _log(x: float) -> float:
 
 def _safe_exp(expo: float) -> float:
     """``exp(expo)``, inf above 700 instead of ``math.exp``'s overflow error."""
-    if math.isnan(expo):
-        return math.nan
-    if expo == -math.inf:
-        return 0.0
     if expo > 700.0:
         return math.inf
     return math.exp(expo)
@@ -541,8 +536,8 @@ def estimate_corner_slope(p: PickandsEV) -> float:
     the limit of ``a2_fn(1, y)`` as ``y -> 0``, as a float with a negative
     zero folded to ``+0.0``. It tests the whole contract first
     (:func:`_require_dependence_function`), so every reader of the slope
-    (:func:`~tailsum.asymptotics.classify_case`, :func:`partial_limit_traits`
-    and :func:`check_assumptions`) rejects a broken dependence function.
+    (:func:`~tailsum.asymptotics.classify_case` and
+    :func:`check_assumptions`) rejects a broken dependence function.
 
     Raises
     ------
@@ -583,23 +578,11 @@ def trial_tail_order_traits(kappa: float) -> TailOrderTraits:
     return TailOrderTraits(float(kappa), 1.0)
 
 
-def partial_limit_traits(p: PickandsEV) -> PartialLimitTraits:
-    """Corner-limit traits of the partial derivative of an extreme-value copula.
-
-    Returns
-    -------
-    PartialLimitTraits
-        With the corner slope ``a20 = a2_fn(1, -0.0)`` read by
-        :func:`estimate_corner_slope`: when ``a20 > 0``, profile
-        ``a20 * u * v**(a20 - 1)`` (independence has ``a20 = 1`` and profile
-        ``u``). When the corner slope vanishes (Gumbel with exponent above
-        1, and the comonotone limit) the profile is identically zero.
-    """
-    return _partial_traits(estimate_corner_slope(p))
-
-
 def _partial_traits(a20: float) -> PartialLimitTraits:
-    """The plain power corner traits of the corner slope ``a20``."""
+    """The plain power corner traits of the corner slope ``a20``: when
+    ``a20 > 0``, profile ``a20 * u * v**(a20 - 1)`` (independence has
+    ``a20 = 1`` and profile ``u``); when it vanishes (Gumbel with exponent
+    above 1, and the comonotone limit) the zero profile. ``h`` is 1."""
     if a20 > 0.0:
         def varphi(u, v):
             return a20 * u * v ** (a20 - 1.0)
@@ -799,7 +782,7 @@ def check_assumptions(
       grows by the factor ``1 + u``, against ``(1 + u) - 1``; the stability
       constant is fitted by least squares on log-ratios.
     * ``A4``: ``chat_v(u*t, v) / t`` against the corner profile
-      ``u * a20 * v**(a20 - 1)`` of :func:`partial_limit_traits` (0 when
+      ``u * a20 * v**(a20 - 1)`` of the plain power corner traits (0 when
       ``a20`` is 0).
     * ``evcond``: the dependence-derivative ratio
       ``a2(1, x / (1 + log(1+u)/log t)) / a2(1, x)`` against a fitted power

@@ -2,10 +2,11 @@
 
 Every error raised by the library derives from :class:`TailsumError`, so
 callers can catch one base type. The command-line interface exits with
-code 3 on a :class:`BoundaryCaseError` and with code 2 on the others:
-:class:`ConfigError`, :class:`DomainError`, :class:`UnsupportedFamilyError`
-and :class:`DivergentIntegralError`, a :class:`DomainError` that only
-:func:`~tailsum.asymptotics.integral_I` raises.
+code 2 on each of them: :class:`ConfigError`, :class:`DomainError`,
+:class:`UnsupportedFamilyError` and :class:`DivergentIntegralError`, a
+:class:`DomainError` that only :func:`~tailsum.asymptotics.integral_I`
+raises. A model on a case boundary is no error: the expansions classify it
+and attach a warning.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ __all__ = [
     "TailsumError",
     "DomainError",
     "ConfigError",
-    "BoundaryCaseError",
     "DivergentIntegralError",
     "UnsupportedFamilyError",
 ]
@@ -30,17 +30,6 @@ class DomainError(TailsumError, ValueError):
 
 class ConfigError(TailsumError):
     """A configuration file or command-line option is invalid."""
-
-
-class BoundaryCaseError(TailsumError):
-    """Parameters sit exactly on a case boundary where no expansion applies.
-
-    The dispatch between asymptotic regimes uses strict inequalities; on the
-    knife edge (for example a tail index of exactly 1 for a Pareto marginal,
-    where the second-order index coincides with the case threshold) the
-    second-order constant is not defined and the caller must perturb the
-    parameters or fall back to Monte Carlo.
-    """
 
 
 class DivergentIntegralError(DomainError):

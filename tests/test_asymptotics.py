@@ -21,7 +21,6 @@ from scipy import optimize
 import oracles
 from test_galambos import galambos_pickands
 from tailsum import (
-    BoundaryCaseError,
     DivergentIntegralError,
     DomainError,
     ExpansionTerm,
@@ -31,12 +30,12 @@ from tailsum import (
     classify_case,
     comonotone_pickands,
     delta_correction,
+    estimate_corner_slope,
     eta_limit,
     gumbel_log_refined_traits,
     gumbel_pickands,
     independence_pickands,
     integral_I,
-    partial_limit_traits,
     power_term_coefficient,
     tail_order_traits,
     tailprob_expansion_ev,
@@ -179,7 +178,7 @@ def test_equal_profiles_give_equal_eta_limits():
 
 
 def test_delta_correction_approaches_scaled_truncated_mean(m2):
-    pl = partial_limit_traits(independence_pickands())
+    pl = _partial_traits(estimate_corner_slope(independence_pickands()))
     ratios = []
     for t in (1e3, 1e5, 1e7):
         ratios.append(delta_correction(pl, m2, t) / (2.0 * m2.truncated_mean(t) / t))
@@ -244,7 +243,7 @@ def test_independence_partial_branch_certified_where_quadpack_missed():
     # alpha 0.8, sf 1e-10, +1.0% at alpha 0.8, sf 1e-12 and -2.0e-3 at
     # alpha 0.3, sf 1e-12
     mp = pytest.importorskip("mpmath")
-    pl = partial_limit_traits(independence_pickands())
+    pl = _partial_traits(estimate_corner_slope(independence_pickands()))
     for alpha, sf in ((0.8, 1e-10), (0.8, 1e-12), (0.3, 1e-12)):
         m = ParetoMarginal(alpha, 1.0)
         t = sf ** (-1.0 / alpha) - 1.0
@@ -258,7 +257,7 @@ def test_far_tail_values_are_finite():
     # varphi(1, sf) overflows once sf is near 1e-300; the quadrature on it
     # returned NaN or inf in 104 of these 528 cells (e.g. the log_refined
     # candidate at phi 10, alpha 2, t = 1e148)
-    pl = partial_limit_traits(independence_pickands())
+    pl = _partial_traits(estimate_corner_slope(independence_pickands()))
     for alpha in (0.3, 0.8, 2.0, 3.0):
         m = ParetoMarginal(alpha, 1.0)
         for t in 10.0 ** np.arange(1, 303, 7):
@@ -591,7 +590,7 @@ def _partial_branch(m, traits, partial, t):
 def test_general_tailprob_partial_branch_tracks_exact_truth(m2, p_ind):
     # ROADMAP item 5's evidence that, for independence, the partial branch
     # tracks the exact tail (closer than the stated value, per its table)
-    tri, pl = tail_order_traits(p_ind), partial_limit_traits(p_ind)
+    tri, pl = tail_order_traits(p_ind), _partial_traits(estimate_corner_slope(p_ind))
     devs = []
     for t in (1e2, 1e3, 1e4):
         value = _partial_branch(m2, tri, pl, t)
@@ -694,7 +693,7 @@ def test_broken_dependence_function_is_rejected(make, match):
         lambda: tailprob_expansion_ev(m, p, m.quantile(0.999)),
         lambda: var_expansion_ev(m, p, 0.999),
         lambda: var_from_tailprob_inversion(m, p, 0.999),
-        lambda: partial_limit_traits(p),
+        lambda: estimate_corner_slope(p),
         lambda: check_assumptions(copulas._ev_copula(p)),
     ):
         with pytest.raises(DomainError, match=match):
@@ -745,7 +744,7 @@ def test_log_refined_candidate_quadrature_converges_at_phi2_alpha03():
 
 def test_threshold_must_be_finite_and_above_the_median(m08, m2, p1, p10):
     # an infinite threshold once gave NaN (inf / inf in the complement term)
-    pl = partial_limit_traits(independence_pickands())
+    pl = _partial_traits(estimate_corner_slope(independence_pickands()))
     calls = [
         lambda t: tailprob_expansion_ev(m2, p1, t),  # complement case
         lambda t: tailprob_expansion_ev(m08, p10, t),  # degenerate case, candidates
@@ -930,11 +929,16 @@ def test_var_tracks_exact_truth_in_depth(m08, p_ind):
 
 
 def test_var_domain_and_boundary(m08, p10, p_ind):
+    # alpha = 1 is the C1 edge for independence (closed into the complement
+    # case, with a warning) and no boundary for Gumbel phi 10 (a20 = 0):
+    # both take the strip, 2*Q(q) - 2*scale = 196 at q 0.99, and raise nothing
     m1 = ParetoMarginal(1.0, 1.0)
-    with pytest.raises(BoundaryCaseError):
-        var_expansion_ev(m1, p_ind, 0.99)
-    with pytest.raises(BoundaryCaseError):
-        var_expansion_ev(m1, p10, 0.99)
+    ind, g10 = var_expansion_ev(m1, p_ind, 0.99), var_expansion_ev(m1, p10, 0.99)
+    assert ind.case.label == "C1ᶜ" and ind.case.warnings[0].startswith("within 1e-8 of the C1")
+    assert g10.case.label == "C1\\(C2∩C3)" and g10.case.warnings == ()
+    for v in (ind, g10):
+        assert v.rho_regime == "above"
+        assert math.isclose(v.value, 196.0, rel_tol=1e-14)
     with pytest.raises(DomainError):
         var_expansion_ev(m08, p_ind, 0.5)
     with pytest.raises(DomainError):
@@ -943,22 +947,53 @@ def test_var_domain_and_boundary(m08, p10, p_ind):
         var_expansion_ev(m08, p10, 0.3)
 
 
+@pytest.mark.parametrize("phi", [1.0, 1.0001, 2.0, 10.0])
+@pytest.mark.parametrize("scale", [1.0, 1e-5, 3.0])
+def test_var_is_continuous_across_alpha_one(phi, scale):
+    # the general path at alpha = 1 meets its values at alpha 1 -+ 1e-12;
+    # phi 1 (independence) only from above, as below is its C1 side, where
+    # the middle case's coefficient diverges
+    p = gumbel_pickands(phi)
+    sides = (1.0 + 1e-12,) if phi == 1.0 else (1.0 - 1e-12, 1.0 + 1e-12)
+    for q in (0.6, 0.99, 0.999, 0.9999):
+        at_one = var_expansion_ev(ParetoMarginal(1.0, scale), p, q).value
+        for alpha in sides:
+            near = var_expansion_ev(ParetoMarginal(alpha, scale), p, q).value
+            assert abs(at_one / near - 1.0) <= 1e-10, (alpha, q)
+
+
+@pytest.mark.parametrize(
+    "alpha, q, ratio", [(0.999, 0.99, 6.0), (0.999999, 0.99, 5001.0), (0.9, 0.6, 2.75)]
+)
+def test_a_var_whose_second_order_outweighs_the_first_names_the_c1_boundary(
+    alpha, q, ratio, p_ind
+):
+    # independence just below C1: the case coefficient 2 I(alpha, alpha)
+    # diverges, and the VaR carries the tail's note (one rule for both); the
+    # tail at the leading order's root 2*sf = 1 - q carries it too
+    m = ParetoMarginal(alpha, 1.0)
+    v = var_expansion_ev(m, p_ind, q)
+    assert v.value / v.first_order == pytest.approx(ratio, rel=1e-3)
+    note = (
+        "second-order terms outweigh the first order: the expansion is not uniform "
+        f"across the C1 boundary alpha*a20 = 1 (here {alpha:g})"
+    )
+    assert v.diagnostics == v.case.warnings + (note,)
+    assert note in tailprob_expansion_ev(m, p_ind, m.quantile(1.0 - (1.0 - q) / 2.0)).diagnostics
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.8, 1.0, 1.5, 2.0, 3.0])
 def test_comonotone_raises_on_every_path(alpha, p_co):
     # the boundary term sf**a(1,1) has exponent 1, the leading order itself;
-    # no expansion may turn it into a number
+    # no expansion may turn it into a number, at alpha = 1 included
     m = ParetoMarginal(alpha, 1.0)
-    message = "exponent above 1"
-    with pytest.raises(DomainError, match=message):
-        tailprob_expansion_ev(m, p_co, m.quantile(0.999))
-    with pytest.raises(DomainError, match=message):
-        var_from_tailprob_inversion(m, p_co, 0.99)
-    if alpha == 1.0:
-        with pytest.raises(BoundaryCaseError):
-            var_expansion_ev(m, p_co, 0.99)
-    else:
-        with pytest.raises(DomainError, match=message):
-            var_expansion_ev(m, p_co, 0.99)
+    for run in (
+        lambda: tailprob_expansion_ev(m, p_co, m.quantile(0.999)),
+        lambda: var_from_tailprob_inversion(m, p_co, 0.99),
+        lambda: var_expansion_ev(m, p_co, 0.99),
+    ):
+        with pytest.raises(DomainError, match="exponent above 1"):
+            run()
 
 
 def test_comonotone_plan_raises_before_building_a_term(p_co, monkeypatch):
@@ -1189,6 +1224,9 @@ def test_inversion_evaluates_the_stated_tail_a_few_times_per_root(monkeypatch, p
         (10.0, 2.0, -2.662859e-01, -2.729960e-01),
         (5.0, 3.0, -3.134658e-01, -3.108316e-01),
         (1.0, 0.8, 6.464116e-03, 3.725755e-04),
+        (1.0, 1.0, 3.464409e-04, 5.385634e-06),
+        (2.0, 1.0, -6.305222e-02, -3.184200e-02),
+        (10.0, 1.0, -1.717220e-02, -2.418450e-02),
     ],
 )
 def test_inverted_root_error_against_the_exact_var(phi, alpha, err99, err999):

@@ -19,6 +19,7 @@ from tailsum import (
     tailprob_expansion_ev,
     var_expansion_ev,
 )
+from tailsum import cli
 from tailsum.cli import main
 
 HEADER = "abscissa,first_order,expansion,mc_point,mc_stderr,case_label,diagnostics"
@@ -131,11 +132,33 @@ def test_svg_output_is_wellformed(tmp_path):
 # exit codes
 
 
-def test_boundary_alpha_exits_3(capsys):
-    rc = main(["var", "--alpha", "1", "--family", "independence",
-               "--seed", "1", "--n", "1000"])
-    assert rc == 3
-    assert "boundary" in capsys.readouterr().err.lower()
+@pytest.mark.parametrize("family", [["independence"], ["gumbel", "--phi", "10"]],
+                         ids=["independence", "gumbel10"])
+def test_alpha_one_var_exits_0_with_the_library_values(family, capsys):
+    # alpha = 1 is the C1 edge for independence and no boundary for Gumbel
+    # phi 10: the library gives a value on the default grid, and so does the CLI
+    p = independence_pickands() if family == ["independence"] else gumbel_pickands(10.0)
+    m = ParetoMarginal(1.0, 1.0)
+    rc = main(["var", "--alpha", "1", "--family", *family, "--seed", "1", "--n", "1000"])
+    assert rc == 0
+    rows = _rows(capsys)[1:]
+    assert [float(row[0]) for row in rows] == list(cli._DEFAULT_Q_GRID)
+    for row in rows:
+        e = var_expansion_ev(m, p, float(row[0]))
+        assert row[1:3] == [format(v, ".17g") for v in (e.first_order, e.value)]
+        assert row[6] == "; ".join(e.diagnostics)
+
+
+@pytest.mark.parametrize("phi", [1.0, 10.0])
+@pytest.mark.parametrize("alpha", [0.8, 2.0])
+def test_no_c1_note_on_the_default_grids(phi, alpha):
+    # the note that the second order outweighs the first is for models near
+    # C1; the figures' models meet no such cell on the default grids
+    m, p = ParetoMarginal(alpha, 1.0), gumbel_pickands(phi)
+    records = [var_expansion_ev(m, p, q) for q in cli._DEFAULT_Q_GRID]
+    records += [tailprob_expansion_ev(m, p, t) for t in cli._sf_grid(m, *cli._SF_GRID)]
+    for e in records:
+        assert not any("outweigh the first order" in note for note in e.diagnostics)
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
@@ -147,7 +170,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     cases = [
         # families with no expansion route
         (["tailprob", "--alpha", "0.8", "--family", "comonotone", "--seed", "1", "--n", "1000"],
-         "family 'comonotone' has no tail expansion"),
+         "a(1,1) = 1 puts the boundary term at the leading order"),
         (["var", "--alpha", "0.8", "--family", "log-interaction", "--sigma", "0.5",
           "--seed", "1", "--n", "1000"],
          "family 'log-interaction' has no tail expansion"),

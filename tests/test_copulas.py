@@ -25,10 +25,10 @@ from tailsum import (
     gumbel_pickands,
     independence_pickands,
     make_survival_copula,
-    partial_limit_traits,
     tail_order_traits,
     trial_tail_order_traits,
 )
+from tailsum.copulas import _partial_traits
 
 pos = st.floats(0.05, 20.0)
 
@@ -294,12 +294,12 @@ def test_trial_tail_order_traits():
         trial_tail_order_traits(0.9)
 
 
-def test_partial_limit_traits_fields():
+def test_plain_corner_traits_fields():
     # independence: corner slope 1, profile u; Gumbel 10: slope 0, zero profile
-    ind = partial_limit_traits(independence_pickands())
+    ind = _partial_traits(estimate_corner_slope(independence_pickands()))
     assert ind.h(1e-3) == 1.0
     assert ind.varphi(0.5, 0.25) == 0.5
-    g10 = partial_limit_traits(gumbel_pickands(10.0))
+    g10 = _partial_traits(estimate_corner_slope(gumbel_pickands(10.0)))
     assert g10.h(1e-3) == 1.0
     assert g10.varphi(0.5, 0.25) == 0.0
     assert set(PartialLimitTraits.__dataclass_fields__) == {"h", "varphi"}

@@ -69,6 +69,11 @@ def _finite_or_error(call, positive: bool = False, infinite: bool = False) -> No
     p=gumbel_pickands(17.965405697856784), alpha=0.0036047060715560537,
     scale=111.8406106087093, t=888136544975097.5, q=0.9977906847249969, sample_seed=2314,
 )
+# alpha exactly 1, the C1 edge of independence (Gumbel phi = 1): every entry
+# point takes the general path there
+@example(
+    p=gumbel_pickands(1.0), alpha=1.0, scale=1.0, t=100.0, q=0.99, sample_seed=1,
+)
 @pytest.mark.filterwarnings("error")
 def test_public_api_gives_a_finite_value_or_a_tailsum_error(p, alpha, scale, t, q, sample_seed):
     m = ParetoMarginal(alpha, scale)

@@ -16,12 +16,13 @@ from tailsum import (
     ParetoMarginal,
     PickandsEV,
     classify_case,
+    estimate_corner_slope,
     ev_chat,
     ev_chat_v,
-    partial_limit_traits,
     tail_order_traits,
     tailprob_expansion_ev,
 )
+from tailsum.copulas import _partial_traits
 
 THETA = 1.0
 
@@ -67,7 +68,7 @@ def test_traits_follow_from_the_dependence_function(galambos):
     tr = tail_order_traits(galambos)
     assert abs(tr.kappa - (2.0 - 2.0 ** (-1.0 / THETA))) < 1e-14
     assert abs(tr.power_m - (1.0 - 2.0 ** (-1.0 / THETA - 1.0))) < 1e-14
-    partial = partial_limit_traits(galambos)
+    partial = _partial_traits(estimate_corner_slope(galambos))
     assert partial.varphi(0.5, 0.5) == 0.0
 
 
@@ -76,7 +77,7 @@ def test_slowly_vanishing_corner_slope_is_exactly_zero(theta):
     # a2(1, v) ~ v**theta is still far from 0 at any small v, but the
     # contract value a2_fn(1, -0.0) is its limit 0
     p = galambos_pickands(theta)
-    partial = partial_limit_traits(p)
+    partial = _partial_traits(estimate_corner_slope(p))
     assert partial.varphi(0.5, 0.5) == 0.0
     assert tailprob_expansion_ev(ParetoMarginal(0.8, 1.0), p, 1e4).candidates is not None
 
