@@ -35,9 +35,9 @@ coefficient (its corner integrals), the stated term specs, when the stated
 second order vanishes the candidates' specs, and what a quantile query
 reuses (its ``rho_regime`` and diagnostics). The cache is a bounded
 ``functools.lru_cache``, which is thread-safe, and holds frozen values, so
-concurrent use is safe; the quadrature rule, panel edge table included,
-is read-only arrays built once, and its scratch state is local to each
-call.
+concurrent use is safe; the quadrature rule's node table is read-only
+arrays, each entry built on first use and kept by a ``functools.cache``,
+and its scratch state is local to each call.
 
 The module needs numpy only. The one quadrature, :func:`delta_correction`,
 is a fixed Gauss-Legendre rule, and the one root finding, in
@@ -183,30 +183,24 @@ def delta_correction(
     and ``density(t*y) * t * dy = alpha * sf * dw`` exactly, so with the
     linearity ``varphi(u, v) = u * varphi(1, v)`` it is
     ``alpha * int_0^W expm1(-alpha*log1p(-y)) * varphi(sf, sf) dw`` with
-    ``W = log1p(t/(2*scale))``. That form stays finite where
-    ``varphi(1, sf)`` alone overflows, so ``varphi`` is called once, on the
-    array of nodes. ``W`` is taken as ``log(t/2) - log(scale) +
-    log1p(2*scale/t)`` and ``y`` as ``(exp(w-W) - exp(-W)) / (2*(1-exp(-W)))``,
-    so neither overflows where ``t/(2*scale)`` does (``scale < 1``). The
-    rule is 24-node Gauss-Legendre on panels graded geometrically away
-    from both ends: edges ``2**-20, 2**-19, ...`` from ``w = 0`` and
-    ``W - 1/8, W - 1/4, ...`` from ``w = W``, meeting at ``W/2``. The
-    edges are read from the table of :func:`_delta_rule`, by the count of
-    grades below ``W/2``, as ``base + coef * W``. Against
-    40-digit mpmath it is within 1e-13 relative (1e-14 measured) for
-    log-refined phi in {1.05, 2, 10} and plain power corner slopes
-    {1, 0.5}, alpha in {0.3, 0.8, 2, 3} and ``sf = 1e-2 .. 1e-12``, and
-    for log-refined phi at alpha 0.3, ``scale = 1e-5``, ``t = 1e300`` and
-    ``1e305``.
-
-    Nodes where ``sf`` underflows to 0 are dropped, so they contribute 0.
-    Every node has ``w <= W``, so they can exist only where ``alpha * W``
-    reaches about 745, and the test for them runs only where ``alpha * W
-    >= 700``, which is also where ``survival(t)`` itself is below about
-    ``1e-304``. There the value is not to be trusted, and no warning says
-    so: the dropped nodes are the ones that carry the integral
-    (``ParetoMarginal(2, 1e-5)`` with the log-refined phi 10 traits at
-    ``t = 1e300`` gives 7.3e-117, where 40-digit mpmath gives 7.07e28).
+    ``W = log1p(t/(2*scale))``. The profile on the diagonal is read in
+    log-survival, as ``partial_traits.diagonal(alpha*w)``, so no survival
+    is formed: the integrand stays finite where ``varphi(1, sf)`` alone
+    overflows and where ``sf`` itself underflows. ``W`` is taken as
+    ``log(t/2) - log(scale) + log1p(2*scale/t)`` and ``y`` as
+    ``(exp(w-W) - exp(-W)) / (2*(1-exp(-W)))``, so neither overflows where
+    ``t/(2*scale)`` does (``scale < 1``). The rule is 24-node
+    Gauss-Legendre on panels graded geometrically away from both ends:
+    edges ``2**-20, 2**-19, ...`` from ``w = 0`` and ``W - 1/8, W - 1/4,
+    ...`` from ``w = W``, meeting at ``W/2``. Its nodes and weights are
+    affine in ``W``: :func:`_delta_rule` gives them, by the count of grades
+    below ``W/2``, as ``a + b*W`` and ``c + d*W``, and the sum is one dot
+    product. Against 40-digit mpmath it is within 1e-13 relative (3.1e-15
+    measured) for log-refined phi in {1.05, 2, 10} and plain power corner
+    slopes {1, 0.5}, alpha in {0.3, 0.8, 2, 3} and ``sf = 1e-2 ..
+    1e-12``, for log-refined phi at alpha 0.3, ``scale = 1e-5``, ``t =
+    1e300`` and ``1e305``, and at alpha 2 and 3, ``scale = 1e-5``, ``t =
+    1e300``, where ``survival(t)`` underflows to 0.
 
     Raises
     ------
@@ -216,51 +210,47 @@ def delta_correction(
     _require_above_median(marginal, t, "delta_correction")
     alpha, scale = marginal.alpha, marginal.scale
     top = math.log(t / 2.0) - math.log(scale) + math.log1p(2.0 * scale / t)
-    x, wx, grade, table = _delta_rule()
-    base, coef = table[bisect.bisect_left(grade, 0.5 * top)]
-    edges = base + coef * top
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    radius = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    w = (mid + radius * x).ravel()
-    weights = (radius * wx).ravel()
-    sf = np.exp(-alpha * w)
-    if alpha * top >= 700.0:  # below it no node's survival underflows
-        live = sf > 0.0
-        w, weights, sf = w[live], weights[live], sf[live]
+    a, b, c, d = _delta_rule(bisect.bisect_left(_GRADES, 0.5 * top))
+    w = a + b * top
     y = (np.exp(w - top) - math.exp(-top)) * (0.5 / -math.expm1(-top))
-    f = np.expm1(-alpha * np.log1p(-y)) * partial_traits.varphi(sf, sf)
-    return alpha * float((weights * f).sum())
+    f = np.expm1(-alpha * np.log1p(-y)) * partial_traits.diagonal(alpha * w)
+    return alpha * float((c + d * top) @ f)
+
+
+# the panel grades of delta_correction; W/2 stays below 2**9 for every
+# float t while scale > 1e-136
+_GRADES = tuple(2.0**j for j in range(-20, 10))
 
 
 @functools.cache
-def _delta_rule() -> tuple:
-    """The 24-node Gauss-Legendre rule on ``[-1, 1]``, the panel grading
-    ``2**-20 .. 2**9`` of :func:`delta_correction` as a tuple of floats
-    (``W/2`` stays below ``2**9`` for every float ``t`` while
-    ``scale > 1e-136``) and its panel edge table, all read-only.
+def _delta_rule(k: int) -> tuple:
+    """The nodes and weights of :func:`delta_correction` for every ``W``
+    with ``k`` grades below ``W/2``, as four read-only arrays ``(a, b, c,
+    d)``: the nodes are ``a + b*W`` and the weights ``c + d*W``.
 
-    Entry ``k`` of the table serves every ``W`` with ``k`` grades below
-    ``W/2``: a pair of arrays ``(base, coef)`` whose panel edges are
-    ``base + coef * W``. ``coef`` is 0 for the edge 0 and the ``k``
-    grades, ½ for ``W/2``, and 1 for ``W`` less each of those grades from
-    ``1/8`` up (``base`` is minus the grade) and for ``W`` itself. Each
-    sum adds 0 to an exact product or is ``W - grade``, so the edges are
-    bit for bit those of masking the grades below ``W/2`` and
-    concatenating them on each call. Only the ``sf > 0`` test, for the
-    nodes that underflow, stays in :func:`delta_correction`, where
-    ``alpha * W >= 700``."""
+    The panel edges are ``base + coef*W``: ``coef`` is 0 for the edge 0
+    and the ``k`` grades, ½ for ``W/2``, and 1 for ``W`` less each of
+    those grades from ``1/8`` up (``base`` is minus the grade) and for
+    ``W`` itself. Each panel's midpoint and radius are then affine in
+    ``W`` too, and so are its 24 Gauss-Legendre nodes ``mid + radius*x``
+    and weights ``radius*wx``. An entry is built the first time its count
+    is asked for: the counts a workload meets are few, and all 31 entries
+    would hold about 0.8 MiB."""
     x, wx = np.polynomial.legendre.leggauss(24)
-    grade = 2.0 ** np.arange(-20, 10)
-    table = []
-    for k in range(grade.size + 1):
-        low = grade[:k]
-        high = low[low >= 0.125][::-1]
-        base = np.concatenate(([0.0], low, [0.0], -high, [0.0]))
-        coef = np.concatenate(([0.0], np.zeros(k), [0.5], np.ones(high.size), [1.0]))
-        table.append((base, coef))
-    for a in (x, wx, *(a for pair in table for a in pair)):
-        a.flags.writeable = False
-    return x, wx, tuple(grade.tolist()), tuple(table)
+    low = np.array(_GRADES[:k])
+    high = low[low >= 0.125][::-1]
+    base = np.concatenate(([0.0], low, [0.0], -high, [0.0]))
+    coef = np.concatenate(([0.0], np.zeros(k), [0.5], np.ones(high.size), [1.0]))
+
+    def nodes_and_weights(e):
+        mid = 0.5 * (e[1:] + e[:-1])[:, None]
+        radius = 0.5 * (e[1:] - e[:-1])[:, None]
+        return (mid + radius * x).ravel(), (radius * wx).ravel()
+
+    (a, c), (b, d) = nodes_and_weights(base), nodes_and_weights(coef)
+    for arr in (a, b, c, d):
+        arr.flags.writeable = False
+    return a, b, c, d
 
 
 def power_term_coefficient(traits: TailOrderTraits, alpha: float) -> float:
@@ -472,13 +462,18 @@ class InversionDiagnostic:
 
     ``inverted`` is the threshold where the tail-probability expansion
     crosses ``1 - q``; ``formula`` is the direct quantile expansion;
-    ``discrepancy`` is their relative difference.
+    ``discrepancy`` is their relative difference. ``diagnostics`` holds
+    the C1 note of :func:`tailprob_expansion_ev` where ``inverted`` is
+    more than twice ``t0 = quantile(1 - (1-q)/2)``, the leading order's
+    root (``|inverted - t0| > t0``, the rule of the tail and the VaR), and
+    is empty otherwise.
     """
 
     q: float
     formula: float
     inverted: float
     discrepancy: float
+    diagnostics: tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -848,7 +843,10 @@ def var_from_tailprob_inversion(
     the stated value once per threshold, as :func:`_brent` evaluates the
     bracket's ends again: about 3 evaluations per root where the stated
     second order vanishes, and at most 9 on the Gumbel grids measured
-    (phi 1 .. 10, alpha 0.3 .. 3, q 0.6 .. 1 - 1e-6).
+    (phi 1 .. 10, alpha 0.3 .. 3, q 0.6 .. 1 - 1e-6). A root more than
+    twice ``t0`` carries the C1 note of :func:`tailprob_expansion_ev` in
+    its ``diagnostics`` (independence at alpha 0.999999, ``q = 0.99``: 71.6
+    times ``t0``).
 
     Parameters
     ----------
@@ -871,7 +869,8 @@ def var_from_tailprob_inversion(
     _check_q(q, "var_from_tailprob_inversion")
 
     # the stated value only: the candidates never enter it
-    terms = _model_plan(m, p).terms
+    plan = _model_plan(m, p)
+    terms = plan.terms
     target = 1.0 - q
     tails = {}
 
@@ -921,4 +920,7 @@ def var_from_tailprob_inversion(
         raise DomainError(f"the tail-expansion root for q={q} did not converge in [{lo}, {hi}]")
     formula = var_expansion_ev(m, p, q).value
     discrepancy = abs(inverted - formula) / formula
-    return InversionDiagnostic(q=q, formula=formula, inverted=inverted, discrepancy=discrepancy)
+    return InversionDiagnostic(
+        q=q, formula=formula, inverted=inverted, discrepancy=discrepancy,
+        diagnostics=_c1_note(inverted, t0, m.alpha, plan.case),
+    )

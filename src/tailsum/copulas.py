@@ -24,7 +24,8 @@ The dependence layer is scalar: dependence functions, log-domain evaluators,
 :func:`ev_chat`, :func:`ev_chat_v` and :meth:`TailOrderTraits.tau` take and
 return Python floats through :mod:`math` (with IEEE nan and inf where it
 raises), so a user family needs only float arithmetic. Only
-:attr:`PartialLimitTraits.varphi` also runs on arrays of quadrature nodes.
+:attr:`PartialLimitTraits.diagonal` runs on arrays: the quadrature nodes of
+:func:`~tailsum.asymptotics.delta_correction`.
 
 All values are immutable after construction and safe to share across threads.
 """
@@ -63,9 +64,9 @@ def _const_one(t: float) -> float:
     return 1.0
 
 
-def _zero_profile(u: float, v: float) -> float:
-    """Limit profile of a degenerate partial derivative: the float 0.0,
-    which broadcasts against array arguments."""
+def _zero_profile(*_) -> float:
+    """Limit profile of a degenerate partial derivative, off the diagonal
+    and on it: the float 0.0, which broadcasts against array arguments."""
     return 0.0
 
 
@@ -439,9 +440,11 @@ class PartialLimitTraits:
     ``varphi(u, v) = u * varphi(1, v)``: the scaling exponent is 1 for every
     extreme-value copula.
 
-    ``h`` takes and returns a float. ``varphi`` takes arrays as well: the
+    ``h`` and ``varphi`` take floats. ``diagonal`` is the profile on the
+    diagonal in log-survival, ``x -> varphi(exp(-x), exp(-x))``: the
     partial branch's :func:`~tailsum.asymptotics.delta_correction` calls it
-    once, on all its quadrature nodes.
+    once, on the array of its quadrature nodes' ``x = -log sf``, so it
+    never forms a survival that underflows.
 
     Attributes
     ----------
@@ -449,12 +452,14 @@ class PartialLimitTraits:
         Slowly varying factor of ``t`` (identically 1 for the plain power
         traits of extreme-value families), float to float.
     varphi : callable
-        The limit profile, elementwise on floats or arrays; identically
-        zero when the corner slope vanishes.
+        The limit profile; identically zero when the corner slope vanishes.
+    diagonal : callable
+        ``varphi(exp(-x), exp(-x))`` from ``x >= 0``, elementwise on arrays.
     """
 
     h: Callable
     varphi: Callable
+    diagonal: Callable
 
 
 def _require_dependence_function(p: PickandsEV) -> float:
@@ -581,14 +586,20 @@ def trial_tail_order_traits(kappa: float) -> TailOrderTraits:
 def _partial_traits(a20: float) -> PartialLimitTraits:
     """The plain power corner traits of the corner slope ``a20``: when
     ``a20 > 0``, profile ``a20 * u * v**(a20 - 1)`` (independence has
-    ``a20 = 1`` and profile ``u``); when it vanishes (Gumbel with exponent
-    above 1, and the comonotone limit) the zero profile. ``h`` is 1."""
+    ``a20 = 1`` and profile ``u``), whose diagonal is ``a20 * exp(-a20*x)``;
+    when it vanishes (Gumbel with exponent above 1, and the comonotone
+    limit) the zero profile. ``h`` is 1."""
     if a20 > 0.0:
         def varphi(u, v):
             return a20 * u * v ** (a20 - 1.0)
 
-        return PartialLimitTraits(h=_const_one, varphi=varphi)
-    return PartialLimitTraits(h=_const_one, varphi=_zero_profile)
+        def diagonal(x):
+            import numpy as np
+
+            return a20 * np.exp(-a20 * x)
+
+        return PartialLimitTraits(h=_const_one, varphi=varphi, diagonal=diagonal)
+    return PartialLimitTraits(h=_const_one, varphi=_zero_profile, diagonal=_zero_profile)
 
 
 def gumbel_log_refined_traits(phi_g: float) -> PartialLimitTraits:
@@ -597,7 +608,8 @@ def gumbel_log_refined_traits(phi_g: float) -> PartialLimitTraits:
     The plain power scaling of the partial derivative is degenerate for
     these copulas; keeping the slowly varying factor
     ``h(t) = (-log t)**(1 - phi)`` yields the non-degenerate profile
-    ``varphi(u, v) = u * (-log v)**(phi - 1) / v``. These traits feed the
+    ``varphi(u, v) = u * (-log v)**(phi - 1) / v``, whose diagonal is
+    ``x**(phi - 1)`` at ``x = -log v``. These traits feed the
     ``log_refined`` candidate of
     :func:`~tailsum.asymptotics.tailprob_expansion_ev`.
 
@@ -612,18 +624,19 @@ def gumbel_log_refined_traits(phi_g: float) -> PartialLimitTraits:
         )
     phi = float(phi_g)
 
-    # ``varphi`` runs on the array of quadrature nodes. ``h`` keeps numpy's
-    # logarithm too: its SIMD log differs from math.log in the last bit for
-    # some arguments in (0, 1), and keeping it keeps every refined value
-    # bit-identical. It is scalar arithmetic on numpy.float64, which calls
-    # the same pow as float and keeps IEEE results (inf, nan) where float
-    # arithmetic would raise. Numpy warns of a division by zero only at 0
-    # (the log) and 1 (the power of zero), so only arguments outside (0, 1)
-    # pay for silencing it. There ``+ 0.0`` turns the -0.0 of ``-log(1)``
-    # into +0.0: a power of -0.0 takes its sign where ``1 - phi`` is an odd
-    # integer, and ``h(1)`` is +inf for every phi. Each imports numpy when
-    # it runs, so building these traits (every Gumbel dependence function
-    # does) loads no numpy.
+    # ``h`` and ``varphi`` keep numpy's logarithm: its SIMD log differs from
+    # math.log in the last bit for some arguments in (0, 1), and keeping it
+    # keeps every refined value bit-identical. ``h`` is scalar arithmetic on
+    # numpy.float64, which calls the same pow as float and keeps IEEE
+    # results (inf, nan) where float arithmetic would raise. Numpy warns of
+    # a division by zero only at 0 (the log) and 1 (the power of zero), so
+    # only arguments outside (0, 1) pay for silencing it. There ``+ 0.0``
+    # turns the -0.0 of ``-log(1)`` into +0.0: a power of -0.0 takes its
+    # sign where ``1 - phi`` is an odd integer, and ``h(1)`` is +inf for
+    # every phi. Each imports numpy when it runs, so building these traits
+    # (every Gumbel dependence function does) loads no numpy. ``diagonal``
+    # runs on the array of quadrature nodes, and its power needs no numpy
+    # call.
     def h(t):
         import numpy as np
 
@@ -637,7 +650,10 @@ def gumbel_log_refined_traits(phi_g: float) -> PartialLimitTraits:
 
         return u * (-np.log(v)) ** (phi - 1.0) / v
 
-    return PartialLimitTraits(h=h, varphi=varphi)
+    def diagonal(x):
+        return x ** (phi - 1.0)
+
+    return PartialLimitTraits(h=h, varphi=varphi, diagonal=diagonal)
 
 
 # ---------------------------------------------------------------------------

@@ -229,8 +229,13 @@ def test_delta_correction_certified_against_mpmath(kind, k):
     cells = [(alpha, 1.0, sf ** (-1.0 / alpha) - 1.0)
              for alpha in (0.3, 0.8, 2.0, 3.0) for sf in (1e-2, 1e-7, 1e-12)]
     if kind == "log-refined":
-        # far thresholds where t/(2*scale) overflows a float
-        cells += [(0.3, 1e-5, 1e300), (0.3, 1e-5, 1e305)]
+        # far thresholds where t/(2*scale) overflows a float, and where
+        # survival(t) underflows to 0 (alpha 2 and 3), as did the survival of
+        # the nodes that carry the integral: a profile read from that
+        # survival gave 7.3e-117 at phi 10, alpha 2 (mpmath 7.07e28) and
+        # 3.9e-172 at alpha 3 (7.7e30)
+        cells += [(0.3, 1e-5, 1e300), (0.3, 1e-5, 1e305), (2.0, 1e-5, 1e300),
+                  (3.0, 1e-5, 1e300)]
     for alpha, scale, t in cells:
         with mp.workdps(40):
             want = _mp_delta(mp, alpha, t, profile, scale)
@@ -291,25 +296,29 @@ def _top(scale, t):
 
 
 def _masked_delta_correction(rule, partial_traits, marginal, t):
-    # delta_correction with its panel edges masked and concatenated on each
-    # call, and every node's survival tested for underflow
+    # delta_correction with its grades below W/2 masked on each call, its
+    # panel edges written as base + coef * W (0, the grades, W/2, W less
+    # each grade from 1/8 up, W), their nodes and weights as a + b*W and
+    # c + d*W, and the profile read on the diagonal from x = alpha * w
     x, wx = rule
     alpha, scale = marginal.alpha, marginal.scale
     top = _top(scale, t)
-    half = 0.5 * top
     grade = 2.0 ** np.arange(-20, 10)
-    grade = grade[grade < half]
-    edges = np.concatenate(([0.0], grade, [half], top - grade[grade >= 0.125][::-1], [top]))
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    radius = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    w = (mid + radius * x).ravel()
-    weights = (radius * wx).ravel()
-    sf = np.exp(-alpha * w)
-    live = sf > 0.0
-    w, weights, sf = w[live], weights[live], sf[live]
+    grade = grade[grade < 0.5 * top]
+    high = grade[grade >= 0.125][::-1]
+    base = np.concatenate(([0.0], grade, [0.0], -high, [0.0]))
+    coef = np.concatenate(([0.0], np.zeros(grade.size), [0.5], np.ones(high.size), [1.0]))
+
+    def nodes_and_weights(e):
+        mid = 0.5 * (e[1:] + e[:-1])[:, None]
+        radius = 0.5 * (e[1:] - e[:-1])[:, None]
+        return (mid + radius * x).ravel(), (radius * wx).ravel()
+
+    (a, c), (b, d) = nodes_and_weights(base), nodes_and_weights(coef)
+    w = a + b * top
     y = (np.exp(w - top) - math.exp(-top)) * (0.5 / -math.expm1(-top))
-    f = np.expm1(-alpha * np.log1p(-y)) * partial_traits.varphi(sf, sf)
-    return alpha * float(np.sum(weights * f))
+    f = np.expm1(-alpha * np.log1p(-y)) * partial_traits.diagonal(alpha * w)
+    return alpha * float((c + d * top) @ f)
 
 
 def _thresholds_at_top(m, target):
@@ -337,10 +346,11 @@ def _thresholds_at_top(m, target):
 
 
 def test_delta_correction_edge_table_equals_the_masked_edges():
-    # the edge table of _delta_rule and the underflow test only where
-    # alpha * W >= 700 give the masked concatenation's value bit for bit:
+    # the node table of _delta_rule, one entry per count of grades below
+    # W/2, gives the value of masking the grades on each call bit for bit:
     # from sf 10**-0.5 down past underflow, at W/2 on a grade and one ulp
-    # to either side of it, and where survival(t) itself underflows
+    # to either side of it, and where survival(t) itself underflows (the
+    # far cells, alpha * W >= 700)
     rule = np.polynomial.legendre.leggauss(24)
     cells = far = on_grade = 0
     for alpha in (0.3, 0.8, 2.0, 3.0):
@@ -980,6 +990,22 @@ def test_a_var_whose_second_order_outweighs_the_first_names_the_c1_boundary(
     )
     assert v.diagnostics == v.case.warnings + (note,)
     assert note in tailprob_expansion_ev(m, p_ind, m.quantile(1.0 - (1.0 - q) / 2.0)).diagnostics
+
+
+def test_an_inverted_root_far_past_the_leading_root_names_the_c1_boundary(p_ind):
+    # independence at alpha 0.999999, q 0.99: the root of the stated tail is
+    # 14241.6, 71.6 times the leading order's root t0 = quantile(0.995), by
+    # the one rule of the tail and the VaR; at alpha 0.8 it is 1.018 t0
+    m = ParetoMarginal(0.999999, 1.0)
+    d = var_from_tailprob_inversion(m, p_ind, 0.99)
+    t0 = m.quantile(0.995)
+    assert d.inverted == pytest.approx(14241.6, rel=1e-5)
+    assert d.inverted / t0 == pytest.approx(71.57, rel=1e-3)
+    assert d.diagnostics == (
+        "second-order terms outweigh the first order: the expansion is not uniform "
+        "across the C1 boundary alpha*a20 = 1 (here 0.999999)",
+    )
+    assert var_from_tailprob_inversion(ParetoMarginal(0.8, 1.0), p_ind, 0.99).diagnostics == ()
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.8, 1.0, 1.5, 2.0, 3.0])

@@ -302,7 +302,27 @@ def test_plain_corner_traits_fields():
     g10 = _partial_traits(estimate_corner_slope(gumbel_pickands(10.0)))
     assert g10.h(1e-3) == 1.0
     assert g10.varphi(0.5, 0.25) == 0.0
-    assert set(PartialLimitTraits.__dataclass_fields__) == {"h", "varphi"}
+    x = np.array([0.0, 1.5, 800.0])
+    assert ind.diagonal(x).tolist() == np.exp(-x).tolist()
+    assert g10.diagonal(x) == 0.0
+    assert set(PartialLimitTraits.__dataclass_fields__) == {"h", "varphi", "diagonal"}
+
+
+@pytest.mark.parametrize(
+    "traits",
+    [_partial_traits(1.0), _partial_traits(0.5), _partial_traits(0.0),
+     gumbel_log_refined_traits(1.05), gumbel_log_refined_traits(10.0)],
+)
+def test_corner_diagonal_is_the_profile_in_log_survival(traits):
+    # diagonal(x) is varphi(exp(-x), exp(-x)) wherever that survival is a
+    # normal float (3.3e-16 apart at most, measured), and stays finite and
+    # not negative past it
+    x = np.linspace(0.0, 700.0, 1401)[1:]
+    v = np.exp(-x)
+    want = np.array([traits.varphi(float(s), float(s)) for s in v])
+    np.testing.assert_allclose(traits.diagonal(x), want, rtol=1e-15, atol=0.0)
+    far = traits.diagonal(np.array([800.0, 5000.0, 1e5]))
+    assert np.all(np.isfinite(far)) and np.all(far >= 0.0)
 
 
 def test_gumbel_log_refined_traits_domain():
