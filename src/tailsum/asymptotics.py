@@ -172,11 +172,15 @@ def delta_correction(
     """Finite-level second-order weight of the trait theorem's partial branch.
 
     Returns ``int_0^{1/2} ((1-y)**(-alpha) - 1)
-    * varphi(1, survival(t*y)) * density(t*y) * t dy``. For plain power
-    traits it decays to zero as ``t`` grows. For the log-refined Gumbel
-    traits it does not: ``delta * (-log sf)**(1-phi)`` grows from 0.85 to
+    * varphi(1, survival(t*y)) * density(t*y) * t dy``, for the corner
+    profile ``varphi`` of the traits. The library calls it only on the
+    log-refined Gumbel traits
+    (:func:`~tailsum.copulas.gumbel_log_refined_traits`), where it does not
+    decay as ``t`` grows: ``delta * (-log sf)**(1-phi)`` grows from 0.85 to
     1.51 over ``sf = 1e-2 .. 1e-8`` at phi 2, alpha 1.5 (0.054 to 0.24 at
-    phi 10, alpha 0.8), so that candidate term is not of higher order.
+    phi 10, alpha 0.8), so that candidate term is not of higher order. A
+    plain power profile ``a20 * u * v**(a20 - 1)``, whose diagonal is
+    ``a20 * exp(-a20*x)``, gives a weight that decays to zero.
 
     The integral is taken in the log-survival variable
     ``w = log1p(t*y/scale)``: the Lomax survival is ``sf = exp(-alpha*w)``
@@ -363,9 +367,11 @@ class ExpansionTerm:
     """One second-order term: ``coefficient * sf**exponent * extra factors``.
 
     ``t_factor`` carries an evaluated t-dependent decaying factor (such as a
-    truncated mean divided by t); ``sv_factor`` carries the evaluated slowly
-    varying factor. Every term either has exponent strictly above 1 or a
-    t-decaying factor, so the term vanishes relative to the leading order.
+    truncated mean divided by t). Every term either has exponent strictly
+    above 1 or a t-decaying factor, so the term vanishes relative to the
+    leading order. The expansions make records for the stated terms only,
+    and those carry no slowly varying factor: one enters only the number
+    of the ``log_refined`` candidate.
 
     ``value`` is the term's numeric contribution at the evaluation point.
     """
@@ -374,7 +380,6 @@ class ExpansionTerm:
     exponent: float
     factor_tag: str = ""
     t_factor: Optional[float] = None
-    sv_factor: float = 1.0
     value: float = 0.0
 
     def __post_init__(self) -> None:
@@ -495,20 +500,19 @@ _FACTOR_TAGS = {
 
 
 def _spec_value(spec: tuple, m: ParetoMarginal, t: float, sf: float) -> tuple:
-    """``(value, t_factor, sv_factor)`` of one term spec at ``t``, where the
+    """``(value, t_factor)`` of one term spec at ``t``, where the
     survival is ``sf``. A ``"power"`` spec is ``c * sf**e`` (``arg`` None),
     ``"truncated_mean"`` is ``c * sf**e *
     powered_tail_truncated_mean(t, arg) / t`` and ``"delta_correction"`` is
     ``c * delta_correction(arg, t) * sf**e * arg.h(sf)``."""
     kind, c, e, arg = spec
     if kind == "power":
-        return c * sf**e, None, 1.0
+        return c * sf**e, None
     if kind == "truncated_mean":
         tf = m.powered_tail_truncated_mean(t, arg) / t
-        return c * tf * sf**e, tf, 1.0
+        return c * tf * sf**e, tf
     dt = delta_correction(arg, m, t)
-    h = float(arg.h(sf))
-    return c * dt * sf**e * h, dt, h
+    return c * dt * sf**e * float(arg.h(sf)), dt
 
 
 def _c1_note(value: float, first: float, alpha: float, case: CaseLabel) -> tuple:
@@ -538,10 +542,10 @@ def _evaluate(specs: tuple, m: ParetoMarginal, t: float, sf: float) -> tuple:
     terms = []
     for spec in specs:
         kind, c, e, _ = spec
-        value, t_factor, sv_factor = _spec_value(spec, m, t, sf)
+        value, t_factor = _spec_value(spec, m, t, sf)
         terms.append(ExpansionTerm(
             coefficient=c, exponent=e, factor_tag=_FACTOR_TAGS[kind],
-            t_factor=t_factor, sv_factor=sv_factor, value=value,
+            t_factor=t_factor, value=value,
         ))
     return tuple(terms), 2.0 * sf + sum(term.value for term in terms)
 

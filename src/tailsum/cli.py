@@ -416,13 +416,14 @@ def _cmd_reproduce_figures(cfg: _Settings) -> int:
     phi_setting = cfg.get("copula.phi")
     phis = (phi_setting,) if phi_setting is not None else (1.0, 10.0)
 
+    # every copula is built, so a rejected exponent leaves no directory
+    copulas = [(phi, make_survival_copula("gumbel", phi=phi)) for phi in phis]
     os.makedirs(out_dir, exist_ok=True)
     # alpha -> (tail panel, quantile panel)
     panel_letters = {0.8: ("a", "c"), 2.0: ("b", "d")}
 
-    for phi in phis:
+    for phi, copula in copulas:
         name = {1.0: "figure1", 10.0: "figure2"}.get(phi, f"figure-phi{phi:g}")
-        copula = make_survival_copula("gumbel", phi=phi)
         for alpha, letters in panel_letters.items():
             m = ParetoMarginal(alpha, 1.0)
             tail_base, var_base = (os.path.join(out_dir, f"{name}-{x}") for x in letters)

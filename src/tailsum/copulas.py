@@ -9,9 +9,12 @@ This module houses the dependence layer of the package:
 * :class:`PickandsEV` represents an extreme-value dependence function together
   with its partial derivatives; :func:`gumbel_pickands` builds the Gumbel
   family (logistic dependence) with overflow-safe closed forms.
-* :class:`TailOrderTraits` and :class:`PartialLimitTraits` capture how the
-  survival copula scales near the joint-loss corner; the asymptotic tail
-  expansions consume exactly these traits.
+* :class:`TailOrderTraits` captures how the survival copula scales along
+  the diagonal near the joint-loss corner, and :class:`PartialLimitTraits`
+  the log-refined corner of its partial derivative where the plain power
+  corner is degenerate (Gumbel with exponent above 1); the asymptotic tail
+  expansions consume exactly these traits. The plain power corner is the
+  corner slope ``a2(1, 0)`` alone (:func:`estimate_corner_slope`).
 * :func:`check_assumptions` measures, on a grid of scales, how fast a shipped
   copula converges to the scaling behaviour its traits assert, and returns a
   verdict per hypothesis with the full numeric evidence.
@@ -57,17 +60,6 @@ __all__ = [
     "estimate_corner_slope",
     "check_assumptions",
 ]
-
-
-def _const_one(t: float) -> float:
-    """Slowly varying factor identically equal to 1, float to float."""
-    return 1.0
-
-
-def _zero_profile(*_) -> float:
-    """Limit profile of a degenerate partial derivative, off the diagonal
-    and on it: the float 0.0, which broadcasts against array arguments."""
-    return 0.0
 
 
 def _pow(x: float, y: float) -> float:
@@ -119,8 +111,8 @@ class PickandsEV:
         ``a2_fn(x, -0.0)`` must return the corner-slope limit of
         ``a2_fn(x, y)`` as ``y -> 0``: :func:`ev_chat_v` calls it at
         ``v == 1``, and :func:`estimate_corner_slope` reads ``a2(1, 0)`` from
-        it for :func:`~tailsum.asymptotics.classify_case`, the corner traits
-        and the hypothesis checker, after testing every property above but
+        it for :func:`~tailsum.asymptotics.classify_case` and the
+        hypothesis checker, after testing every property above but
         homogeneity at five points: each of its readers raises
         :class:`~tailsum.errors.DomainError` naming the first one broken.
     family : str
@@ -128,9 +120,9 @@ class PickandsEV:
     param : float or None
         Family parameter (the Gumbel interaction exponent), if any.
     log_refined : PartialLimitTraits or None
-        Logarithmically refined corner traits where the plain power traits
-        are degenerate (Gumbel with exponent above 1, from
-        :func:`gumbel_log_refined_traits`); None otherwise.
+        Logarithmically refined corner traits where the plain power corner
+        of the partial derivative is degenerate (Gumbel with exponent above
+        1, from :func:`gumbel_log_refined_traits`); None otherwise.
     """
 
     a_fn: Callable
@@ -434,42 +426,40 @@ class TailOrderTraits:
 
 @dataclass(frozen=True)
 class PartialLimitTraits:
-    """Corner scaling ``(h, varphi)`` of the partial derivative of the survival copula.
+    """Corner scaling ``(h, diagonal)`` of the partial derivative of the survival copula.
 
     ``chat_v(u*t, v) ~ t * h(t) * varphi(u, v)`` as ``t`` shrinks, with
     ``varphi(u, v) = u * varphi(1, v)``: the scaling exponent is 1 for every
-    extreme-value copula.
-
-    ``h`` and ``varphi`` take floats. ``diagonal`` is the profile on the
-    diagonal in log-survival, ``x -> varphi(exp(-x), exp(-x))``: the
-    partial branch's :func:`~tailsum.asymptotics.delta_correction` calls it
-    once, on the array of its quadrature nodes' ``x = -log sf``, so it
-    never forms a survival that underflows.
+    extreme-value copula. The profile is kept only where the partial
+    branch's :func:`~tailsum.asymptotics.delta_correction` integrates it:
+    on the diagonal, in log-survival, so the quadrature never forms a
+    survival that underflows.
 
     Attributes
     ----------
     h : callable
-        Slowly varying factor of ``t`` (identically 1 for the plain power
-        traits of extreme-value families), float to float.
-    varphi : callable
-        The limit profile; identically zero when the corner slope vanishes.
+        Slowly varying factor of ``t``, float to float.
     diagonal : callable
-        ``varphi(exp(-x), exp(-x))`` from ``x >= 0``, elementwise on arrays.
+        ``varphi(exp(-x), exp(-x))`` from ``x >= 0``, elementwise on the
+        array of quadrature nodes' ``x = -log sf``.
     """
 
     h: Callable
-    varphi: Callable
     diagonal: Callable
 
 
-def _require_dependence_function(p: PickandsEV) -> float:
-    """The corner slope ``a2(1, 0)`` of a dependence function that keeps the
-    :class:`PickandsEV` contract, which is tested here and nowhere else.
+def estimate_corner_slope(p: PickandsEV) -> float:
+    """The corner slope ``a2(1, 0)`` of a dependence function, read exactly.
 
-    The expansions, their case and the corner traits read one corner of the
-    copula and double it, so they hold only for such a function. The tests,
-    at the points ``(1, 0.1)``, ``(1, 0.5)``, ``(1, 1)``, ``(0.5, 1)`` and
-    ``(0.1, 1)``:
+    Returns ``a2_fn(1, -0.0)``, which the :class:`PickandsEV` contract makes
+    the limit of ``a2_fn(1, y)`` as ``y -> 0``, as a float with a negative
+    zero folded to ``+0.0``. It tests the whole contract first, here and
+    nowhere else, so every reader of the slope
+    (:func:`~tailsum.asymptotics.classify_case` and
+    :func:`check_assumptions`) rejects a broken dependence function: the
+    expansions and their case read one corner of the copula and double it,
+    so they hold only for a function that keeps it. The tests, at the points
+    ``(1, 0.1)``, ``(1, 0.5)``, ``(1, 1)``, ``(0.5, 1)`` and ``(0.1, 1)``:
 
     * the corner slope ``a2_fn(1, -0.0)`` lies in ``[0, 1]`` (exactly);
     * symmetry: ``a(x, y) = a(y, x)`` and ``a1(x, y) = a2(y, x)``;
@@ -482,7 +472,6 @@ def _require_dependence_function(p: PickandsEV) -> float:
 
     The middle three are tested point by point, convexity after them. All
     but the first allow the C3 margin's ``1e-8``; NaN fails every test.
-    Returns ``a2_fn(1, -0.0)`` with a negative zero folded to ``+0.0``.
 
     Raises
     ------
@@ -534,24 +523,6 @@ def _require_dependence_function(p: PickandsEV) -> float:
     return a20
 
 
-def estimate_corner_slope(p: PickandsEV) -> float:
-    """The corner slope ``a2(1, 0)`` of a dependence function, read exactly.
-
-    Returns ``a2_fn(1, -0.0)``, which the :class:`PickandsEV` contract makes
-    the limit of ``a2_fn(1, y)`` as ``y -> 0``, as a float with a negative
-    zero folded to ``+0.0``. It tests the whole contract first
-    (:func:`_require_dependence_function`), so every reader of the slope
-    (:func:`~tailsum.asymptotics.classify_case` and
-    :func:`check_assumptions`) rejects a broken dependence function.
-
-    Raises
-    ------
-    DomainError
-        Naming the first broken property of the contract.
-    """
-    return _require_dependence_function(p)
-
-
 def tail_order_traits(p: PickandsEV) -> TailOrderTraits:
     """Tail-order traits of an extreme-value copula, from its dependence function.
 
@@ -583,25 +554,6 @@ def trial_tail_order_traits(kappa: float) -> TailOrderTraits:
     return TailOrderTraits(float(kappa), 1.0)
 
 
-def _partial_traits(a20: float) -> PartialLimitTraits:
-    """The plain power corner traits of the corner slope ``a20``: when
-    ``a20 > 0``, profile ``a20 * u * v**(a20 - 1)`` (independence has
-    ``a20 = 1`` and profile ``u``), whose diagonal is ``a20 * exp(-a20*x)``;
-    when it vanishes (Gumbel with exponent above 1, and the comonotone
-    limit) the zero profile. ``h`` is 1."""
-    if a20 > 0.0:
-        def varphi(u, v):
-            return a20 * u * v ** (a20 - 1.0)
-
-        def diagonal(x):
-            import numpy as np
-
-            return a20 * np.exp(-a20 * x)
-
-        return PartialLimitTraits(h=_const_one, varphi=varphi, diagonal=diagonal)
-    return PartialLimitTraits(h=_const_one, varphi=_zero_profile, diagonal=_zero_profile)
-
-
 def gumbel_log_refined_traits(phi_g: float) -> PartialLimitTraits:
     """Logarithmically refined corner traits for Gumbel with exponent above 1.
 
@@ -611,7 +563,8 @@ def gumbel_log_refined_traits(phi_g: float) -> PartialLimitTraits:
     ``varphi(u, v) = u * (-log v)**(phi - 1) / v``, whose diagonal is
     ``x**(phi - 1)`` at ``x = -log v``. These traits feed the
     ``log_refined`` candidate of
-    :func:`~tailsum.asymptotics.tailprob_expansion_ev`.
+    :func:`~tailsum.asymptotics.tailprob_expansion_ev`; they are the only
+    :class:`PartialLimitTraits` the library builds.
 
     Raises
     ------
@@ -624,16 +577,16 @@ def gumbel_log_refined_traits(phi_g: float) -> PartialLimitTraits:
         )
     phi = float(phi_g)
 
-    # ``h`` and ``varphi`` keep numpy's logarithm: its SIMD log differs from
-    # math.log in the last bit for some arguments in (0, 1), and keeping it
-    # keeps every refined value bit-identical. ``h`` is scalar arithmetic on
+    # ``h`` keeps numpy's logarithm: its SIMD log differs from math.log in
+    # the last bit for some arguments in (0, 1), and keeping it keeps every
+    # refined value bit-identical. ``h`` is scalar arithmetic on
     # numpy.float64, which calls the same pow as float and keeps IEEE
     # results (inf, nan) where float arithmetic would raise. Numpy warns of
     # a division by zero only at 0 (the log) and 1 (the power of zero), so
     # only arguments outside (0, 1) pay for silencing it. There ``+ 0.0``
     # turns the -0.0 of ``-log(1)`` into +0.0: a power of -0.0 takes its
     # sign where ``1 - phi`` is an odd integer, and ``h(1)`` is +inf for
-    # every phi. Each imports numpy when it runs, so building these traits
+    # every phi. It imports numpy when it runs, so building these traits
     # (every Gumbel dependence function does) loads no numpy. ``diagonal``
     # runs on the array of quadrature nodes, and its power needs no numpy
     # call.
@@ -645,15 +598,10 @@ def gumbel_log_refined_traits(phi_g: float) -> PartialLimitTraits:
         with np.errstate(divide="ignore"):
             return float((-np.log(t) + 0.0) ** (1.0 - phi))
 
-    def varphi(u, v):
-        import numpy as np
-
-        return u * (-np.log(v)) ** (phi - 1.0) / v
-
     def diagonal(x):
         return x ** (phi - 1.0)
 
-    return PartialLimitTraits(h=h, varphi=varphi, diagonal=diagonal)
+    return PartialLimitTraits(h=h, diagonal=diagonal)
 
 
 # ---------------------------------------------------------------------------
@@ -797,8 +745,8 @@ def check_assumptions(
     * ``A3``: the relative increment of ``chat_v`` when the first argument
       grows by the factor ``1 + u``, against ``(1 + u) - 1``; the stability
       constant is fitted by least squares on log-ratios.
-    * ``A4``: ``chat_v(u*t, v) / t`` against the corner profile
-      ``u * a20 * v**(a20 - 1)`` of the plain power corner traits (0 when
+    * ``A4``: ``chat_v(u*t, v) / t`` against the plain power corner profile
+      ``a20 * u * v**(a20 - 1)``, computed here from the slope (0 when
       ``a20`` is 0).
     * ``evcond``: the dependence-derivative ratio
       ``a2(1, x / (1 + log(1+u)/log t)) / a2(1, x)`` against a fitted power
@@ -930,10 +878,9 @@ def check_assumptions(
     # A4: corner limit of the scaled partial derivative against the corner
     # profile; a vanishing corner slope has the zero profile (its power
     # v ** -1 would overflow at a subnormal grid value)
-    profile = _partial_traits(a20).varphi
-
     def corner_limit(lt, u, v):
-        return _safe_exp(lchat_v(math.log(u) + lt, math.log(v)) - lt), profile(u, v)
+        target = a20 * u * v ** (a20 - 1.0) if a20 > 0.0 else 0.0
+        return _safe_exp(lchat_v(math.log(u) + lt, math.log(v)) - lt), target
 
     finish("A4", scan(gvals, vprob, corner_limit))
 

@@ -25,6 +25,7 @@ from tailsum import (
     DomainError,
     ExpansionTerm,
     ParetoMarginal,
+    PartialLimitTraits,
     PickandsEV,
     check_assumptions,
     classify_case,
@@ -45,7 +46,18 @@ from tailsum import (
 )
 from tailsum import copulas
 from tailsum.asymptotics import _model_plan
-from tailsum.copulas import _partial_traits
+
+def power_corner_traits(a20: float) -> PartialLimitTraits:
+    """The plain power corner traits of the corner slope ``a20``, a second
+    integrand for ``delta_correction``: ``h`` is 1 and the profile
+    ``a20 * u * v**(a20 - 1)`` has the diagonal ``a20 * exp(-a20*x)`` (the
+    zero profile when ``a20`` vanishes)."""
+
+    def diagonal(x):
+        return a20 * np.exp(-a20 * x) if a20 > 0.0 else 0.0
+
+    return PartialLimitTraits(h=lambda t: 1.0, diagonal=diagonal)
+
 
 # frozen oracle constants (midpoint_integral_I at 1e7 panels agrees to <1e-8)
 I_08_08 = 3.075834977047161
@@ -178,7 +190,7 @@ def test_equal_profiles_give_equal_eta_limits():
 
 
 def test_delta_correction_approaches_scaled_truncated_mean(m2):
-    pl = _partial_traits(estimate_corner_slope(independence_pickands()))
+    pl = power_corner_traits(estimate_corner_slope(independence_pickands()))
     ratios = []
     for t in (1e3, 1e5, 1e7):
         ratios.append(delta_correction(pl, m2, t) / (2.0 * m2.truncated_mean(t) / t))
@@ -225,7 +237,7 @@ def test_delta_correction_certified_against_mpmath(kind, k):
     if kind == "log-refined":
         traits, profile = gumbel_log_refined_traits(k), lambda x: x ** (k - 1.0)
     else:
-        traits, profile = _partial_traits(k), lambda x: k * mp.exp(-k * x)
+        traits, profile = power_corner_traits(k), lambda x: k * mp.exp(-k * x)
     cells = [(alpha, 1.0, sf ** (-1.0 / alpha) - 1.0)
              for alpha in (0.3, 0.8, 2.0, 3.0) for sf in (1e-2, 1e-7, 1e-12)]
     if kind == "log-refined":
@@ -248,7 +260,7 @@ def test_independence_partial_branch_certified_where_quadpack_missed():
     # alpha 0.8, sf 1e-10, +1.0% at alpha 0.8, sf 1e-12 and -2.0e-3 at
     # alpha 0.3, sf 1e-12
     mp = pytest.importorskip("mpmath")
-    pl = _partial_traits(estimate_corner_slope(independence_pickands()))
+    pl = power_corner_traits(estimate_corner_slope(independence_pickands()))
     for alpha, sf in ((0.8, 1e-10), (0.8, 1e-12), (0.3, 1e-12)):
         m = ParetoMarginal(alpha, 1.0)
         t = sf ** (-1.0 / alpha) - 1.0
@@ -262,7 +274,7 @@ def test_far_tail_values_are_finite():
     # varphi(1, sf) overflows once sf is near 1e-300; the quadrature on it
     # returned NaN or inf in 104 of these 528 cells (e.g. the log_refined
     # candidate at phi 10, alpha 2, t = 1e148)
-    pl = _partial_traits(estimate_corner_slope(independence_pickands()))
+    pl = power_corner_traits(estimate_corner_slope(independence_pickands()))
     for alpha in (0.3, 0.8, 2.0, 3.0):
         m = ParetoMarginal(alpha, 1.0)
         for t in 10.0 ** np.arange(1, 303, 7):
@@ -600,7 +612,7 @@ def _partial_branch(m, traits, partial, t):
 def test_general_tailprob_partial_branch_tracks_exact_truth(m2, p_ind):
     # ROADMAP item 5's evidence that, for independence, the partial branch
     # tracks the exact tail (closer than the stated value, per its table)
-    tri, pl = tail_order_traits(p_ind), _partial_traits(estimate_corner_slope(p_ind))
+    tri, pl = tail_order_traits(p_ind), power_corner_traits(estimate_corner_slope(p_ind))
     devs = []
     for t in (1e2, 1e3, 1e4):
         value = _partial_branch(m2, tri, pl, t)
@@ -754,7 +766,7 @@ def test_log_refined_candidate_quadrature_converges_at_phi2_alpha03():
 
 def test_threshold_must_be_finite_and_above_the_median(m08, m2, p1, p10):
     # an infinite threshold once gave NaN (inf / inf in the complement term)
-    pl = _partial_traits(estimate_corner_slope(independence_pickands()))
+    pl = power_corner_traits(estimate_corner_slope(independence_pickands()))
     calls = [
         lambda t: tailprob_expansion_ev(m2, p1, t),  # complement case
         lambda t: tailprob_expansion_ev(m08, p10, t),  # degenerate case, candidates

@@ -10,8 +10,8 @@ a vanishing corner slope) would let the library and the command disagree on
 the same copula, and a ``partial_traits`` argument would be a second corner
 path next to the one read from the dependence function.
 
-``copulas._require_dependence_function`` is the one place that knows what a
-valid ``PickandsEV`` is; a second test of the contract (a convexity margin
+``copulas.estimate_corner_slope`` is the one place that knows what a valid
+``PickandsEV`` is; a second test of the contract (a convexity margin
 or a corner-slope range in ``asymptotics.py``) could again accept what the
 first rejects. The scans read the source, so they also catch code no test
 reaches.
@@ -110,7 +110,7 @@ def test_one_function_checks_the_dependence_function_contract():
     tree = _tree("copulas.py")
     [check] = [
         node for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == "_require_dependence_function"
+        if isinstance(node, ast.FunctionDef) and node.name == "estimate_corner_slope"
     ]
     inside = range(check.lineno, check.end_lineno + 1)
     for path in sorted(SRC.glob("*.py")):

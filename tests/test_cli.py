@@ -543,6 +543,16 @@ def test_reproduce_figures_names_other_phis_apart(tmp_path):
     assert not list(tmp_path.glob("figure2-*"))
 
 
+def test_reproduce_figures_rejected_phi_creates_no_directory(tmp_path, capsys):
+    # the output directory was once created before the exponent was rejected
+    out = tmp_path / "figures"
+    rc = main(["reproduce-figures", "--phi", "0.5", "--seed", "7",
+               "--n", "2000", "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_tailprob_never_holds_the_sample(tmp_path, monkeypatch):
     # x alone would take 3.2 MB; one worker's scratch block is 2 MiB
     monkeypatch.setenv("TAILSUM_THREADS", "1")

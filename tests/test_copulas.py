@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from test_asymptotics import power_corner_traits
 from test_galambos import galambos_pickands
 from tailsum import (
     DomainError,
@@ -16,6 +17,7 @@ from tailsum import (
     PickandsEV,
     TailOrderTraits,
     UnsupportedFamilyError,
+    check_assumptions,
     classify_case,
     comonotone_pickands,
     estimate_corner_slope,
@@ -28,7 +30,6 @@ from tailsum import (
     tail_order_traits,
     trial_tail_order_traits,
 )
-from tailsum.copulas import _partial_traits
 
 pos = st.floats(0.05, 20.0)
 
@@ -295,31 +296,44 @@ def test_trial_tail_order_traits():
 
 
 def test_plain_corner_traits_fields():
-    # independence: corner slope 1, profile u; Gumbel 10: slope 0, zero profile
-    ind = _partial_traits(estimate_corner_slope(independence_pickands()))
-    assert ind.h(1e-3) == 1.0
-    assert ind.varphi(0.5, 0.25) == 0.5
-    g10 = _partial_traits(estimate_corner_slope(gumbel_pickands(10.0)))
-    assert g10.h(1e-3) == 1.0
-    assert g10.varphi(0.5, 0.25) == 0.0
-    x = np.array([0.0, 1.5, 800.0])
-    assert ind.diagonal(x).tolist() == np.exp(-x).tolist()
-    assert g10.diagonal(x) == 0.0
-    assert set(PartialLimitTraits.__dataclass_fields__) == {"h", "varphi", "diagonal"}
+    # the plain power corner is the slope alone, the target of the
+    # checker's A4: independence has slope 1 and profile u, Gumbel 10 slope
+    # 0 and the zero profile
+    def a4_targets(copula):
+        rows = check_assumptions(copula, grid=(0.25, 0.5, 1.0, 2.0)).checks["A4"].rows
+        return {(u, v): target for _, u, v, _, target in rows}
+
+    ind = a4_targets(make_survival_copula("independence"))
+    assert ind[0.5, 0.25] == 0.5
+    assert all(target == u for (u, _), target in ind.items())
+    g10 = a4_targets(make_survival_copula("gumbel", phi=10.0))
+    assert g10[0.5, 0.25] == 0.0
+    assert set(g10.values()) == {0.0}
+    assert set(PartialLimitTraits.__dataclass_fields__) == {"h", "diagonal"}
+
+
+def _power_profile(a20):
+    return lambda u, v: a20 * u * v ** (a20 - 1.0) if a20 > 0.0 else 0.0
+
+
+def _log_refined_profile(phi):
+    return lambda u, v: u * (-np.log(v)) ** (phi - 1.0) / v
 
 
 @pytest.mark.parametrize(
     "traits",
-    [_partial_traits(1.0), _partial_traits(0.5), _partial_traits(0.0),
-     gumbel_log_refined_traits(1.05), gumbel_log_refined_traits(10.0)],
+    # pairs of traits and their profile varphi(u, v), written here
+    [(power_corner_traits(a20), _power_profile(a20)) for a20 in (1.0, 0.5, 0.0)]
+    + [(gumbel_log_refined_traits(phi), _log_refined_profile(phi)) for phi in (1.05, 10.0)],
 )
 def test_corner_diagonal_is_the_profile_in_log_survival(traits):
     # diagonal(x) is varphi(exp(-x), exp(-x)) wherever that survival is a
     # normal float (3.3e-16 apart at most, measured), and stays finite and
     # not negative past it
+    traits, varphi = traits
     x = np.linspace(0.0, 700.0, 1401)[1:]
     v = np.exp(-x)
-    want = np.array([traits.varphi(float(s), float(s)) for s in v])
+    want = np.array([varphi(float(s), float(s)) for s in v])
     np.testing.assert_allclose(traits.diagonal(x), want, rtol=1e-15, atol=0.0)
     far = traits.diagonal(np.array([800.0, 5000.0, 1e5]))
     assert np.all(np.isfinite(far)) and np.all(far >= 0.0)
@@ -332,15 +346,14 @@ def test_gumbel_log_refined_traits_domain():
 
 
 def test_log_refined_traits_equal_their_array_spelling():
-    # at a float h and varphi must give the floats of the 0-d array
-    # evaluation, including numpy's own logarithm (varphi on the array of
+    # at a float h must give the floats of the 0-d array evaluation,
+    # including numpy's own logarithm (the profile on the array of
     # quadrature nodes is certified through delta_correction)
     vs = np.geomspace(1e-200, 1.0, 3001)[:-1].tolist() + np.linspace(0.5, 1.0, 1001)[:-1].tolist()
     for phi in (1.5, 5.0, 10.0):
         tr = gumbel_log_refined_traits(phi)
         for v in vs:
             va = np.asarray(v, float)
-            assert tr.varphi(1.0, v) == float(1.0 * (-np.log(va)) ** (phi - 1.0) / va)
             assert tr.h(v) == float((-np.log(va)) ** (1.0 - phi))
         assert tr.h(0.0) == 0.0
 

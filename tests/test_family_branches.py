@@ -33,7 +33,6 @@ def _scope(module: str, function):
     [
         ("asymptotics.py", None),
         ("copulas.py", "tail_order_traits"),
-        ("copulas.py", "_partial_traits"),
         ("copulas.py", "check_assumptions"),
         ("cli.py", "_resolve_family"),
         ("cli.py", "_cmd_panel"),
