@@ -31,9 +31,9 @@ and partial branches among them.
 Everything is a pure function of immutable inputs. The extreme-value
 expansions cache, per ``(marginal, dependence function)`` model, only what
 does not depend on the threshold or the level: the case label, the case
-coefficient (its corner integrals), the stated term specs, when the stated
-second order vanishes the candidates' specs, and what a quantile query
-reuses (its ``rho_regime`` and diagnostics). The cache is a bounded
+coefficient (its corner integrals), the stated term specs and, when the
+stated second order vanishes, the candidates' specs; a quantile query
+picks its formula and writes its notes from those. The cache is a bounded
 ``functools.lru_cache``, which is thread-safe, and holds frozen values, so
 concurrent use is safe; the quadrature rule's node table is read-only
 arrays, each entry built on first use and kept by a ``functools.cache``,
@@ -559,40 +559,17 @@ class _ModelPlan:
     middle case, the truncated-mean term in the complement case.
     ``coefficient`` is the middle case's coefficient of the quantile
     expansion, on the power ``case.a20`` of ``1 - q`` (the sum of the
-    stated power terms' coefficients, zero when none is stated), and None
-    in the complement case. ``candidates`` maps each candidate's name to
-    its specs, only in the middle case whose stated second order vanishes
-    (see :func:`tailprob_expansion_ev`).
-
-    The rest serves :func:`var_expansion_ev`: ``rho_regime`` is
-    ``"below"`` exactly when the middle case states a term, and
-    ``var_diagnostics`` holds the quantile's notes.
+    stated power terms' coefficients), and None wherever no power term is
+    stated: in the complement case and in the middle case whose stated
+    second order vanishes. ``candidates`` maps each candidate's name to its
+    specs, only in that vanishing middle case (see
+    :func:`tailprob_expansion_ev`).
     """
 
     case: CaseLabel
     coefficient: Optional[float]
     terms: tuple
-    candidates: Optional[Mapping[str, tuple]]
-    rho_regime: str
-    var_diagnostics: tuple
-
-
-def _plan(
-    case: CaseLabel, c: Optional[float], terms: tuple,
-    candidates: Optional[Mapping[str, tuple]] = None,
-) -> _ModelPlan:
-    """The :class:`_ModelPlan` of the classified model with case coefficient
-    ``c``, its quantile fields filled."""
-    if c is not None and terms:
-        return _ModelPlan(case, c, terms, candidates, "below", case.warnings)
-    why = (
-        "rho equals the complement-case threshold -1; closed into the "
-        "regular-variation strip"
-        if c is None
-        else "stated second-order coefficient vanishes; regular-variation value returned"
-    )
-    diagnostics = case.warnings + ("second-order regular-variation strip", why)
-    return _ModelPlan(case, c, terms, candidates, "above", diagnostics)
+    candidates: Optional[Mapping[str, tuple]] = None
 
 
 @functools.lru_cache(maxsize=64)
@@ -609,7 +586,7 @@ def _model_plan(m: ParetoMarginal, p: PickandsEV) -> _ModelPlan:
         )
     a20 = case.a20
     if case.label == LABEL_COMPLEMENT:  # alpha * a20 >= 1
-        return _plan(case, None, (("truncated_mean", 2.0 * alpha, 1.0, a20),))
+        return _ModelPlan(case, None, (("truncated_mean", 2.0 * alpha, 1.0, a20),))
 
     c = power_term_coefficient(traits, alpha)
     power_term = (("power", c, traits.kappa, None),)
@@ -618,7 +595,7 @@ def _model_plan(m: ParetoMarginal, p: PickandsEV) -> _ModelPlan:
     if case.boundary_indicator:
         terms += power_term
     if terms:
-        return _plan(case, sum((coef for _, coef, _, _ in terms), 0.0), terms)
+        return _ModelPlan(case, sum((coef for _, coef, _, _ in terms), 0.0), terms)
 
     # the stated second order vanishes: the candidates are the trait theorem's
     # branches, eta (its corner integral converges under C2) and partial
@@ -628,7 +605,7 @@ def _model_plan(m: ParetoMarginal, p: PickandsEV) -> _ModelPlan:
         candidates["power_term_with_eta"] = (("power", eta_c, traits.kappa, None),)
     if p.log_refined is not None:
         candidates["log_refined"] = power_term + (("delta_correction", 2.0, 1.0, p.log_refined),)
-    return _plan(case, 0.0, (), types.MappingProxyType(candidates))
+    return _ModelPlan(case, None, (), types.MappingProxyType(candidates))
 
 
 def tailprob_expansion_ev(m: ParetoMarginal, p: PickandsEV, t: float) -> Expansion:
@@ -708,15 +685,17 @@ def var_expansion_ev(m: ParetoMarginal, p: PickandsEV, q: float) -> VarExpansion
     ``2**(1/alpha) * Q(q) * (1 + c * 2**-(a20+1) / alpha * (1-q)**a20)``.
     The Pareto second-order index ``rho = -1`` lies below the case
     threshold ``-alpha*a20`` there (``rho_regime`` is ``"below"``). When
-    the middle case states no term (then ``c`` is 0), and in the complement
-    case, whose threshold ``-1`` is exactly the Pareto ``rho``, the value
-    is the second-order regular-variation strip of the Lomax marginal,
+    the middle case states no term (then it has no ``c``), and in the
+    complement case, whose threshold ``-1`` is exactly the Pareto ``rho``,
+    the value is the second-order regular-variation strip of the Lomax
+    marginal,
     ``2**(1/alpha) * Q(q) * (1 + (b/alpha) * (2**(1/alpha) - 1) / Q(q))``
     with ``rho = -1`` and ``b = -alpha*scale`` (from ``survival(x) =
     scale**alpha * x**-alpha * (1 + b/x + o(1/x))``; ``rho_regime`` is
-    ``"above"``), with a diagnostic saying which. A numpy scalar ``q`` is
-    taken as its ``float``, so every value of the result is a Python
-    ``float``.
+    ``"above"``), with a diagnostic saying which. The diagnostics are the
+    case's warnings, then that strip note, then the C1 note below. A numpy
+    scalar ``q`` is taken as its ``float``, so every value of the result is
+    a Python ``float``.
 
     ``alpha = 1`` takes the general path: it is no boundary where ``a20 =
     0`` (Gumbel ``phi > 1``) and the C1 edge for independence, which
@@ -745,12 +724,21 @@ def var_expansion_ev(m: ParetoMarginal, p: PickandsEV, q: float) -> VarExpansion
     first = 2.0 ** (1.0 / alpha) * x_q if x_q < math.inf else math.inf
     if first == math.inf:
         raise DomainError(f"var_expansion_ev: 2**(1/alpha) * Q(q) overflows at alpha={alpha}")
-    if plan.rho_regime == "below":
+    if plan.coefficient is not None:
         c, a20 = plan.coefficient, plan.case.a20
         value = first * (1.0 + c * 2.0 ** -(a20 + 1.0) / alpha * (1.0 - q) ** a20)
+        regime, diagnostics = "below", plan.case.warnings
     else:  # the strip, rho = -1
         b = -alpha * m.scale
         value = first * (1.0 + b / alpha * (2.0 ** (1.0 / alpha) - 1.0) * x_q**-1.0)
+        regime = "above"
+        diagnostics = plan.case.warnings + (
+            "second-order regular-variation strip",
+            "rho equals the complement-case threshold -1; closed into the "
+            "regular-variation strip"
+            if plan.terms  # the complement case's truncated-mean term
+            else "stated second-order coefficient vanishes; regular-variation value returned",
+        )
     if not value > 0.0:
         raise DomainError(
             f"var_expansion_ev: the second-order VaR {value:.6g} at q={q}, alpha={alpha} is "
@@ -758,8 +746,8 @@ def var_expansion_ev(m: ParetoMarginal, p: PickandsEV, q: float) -> VarExpansion
             "term at this level"
         )
     return VarExpansion(
-        q=q, value=value, first_order=first, case=plan.case, rho_regime=plan.rho_regime,
-        diagnostics=plan.var_diagnostics + _c1_note(value, first, alpha, plan.case),
+        q=q, value=value, first_order=first, case=plan.case, rho_regime=regime,
+        diagnostics=diagnostics + _c1_note(value, first, alpha, plan.case),
     )
 
 

@@ -710,21 +710,12 @@ def _verdict(deviations: Sequence[float], tolerance: float, lts: Sequence[float]
     return False, "; ".join(reasons)
 
 
-def _relabs(stat: float, target: float) -> float:
-    if abs(target) > 1e-6:
-        return abs(stat - target) / abs(target)
-    return abs(stat - target)
-
-
-def _acc(worst: float, stat: float, target: float) -> float:
-    """Fold one (statistic, target) pair into a running worst deviation.
-
-    A non-finite statistic poisons the scale's deviation to NaN so the
-    verdict becomes inconclusive rather than a silent pass or fail.
-    """
-    if math.isnan(worst) or not math.isfinite(stat):
-        return math.nan
-    return max(worst, _relabs(stat, target))
+def _log_slope(pairs: Sequence[tuple]) -> Optional[float]:
+    """The least-squares slope through the origin of the log-ratios on
+    ``log1p(u)``, over the usable ``(u, log_ratio)`` pairs; None without
+    one."""
+    den = sum(math.log1p(u) ** 2 for u, _ in pairs)
+    return sum(r * math.log1p(u) for u, r in pairs) / den if den > 0 else None
 
 
 def check_assumptions(
@@ -828,9 +819,14 @@ def check_assumptions(
     checks: dict[str, CheckResult] = {}
 
     def finish(name, rows, fitted_c=None):
+        # a non-finite statistic makes its scale's deviation NaN: inconclusive
         worst = dict.fromkeys(l10, 0.0)
         for x10, _, _, stat, target in rows:
-            worst[x10] = _acc(worst[x10], stat, target)
+            if math.isnan(worst[x10]) or not math.isfinite(stat):
+                worst[x10] = math.nan
+            else:
+                dev = abs(stat - target)
+                worst[x10] = max(worst[x10], dev / abs(target) if abs(target) > 1e-6 else dev)
         devs = tuple(worst.values())
         passed, note = _verdict(devs, tolerance, lts)
         checks[name] = CheckResult(
@@ -866,13 +862,12 @@ def check_assumptions(
         # least squares on log-ratios, over the deepest scale with usable points
         fitted_c = None
         for x10 in l10:
-            num = den = 0.0
-            for x, u, _, stat, _ in rows:
-                if x == x10 and math.isfinite(stat) and stat > -1.0:
-                    num += math.log1p(stat) * math.log1p(u)
-                    den += math.log1p(u) ** 2
-            if den > 0:
-                fitted_c = num / den
+            c_t = _log_slope([
+                (u, math.log1p(stat)) for x, u, _, stat, _ in rows
+                if x == x10 and math.isfinite(stat) and stat > -1.0
+            ])
+            if c_t is not None:
+                fitted_c = c_t
         finish("A3", rows, fitted_c=fitted_c)
 
     # A4: corner limit of the scaled partial derivative against the corner
@@ -903,13 +898,10 @@ def check_assumptions(
                     else:
                         q = mov / base
                     triples.append((u, q))
-                usable = [(u, q) for u, q in triples if math.isfinite(q) and q > 0]
-                den = sum(math.log1p(u) ** 2 for u, _ in usable)
-                c_x = (
-                    sum(math.log(q) * math.log1p(u) for u, q in usable) / den
-                    if den > 0
-                    else 0.0
+                c_x = _log_slope(
+                    [(u, math.log(q)) for u, q in triples if math.isfinite(q) and q > 0]
                 )
+                c_x = 0.0 if c_x is None else c_x
                 if fitted_c is None or abs(c_x) > abs(fitted_c):
                     fitted_c = c_x
                 rows += [(x10, u, x, q, (1.0 + u) ** c_x) for u, q in triples]

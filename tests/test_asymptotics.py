@@ -894,12 +894,46 @@ def test_alpha_half_takes_the_case_formula_with_a_zero_coefficient(pickands):
     # the boundary term 2 - 2*sqrt(2) cancels 2*I(1/2, 1/2) exactly in
     # floats; the stated terms, not the sign of that sum, pick the formula
     m = ParetoMarginal(0.5, 1.0)
-    plan = _model_plan(m, pickands)
-    assert plan.coefficient == 0.0
-    assert plan.rho_regime == "below"
+    assert _model_plan(m, pickands).coefficient == 0.0
     v = var_expansion_ev(m, pickands, 0.6)
     assert v.rho_regime == "below"
     assert v.value == v.first_order
+
+
+_STRIP = "second-order regular-variation strip"
+_COMPLEMENT_NOTE = (
+    "rho equals the complement-case threshold -1; closed into the regular-variation strip"
+)
+
+
+@pytest.mark.parametrize(
+    "alpha, pickands, value, label, regime, diagnostics",
+    [
+        (0.8, independence_pickands(), 763.0990980067236, "C1\\(C2∩C3)", "below", ()),
+        (0.5, gumbel_pickands(1.0), 39995.99999999993, "C1\\(C2∩C3)", "below", ()),
+        (2.0, independence_pickands(), 12.142135623730947, "C1ᶜ", "above",
+         (_STRIP, _COMPLEMENT_NOTE)),
+        (0.8, gumbel_pickands(10.0), 746.4637643677854, "C1\\(C2∩C3)", "above",
+         (_STRIP, "stated second-order coefficient vanishes; regular-variation value returned")),
+        (1.0, independence_pickands(), 195.99999999999983, "C1ᶜ", "above",
+         ("within 1e-8 of the C1 boundary alpha*a2(1,0) = 1",
+          "within 1e-8 of the C2 boundary alpha*a1(1,1) = 1", _STRIP, _COMPLEMENT_NOTE)),
+        (0.999999, independence_pickands(), 990202.3024271226, "C1\\(C2∩C3)", "below",
+         ("second-order terms outweigh the first order: the expansion is not uniform "
+          "across the C1 boundary alpha*a20 = 1 (here 0.999999)",)),
+    ],
+    ids=["case-formula", "zero-coefficient", "complement", "vanishing", "c1-edge", "c1-note"],
+)
+def test_var_diagnostics_are_pinned_in_each_regime(
+    alpha, pickands, value, label, regime, diagnostics
+):
+    # the formula each regime takes and the notes it writes, in their order:
+    # the case's warnings, the strip note, then the C1 note (frozen values)
+    m = ParetoMarginal(alpha, 1.0)
+    v = var_expansion_ev(m, pickands, 0.99)
+    assert math.isclose(v.value, value, rel_tol=1e-13)
+    assert v.first_order == 2.0 ** (1.0 / alpha) * m.quantile(0.99)
+    assert (v.q, v.case.label, v.rho_regime, v.diagnostics) == (0.99, label, regime, diagnostics)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 0.95])

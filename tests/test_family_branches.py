@@ -53,8 +53,8 @@ def test_no_comparison_against_a_family_name(module, function):
 
 
 def test_only_the_classifier_and_the_plan_read_case_labels():
-    # every other function works from the plan's coefficients, so a case
-    # label is read in exactly two places
+    # every other function works from the plan's coefficient and term
+    # specs, so a case label is read in exactly two places
     def label_reads(tree):
         return [
             node for node in ast.walk(tree)
