@@ -295,8 +295,9 @@ class CaseLabel:
         :func:`~tailsum.copulas.estimate_corner_slope` (``+0.0`` when it
         vanishes).
     boundary_indicator : bool
-        Whether ``a(1,1) == a2(1,0) + 1`` within 1e-9; only meaningful for
-        extreme-value families.
+        Whether ``a(1,1) == a2(1,0) + 1`` within 1e-9: the C3 boundary, on
+        which independence lies, where the middle case also states the
+        tail-order power term.
     warnings : tuple of str
         Notes attached when a predicate sits within 1e-8 of its boundary; a
         model exactly on the C3 boundary (``boundary_indicator``, e.g.

@@ -2,32 +2,33 @@
 
 This module houses the dependence layer of the package:
 
-* :class:`SurvivalCopula` carries a copula's log-domain evaluators: the
-  logarithm of the joint survival transform ``chat(u, v)`` and of its
-  partial derivative in the second argument, both taking ``(log u, log v)``
-  so they stay accurate far below double-precision range.
+* :class:`SurvivalCopula` carries a copula's one evaluator, in the log
+  domain: the logarithm of the joint survival transform ``chat(u, v)`` and
+  of its partial derivative in the second argument, both taking
+  ``(log u, log v)`` so they stay accurate far below double-precision range.
 * :class:`PickandsEV` represents an extreme-value dependence function together
   with its partial derivatives; :func:`gumbel_pickands` builds the Gumbel
-  family (logistic dependence) with overflow-safe closed forms.
+  family (logistic dependence) with overflow-safe closed forms, and
+  :func:`ev_survival_copula` the survival copula of any dependence function.
 * :class:`TailOrderTraits` captures how the survival copula scales along
   the diagonal near the joint-loss corner, and :class:`PartialLimitTraits`
   the log-refined corner of its partial derivative where the plain power
   corner is degenerate (Gumbel with exponent above 1); the asymptotic tail
   expansions consume exactly these traits. The plain power corner is the
   corner slope ``a2(1, 0)`` alone (:func:`estimate_corner_slope`).
-* :func:`check_assumptions` measures, on a grid of scales, how fast a shipped
+* :func:`check_assumptions` measures, on a grid of scales, how fast a
   copula converges to the scaling behaviour its traits assert, and returns a
   verdict per hypothesis with the full numeric evidence.
 
 An extreme-value family is defined once, by its :class:`PickandsEV`: its
-log-domain evaluators, the plain evaluators :func:`ev_chat` and
-:func:`ev_chat_v`, and its tail traits are derived from it.
+survival copula (:func:`ev_survival_copula`) and its tail traits are
+derived from it.
 
-The dependence layer is scalar: dependence functions, log-domain evaluators,
-:func:`ev_chat`, :func:`ev_chat_v` and :meth:`TailOrderTraits.tau` take and
-return Python floats through :mod:`math` (with IEEE nan and inf where it
-raises), so a user family needs only float arithmetic. Only
-:attr:`PartialLimitTraits.diagonal` runs on arrays: the quadrature nodes of
+The dependence layer is scalar: dependence functions, log-domain evaluators
+and :meth:`TailOrderTraits.tau` take and return Python floats through
+:mod:`math` (with IEEE nan and inf where it raises), so a user family needs
+only float arithmetic. Only :attr:`PartialLimitTraits.diagonal` runs on
+arrays: the quadrature nodes of
 :func:`~tailsum.asymptotics.delta_correction`.
 
 All values are immutable after construction and safe to share across threads.
@@ -36,6 +37,7 @@ All values are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -51,8 +53,7 @@ __all__ = [
     "independence_pickands",
     "comonotone_pickands",
     "gumbel_pickands",
-    "ev_chat",
-    "ev_chat_v",
+    "ev_survival_copula",
     "make_survival_copula",
     "tail_order_traits",
     "trial_tail_order_traits",
@@ -109,14 +110,17 @@ class PickandsEV:
         All three take two floats and return a float; the library never
         passes them arrays, so a user family needs only float arithmetic.
         ``a2_fn(x, -0.0)`` must return the corner-slope limit of
-        ``a2_fn(x, y)`` as ``y -> 0``: :func:`ev_chat_v` calls it at
-        ``v == 1``, and :func:`estimate_corner_slope` reads ``a2(1, 0)`` from
-        it for :func:`~tailsum.asymptotics.classify_case` and the
-        hypothesis checker, after testing every property above but
-        homogeneity at five points: each of its readers raises
+        ``a2_fn(x, y)`` as ``y -> 0``: the ``log_chat_v`` of
+        :func:`ev_survival_copula` calls it at ``v == 1``, and
+        :func:`estimate_corner_slope` reads ``a2(1, 0)`` from it for
+        :func:`~tailsum.asymptotics.classify_case` and the hypothesis
+        checker, after testing every property above but homogeneity at five
+        points: each of its readers raises
         :class:`~tailsum.errors.DomainError` naming the first one broken.
     family : str
-        Family tag (``"independence"``, ``"gumbel"``, ``"comonotone"``).
+        Family tag, carried into error messages and the survival copula:
+        ``"independence"``, ``"gumbel"`` or ``"comonotone"`` for the shipped
+        families, any name a user family chooses (``"galambos"``, say).
     param : float or None
         Family parameter (the Gumbel interaction exponent), if any.
     log_refined : PartialLimitTraits or None
@@ -171,17 +175,18 @@ def gumbel_pickands(phi_g: float) -> PickandsEV:
 
     Parameters
     ----------
-    phi_g : float
-        Interaction exponent, must satisfy ``phi_g >= 1``. The value 1 gives
-        independence exactly; the limit of large ``phi_g`` approaches the
-        comonotone function.
+    phi_g : real number
+        Interaction exponent, must satisfy ``phi_g >= 1``; a numpy scalar is
+        taken as the equal Python float. The value 1 gives independence
+        exactly; the limit of large ``phi_g`` approaches the comonotone
+        function.
 
     Raises
     ------
     DomainError
         If ``phi_g < 1`` or is not finite.
     """
-    if not (isinstance(phi_g, (int, float)) and math.isfinite(phi_g) and phi_g >= 1.0):
+    if not (isinstance(phi_g, numbers.Real) and math.isfinite(phi_g) and phi_g >= 1.0):
         raise DomainError(f"gumbel interaction exponent must be >= 1, got {phi_g!r}")
     phi = float(phi_g)
 
@@ -217,77 +222,6 @@ _EV_FAMILIES = {
 _FAMILY_PARAMS = {**dict.fromkeys(_EV_FAMILIES), "gumbel": "phi", "log-interaction": "sigma"}
 
 
-def _ev_log_chat(p: PickandsEV, lu: float, lv: float) -> float:
-    """``log chat = -a_fn(-log u, -log v)``, from ``(log u, log v)``.
-
-    Exactly ``log v`` at ``log u == 0`` and ``log u`` at ``log v == 0``, the
-    margins ``chat(1, v) = v`` and ``chat(u, 1) = u``, without calling
-    ``a_fn`` at a zero argument.
-    """
-    if lu == 0:
-        return lv
-    if lv == 0:
-        return lu
-    return -p.a_fn(-lu, -lv)
-
-
-def _ev_log_chat_v(p: PickandsEV, lu: float, lv: float) -> float:
-    """``log chat_v = log chat + log a2_fn(-log u, -log v) - log v``.
-
-    Exactly 0 at ``log u == 0``, the margin ``chat(1, v) = v``; a vanishing
-    ``a2_fn`` gives ``-inf``.
-    """
-    if lu == 0:
-        return 0.0
-    wu, wv = -lu, -lv
-    return -p.a_fn(wu, wv) + _log(p.a2_fn(wu, wv)) + wv
-
-
-def ev_chat(p: PickandsEV, u: float, v: float) -> float:
-    """Extreme-value survival copula ``exp(-a_fn(-log u, -log v))``.
-
-    Parameters
-    ----------
-    p : PickandsEV
-    u, v : float
-        Arguments in ``[0, 1]``; the value at ``u == 0`` or ``v == 0`` is the
-        continuity limit 0.
-
-    Raises
-    ------
-    DomainError
-        If an argument lies outside ``[0, 1]``.
-    """
-    if u < 0 or u > 1 or v < 0 or v > 1:
-        raise DomainError(f"copula arguments must lie in [0, 1], got u={u!r}, v={v!r}")
-    if u == 0 or v == 0:
-        return 0.0
-    return _safe_exp(_ev_log_chat(p, math.log(u), math.log(v)))
-
-
-def ev_chat_v(p: PickandsEV, u: float, v: float) -> float:
-    """Partial derivative of :func:`ev_chat` in the second argument.
-
-    Equals ``ev_chat(u, v) * a2_fn(-log u, -log v) / v``, formed in the log
-    domain so that no intermediate underflows before the division by ``v``.
-    The value at ``u == 0`` is the continuity limit 0, and at ``u == 1``
-    exactly 1, the derivative of the margin ``ev_chat(1, v) = v``; ``v == 0``
-    is outside the domain.
-
-    Raises
-    ------
-    DomainError
-        If an argument lies outside ``[0, 1]`` or ``v == 0``.
-    """
-    if u < 0 or u > 1 or v <= 0 or v > 1:
-        raise DomainError(
-            f"partial derivative requires u in [0, 1] and v in (0, 1], got u={u!r}, v={v!r}"
-        )
-    if u == 0:
-        return 0.0
-    return _safe_exp(_ev_log_chat_v(p, math.log(u), math.log(v)))
-
-
 # ---------------------------------------------------------------------------
 # Survival copulas
 # ---------------------------------------------------------------------------
@@ -305,12 +239,13 @@ class SurvivalCopula:
     Attributes
     ----------
     log_chat, log_chat_v : callable
-        Log-domain evaluators of ``chat`` and ``chat_v``, taking
-        ``(log u, log v)`` and returning the logarithm of the corresponding
-        value, so that the hypothesis checker can probe scales far below
-        double-precision underflow.
+        The copula's one evaluator: the logarithms of ``chat`` and
+        ``chat_v``, taking ``(log u, log v)``, so that the hypothesis checker
+        can probe scales far below double-precision underflow. ``exp`` of
+        ``log_chat_v`` stays accurate where ``chat`` itself underflows.
     family : str
-        Family tag, as accepted by :func:`make_survival_copula`.
+        Family tag: a name accepted by :func:`make_survival_copula`, or the
+        tag of the dependence function given to :func:`ev_survival_copula`.
     param : float or None
         Family parameter, if any.
     pickands : PickandsEV or None
@@ -324,14 +259,32 @@ class SurvivalCopula:
     pickands: Optional[PickandsEV] = None
 
 
-def _ev_copula(p: PickandsEV) -> SurvivalCopula:
-    """The survival copula of a dependence function."""
+def ev_survival_copula(p: PickandsEV) -> SurvivalCopula:
+    """The survival copula ``chat(u, v) = exp(-a_fn(-log u, -log v))`` of a
+    dependence function, in the log domain.
+
+    ``log_chat_v`` is ``log chat + log a2_fn(-log u, -log v) - log v``,
+    formed so that nothing underflows before the division by ``v``; a
+    vanishing ``a2_fn`` gives ``-inf``. ``log_chat`` is ``log v`` at
+    ``log u == 0`` and ``log u`` at ``log v == 0``, the exact margins, with
+    no call of ``a_fn`` at a zero argument; ``log_chat_v`` is 0 at
+    ``log u == 0``. :func:`make_survival_copula` builds the named
+    extreme-value families here; any other :class:`PickandsEV` (a user
+    family) gets its copula, and so :func:`check_assumptions`, the same way.
+    """
 
     def log_chat(lu, lv):
-        return _ev_log_chat(p, lu, lv)
+        if lu == 0:
+            return lv
+        if lv == 0:
+            return lu
+        return -p.a_fn(-lu, -lv)
 
     def log_chat_v(lu, lv):
-        return _ev_log_chat_v(p, lu, lv)
+        if lu == 0:
+            return 0.0
+        wu, wv = -lu, -lv
+        return -p.a_fn(wu, wv) + _log(p.a2_fn(wu, wv)) + wv
 
     return SurvivalCopula(log_chat, log_chat_v, family=p.family, param=p.param, pickands=p)
 
@@ -341,9 +294,8 @@ def make_survival_copula(
 ) -> SurvivalCopula:
     """Build a shipped survival copula by family name.
 
-    The extreme-value families are built from their dependence function;
-    their log-domain evaluators are those of :func:`ev_chat` and
-    :func:`ev_chat_v`.
+    The extreme-value families are built from their dependence function by
+    :func:`ev_survival_copula`.
 
     Parameters
     ----------
@@ -374,7 +326,7 @@ def make_survival_copula(
     if family in _EV_FAMILIES:
         if family == "gumbel" and phi is None:
             raise DomainError("gumbel family requires the interaction exponent phi")
-        return _ev_copula(_EV_FAMILIES[family](phi))
+        return ev_survival_copula(_EV_FAMILIES[family](phi))
 
     sig = 0.5 if sigma is None else float(sigma)
     if not (0.0 < sig <= 1.0):
@@ -756,7 +708,8 @@ def check_assumptions(
     Parameters
     ----------
     copula : SurvivalCopula
-        A shipped survival copula, from :func:`make_survival_copula`.
+        A survival copula: a shipped one from :func:`make_survival_copula`,
+        or that of any dependence function from :func:`ev_survival_copula`.
     tail_traits : TailOrderTraits, optional
         Defaults to the traits of the copula's dependence function; required
         for a copula without one (pass :func:`trial_tail_order_traits`),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,29 +41,33 @@ class ParetoMarginal:
 
     Parameters
     ----------
-    alpha : float
+    alpha : real number
         Tail index, must be positive. Values below 1 give an infinite mean.
-    scale : float
+    scale : real number
         Scale parameter, must be positive.
+
+    Both are stored as Python floats, so a numpy ``float32`` computes in double.
 
     Raises
     ------
     DomainError
-        If ``alpha`` or ``scale`` is not strictly positive.
+        If ``alpha`` or ``scale`` is not a positive finite real number.
     """
 
     alpha: float
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.alpha, (int, float)) and math.isfinite(self.alpha)):
+        if not (isinstance(self.alpha, numbers.Real) and math.isfinite(self.alpha)):
             raise DomainError(f"alpha must be a finite number, got {self.alpha!r}")
-        if not (isinstance(self.scale, (int, float)) and math.isfinite(self.scale)):
+        if not (isinstance(self.scale, numbers.Real) and math.isfinite(self.scale)):
             raise DomainError(f"scale must be a finite number, got {self.scale!r}")
         if self.alpha <= 0:
             raise DomainError(f"alpha must be positive, got {self.alpha}")
         if self.scale <= 0:
             raise DomainError(f"scale must be positive, got {self.scale}")
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "scale", float(self.scale))
 
     # -- distribution operations -------------------------------------------
 

@@ -14,7 +14,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -33,6 +33,7 @@ from tailsum import (
     delta_correction,
     estimate_corner_slope,
     eta_limit,
+    ev_survival_copula,
     gumbel_log_refined_traits,
     gumbel_pickands,
     independence_pickands,
@@ -44,8 +45,7 @@ from tailsum import (
     var_expansion_ev,
     var_from_tailprob_inversion,
 )
-from tailsum import copulas
-from tailsum.asymptotics import _model_plan
+from tailsum.asymptotics import _brent, _model_plan
 
 def power_corner_traits(a20: float) -> PartialLimitTraits:
     """The plain power corner traits of the corner slope ``a20``, a second
@@ -716,7 +716,7 @@ def test_broken_dependence_function_is_rejected(make, match):
         lambda: var_expansion_ev(m, p, 0.999),
         lambda: var_from_tailprob_inversion(m, p, 0.999),
         lambda: estimate_corner_slope(p),
-        lambda: check_assumptions(copulas._ev_copula(p)),
+        lambda: check_assumptions(ev_survival_copula(p)),
     ):
         with pytest.raises(DomainError, match=match):
             run()
@@ -1257,6 +1257,76 @@ def test_inversion_equals_brentq_on_the_stated_tail_value():
             # the root the fixed bracket gave, within Brent's tolerance
             old = fixed_bracket_root(m, p, q)
             assert abs(d.inverted - old) <= 1e-12 * max(1.0, m.quantile(q)) + 1e-14 * abs(old)
+
+
+def _counted(f):
+    """``f`` with the list of the points it is called at."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+def test_brent_returns_none_on_a_nan_or_ends_of_one_sign():
+    def nan_at(bad):
+        return lambda x: math.nan if x in bad else x - 0.5
+
+    assert _brent(nan_at({0.0}), 0.0, 1.0, 1e-12, 1e-14) is None
+    assert _brent(nan_at({1.0}), 0.0, 1.0, 1e-12, 1e-14) is None
+    # ends of one sign, either side of zero
+    assert _brent(lambda x: x + 1.0, 0.0, 1.0, 1e-12, 1e-14) is None
+    assert _brent(lambda x: -x - 1.0, 0.0, 1.0, 1e-12, 1e-14) is None
+    # a NaN at the first point inside the bracket ends the search there
+    f, calls = _counted(lambda x: x - 0.5 if x in (0.0, 1.0) else math.nan)
+    assert _brent(f, 0.0, 1.0, 1e-12, 1e-14) is None
+    assert len(calls) == 3
+
+
+def test_brent_gives_up_after_100_iterations():
+    # a step has no root; at xtol = rtol = 0 no bracket is narrow enough
+    f, calls = _counted(lambda x: -1.0 if x < 1.0 / 3.0 else 1.0)
+    assert _brent(f, 0.0, 1.0, 0.0, 0.0) is None
+    assert len(calls) == 2 + 100
+
+
+def test_brent_returns_an_exact_zero_at_an_end_as_is():
+    for a, b in ((2.0, 5.0), (2.0, -1.0), (-1.0, 2.0), (5.0, 2.0)):
+        f, calls = _counted(lambda x: x - 2.0)
+        assert _brent(f, a, b, 1e-12, 1e-14) == 2.0, (a, b)
+        assert calls == [a, b]
+    # -0.0 is a zero too
+    assert _brent(lambda x: -0.0 if x == 3.0 else 1.0, 3.0, 4.0, 1e-12, 1e-14) == 3.0
+
+
+@given(
+    root=st.floats(-5.0, 5.0),
+    below=st.floats(1e-3, 10.0),
+    above=st.floats(1e-3, 10.0),
+    shape=st.sampled_from(["linear", "cubic", "exp", "atan", "sqrt"]),
+    xtol=st.sampled_from([1e-300, 1e-12, 1e-6, 0.1]),
+    rtol=st.sampled_from([4 * 2.0**-52, 1e-14, 1e-8]),
+)
+@example(root=0.0, below=1.0, above=1.0, shape="cubic", xtol=1e-12, rtol=1e-14)
+def test_brent_takes_the_iterates_of_scipy_brentq(root, below, above, shape, xtol, rtol):
+    def f(x):
+        d = x - root
+        return {
+            "linear": 3.0 * d,
+            "cubic": d**3 + 0.1 * d,
+            "exp": math.expm1(2.0 * d),
+            "atan": math.atan(50.0 * d),
+            "sqrt": math.copysign(math.sqrt(abs(d)), d),
+        }[shape]
+
+    a, b = root - below, root + above
+    want, result = optimize.brentq(
+        f, a, b, xtol=xtol, rtol=rtol, maxiter=100, full_output=True, disp=False
+    )
+    assume(result.converged)
+    assert _brent(f, a, b, xtol, rtol) == want
 
 
 @pytest.mark.parametrize("phi", [1.0, 10.0])

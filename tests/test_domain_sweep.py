@@ -24,9 +24,9 @@ from tailsum import (
     ParetoMarginal,
     TailsumError,
     check_assumptions,
-    copulas,
     empirical_tailprob,
     empirical_var,
+    ev_survival_copula,
     gumbel_pickands,
     sample_pairs,
     tailprob_expansion_ev,
@@ -102,6 +102,6 @@ def test_public_api_gives_a_finite_value_or_a_tailsum_error(p, alpha, scale, t, 
 
         _finite_or_error(var_estimate, positive=True, infinite=True)
     try:
-        check_assumptions(copulas._ev_copula(p))
+        check_assumptions(ev_survival_copula(p))
     except TailsumError:
         pass

@@ -118,6 +118,70 @@ def test_package_exports_are_the_submodule_exports():
     assert strings == ["__version__"]
 
 
+def _imported_names(tree: ast.Module):
+    """``(line, name)`` of each name an import statement in ``tree`` binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield node.lineno, alias.asname or alias.name
+
+
+def _private_definitions(tree: ast.Module):
+    """``(line, name)`` of each private module-level function, class or
+    constant of ``tree``; dunders such as ``__all__`` are not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                yield node.lineno, name
+
+
+def test_package_has_no_unread_import_or_private_name():
+    # what a deletion can leave behind: an import that nothing reads any
+    # more, or a private helper that only the deleted code called
+    trees = {path.name: ast.parse(path.read_text()) for path in (SRC / "tailsum").glob("*.py")}
+    assert len(trees) == 8, sorted(trees)
+    loads = {}  # module -> the names it loads or lists in __all__
+    package_reads = set()  # and, package-wide, attributes and imported names
+    for module, tree in trees.items():
+        loads[module] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loads[module].add(node.id)
+            elif isinstance(node, ast.Attribute):
+                package_reads.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                package_reads.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Assign) and "__all__" in [
+                getattr(t, "id", None) for t in node.targets
+            ]:
+                loads[module].update(
+                    c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)
+                )
+    package_reads.update(*loads.values())
+    unread = []
+    for module, tree in sorted(trees.items()):
+        unread += [
+            f"{module}:{line}: imports {name}, never read"
+            for line, name in _imported_names(tree) if name not in loads[module]
+        ]
+        unread += [
+            f"{module}:{line}: {name} is read nowhere in the package"
+            for line, name in _private_definitions(tree) if name not in package_reads
+        ]
+    assert unread == []
+
+
 def _cpu_features() -> dict:
     try:
         from numpy._core._multiarray_umath import __cpu_features__

@@ -769,6 +769,11 @@ def test_default_threads_count_the_cpus_this_process_may_use(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     assert _resolve_threads(None) == 8
     assert _resolve_threads(3) == 3
+    # where the platform reports no affinity (macOS, Windows), the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for count, want in ((3, 3), (64, 8), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert _resolve_threads(None) == want
 
 
 def test_sample_metadata(m08):
